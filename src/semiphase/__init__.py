@@ -17,10 +17,9 @@ from .experiments import (EXPERIMENTS, ExperimentConfig, RunManifest,
                           defaults_for, resolve_experiment, run_experiment)
 from .grids import (PhaseGrid, PositionGrid, build_position_grid, dft_forward,
                     dft_inverse, quadrature)
-from .gridio import (read_checkpoint, read_grid, write_checkpoint, write_csv,
-                     write_grid)
-from .metrics import (RateFit, WeakMetricConfig, char_function, fit_rate,
-                      l2_distance, weak_distance)
+from .gridio import read_grid, write_csv, write_grid
+from .metrics import (RateFit, WeakMetricConfig, char_distance, char_function,
+                      fit_rate, l2_distance, weak_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
                          l2_norm, marginals, restrict_p, sup_norm, upsample2,
                          wigner, wigner_ensemble)
@@ -30,8 +29,7 @@ from .potentials import (BVGradientReport, FourierConditionReport,
                          evaluate_at, gradient_at, harmonic_potential,
                          mollify, mollify_samples, rough_power_potential)
 from .quantum import (DensityEnsemble, PropagatorConfig, WaveFunction,
-                      checkpoint_state, h2_energy, load_state, propagate,
-                      propagate_ensemble)
+                      h2_energy, propagate, propagate_ensemble)
 from .states import (ConcentratingProfile, RandomFamilySpec,
                      RealizedConcentration, check_epsn_operator_bound,
                      coherent_state, concentrating_wigner_data,

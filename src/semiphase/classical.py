@@ -13,7 +13,6 @@ of uniqueness that the transport experiments probe.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from scipy.interpolate import CubicSpline
 from .errors import ConfigurationError, NumericsError, RepresentationError
 from .grids import PositionGrid, build_position_grid
 from .phasespace import GridDensity
-from .potentials import PotentialSpec, evaluate, gradient_at, mollify
+from .potentials import PotentialSpec, gradient_at, mollify
 
 __all__ = [
     "TrajectoryBranch",
@@ -79,10 +78,6 @@ class TrajectoryBranch:
         s = np.maximum(t - self.t0, 0.0)
         return self.sign * self.c0 * self.nu * s ** (self.nu - 1.0)
 
-    def to_json(self) -> str:
-        return json.dumps({"sign": self.sign, "t0": self.t0, "theta": self.theta,
-                           "c0": self.c0, "nu": self.nu}, sort_keys=True)
-
 
 def branch_family(theta: float, signs_and_delays) -> list[TrajectoryBranch]:
     """Branches for each (sign, t0) pair; sign accepts +-1/0 or plus/minus/rest."""
@@ -100,8 +95,11 @@ def branch_family(theta: float, signs_and_delays) -> list[TrajectoryBranch]:
 def branch_ode_residual(branch: TrajectoryBranch, t, h: float = 1e-6) -> tuple[float, float]:
     """Max residuals of (X' - P, P' + V'(X)) by central differences.
 
-    Scaled by max(1, |X|, |P|) so the number reads as a relative error
-    on escape branches while staying meaningful on the rest branch.
+    V'(X) is the untruncated power law -(1+theta)|X|^theta sgn(X) that
+    the closed forms solve, not the catalog potential, whose quartic
+    tail takes over at |X| > core_radius. Scaled by max(1, |X|, |P|) so
+    the number reads as a relative error on escape branches while
+    staying meaningful on the rest branch.
     """
     t = np.asarray(t, dtype=np.float64)
     xdot = (branch.X(t + h) - branch.X(t - h)) / (2.0 * h)
@@ -142,10 +140,6 @@ class ParticleCloud:
     def __len__(self) -> int:
         return self.masses.size
 
-    def to_csv_rows(self):
-        for m, x, p in zip(self.masses, self.xs, self.ps):
-            yield (m, x, p)
-
 
 @dataclass(frozen=True)
 class SampledPath:
@@ -154,10 +148,6 @@ class SampledPath:
     ts: np.ndarray = field(repr=False, compare=False)
     xs: np.ndarray = field(repr=False, compare=False)
     ps: np.ndarray = field(repr=False, compare=False)
-
-    def energy(self, pot: PotentialSpec) -> np.ndarray:
-        from .potentials import evaluate_at
-        return 0.5 * self.ps ** 2 + evaluate_at(pot, self.xs)
 
 
 def _force_function(pot: PotentialSpec, eps_mollify: float,
@@ -307,8 +297,8 @@ class _FootInterpolator:
 
     The advecting field is autonomous, so the backward feet are the same
     every step; the 4x4 stencil indices and weights are built once.
-    x is periodic, p is zero-padded (mass that leaves the p-window is
-    lost, which the mass-drift diagnostic will show).
+    x is periodic, p is zero-padded: mass that leaves the p-window is
+    lost, and nothing reports the loss.
     """
 
     def __init__(self, xf, pf, x_grid: PositionGrid, p_grid: PositionGrid):

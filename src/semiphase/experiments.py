@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,8 @@ from .classical import (ParticleCloud, TrajectoryBranch, branch_family,
 from .errors import ConfigurationError, NumericsError
 from .grids import PhaseGrid, PositionGrid, build_position_grid
 from .gridio import write_csv, write_grid
-from .metrics import WeakMetricConfig, char_function, fit_rate, l2_distance, weak_distance
+from .metrics import (WeakMetricConfig, _strictly_decreasing, char_distance,
+                      char_function, fit_rate, l2_distance, weak_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
                          l2_norm, restrict_p, sup_norm, wigner, wigner_ensemble)
 from .potentials import (PotentialSpec, check_fourier_conditions,
@@ -54,12 +55,6 @@ __all__ = [
     "run_conjecture_probe",
     "run_branch_atlas",
 ]
-
-_EXPERIMENT_NAMES = (
-    "HarmonicExact", "WeakConvergence", "L2MollifiedRate", "ConcentrationSplit",
-    "RandomFamily", "ConjectureProbe", "BranchAtlas",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -114,14 +109,14 @@ class ExperimentConfig:
     shadow_dt: float = 1e-5
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENT_NAMES:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"unknown experiment {self.experiment!r}; "
-                f"choose from {', '.join(_EXPERIMENT_NAMES)}")
+                f"choose from {', '.join(EXPERIMENTS)}")
         lad = tuple(float(e) for e in self.eps_ladder)
         if not lad or any(not (0.0 < e < 1.0) for e in lad):
             raise ConfigurationError("eps_ladder entries must lie in (0, 1)")
-        if len(lad) > 1 and not all(a > b for a, b in zip(lad, lad[1:])):
+        if not _strictly_decreasing(lad):
             raise ConfigurationError("eps_ladder must be strictly decreasing")
         if self.t_final <= 0:
             raise ConfigurationError("t_final must be > 0")
@@ -263,6 +258,25 @@ class _Emitter:
         return manifest
 
 
+def _evolve_at(state, times, advance):
+    """Yield (t, state) at each sample time in the given order, from t = 0.
+
+    advance(state, span) moves a state by the signed gap from the
+    previous sample time, so negative spans evolve backward.
+    """
+    t_prev = 0.0
+    for t in times:
+        state = advance(state, t - t_prev)
+        t_prev = t
+        yield t, state
+
+
+def _schrodinger(propagator, pot: PotentialSpec, dt: float):
+    """advance() for _evolve_at: Strang steps of |dt|, with dt < 0 on negative spans."""
+    return lambda state, span: propagator(state, pot, PropagatorConfig(
+        dt=dt if span >= 0 else -dt, t_final=abs(span)))
+
+
 # ---------------------------------------------------------------------------
 # HarmonicExact
 
@@ -288,13 +302,8 @@ def run_harmonic_exact(cfg: ExperimentConfig) -> RunManifest:
     ps = pgrid.p[None, :]
     rows = []
     errors = []
-    t_prev = 0.0
-    state = psi
-    for t in sorted(cfg.sample_times):
-        if t > t_prev:
-            state = propagate(state, pot, PropagatorConfig(dt=cfg.dt,
-                                                           t_final=t - t_prev))
-            t_prev = t
+    for t, state in _evolve_at(psi, sorted(cfg.sample_times),
+                               _schrodinger(propagate, pot, cfg.dt)):
         w_num = wigner(state)
         em.warn(*w_num.warnings)
         # classical rotation of the initial center (X' = P, P' = -X)
@@ -341,16 +350,6 @@ def _fixed_width_mixture(cfg: ExperimentConfig, eps: float,
     return ens, cloud
 
 
-def _ensemble_char(ens: DensityEnsemble, mcfg: WeakMetricConfig,
-                   heat_time: float) -> np.ndarray:
-    return char_function(ens, mcfg.xi, mcfg.eta, heat_time)
-
-
-def _char_distance(chi_a: np.ndarray, chi_b: np.ndarray,
-                   mcfg: WeakMetricConfig) -> float:
-    return float(np.sum(np.abs(chi_a - chi_b) * mcfg.weight()) * mcfg.dnode ** 2)
-
-
 def _atoms_char(cloud: ParticleCloud, mcfg: WeakMetricConfig,
                 heat_time: float = 0.0) -> np.ndarray:
     meas = AtomicMeasure(tuple(zip(cloud.masses, cloud.xs, cloud.ps)))
@@ -381,20 +380,18 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
         ens, cloud0 = _fixed_width_mixture(cfg, eps, grid)
         sup_raw = 0.0
         sup_moll = 0.0
-        t_prev = 0.0
-        for t in times:
-            ens = propagate_ensemble(ens, pot, PropagatorConfig(
-                dt=cfg.dt, t_final=t - t_prev))
-            t_prev = t
-            chi_q = _ensemble_char(ens, mcfg, heat_time=eps)
+        for t, ens in _evolve_at(ens, times,
+                                 _schrodinger(propagate_ensemble, pot, cfg.dt)):
+            # one characteristic function of the ensemble per sample time
+            chi_q = char_function(ens, mcfg.xi, mcfg.eta, heat_time=eps)
             cloud_raw = transport_particles(cloud0, pot, 0.0,
                                             cfg.dt_classical, t)
-            d_raw = _char_distance(
+            d_raw = char_distance(
                 chi_q, _atoms_char(cloud_raw, mcfg, heat_time=eps), mcfg)
             cloud_moll = transport_particles(cloud0, pot, eps,
                                              cfg.dt_classical, t,
                                              field_grid=grid)
-            d_moll = _char_distance(
+            d_moll = char_distance(
                 chi_q, _atoms_char(cloud_moll, mcfg, heat_time=eps), mcfg)
             rows.append((eps, t, d_raw, d_moll))
             sup_raw = max(sup_raw, d_raw)
@@ -408,7 +405,7 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
     em.csv("weak_convergence_sup.csv",
            ["eps", "sup_distance_raw_flow", "sup_distance_mollified_flow"],
            list(zip(cfg.eps_ladder, sups_raw, sups_moll)))
-    monotone = all(a > b for a, b in zip(sups_raw, sups_raw[1:]))
+    monotone = _strictly_decreasing(sups_raw)
     em.records.update(sup_distances=list(sups_raw),
                       sup_distances_mollified=list(sups_moll),
                       monotone_decreasing=monotone)
@@ -446,6 +443,9 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
     ||W0||. Asserts fitted log-log slope > 0 with r^2 > 0.9; the
     transport H^2 growth is recorded, not enforced.
     """
+    times = sorted(t for t in cfg.sample_times if t > 0)
+    if not times:
+        raise ConfigurationError("L2MollifiedRate needs positive sample times")
     em = _Emitter(cfg)
     pot = _potential(cfg)
     grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
@@ -456,7 +456,6 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
             "experiment:\n" + report.to_json())
     em.records["fourier_conditions"] = json.loads(report.to_json())
 
-    times = sorted(t for t in cfg.sample_times if t > 0)
     x0, p0 = cfg.datum_center
     rows = []
     sup_dists = []
@@ -464,16 +463,13 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
         psi = coherent_state(x0, p0, eps, grid)
         w0 = restrict_p(wigner(psi), cfg.p_window)
         norm0 = l2_norm(w0)
-        rho = w0
-        state = psi
-        t_prev = 0.0
+        state, rho = psi, w0  # frees the last rung's arrays first: peak RSS
         sup_d = 0.0
-        for t in times:
-            state = propagate(state, pot, PropagatorConfig(dt=cfg.dt,
-                                                           t_final=t - t_prev))
-            rho = liouville_semi_lagrangian(rho, pot, eps, cfg.dt_classical,
-                                            t - t_prev)
-            t_prev = t
+        # two zipped walks: one walk over (state, density) pairs raised peak RSS
+        quantum = _evolve_at(psi, times, _schrodinger(propagate, pot, cfg.dt))
+        classical = _evolve_at(w0, times, lambda f, span: liouville_semi_lagrangian(
+            f, pot, eps, cfg.dt_classical, span))
+        for (t, state), (_, rho) in zip(quantum, classical):
             w_t = restrict_p(wigner(state), cfg.p_window)
             d = l2_distance(w_t, rho) / norm0
             h2 = _h2_norm(rho)
@@ -488,10 +484,14 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
            rows)
     em.csv("l2_rate_sup.csv", ["eps", "sup_normalized_l2"],
            list(zip(cfg.eps_ladder, sup_dists)))
-    fit = fit_rate(cfg.eps_ladder, sup_dists)
-    em.records.update(fitted_slope=fit.fitted_slope, r_squared=fit.r_squared,
-                      sup_distances=list(sup_dists),
+    em.records.update(sup_distances=list(sup_dists),
                       delta_growth=cfg.delta_growth)
+    if len(cfg.eps_ladder) < 3:
+        # a short ladder (a sweep point) has no rate: pass on finite distances
+        em.warn(f"rate fit skipped: {len(cfg.eps_ladder)} eps rung(s), needs >= 3")
+        return em.finish(passed=bool(np.all(np.isfinite(sup_dists))))
+    fit = fit_rate(cfg.eps_ladder, sup_dists)
+    em.records.update(fitted_slope=fit.fitted_slope, r_squared=fit.r_squared)
     passed = fit.fitted_slope > 0.0 and fit.r_squared > 0.9
     if not passed:
         em.warn(f"rate fit slope={fit.fitted_slope:.3f} r2={fit.r_squared:.3f} "
@@ -525,12 +525,10 @@ def _split_grid_size(cfg: ExperimentConfig, profile: ConcentratingProfile,
     cloud = ParticleCloud(masses=weights, xs=centers[:, 0], ps=centers[:, 1])
     max_p = float(np.max(np.abs(cloud.ps)))
     max_x = float(np.max(np.abs(cloud.xs)))
-    t_prev = 0.0
-    for t in times:
-        cloud = transport_particles(cloud, pot, 0.0, 5e-3, t - t_prev)
-        t_prev = t
-        max_p = max(max_p, float(np.max(np.abs(cloud.ps))))
-        max_x = max(max_x, float(np.max(np.abs(cloud.xs))))
+    for _, moved in _evolve_at(cloud, times, lambda c, span: transport_particles(
+            c, pot, 0.0, cfg.dt_classical, span)):
+        max_p = max(max_p, float(np.max(np.abs(moved.ps))))
+        max_x = max(max_x, float(np.max(np.abs(moved.xs))))
     margin = 6.0 * np.sqrt(eps / 2.0)
     p_need = 1.05 * max_p + margin
     x_need = 1.05 * max_x + margin
@@ -612,8 +610,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
     if not times:
         raise ConfigurationError("ConcentrationSplit needs positive sample times")
     branch = TrajectoryBranch(sign=1, t0=0.0, theta=cfg.theta)
-    wt = mcfg.weight() * mcfg.dnode ** 2
-    heat_nodes = mcfg.xi[:, None] ** 2 + mcfg.eta[None, :] ** 2
+    advance = _schrodinger(propagate, pot, cfg.dt)
 
     dist_rows, mass_rows, real_rows = [], [], []
     records: dict = {"profiles": {}}
@@ -638,12 +635,8 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
             left = dict.fromkeys(times, 0.0)
             xseps = {t: branch.X(t) / 2.0 for t in times}
             for i, w_self, w_mirror in jobs:
-                psi = rc.ensemble.members[i][1]
-                t_prev = 0.0
-                for t in times:
-                    psi = propagate(psi, pot, PropagatorConfig(
-                        dt=cfg.dt, t_final=t - t_prev))
-                    t_prev = t
+                for t, psi in _evolve_at(rc.ensemble.members[i][1], times,
+                                         advance):
                     chi = char_function(psi, mcfg.xi, mcfg.eta)
                     chi_acc[t] += w_self * chi
                     if w_mirror:
@@ -660,10 +653,8 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                 atoms = AtomicMeasure(((c_plus, branch.X(t), branch.P(t)),
                                        (c_minus, -branch.X(t), -branch.P(t))))
                 chi_at = char_function(atoms, mcfg.xi, mcfg.eta) / atoms.total_mass
-                heat_mult = np.exp(-eps * heat_nodes)
-                d_hus = float(np.sum(np.abs(chi_acc[t] - chi_at)
-                                     * heat_mult * wt))
-                d_wig = float(np.sum(np.abs(chi_acc[t] - chi_at) * wt))
+                d_hus = char_distance(chi_acc[t], chi_at, mcfg, heat_time=eps)
+                d_wig = char_distance(chi_acc[t], chi_at, mcfg)
                 husimi_dists[t].append(d_hus)
                 dist_rows.append((pname, eps, t, d_hus, d_wig))
                 mass_rows.append((pname, eps, t, right[t], left[t],
@@ -688,7 +679,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
             prec["per_eps"].append(per_eps)
         for t in times:
             ds = husimi_dists[t]
-            if not all(a > b for a, b in zip(ds, ds[1:])):
+            if not _strictly_decreasing(ds):
                 passed = False
                 em.warn(f"{pname}: husimi distance ladder at t={t} not "
                         f"strictly decreasing: {ds}")
@@ -710,6 +701,13 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
 # RandomFamily
 
 
+def _family_spec(cfg: ExperimentConfig) -> RandomFamilySpec:
+    return RandomFamilySpec(law=cfg.law, center=(0.0, 0.0),
+                            scale=tuple(cfg.law_scale),
+                            m_samples=cfg.m_samples, seed=cfg.seed,
+                            min_separation=cfg.min_separation)
+
+
 def run_random_family(cfg: ExperimentConfig) -> RunManifest:
     """Averaged sup-distance between sampled quantum and classical paths.
 
@@ -724,14 +722,12 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
     pot = _potential(cfg)
     grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
     mcfg = WeakMetricConfig()
-    spec = RandomFamilySpec(law=cfg.law, center=(0.0, 0.0),
-                            scale=tuple(cfg.law_scale),
-                            m_samples=cfg.m_samples, seed=cfg.seed,
-                            min_separation=cfg.min_separation)
+    spec = _family_spec(cfg)
     fwd = sorted(t for t in cfg.sample_times if t > 0)
     back = sorted((t for t in cfg.sample_times if t < 0), reverse=True)
     if not fwd and not back:
         raise ConfigurationError("RandomFamily needs nonzero sample times")
+    advance = _schrodinger(propagate, pot, cfg.dt)
 
     avg_rows, sample_rows = [], []
     averages, ratios = [], []
@@ -758,13 +754,8 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
         sups = np.zeros(len(family))
         for idx, (pt, psi0) in enumerate(family):
             sup_d = 0.0
-            for times, sign in ((fwd, 1.0), (back, -1.0)):
-                psi = psi0
-                t_prev = 0.0
-                for t in times:
-                    psi = propagate(psi, pot, PropagatorConfig(
-                        dt=sign * cfg.dt, t_final=abs(t - t_prev)))
-                    t_prev = t
+            for times in (fwd, back):
+                for t, psi in _evolve_at(psi0, times, advance):
                     ax, ap = atom_paths[t][idx]
                     d = weak_distance(psi, AtomicMeasure(((1.0, ax, ap),)),
                                       mcfg, heat_time_mu=eps,
@@ -779,7 +770,7 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
            ["eps", "avg_sup_distance", "operator_bound_ratio"], avg_rows)
     em.csv("random_family_samples.csv",
            ["eps", "sample", "x0", "p0", "sup_distance"], sample_rows)
-    monotone = all(a > b for a, b in zip(averages, averages[1:]))
+    monotone = _strictly_decreasing(averages)
     em.records.update(averages=averages, operator_bound_ratios=ratios,
                       monotone_decreasing=monotone,
                       m_samples=cfg.m_samples, law=cfg.law)
@@ -808,11 +799,7 @@ def _probe_family(cfg: ExperimentConfig, eps: float,
             for x0 in offs for p0 in offs)
         return DensityEnsemble(members=members, eps=eps)
     if cfg.probe_family == "density":
-        spec = RandomFamilySpec(law=cfg.law, center=(0.0, 0.0),
-                                scale=tuple(cfg.law_scale),
-                                m_samples=cfg.m_samples, seed=cfg.seed,
-                                min_separation=cfg.min_separation)
-        family = sample_random_family(spec, eps, grid)
+        family = sample_random_family(_family_spec(cfg), eps, grid)
         w = 1.0 / len(family)
         return DensityEnsemble(members=tuple((w, s) for _, s in family), eps=eps)
     raise ConfigurationError(f"unknown probe family {cfg.probe_family!r}")

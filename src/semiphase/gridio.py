@@ -1,4 +1,4 @@
-"""Binary grid dumps, wavefunction checkpoints, and CSV emission.
+"""Binary grid dumps and CSV emission.
 
 Grid file layout (little endian throughout):
 
@@ -8,13 +8,10 @@ Grid file layout (little endian throughout):
     bytes 24..31  reserved (zero)
     bytes 32..    rows*cols f64 values, row-major
 
-1-D arrays are stored as a single row. Checkpoints are a pair of grid
-files (real and imaginary parts) plus a JSON sidecar carrying eps, time
-and the config/potential hashes, so a run can be resumed or audited.
+1-D arrays are stored as a single row.
 """
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 
@@ -26,8 +23,6 @@ __all__ = [
     "MAGIC",
     "write_grid",
     "read_grid",
-    "write_checkpoint",
-    "read_checkpoint",
     "write_csv",
 ]
 
@@ -60,26 +55,6 @@ def read_grid(path) -> np.ndarray:
             f"{path}: payload size {len(raw) - _HEADER.size} != 8*{rows}*{cols}")
     flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     return flat.reshape(rows, cols).astype(np.float64)
-
-
-def write_checkpoint(basepath, values, meta: dict) -> None:
-    """Write complex samples as <base>_re.grid, <base>_im.grid, <base>.json."""
-    base = Path(basepath)
-    values = np.asarray(values)
-    write_grid(base.with_name(base.name + "_re.grid"), np.real(values))
-    write_grid(base.with_name(base.name + "_im.grid"), np.imag(values))
-    with open(base.with_suffix(".json"), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def read_checkpoint(basepath) -> tuple[np.ndarray, dict]:
-    base = Path(basepath)
-    re = read_grid(base.with_name(base.name + "_re.grid"))
-    im = read_grid(base.with_name(base.name + "_im.grid"))
-    with open(base.with_suffix(".json")) as fh:
-        meta = json.load(fh)
-    return (re + 1j * im).reshape(-1) if re.shape[0] == 1 else re + 1j * im, meta
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -32,6 +32,7 @@ __all__ = [
     "WeakMetricConfig",
     "RateFit",
     "char_function",
+    "char_distance",
     "weak_distance",
     "l2_distance",
     "fit_rate",
@@ -145,8 +146,26 @@ def char_function(obj, xi, eta, heat_time: float = 0.0) -> np.ndarray:
     else:
         raise RepresentationError(f"no characteristic function for {type(obj)!r}")
     if heat_time > 0.0:
-        chi = chi * np.exp(-heat_time * (xi[:, None] ** 2 + eta[None, :] ** 2))
+        chi = chi * _heat(xi, eta, heat_time)
     return chi
+
+
+def _heat(xi, eta, heat_time: float) -> np.ndarray:
+    # e^{t Laplacian} on phase space is this multiplier on the dual grid
+    return np.exp(-heat_time * (xi[:, None] ** 2 + eta[None, :] ** 2))
+
+
+def char_distance(chi_mu, chi_nu, cfg: WeakMetricConfig,
+                  heat_time: float = 0.0) -> float:
+    """Weighted sum |chi_mu - chi_nu| w dxi deta over cfg's frequency nodes.
+
+    The one formula behind every weak distance. heat_time > 0 smooths
+    both sides by e^{t Laplacian} first (heat_time = eps: Husimi).
+    """
+    gap = np.abs(chi_mu - chi_nu)
+    if heat_time > 0.0:
+        gap = gap * _heat(cfg.xi, cfg.eta, heat_time)
+    return float(np.sum(gap * cfg.weight()) * cfg.dnode ** 2)
 
 
 def _total_mass(obj) -> float:
@@ -172,7 +191,7 @@ def weak_distance(mu, nu, cfg: WeakMetricConfig | None = None, *,
         raise NumericsError(f"weak_distance needs positive masses, got {m_mu}, {m_nu}")
     chi_mu = char_function(mu, cfg.xi, cfg.eta, heat_time_mu) / m_mu
     chi_nu = char_function(nu, cfg.xi, cfg.eta, heat_time_nu) / m_nu
-    return float(np.sum(np.abs(chi_mu - chi_nu) * cfg.weight()) * cfg.dnode ** 2)
+    return char_distance(chi_mu, chi_nu, cfg)
 
 
 def l2_distance(a: GridDensity, b: GridDensity) -> float:
@@ -197,9 +216,12 @@ class RateFit:
     def __post_init__(self):
         if len(self.eps_values) != len(self.distances) or len(self.eps_values) < 3:
             raise ConfigurationError("rate fit needs >= 3 matched points")
-        diffs = np.diff(self.eps_values)
-        if not np.all(diffs < 0):
+        if not _strictly_decreasing(self.eps_values):
             raise ConfigurationError("eps_values must be strictly decreasing")
+
+
+def _strictly_decreasing(values) -> bool:
+    return all(a > b for a, b in zip(values, values[1:]))
 
 
 def fit_rate(eps_values, distances) -> RateFit:

@@ -15,9 +15,7 @@ meet inside the weak metric; atoms are never rasterized implicitly.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 import scipy.fft as sfft
@@ -30,7 +28,6 @@ from .quantum import DensityEnsemble, WaveFunction
 __all__ = [
     "GridDensity",
     "AtomicMeasure",
-    "PhaseSpaceDensity",
     "build_wigner_grid",
     "wigner",
     "wigner_ensemble",
@@ -84,19 +81,6 @@ class AtomicMeasure:
     @property
     def total_mass(self) -> float:
         return float(sum(m for m, _, _ in self.atoms))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"atoms": [{"mass": m, "x": x, "p": p} for m, x, p in self.atoms]},
-            sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AtomicMeasure":
-        data = json.loads(text)
-        return cls(tuple((a["mass"], a["x"], a["p"]) for a in data["atoms"]))
-
-
-PhaseSpaceDensity = Union[GridDensity, AtomicMeasure]
 
 
 def build_wigner_grid(x_grid: PositionGrid, eps: float) -> PhaseGrid:
@@ -202,17 +186,17 @@ def _require_grid(density, op: str) -> GridDensity:
     return density
 
 
-def sup_norm(density: PhaseSpaceDensity) -> float:
+def sup_norm(density: GridDensity) -> float:
     density = _require_grid(density, "sup_norm")
     return float(np.abs(density.values).max())
 
 
-def l2_norm(density: PhaseSpaceDensity) -> float:
+def l2_norm(density: GridDensity) -> float:
     density = _require_grid(density, "l2_norm")
     return float(np.sqrt(density.grid.cell_area * np.sum(density.values ** 2)))
 
 
-def marginals(density: PhaseSpaceDensity) -> tuple[np.ndarray, np.ndarray]:
+def marginals(density: GridDensity) -> tuple[np.ndarray, np.ndarray]:
     """(x-marginal, p-marginal): axis sums scaled by the complementary spacing."""
     density = _require_grid(density, "marginals")
     dxm = density.values.sum(axis=1) * density.grid.p_grid.dx
@@ -221,10 +205,13 @@ def marginals(density: PhaseSpaceDensity) -> tuple[np.ndarray, np.ndarray]:
 
 
 def restrict_p(density: GridDensity, p_max: float) -> GridDensity:
-    """Symmetric power-of-two momentum window |p| <= ~p_max (for L2 comparisons).
+    """Symmetric momentum window of 2^k cells per side (for L2 comparisons).
 
-    The full Wigner p-axis scales with eps, so fixed-window comparisons
-    across an eps ladder need a common restriction.
+    2^k is the largest power of two <= p_max/dp (at least 4), so the
+    half-width lies in (p_max/2, p_max]: p_max = 4 keeps |p| <= 2.51 on
+    the L2MollifiedRate grids. The full Wigner p-axis scales with eps,
+    so fixed-window comparisons across an eps ladder need a common
+    restriction.
     """
     density = _require_grid(density, "restrict_p")
     pg = density.grid.p_grid

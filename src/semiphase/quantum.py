@@ -7,16 +7,13 @@ classical side); the pure -eps^2 Lap convention is alpha = 1.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as sfft
 
-from . import gridio
 from .errors import ConfigurationError, NumericsError, ShapeMismatchError
-from .grids import PositionGrid, build_position_grid, quadrature
+from .grids import PositionGrid, quadrature
 from .potentials import PotentialSpec, evaluate
 
 __all__ = [
@@ -26,8 +23,6 @@ __all__ = [
     "propagate",
     "propagate_ensemble",
     "h2_energy",
-    "checkpoint_state",
-    "load_state",
 ]
 
 
@@ -97,10 +92,6 @@ class DensityEnsemble:
     def grid(self) -> PositionGrid:
         return self.members[0][1].grid
 
-    @classmethod
-    def pure(cls, state: WaveFunction) -> "DensityEnsemble":
-        return cls(members=((1.0, state),), eps=state.eps)
-
 
 @dataclass(frozen=True)
 class PropagatorConfig:
@@ -109,15 +100,12 @@ class PropagatorConfig:
     dt: float
     t_final: float
     alpha: float = 0.5
-    scheme: str = "strang"
 
     def __post_init__(self):
         if self.dt == 0:
             raise ConfigurationError("dt must be nonzero")
         if self.t_final < 0:
             raise ConfigurationError("t_final must be >= 0")
-        if self.scheme != "strang":
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
 
 
 def _resolution_warnings(v: np.ndarray, grid: PositionGrid, eps: float,
@@ -177,34 +165,3 @@ def h2_energy(state: WaveFunction, pot: PotentialSpec, alpha: float = 0.5) -> fl
     h_psi = sfft.ifft(kin_mult * sfft.fft(state.values)) + v * state.values
     return float(quadrature(np.abs(h_psi) ** 2, state.grid))
 
-
-def _stable_hash(payload) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()[:16]
-
-
-def checkpoint_state(basepath, state: WaveFunction, t: float,
-                     pot: PotentialSpec | None = None,
-                     cfg: PropagatorConfig | None = None) -> None:
-    """Binary dump of Re/Im psi with a JSON sidecar for resume/audit."""
-    meta = {
-        "eps": state.eps,
-        "t": t,
-        "n_points": state.grid.n_points,
-        "x_min": state.grid.x_min,
-        "x_max": state.grid.x_max,
-    }
-    if pot is not None:
-        meta["potential_hash"] = _stable_hash(pot.label())
-        meta["potential"] = pot.label()
-    if cfg is not None:
-        meta["config_hash"] = _stable_hash(
-            {"dt": cfg.dt, "t_final": cfg.t_final, "alpha": cfg.alpha,
-             "scheme": cfg.scheme})
-    gridio.write_checkpoint(basepath, state.values, meta)
-
-
-def load_state(basepath) -> tuple[WaveFunction, dict]:
-    values, meta = gridio.read_checkpoint(basepath)
-    grid = build_position_grid(meta["n_points"], meta["x_min"], meta["x_max"])
-    return WaveFunction(np.asarray(values).reshape(-1), meta["eps"], grid), meta

@@ -127,10 +127,6 @@ class ConcentratingProfile:
     def exponents(self) -> tuple[float, float, float]:
         return scaling_exponents(self.theta)
 
-    @property
-    def symmetric(self) -> bool:
-        return self.center == (0.0, 0.0)
-
     def half_masses(self) -> tuple[float, float]:
         """(c_plus, c_minus) = integral of w over u > 0 / u < 0."""
         uu, vv, du, dv = self._quad_lattice()

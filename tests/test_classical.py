@@ -252,3 +252,20 @@ def test_liouville_validation():
         liouville_semi_lagrangian(rho0, harmonic_potential(), 1e-3, -0.1, 1.0)
     with pytest.raises(Exception):
         liouville_semi_lagrangian("not a density", harmonic_potential(), 0.0, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("pot", [harmonic_potential()] + [
+    rough_power_potential(th) for th in (0.1, 0.3, 0.5, 0.7)])
+def test_scalar_force_matches_gradient(pot):
+    # the plain-float Verlet force is the array formula. Equal to rounding
+    # only: numpy's vectorized power may differ from libm pow by an ulp
+    # (it does on AVX-512 builds), so bitwise equality is platform-bound
+    from semiphase.classical import _scalar_force
+    from semiphase.potentials import gradient_at
+
+    xs = np.concatenate([np.linspace(-3.0, 3.0, 20001), [0.0, 1.0, -1.0]])
+    force = _scalar_force(pot)
+    got = np.array([force(float(x)) for x in xs])
+    want = -gradient_at(pot, xs)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-15
+    assert force(0.0) == 0.0 and force(1.0) == want[-2]

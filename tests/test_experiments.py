@@ -1,6 +1,7 @@
 """Experiment registry, config plumbing, manifests, CLI exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,13 +56,16 @@ def test_config_validation():
 
 
 def test_run_rejects_bad_grid_and_theta(tmp_path):
-    # grid size and branch-exponent guards trip when the run starts
+    # grid size, branch-exponent and sample-time guards trip when the run starts
     with pytest.raises(ConfigurationError):
         run_experiment(defaults_for("HarmonicExact", grid_n=123,
                                     out_dir=str(tmp_path / "g")))
     with pytest.raises(ConfigurationError):
         run_experiment(defaults_for("BranchAtlas", theta_list=(0.99,),
                                     out_dir=str(tmp_path / "t")))
+    with pytest.raises(ConfigurationError):
+        run_experiment(defaults_for("L2MollifiedRate", sample_times=(-0.1,),
+                                    out_dir=str(tmp_path / "r")))
 
 
 # ---------------------------------------------------- run + manifest
@@ -185,3 +189,70 @@ def test_cli_sweep_per_eps_dirs(tmp_path):
     assert code == 0
     assert (tmp_path / "sw" / "eps_0.1" / "manifest.json").exists()
     assert (tmp_path / "sw" / "eps_0.05" / "manifest.json").exists()
+
+
+def test_cli_sweep_rate_single_rung(tmp_path):
+    # a one-rung ladder has no rate to fit; the sweep still reports
+    cfg = _write_cfg(tmp_path, {"experiment": "L2MollifiedRate",
+                                "sample_times": [0.01]})
+    code = main(["sweep", "L2MollifiedRate", "--config", cfg, "--eps", "0.2",
+                 "--out", str(tmp_path / "sw")])
+    assert code == 0
+    man = json.loads((tmp_path / "sw" / "eps_0.2" / "manifest.json").read_text())
+    assert len(man["records"]["sup_distances"]) == 1
+    assert "fitted_slope" not in man["records"]
+
+
+def test_run_harmonic_negative_time(tmp_path):
+    # t < 0 samples the backward rotation
+    man = run_experiment(defaults_for(
+        "HarmonicExact", grid_n=256, dt=5e-3, sample_times=(-0.5, 0.5),
+        out_dir=str(tmp_path / "neg")))
+    assert man.passed
+    assert man.records["max_l2_error"] < 1e-4
+
+
+# ------------------------------------------------------- record pins
+
+# tiny-size runs of the drivers no other test exercises; the pinned
+# records in pinned_records.json are their outputs at these sizes (the
+# science gates are not asserted here)
+_PINNED = {
+    "WeakConvergence": dict(grid_n=256, datum_k=3, eps_ladder=(0.2, 0.1, 0.05),
+                            sample_times=(0.05, 0.1)),
+    "L2MollifiedRate": dict(sample_times=(0.01, 0.02)),
+    "ConcentrationSplit": dict(eps_ladder=(1e-2, 1e-3), n_side=7,
+                               sample_times=(0.1,)),
+    "RandomFamily": dict(grid_n=256, m_samples=4, eps_ladder=(0.2, 0.1, 0.05),
+                         sample_times=(-0.1, 0.1)),
+}
+
+
+def _leaves(obj, prefix=""):
+    if isinstance(obj, dict):
+        return {k: v for key, val in obj.items()
+                for k, v in _leaves(val, f"{prefix}/{key}").items()}
+    if isinstance(obj, list):
+        return {k: v for i, val in enumerate(obj)
+                for k, v in _leaves(val, f"{prefix}[{i}]").items()}
+    return {prefix: obj}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_driver_records_pinned(tmp_path, name):
+    out = tmp_path / name
+    man = run_experiment(defaults_for(name, out_dir=str(out), **_PINNED[name]))
+    written = json.loads((out / "manifest.json").read_text())
+    csvs = [n for n in man.outputs if n.endswith(".csv")]
+    assert csvs and all((out / n).stat().st_size > 0 for n in csvs)
+    got = _leaves(written["records"])
+    pinned = json.loads(
+        (Path(__file__).parent / "pinned_records.json").read_text())[name]
+    ref = _leaves(pinned)
+    assert got.keys() == ref.keys()
+    for key, want in ref.items():
+        if isinstance(want, float):
+            assert np.isfinite(got[key]), key
+            assert abs(got[key] - want) <= 1e-10 * abs(want), key
+        else:
+            assert got[key] == want, key

@@ -1,4 +1,4 @@
-"""Binary grid format, checkpoints, CSV emission."""
+"""Binary grid format and CSV emission."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from semiphase import ConfigurationError
 from semiphase.gridio import (
     MAGIC,
-    read_checkpoint,
     read_grid,
-    write_checkpoint,
     write_csv,
     write_grid,
 )
@@ -68,17 +66,6 @@ def test_grid_truncated_rejected(tmp_path):
 def test_grid_rejects_3d(tmp_path):
     with pytest.raises(ConfigurationError):
         write_grid(tmp_path / "f.grid", np.zeros((2, 2, 2)))
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    meta = {"eps": 0.05, "t": 1.5, "note": "x"}
-    base = tmp_path / "ck"
-    write_checkpoint(base, vals, meta)
-    back, meta2 = read_checkpoint(base)
-    assert np.array_equal(back.ravel(), vals)
-    assert meta2 == meta
 
 
 def test_write_csv_deterministic_bytes(tmp_path):

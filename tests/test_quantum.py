@@ -14,7 +14,6 @@ from semiphase import (
     propagate_ensemble,
 )
 from semiphase.potentials import custom_potential, harmonic_potential
-from semiphase.quantum import checkpoint_state, load_state
 
 
 @pytest.fixture(scope="module")
@@ -135,17 +134,3 @@ def test_propagator_config_validation():
         PropagatorConfig(dt=0.0, t_final=1.0)
     with pytest.raises(ConfigurationError):
         PropagatorConfig(dt=1e-3, t_final=-1.0)
-    with pytest.raises(ConfigurationError):
-        PropagatorConfig(dt=1e-3, t_final=1.0, scheme="euler")
-
-
-def test_checkpoint_roundtrip(tmp_path, grid):
-    psi = coherent_state(0.4, -0.2, 0.05, grid)
-    base = tmp_path / "state"
-    checkpoint_state(base, psi, t=1.25, pot=harmonic_potential(),
-                     cfg=PropagatorConfig(dt=1e-3, t_final=2.0))
-    loaded, meta = load_state(base)
-    assert np.array_equal(loaded.values, psi.values)
-    assert loaded.eps == psi.eps
-    assert loaded.grid.n_points == grid.n_points
-    assert meta["t"] == 1.25
