@@ -12,7 +12,7 @@ from .classical import (ParticleCloud, SampledPath, TrajectoryBranch,
                         integrate_hamiltonian, liouville_semi_lagrangian,
                         transport_particles)
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
-                     SemiphaseError, ShapeMismatchError)
+                     SemiphaseError, SemiphaseWarning, ShapeMismatchError)
 from .experiments import (EXPERIMENTS, ExperimentConfig, RunManifest,
                           defaults_for, resolve_experiment, run_experiment)
 from .grids import (PhaseGrid, PositionGrid, build_position_grid, dft_forward,

@@ -13,12 +13,14 @@ of uniqueness that the transport experiments probe.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigurationError, NumericsError, RepresentationError
+from .errors import (ConfigurationError, NumericsError, RepresentationError,
+                     SemiphaseWarning)
 from .grids import PositionGrid, build_position_grid
 from .phasespace import GridDensity
 from .potentials import PotentialSpec, gradient_at, mollify
@@ -180,17 +182,15 @@ def _force_function(pot: PotentialSpec, eps_mollify: float,
     return force
 
 
-def _verlet(xs, ps, force, dt: float, n_steps: int, record=None):
+def _verlet(xs, ps, force, dt: float, n_steps: int):
     x = np.array(xs, dtype=np.float64, copy=True)
     p = np.array(ps, dtype=np.float64, copy=True)
     f = force(x)
-    for j in range(n_steps):
+    for _ in range(n_steps):
         p_half = p + 0.5 * dt * f
         x = x + dt * p_half
         f = force(x)
         p = p_half + 0.5 * dt * f
-        if record is not None:
-            record(j, x, p)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
         raise NumericsError("trajectory integration produced non-finite values")
     return x, p
@@ -215,7 +215,7 @@ def _scalar_force(pot: PotentialSpec):
             return (cr - 4.0 * q * (ax - r) ** 3) * sg
 
         return force
-    return None
+    raise ConfigurationError("custom potentials have no closed-form gradient")
 
 
 def integrate_hamiltonian(x0: float, p0: float, pot: PotentialSpec,
@@ -229,31 +229,22 @@ def integrate_hamiltonian(x0: float, p0: float, pot: PotentialSpec,
     xs = np.empty(n_steps + 1)
     ps = np.empty(n_steps + 1)
     xs[0], ps[0] = x0, p0
-
-    sforce = _scalar_force(pot)
-    if sforce is not None:
-        x, p = float(x0), float(p0)
-        try:
-            f = sforce(x)
-            for j in range(n_steps):
-                p_half = p + 0.5 * h * f
-                x = x + h * p_half
-                f = sforce(x)
-                p = p_half + 0.5 * h * f
-                xs[j + 1], ps[j + 1] = x, p
-        except OverflowError as exc:
-            # plain-float powers raise instead of returning inf
-            raise NumericsError(
-                "trajectory integration produced non-finite values") from exc
-        if not (np.isfinite(x) and np.isfinite(p)):
-            raise NumericsError("trajectory integration produced non-finite values")
-        return SampledPath(ts=ts, xs=xs, ps=ps)
-
-    def record(j, x, p):
-        xs[j + 1], ps[j + 1] = x[0], p[0]
-
-    force = _force_function(pot, 0.0, None)
-    _verlet(np.array([x0]), np.array([p0]), force, h, n_steps, record)
+    force = _scalar_force(pot)
+    x, p = float(x0), float(p0)
+    try:
+        f = force(x)
+        for j in range(n_steps):
+            p_half = p + 0.5 * h * f
+            x = x + h * p_half
+            f = force(x)
+            p = p_half + 0.5 * h * f
+            xs[j + 1], ps[j + 1] = x, p
+    except OverflowError as exc:
+        # plain-float powers raise instead of returning inf
+        raise NumericsError(
+            "trajectory integration produced non-finite values") from exc
+    if not (np.isfinite(x) and np.isfinite(p)):
+        raise NumericsError("trajectory integration produced non-finite values")
     return SampledPath(ts=ts, xs=xs, ps=ps)
 
 
@@ -375,13 +366,13 @@ def liouville_semi_lagrangian(rho0: GridDensity, pot: PotentialSpec,
     h = t_final / n_steps
 
     force = _force_function(pot, eps_mollify, x_grid)
-    warns = rho0.warnings
     pmax = float(np.max(np.abs(p_grid.nodes)))
     fmax = float(np.max(np.abs(force(x_grid.nodes))))
     if pmax * h / x_grid.dx > 1.0 or fmax * h / p_grid.dx > 1.0:
-        warns = warns + (
+        warnings.warn(
             f"semi-Lagrangian feet cross more than one cell per step "
-            f"(x: {pmax * h / x_grid.dx:.2f}, p: {fmax * h / p_grid.dx:.2f} cells)",)
+            f"(x: {pmax * h / x_grid.dx:.2f}, p: {fmax * h / p_grid.dx:.2f} cells)",
+            SemiphaseWarning)
 
     xf, pf = _trace_feet(x_grid, p_grid, force, h)
     interp = _FootInterpolator(xf, pf, x_grid, p_grid)
@@ -389,4 +380,4 @@ def liouville_semi_lagrangian(rho0: GridDensity, pot: PotentialSpec,
     f = rho0.values.copy()
     for _ in range(n_steps):
         f = interp.apply(f)
-    return GridDensity(f, rho0.grid, tag=rho0.tag, warnings=warns)
+    return GridDensity(f, rho0.grid, tag=rho0.tag)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all assertions passed, 1 assertion failure, 2 configuration
 error. Configs are JSON objects whose keys mirror ExperimentConfig;
-command line flags override file values.
+command line flags override file values. Every SemiphaseWarning raised
+during a run is printed from its manifest.
 """
 from __future__ import annotations
 

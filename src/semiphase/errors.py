@@ -1,7 +1,10 @@
-"""Exception types shared across the package.
+"""Exception and warning types shared across the package.
 
 The CLI maps these onto exit codes: ConfigurationError -> 2, everything
 else that is an assertion-style failure -> 1.
+
+Numerics diagnostics are raised where found as SemiphaseWarning; an
+experiment run lists each one raised during the run in its manifest.
 """
 
 
@@ -26,3 +29,7 @@ class RepresentationError(SemiphaseError):
 class NumericsError(SemiphaseError):
     """Runtime numerical failure: NaN detected, iteration that refuses
     to converge, a distance that should be positive coming out zero."""
+
+
+class SemiphaseWarning(UserWarning):
+    """A numerics diagnostic that does not stop the computation."""

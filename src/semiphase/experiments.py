@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from ._version import __version__
 from .classical import (ParticleCloud, TrajectoryBranch, branch_family,
                         branch_ode_residual, integrate_hamiltonian,
                         liouville_semi_lagrangian, transport_particles)
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, SemiphaseWarning
 from .grids import PhaseGrid, PositionGrid, build_position_grid
 from .gridio import write_csv, write_grid
 from .metrics import (WeakMetricConfig, _strictly_decreasing, char_distance,
@@ -73,11 +74,9 @@ class ExperimentConfig:
     grid_n: int = 1024
     x_min: float = -8.0
     x_max: float = 8.0
-    t_final: float = 1.0
     dt: float = 1e-3
     dt_classical: float = 5e-3
     sample_times: tuple = (0.25, 0.5, 0.75, 1.0)
-    eps_mollify_ladder: tuple = ()
     delta_growth: float = 0.1
     seed: int = 0
     out_dir: str | None = None
@@ -118,8 +117,6 @@ class ExperimentConfig:
             raise ConfigurationError("eps_ladder entries must lie in (0, 1)")
         if not _strictly_decreasing(lad):
             raise ConfigurationError("eps_ladder must be strictly decreasing")
-        if self.t_final <= 0:
-            raise ConfigurationError("t_final must be > 0")
         if self.dt <= 0 or self.dt_classical <= 0:
             raise ConfigurationError("dt and dt_classical must be > 0")
         object.__setattr__(self, "eps_ladder", lad)
@@ -130,8 +127,7 @@ class ExperimentConfig:
     def defaults_for(cls, experiment: str, **overrides) -> "ExperimentConfig":
         base: dict = {"experiment": experiment}
         if experiment == "HarmonicExact":
-            base.update(potential="harmonic", eps_ladder=(0.05,),
-                        t_final=float(np.pi / 2), grid_n=1024,
+            base.update(potential="harmonic", eps_ladder=(0.05,), grid_n=1024,
                         sample_times=tuple(float(np.pi / 2) * s
                                            for s in (0.25, 0.5, 0.75, 1.0)),
                         datum_center=(0.8, -0.6))
@@ -172,17 +168,7 @@ class RunManifest:
     passed: bool
 
     def to_json(self) -> str:
-        return json.dumps({
-            "experiment": self.experiment,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "code_version": self.code_version,
-            "records": self.records,
-            "outputs": list(self.outputs),
-            "warnings": list(self.warnings),
-            "wall_clock": self.wall_clock,
-            "passed": self.passed,
-        }, sort_keys=True, indent=2, default=_jsonable)
+        return json.dumps(asdict(self), sort_keys=True, indent=2, default=_jsonable)
 
 
 def _jsonable(obj):
@@ -211,22 +197,38 @@ def _potential(cfg: ExperimentConfig) -> PotentialSpec:
 
 
 class _Emitter:
-    """Collects CSV tables and the manifest for one run."""
+    """Collects CSV tables, warnings and the manifest for one run.
+
+    Used as a context manager: every SemiphaseWarning raised inside the
+    block, by the driver or by library code, reaches the manifest once,
+    in first-seen order. Warnings of other categories are shown again on
+    exit, and the warning filters are restored even when the run raises.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.t0 = time.perf_counter()
         self.records: dict = {}
         self.outputs: list = []
-        self.warnings: list = []
         self.out_dir = Path(cfg.out_dir) if cfg.out_dir else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
+        self._catcher = warnings.catch_warnings(record=True)
 
-    def warn(self, *messages):
-        for msg in messages:
-            if msg not in self.warnings:
-                self.warnings.append(msg)
+    def __enter__(self) -> "_Emitter":
+        self._caught = self._catcher.__enter__()
+        warnings.simplefilter("always", SemiphaseWarning)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._catcher.__exit__(*exc_info)
+        for w in self._caught:
+            if not issubclass(w.category, SemiphaseWarning):
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
+    @staticmethod
+    def warn(message: str) -> None:
+        warnings.warn(message, SemiphaseWarning, stacklevel=2)
 
     def csv(self, name: str, header, rows):
         if self.out_dir is None:
@@ -249,7 +251,8 @@ class _Emitter:
             code_version=__version__,
             records=self.records,
             outputs=tuple(self.outputs),
-            warnings=tuple(self.warnings),
+            warnings=tuple(dict.fromkeys(str(w.message) for w in self._caught
+                                         if issubclass(w.category, SemiphaseWarning))),
             wall_clock=time.perf_counter() - self.t0,
             passed=passed,
         )
@@ -290,36 +293,35 @@ def run_harmonic_exact(cfg: ExperimentConfig) -> RunManifest:
     """
     if cfg.potential != "harmonic":
         raise ConfigurationError("HarmonicExact requires the harmonic potential")
-    em = _Emitter(cfg)
-    pot = _potential(cfg)
-    eps = cfg.eps_ladder[0]
-    grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-    x0, p0 = cfg.datum_center
-    psi = coherent_state(x0, p0, eps, grid)
+    if len(cfg.eps_ladder) != 1:
+        raise ConfigurationError("HarmonicExact runs one eps; sweep a ladder instead")
+    (eps,) = cfg.eps_ladder
+    with _Emitter(cfg) as em:
+        pot = _potential(cfg)
+        grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+        x0, p0 = cfg.datum_center
+        psi = coherent_state(x0, p0, eps, grid)
 
-    pgrid = build_wigner_grid(grid, eps)
-    xs = pgrid.x[:, None]
-    ps = pgrid.p[None, :]
-    rows = []
-    errors = []
-    for t, state in _evolve_at(psi, sorted(cfg.sample_times),
-                               _schrodinger(propagate, pot, cfg.dt)):
-        w_num = wigner(state)
-        em.warn(*w_num.warnings)
-        # classical rotation of the initial center (X' = P, P' = -X)
-        xc = x0 * np.cos(t) + p0 * np.sin(t)
-        pc = p0 * np.cos(t) - x0 * np.sin(t)
-        w_exact = GridDensity((np.pi * eps) ** -1
-                              * np.exp(-((xs - xc) ** 2 + (ps - pc) ** 2) / eps),
-                              pgrid, tag="wigner")
-        err = l2_distance(w_num, w_exact)
-        rows.append((t, err))
-        errors.append(err)
-        em.grid(f"wigner_t{t:.4f}.grid", w_num.values)
-    em.csv("harmonic_exact.csv", ["t", "l2_error"], rows)
-    max_err = float(max(errors))
-    em.records.update(eps=eps, max_l2_error=max_err, tolerance=1e-4)
-    return em.finish(passed=max_err < 1e-4)
+        pgrid = build_wigner_grid(grid, eps)
+        xs = pgrid.x[:, None]
+        ps = pgrid.p[None, :]
+        rows = []
+        for t, state in _evolve_at(psi, sorted(cfg.sample_times),
+                                   _schrodinger(propagate, pot, cfg.dt)):
+            w_num = wigner(state)
+            # classical rotation of the initial center (X' = P, P' = -X)
+            xc = x0 * np.cos(t) + p0 * np.sin(t)
+            pc = p0 * np.cos(t) - x0 * np.sin(t)
+            w_exact = GridDensity((np.pi * eps) ** -1
+                                  * np.exp(-((xs - xc) ** 2 + (ps - pc) ** 2) / eps),
+                                  pgrid, tag="wigner")
+            err = l2_distance(w_num, w_exact)
+            rows.append((t, err))
+            em.grid(f"wigner_t{t:.4f}.grid", w_num.values)
+        em.csv("harmonic_exact.csv", ["t", "l2_error"], rows)
+        max_err = float(max(err for _, err in rows))
+        em.records.update(eps=eps, max_l2_error=max_err, tolerance=1e-4)
+        return em.finish(passed=max_err < 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -368,57 +370,57 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
     field (plus a matched-mollification column for reporting). Asserts
     the sup-over-times distance decreases strictly along the ladder.
     """
-    em = _Emitter(cfg)
-    pot = _potential(cfg)
-    mcfg = WeakMetricConfig()
     times = sorted(t for t in cfg.sample_times if t > 0)
-    rows = []
-    sups_raw = []
-    sups_moll = []
-    for eps in cfg.eps_ladder:
-        grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-        ens, cloud0 = _fixed_width_mixture(cfg, eps, grid)
-        sup_raw = 0.0
-        sup_moll = 0.0
-        for t, ens in _evolve_at(ens, times,
-                                 _schrodinger(propagate_ensemble, pot, cfg.dt)):
-            # one characteristic function of the ensemble per sample time
-            chi_q = char_function(ens, mcfg.xi, mcfg.eta, heat_time=eps)
-            cloud_raw = transport_particles(cloud0, pot, 0.0,
-                                            cfg.dt_classical, t)
-            d_raw = char_distance(
-                chi_q, _atoms_char(cloud_raw, mcfg, heat_time=eps), mcfg)
-            cloud_moll = transport_particles(cloud0, pot, eps,
-                                             cfg.dt_classical, t,
-                                             field_grid=grid)
-            d_moll = char_distance(
-                chi_q, _atoms_char(cloud_moll, mcfg, heat_time=eps), mcfg)
-            rows.append((eps, t, d_raw, d_moll))
-            sup_raw = max(sup_raw, d_raw)
-            sup_moll = max(sup_moll, d_moll)
-        for _, member in ens.members[:1]:
-            em.warn(*member.warnings)
-        sups_raw.append(sup_raw)
-        sups_moll.append(sup_moll)
-    em.csv("weak_convergence_times.csv",
-           ["eps", "t", "distance_raw_flow", "distance_mollified_flow"], rows)
-    em.csv("weak_convergence_sup.csv",
-           ["eps", "sup_distance_raw_flow", "sup_distance_mollified_flow"],
-           list(zip(cfg.eps_ladder, sups_raw, sups_moll)))
-    monotone = _strictly_decreasing(sups_raw)
-    em.records.update(sup_distances=list(sups_raw),
-                      sup_distances_mollified=list(sups_moll),
-                      monotone_decreasing=monotone)
-    if len(cfg.eps_ladder) >= 3:
-        try:
-            fit = fit_rate(cfg.eps_ladder, sups_raw)
-            em.records.update(fitted_slope=fit.fitted_slope,
-                              r_squared=fit.r_squared)
-        except NumericsError as exc:
-            em.warn(f"rate fit skipped: {exc}")
-    if not monotone:
-        em.warn("sup-distance ladder is not strictly decreasing")
-    return em.finish(passed=monotone)
+    if not times:
+        raise ConfigurationError("WeakConvergence needs positive sample times")
+    with _Emitter(cfg) as em:
+        pot = _potential(cfg)
+        mcfg = WeakMetricConfig()
+        rows = []
+        sups_raw = []
+        sups_moll = []
+        for eps in cfg.eps_ladder:
+            grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+            ens, cloud0 = _fixed_width_mixture(cfg, eps, grid)
+            sup_raw = 0.0
+            sup_moll = 0.0
+            for t, ens in _evolve_at(ens, times,
+                                     _schrodinger(propagate_ensemble, pot, cfg.dt)):
+                # one characteristic function of the ensemble per sample time
+                chi_q = char_function(ens, mcfg.xi, mcfg.eta, heat_time=eps)
+                cloud_raw = transport_particles(cloud0, pot, 0.0,
+                                                cfg.dt_classical, t)
+                d_raw = char_distance(
+                    chi_q, _atoms_char(cloud_raw, mcfg, heat_time=eps), mcfg)
+                cloud_moll = transport_particles(cloud0, pot, eps,
+                                                 cfg.dt_classical, t,
+                                                 field_grid=grid)
+                d_moll = char_distance(
+                    chi_q, _atoms_char(cloud_moll, mcfg, heat_time=eps), mcfg)
+                rows.append((eps, t, d_raw, d_moll))
+                sup_raw = max(sup_raw, d_raw)
+                sup_moll = max(sup_moll, d_moll)
+            sups_raw.append(sup_raw)
+            sups_moll.append(sup_moll)
+        em.csv("weak_convergence_times.csv",
+               ["eps", "t", "distance_raw_flow", "distance_mollified_flow"], rows)
+        em.csv("weak_convergence_sup.csv",
+               ["eps", "sup_distance_raw_flow", "sup_distance_mollified_flow"],
+               list(zip(cfg.eps_ladder, sups_raw, sups_moll)))
+        monotone = _strictly_decreasing(sups_raw)
+        em.records.update(sup_distances=list(sups_raw),
+                          sup_distances_mollified=list(sups_moll),
+                          monotone_decreasing=monotone)
+        if len(cfg.eps_ladder) >= 3:
+            try:
+                fit = fit_rate(cfg.eps_ladder, sups_raw)
+                em.records.update(fitted_slope=fit.fitted_slope,
+                                  r_squared=fit.r_squared)
+            except NumericsError as exc:
+                em.warn(f"rate fit skipped: {exc}")
+        if not monotone:
+            em.warn("sup-distance ladder is not strictly decreasing")
+        return em.finish(passed=monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -446,57 +448,55 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
     times = sorted(t for t in cfg.sample_times if t > 0)
     if not times:
         raise ConfigurationError("L2MollifiedRate needs positive sample times")
-    em = _Emitter(cfg)
-    pot = _potential(cfg)
-    grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-    report = check_fourier_conditions(pot, grid, cfg.theta)
-    if not report.ok:
-        raise ConfigurationError(
-            "potential fails the Fourier decay conditions; refusing the rate "
-            "experiment:\n" + report.to_json())
-    em.records["fourier_conditions"] = json.loads(report.to_json())
+    with _Emitter(cfg) as em:
+        pot = _potential(cfg)
+        grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+        report = check_fourier_conditions(pot, grid, cfg.theta)
+        if not report.ok:
+            raise ConfigurationError(
+                "potential fails the Fourier decay conditions; refusing the rate "
+                "experiment:\n" + report.to_json())
+        em.records["fourier_conditions"] = json.loads(report.to_json())
 
-    x0, p0 = cfg.datum_center
-    rows = []
-    sup_dists = []
-    for eps in cfg.eps_ladder:
-        psi = coherent_state(x0, p0, eps, grid)
-        w0 = restrict_p(wigner(psi), cfg.p_window)
-        norm0 = l2_norm(w0)
-        state, rho = psi, w0  # frees the last rung's arrays first: peak RSS
-        sup_d = 0.0
-        # two zipped walks: one walk over (state, density) pairs raised peak RSS
-        quantum = _evolve_at(psi, times, _schrodinger(propagate, pot, cfg.dt))
-        classical = _evolve_at(w0, times, lambda f, span: liouville_semi_lagrangian(
-            f, pot, eps, cfg.dt_classical, span))
-        for (t, state), (_, rho) in zip(quantum, classical):
-            w_t = restrict_p(wigner(state), cfg.p_window)
-            d = l2_distance(w_t, rho) / norm0
-            h2 = _h2_norm(rho)
-            rows.append((eps, t, d, h2, h2 / (eps ** -cfg.delta_growth * norm0)))
-            sup_d = max(sup_d, d)
-        em.warn(*state.warnings)
-        em.warn(*rho.warnings)
-        sup_dists.append(sup_d)
-        em.grid(f"rho_eps{eps:g}.grid", rho.values)
-    em.csv("l2_rate_times.csv",
-           ["eps", "t", "normalized_l2", "h2_transport", "h2_growth_ratio"],
-           rows)
-    em.csv("l2_rate_sup.csv", ["eps", "sup_normalized_l2"],
-           list(zip(cfg.eps_ladder, sup_dists)))
-    em.records.update(sup_distances=list(sup_dists),
-                      delta_growth=cfg.delta_growth)
-    if len(cfg.eps_ladder) < 3:
-        # a short ladder (a sweep point) has no rate: pass on finite distances
-        em.warn(f"rate fit skipped: {len(cfg.eps_ladder)} eps rung(s), needs >= 3")
-        return em.finish(passed=bool(np.all(np.isfinite(sup_dists))))
-    fit = fit_rate(cfg.eps_ladder, sup_dists)
-    em.records.update(fitted_slope=fit.fitted_slope, r_squared=fit.r_squared)
-    passed = fit.fitted_slope > 0.0 and fit.r_squared > 0.9
-    if not passed:
-        em.warn(f"rate fit slope={fit.fitted_slope:.3f} r2={fit.r_squared:.3f} "
-                "fails the positive-rate gate")
-    return em.finish(passed=passed)
+        x0, p0 = cfg.datum_center
+        rows = []
+        sup_dists = []
+        for eps in cfg.eps_ladder:
+            psi = coherent_state(x0, p0, eps, grid)
+            w0 = restrict_p(wigner(psi), cfg.p_window)
+            norm0 = l2_norm(w0)
+            state, rho = psi, w0  # frees the last rung's arrays first: peak RSS
+            sup_d = 0.0
+            # two zipped walks: one walk over (state, density) pairs raised peak RSS
+            quantum = _evolve_at(psi, times, _schrodinger(propagate, pot, cfg.dt))
+            classical = _evolve_at(w0, times, lambda f, span: liouville_semi_lagrangian(
+                f, pot, eps, cfg.dt_classical, span))
+            for (t, state), (_, rho) in zip(quantum, classical):
+                w_t = restrict_p(wigner(state), cfg.p_window)
+                d = l2_distance(w_t, rho) / norm0
+                h2 = _h2_norm(rho)
+                rows.append((eps, t, d, h2, h2 / (eps ** -cfg.delta_growth * norm0)))
+                sup_d = max(sup_d, d)
+            sup_dists.append(sup_d)
+            em.grid(f"rho_eps{eps:g}.grid", rho.values)
+        em.csv("l2_rate_times.csv",
+               ["eps", "t", "normalized_l2", "h2_transport", "h2_growth_ratio"],
+               rows)
+        em.csv("l2_rate_sup.csv", ["eps", "sup_normalized_l2"],
+               list(zip(cfg.eps_ladder, sup_dists)))
+        em.records.update(sup_distances=list(sup_dists),
+                          delta_growth=cfg.delta_growth)
+        if len(cfg.eps_ladder) < 3:
+            # a short ladder (a sweep point) has no rate: pass on finite distances
+            em.warn(f"rate fit skipped: {len(cfg.eps_ladder)} eps rung(s), needs >= 3")
+            return em.finish(passed=bool(np.all(np.isfinite(sup_dists))))
+        fit = fit_rate(cfg.eps_ladder, sup_dists)
+        em.records.update(fitted_slope=fit.fitted_slope, r_squared=fit.r_squared)
+        passed = fit.fitted_slope > 0.0 and fit.r_squared > 0.9
+        if not passed:
+            em.warn(f"rate fit slope={fit.fitted_slope:.3f} r2={fit.r_squared:.3f} "
+                    "fails the positive-rate gate")
+        return em.finish(passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -603,98 +603,97 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
     """
     if cfg.potential != "rough_power":
         raise ConfigurationError("ConcentrationSplit requires rough_power")
-    em = _Emitter(cfg)
-    pot = _potential(cfg)
-    mcfg = WeakMetricConfig()
     times = sorted(t for t in cfg.sample_times if t > 0)
     if not times:
         raise ConfigurationError("ConcentrationSplit needs positive sample times")
-    branch = TrajectoryBranch(sign=1, t0=0.0, theta=cfg.theta)
-    advance = _schrodinger(propagate, pot, cfg.dt)
+    with _Emitter(cfg) as em:
+        pot = _potential(cfg)
+        mcfg = WeakMetricConfig()
+        branch = TrajectoryBranch(sign=1, t0=0.0, theta=cfg.theta)
+        advance = _schrodinger(propagate, pot, cfg.dt)
 
-    dist_rows, mass_rows, real_rows = [], [], []
-    records: dict = {"profiles": {}}
-    passed = True
-    eps_smallest = cfg.eps_ladder[-1]
-    for pname, profile in _split_profiles(cfg).items():
-        c_plus, c_minus = profile.half_masses()
-        prec: dict = {"c_plus": c_plus, "c_minus": c_minus, "per_eps": []}
-        husimi_dists = {t: [] for t in times}
-        for eps in cfg.eps_ladder:
-            n_grid, max_p, max_x = _split_grid_size(cfg, profile, eps, pot, times)
-            x_grid = build_position_grid(n_grid, cfg.x_min, cfg.x_max)
-            p_raster = build_position_grid(512, -1.0, 1.0)
-            rc = concentrating_wigner_data(profile, eps,
-                                           PhaseGrid(x_grid, p_raster),
-                                           cfg.n_side)
-            target_mass = rc.target.total_mass
-            jobs = _mirror_jobs(rc.weights, rc.centers)
-            chi_acc = {t: np.zeros((mcfg.n_nodes, mcfg.n_nodes), complex)
-                       for t in times}
-            right = dict.fromkeys(times, 0.0)
-            left = dict.fromkeys(times, 0.0)
-            xseps = {t: branch.X(t) / 2.0 for t in times}
-            for i, w_self, w_mirror in jobs:
-                for t, psi in _evolve_at(rc.ensemble.members[i][1], times,
-                                         advance):
-                    chi = char_function(psi, mcfg.xi, mcfg.eta)
-                    chi_acc[t] += w_self * chi
-                    if w_mirror:
-                        chi_acc[t] += w_mirror * np.conj(chi)
-                    above, below = _halfplane_masses(psi.density(), x_grid,
-                                                     eps, xseps[t])
-                    right[t] += w_self * above + w_mirror * below
-                    left[t] += w_self * below + w_mirror * above
-            per_eps = {"eps": eps, "n_grid": n_grid, "lam": rc.lam,
-                       "l2_gap": rc.l2_gap, "target_mass": target_mass,
-                       "max_classical_p": max_p, "max_classical_x": max_x,
-                       "n_members": len(rc.weights), "times": []}
+        dist_rows, mass_rows, real_rows = [], [], []
+        em.records["profiles"] = {}
+        passed = True
+        eps_smallest = cfg.eps_ladder[-1]
+        for pname, profile in _split_profiles(cfg).items():
+            c_plus, c_minus = profile.half_masses()
+            prec: dict = {"c_plus": c_plus, "c_minus": c_minus, "per_eps": []}
+            husimi_dists = {t: [] for t in times}
+            for eps in cfg.eps_ladder:
+                n_grid, max_p, max_x = _split_grid_size(cfg, profile, eps, pot, times)
+                x_grid = build_position_grid(n_grid, cfg.x_min, cfg.x_max)
+                p_raster = build_position_grid(512, -1.0, 1.0)
+                rc = concentrating_wigner_data(profile, eps,
+                                               PhaseGrid(x_grid, p_raster),
+                                               cfg.n_side)
+                target_mass = rc.target.total_mass
+                jobs = _mirror_jobs(rc.weights, rc.centers)
+                chi_acc = {t: np.zeros((mcfg.n_nodes, mcfg.n_nodes), complex)
+                           for t in times}
+                right = dict.fromkeys(times, 0.0)
+                left = dict.fromkeys(times, 0.0)
+                xseps = {t: branch.X(t) / 2.0 for t in times}
+                for i, w_self, w_mirror in jobs:
+                    for t, psi in _evolve_at(rc.ensemble.members[i][1], times,
+                                             advance):
+                        chi = char_function(psi, mcfg.xi, mcfg.eta)
+                        chi_acc[t] += w_self * chi
+                        if w_mirror:
+                            chi_acc[t] += w_mirror * np.conj(chi)
+                        above, below = _halfplane_masses(psi.density(), x_grid,
+                                                         eps, xseps[t])
+                        right[t] += w_self * above + w_mirror * below
+                        left[t] += w_self * below + w_mirror * above
+                per_eps = {"eps": eps, "n_grid": n_grid, "lam": rc.lam,
+                           "l2_gap": rc.l2_gap, "target_mass": target_mass,
+                           "max_classical_p": max_p, "max_classical_x": max_x,
+                           "n_members": len(rc.weights), "times": []}
+                for t in times:
+                    atoms = AtomicMeasure(((c_plus, branch.X(t), branch.P(t)),
+                                           (c_minus, -branch.X(t), -branch.P(t))))
+                    chi_at = char_function(atoms, mcfg.xi, mcfg.eta) / atoms.total_mass
+                    d_hus = char_distance(chi_acc[t], chi_at, mcfg, heat_time=eps)
+                    d_wig = char_distance(chi_acc[t], chi_at, mcfg)
+                    husimi_dists[t].append(d_hus)
+                    dist_rows.append((pname, eps, t, d_hus, d_wig))
+                    mass_rows.append((pname, eps, t, right[t], left[t],
+                                      c_plus, c_minus, xseps[t]))
+                    per_eps["times"].append({"t": t, "d_husimi": d_hus,
+                                             "d_wigner": d_wig,
+                                             "right_mass": right[t],
+                                             "left_mass": left[t]})
+                    if eps == eps_smallest:
+                        if pname == "even":
+                            if abs(right[t] - 0.5) > 0.05 or abs(left[t] - 0.5) > 0.05:
+                                passed = False
+                                em.warn(f"even masses ({right[t]:.3f}, {left[t]:.3f}) "
+                                        f"at t={t} miss 0.5 +- 0.05")
+                        else:
+                            if abs(right[t] - c_plus) > 0.07:
+                                passed = False
+                                em.warn(f"shifted right mass {right[t]:.3f} at t={t} "
+                                        f"misses c+={c_plus:.3f} +- 0.07")
+                real_rows.append((pname, eps, rc.lam, len(rc.weights), n_grid,
+                                  rc.l2_gap, target_mass, max_p, max_x))
+                prec["per_eps"].append(per_eps)
             for t in times:
-                atoms = AtomicMeasure(((c_plus, branch.X(t), branch.P(t)),
-                                       (c_minus, -branch.X(t), -branch.P(t))))
-                chi_at = char_function(atoms, mcfg.xi, mcfg.eta) / atoms.total_mass
-                d_hus = char_distance(chi_acc[t], chi_at, mcfg, heat_time=eps)
-                d_wig = char_distance(chi_acc[t], chi_at, mcfg)
-                husimi_dists[t].append(d_hus)
-                dist_rows.append((pname, eps, t, d_hus, d_wig))
-                mass_rows.append((pname, eps, t, right[t], left[t],
-                                  c_plus, c_minus, xseps[t]))
-                per_eps["times"].append({"t": t, "d_husimi": d_hus,
-                                         "d_wigner": d_wig,
-                                         "right_mass": right[t],
-                                         "left_mass": left[t]})
-                if eps == eps_smallest:
-                    if pname == "even":
-                        if abs(right[t] - 0.5) > 0.05 or abs(left[t] - 0.5) > 0.05:
-                            passed = False
-                            em.warn(f"even masses ({right[t]:.3f}, {left[t]:.3f}) "
-                                    f"at t={t} miss 0.5 +- 0.05")
-                    else:
-                        if abs(right[t] - c_plus) > 0.07:
-                            passed = False
-                            em.warn(f"shifted right mass {right[t]:.3f} at t={t} "
-                                    f"misses c+={c_plus:.3f} +- 0.07")
-            real_rows.append((pname, eps, rc.lam, len(rc.weights), n_grid,
-                              rc.l2_gap, target_mass, max_p, max_x))
-            prec["per_eps"].append(per_eps)
-        for t in times:
-            ds = husimi_dists[t]
-            if not _strictly_decreasing(ds):
-                passed = False
-                em.warn(f"{pname}: husimi distance ladder at t={t} not "
-                        f"strictly decreasing: {ds}")
-        prec["husimi_distances"] = {str(t): husimi_dists[t] for t in times}
-        records["profiles"][pname] = prec
-    em.csv("split_distances.csv",
-           ["profile", "eps", "t", "d_husimi", "d_wigner"], dist_rows)
-    em.csv("split_masses.csv",
-           ["profile", "eps", "t", "right_mass", "left_mass", "c_plus",
-            "c_minus", "x_sep"], mass_rows)
-    em.csv("split_realization.csv",
-           ["profile", "eps", "lam", "n_members", "grid_n", "l2_gap",
-            "target_mass", "max_classical_p", "max_classical_x"], real_rows)
-    em.records.update(records)
-    return em.finish(passed=passed)
+                ds = husimi_dists[t]
+                if not _strictly_decreasing(ds):
+                    passed = False
+                    em.warn(f"{pname}: husimi distance ladder at t={t} not "
+                            f"strictly decreasing: {ds}")
+            prec["husimi_distances"] = {str(t): husimi_dists[t] for t in times}
+            em.records["profiles"][pname] = prec
+        em.csv("split_distances.csv",
+               ["profile", "eps", "t", "d_husimi", "d_wigner"], dist_rows)
+        em.csv("split_masses.csv",
+               ["profile", "eps", "t", "right_mass", "left_mass", "c_plus",
+                "c_minus", "x_sep"], mass_rows)
+        em.csv("split_realization.csv",
+               ["profile", "eps", "lam", "n_members", "grid_n", "l2_gap",
+                "target_mass", "max_classical_p", "max_classical_x"], real_rows)
+        return em.finish(passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -718,65 +717,63 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
     average of sup-over-time distances decreases along the ladder; the
     operator-bound ratio is reported, with a warning stamp when > 1.
     """
-    em = _Emitter(cfg)
-    pot = _potential(cfg)
-    grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-    mcfg = WeakMetricConfig()
-    spec = _family_spec(cfg)
     fwd = sorted(t for t in cfg.sample_times if t > 0)
     back = sorted((t for t in cfg.sample_times if t < 0), reverse=True)
     if not fwd and not back:
         raise ConfigurationError("RandomFamily needs nonzero sample times")
-    advance = _schrodinger(propagate, pot, cfg.dt)
+    with _Emitter(cfg) as em:
+        pot = _potential(cfg)
+        grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+        mcfg = WeakMetricConfig()
+        spec = _family_spec(cfg)
+        advance = _schrodinger(propagate, pot, cfg.dt)
 
-    avg_rows, sample_rows = [], []
-    averages, ratios = [], []
-    for eps in cfg.eps_ladder:
-        family = sample_random_family(spec, eps, grid)
-        points = np.array([pt for pt, _ in family])
-        weighted = [(1.0 / len(family), s) for _, s in family]
-        ratio = check_epsn_operator_bound(weighted, eps)
-        ratios.append(ratio)
-        if ratio > 1.0:
-            em.warn(f"eps={eps:g}: operator-bound ratio {ratio:.3f} > 1; "
-                    "outside the slow-concentration assumption regime")
-        # classical endpoints for all samples at every requested time
-        atom_paths = {}
-        cloud0 = ParticleCloud(masses=np.full(len(family), 1.0 / len(family)),
-                               xs=points[:, 0], ps=points[:, 1])
-        for t in cfg.sample_times:
-            if t == 0:
-                continue
-            moved = transport_particles(cloud0, pot, eps, cfg.dt_classical,
-                                        t, field_grid=grid)
-            atom_paths[t] = np.stack([moved.xs, moved.ps], axis=1)
+        avg_rows, sample_rows = [], []
+        averages, ratios = [], []
+        for eps in cfg.eps_ladder:
+            family = sample_random_family(spec, eps, grid)
+            points = np.array([pt for pt, _ in family])
+            weighted = [(1.0 / len(family), s) for _, s in family]
+            ratio = check_epsn_operator_bound(weighted, eps)
+            ratios.append(ratio)
+            if ratio > 1.0:
+                em.warn(f"eps={eps:g}: operator-bound ratio {ratio:.3f} > 1; "
+                        "outside the slow-concentration assumption regime")
+            # classical endpoints for all samples at every requested time
+            atom_paths = {}
+            cloud0 = ParticleCloud(masses=np.full(len(family), 1.0 / len(family)),
+                                   xs=points[:, 0], ps=points[:, 1])
+            for t in fwd + back:
+                moved = transport_particles(cloud0, pot, eps, cfg.dt_classical,
+                                            t, field_grid=grid)
+                atom_paths[t] = np.stack([moved.xs, moved.ps], axis=1)
 
-        sups = np.zeros(len(family))
-        for idx, (pt, psi0) in enumerate(family):
-            sup_d = 0.0
-            for times in (fwd, back):
-                for t, psi in _evolve_at(psi0, times, advance):
-                    ax, ap = atom_paths[t][idx]
-                    d = weak_distance(psi, AtomicMeasure(((1.0, ax, ap),)),
-                                      mcfg, heat_time_mu=eps,
-                                      heat_time_nu=eps)
-                    sup_d = max(sup_d, d)
-            sups[idx] = sup_d
-            sample_rows.append((eps, idx, pt[0], pt[1], sup_d))
-        avg = float(np.mean(sups))
-        averages.append(avg)
-        avg_rows.append((eps, avg, ratio))
-    em.csv("random_family.csv",
-           ["eps", "avg_sup_distance", "operator_bound_ratio"], avg_rows)
-    em.csv("random_family_samples.csv",
-           ["eps", "sample", "x0", "p0", "sup_distance"], sample_rows)
-    monotone = _strictly_decreasing(averages)
-    em.records.update(averages=averages, operator_bound_ratios=ratios,
-                      monotone_decreasing=monotone,
-                      m_samples=cfg.m_samples, law=cfg.law)
-    if not monotone:
-        em.warn(f"averaged sup-distances not strictly decreasing: {averages}")
-    return em.finish(passed=monotone)
+            sups = np.zeros(len(family))
+            for idx, (pt, psi0) in enumerate(family):
+                sup_d = 0.0
+                for times in (fwd, back):
+                    for t, psi in _evolve_at(psi0, times, advance):
+                        ax, ap = atom_paths[t][idx]
+                        d = weak_distance(psi, AtomicMeasure(((1.0, ax, ap),)),
+                                          mcfg, heat_time_mu=eps,
+                                          heat_time_nu=eps)
+                        sup_d = max(sup_d, d)
+                sups[idx] = sup_d
+                sample_rows.append((eps, idx, pt[0], pt[1], sup_d))
+            avg = float(np.mean(sups))
+            averages.append(avg)
+            avg_rows.append((eps, avg, ratio))
+        em.csv("random_family.csv",
+               ["eps", "avg_sup_distance", "operator_bound_ratio"], avg_rows)
+        em.csv("random_family_samples.csv",
+               ["eps", "sample", "x0", "p0", "sup_distance"], sample_rows)
+        monotone = _strictly_decreasing(averages)
+        em.records.update(averages=averages, operator_bound_ratios=ratios,
+                          monotone_decreasing=monotone,
+                          m_samples=cfg.m_samples, law=cfg.law)
+        if not monotone:
+            em.warn(f"averaged sup-distances not strictly decreasing: {averages}")
+        return em.finish(passed=monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -812,24 +809,23 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> RunManifest:
     1/eps bound line. Pure coherent families grow like 1/eps; box
     mixtures with about area/(2 pi eps) members stay bounded.
     """
-    em = _Emitter(cfg)
-    grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-    rows = []
-    sups = []
-    for eps in cfg.eps_ladder:
-        ens = _probe_family(cfg, eps, grid)
-        w_ens = wigner_ensemble(ens)
-        em.warn(*w_ens.warnings)
-        sup = sup_norm(husimi(w_ens, eps))
-        sups.append(sup)
-        rows.append((eps, len(ens.members), sup, sup * eps,
-                     sup * 2.0 * np.pi * eps, 1.0 / eps))
-    em.csv("conjecture_probe.csv",
-           ["eps", "n_members", "husimi_sup", "sup_times_eps",
-            "sup_times_2pi_eps", "bound_inv_eps"], rows)
-    em.records.update(family=cfg.probe_family, sups=sups,
-                      sup_times_eps=[s * e for s, e in zip(sups, cfg.eps_ladder)])
-    return em.finish(passed=True)
+    with _Emitter(cfg) as em:
+        grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+        rows = []
+        sups = []
+        for eps in cfg.eps_ladder:
+            ens = _probe_family(cfg, eps, grid)
+            w_ens = wigner_ensemble(ens)
+            sup = sup_norm(husimi(w_ens, eps))
+            sups.append(sup)
+            rows.append((eps, len(ens.members), sup, sup * eps,
+                         sup * 2.0 * np.pi * eps, 1.0 / eps))
+        em.csv("conjecture_probe.csv",
+               ["eps", "n_members", "husimi_sup", "sup_times_eps",
+                "sup_times_2pi_eps", "bound_inv_eps"], rows)
+        em.records.update(family=cfg.probe_family, sups=sups,
+                          sup_times_eps=[s * e for s, e in zip(sups, cfg.eps_ladder)])
+        return em.finish(passed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -850,53 +846,53 @@ def run_branch_atlas(cfg: ExperimentConfig) -> RunManifest:
             raise ConfigurationError(
                 f"theta={theta} too close to 1: branch exponent 2/(1-theta) "
                 "diverges; restrict to theta < 0.95")
-    em = _Emitter(cfg)
-    branch_rows, resid_rows, shadow_rows = [], [], []
-    max_resid = 0.0
-    max_shadow_rel = 0.0
-    ts = np.linspace(0.0, cfg.shadow_t_final, 61)
-    for theta in cfg.theta_list:
-        pot = rough_power_potential(theta)
-        spec_list = [(0, 0.0)] + [(s, t0) for s in (1, -1) for t0 in cfg.t0_list]
-        for br in branch_family(theta, spec_list):
-            branch_rows.append((theta, br.sign, br.t0, br.nu, br.c0))
-            for t in ts:
-                if abs(t - br.t0) < 0.02:
-                    continue
-                r1, r2 = branch_ode_residual(br, t)
-                max_resid = max(max_resid, abs(r1), abs(r2))
-                resid_rows.append((theta, br.sign, br.t0, t, r1, r2))
-        for sign in (1, -1):
-            br = TrajectoryBranch(sign=sign, t0=0.0, theta=theta)
-            x1, p1 = br.X(cfg.shadow_t1), br.P(cfg.shadow_t1)
-            path = integrate_hamiltonian(x1, p1, pot, cfg.shadow_dt,
-                                         cfg.shadow_t_final - cfg.shadow_t1)
-            t_abs = cfg.shadow_t1 + path.ts
-            stride = max(1, len(path.ts) // 10)
-            idx = list(range(0, len(path.ts), stride))
-            if idx[-1] != len(path.ts) - 1:
-                idx.append(len(path.ts) - 1)
-            for j in idx:
-                shadow_rows.append((theta, sign, t_abs[j], br.X(t_abs[j]),
-                                    br.P(t_abs[j]), path.xs[j], path.ps[j]))
-            xb, pb = br.X(t_abs[-1]), br.P(t_abs[-1])
-            rel = float(np.hypot(path.xs[-1] - xb, path.ps[-1] - pb)
-                        / np.hypot(xb, pb))
-            max_shadow_rel = max(max_shadow_rel, rel)
-    em.csv("atlas_branches.csv", ["theta", "sign", "t0", "nu", "c0"],
-           branch_rows)
-    em.csv("atlas_residuals.csv", ["theta", "sign", "t0", "t", "r1", "r2"],
-           resid_rows)
-    em.csv("atlas_shadows.csv",
-           ["theta", "sign", "t", "x_branch", "p_branch", "x_shadow",
-            "p_shadow"], shadow_rows)
-    em.records.update(max_residual=max_resid, max_shadow_rel_error=max_shadow_rel,
-                      n_branches=len(branch_rows))
-    passed = max_resid < 1e-6 and max_shadow_rel < 1e-5
-    if not passed:
-        em.warn(f"atlas gates failed: residual {max_resid:.3e} (< 1e-6), "
-                f"shadow rel {max_shadow_rel:.3e} (< 1e-5)")
-    return em.finish(passed=passed)
+    with _Emitter(cfg) as em:
+        branch_rows, resid_rows, shadow_rows = [], [], []
+        max_resid = 0.0
+        max_shadow_rel = 0.0
+        ts = np.linspace(0.0, cfg.shadow_t_final, 61)
+        for theta in cfg.theta_list:
+            pot = rough_power_potential(theta)
+            spec_list = [(0, 0.0)] + [(s, t0) for s in (1, -1) for t0 in cfg.t0_list]
+            for br in branch_family(theta, spec_list):
+                branch_rows.append((theta, br.sign, br.t0, br.nu, br.c0))
+                for t in ts:
+                    if abs(t - br.t0) < 0.02:
+                        continue
+                    r1, r2 = branch_ode_residual(br, t)
+                    max_resid = max(max_resid, abs(r1), abs(r2))
+                    resid_rows.append((theta, br.sign, br.t0, t, r1, r2))
+            for sign in (1, -1):
+                br = TrajectoryBranch(sign=sign, t0=0.0, theta=theta)
+                x1, p1 = br.X(cfg.shadow_t1), br.P(cfg.shadow_t1)
+                path = integrate_hamiltonian(x1, p1, pot, cfg.shadow_dt,
+                                             cfg.shadow_t_final - cfg.shadow_t1)
+                t_abs = cfg.shadow_t1 + path.ts
+                stride = max(1, len(path.ts) // 10)
+                idx = list(range(0, len(path.ts), stride))
+                if idx[-1] != len(path.ts) - 1:
+                    idx.append(len(path.ts) - 1)
+                for j in idx:
+                    shadow_rows.append((theta, sign, t_abs[j], br.X(t_abs[j]),
+                                        br.P(t_abs[j]), path.xs[j], path.ps[j]))
+                xb, pb = br.X(t_abs[-1]), br.P(t_abs[-1])
+                rel = float(np.hypot(path.xs[-1] - xb, path.ps[-1] - pb)
+                            / np.hypot(xb, pb))
+                max_shadow_rel = max(max_shadow_rel, rel)
+        em.csv("atlas_branches.csv", ["theta", "sign", "t0", "nu", "c0"],
+               branch_rows)
+        em.csv("atlas_residuals.csv", ["theta", "sign", "t0", "t", "r1", "r2"],
+               resid_rows)
+        em.csv("atlas_shadows.csv",
+               ["theta", "sign", "t", "x_branch", "p_branch", "x_shadow",
+                "p_shadow"], shadow_rows)
+        em.records.update(max_residual=max_resid, max_shadow_rel_error=max_shadow_rel,
+                          n_branches=len(branch_rows))
+        passed = max_resid < 1e-6 and max_shadow_rel < 1e-5
+        if not passed:
+            em.warn(f"atlas gates failed: residual {max_resid:.3e} (< 1e-6), "
+                    f"shadow rel {max_shadow_rel:.3e} (< 1e-5)")
+        return em.finish(passed=passed)
 
 
 # ---------------------------------------------------------------------------

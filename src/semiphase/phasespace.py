@@ -15,13 +15,14 @@ meet inside the weak metric; atoms are never rasterized implicitly.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
 
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
-                     ShapeMismatchError)
+                     SemiphaseWarning, ShapeMismatchError)
 from .grids import PhaseGrid, PositionGrid, build_position_grid
 from .quantum import DensityEnsemble, WaveFunction
 
@@ -47,7 +48,6 @@ class GridDensity:
     values: np.ndarray = field(repr=False, compare=False)
     grid: PhaseGrid
     tag: str = "generic"
-    warnings: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -110,13 +110,12 @@ def upsample2(psi: np.ndarray) -> np.ndarray:
     return 2.0 * sfft.ifft(fine)
 
 
-def _support_checks(state: WaveFunction) -> tuple:
+def _support_checks(state: WaveFunction) -> None:
     grid = state.grid
     prob = state.density()
     edge = grid.dx * float(prob[:3].sum() + prob[-3:].sum())
-    warns = ()
     if edge > 1e-10:
-        warns = (f"boundary wrap: edge probability {edge:.2e}",)
+        warnings.warn(f"boundary wrap: edge probability {edge:.2e}", SemiphaseWarning)
     spec = np.abs(sfft.fft(state.values)) ** 2
     total = spec.sum()
     hot = spec[np.abs(grid.k) >= 0.875 * np.abs(grid.k).max()].sum()
@@ -124,7 +123,6 @@ def _support_checks(state: WaveFunction) -> tuple:
         raise ConfigurationError(
             "momentum window fails to contain the state (spectral mass "
             f"{hot / total:.2e} near Nyquist); refine the grid or increase eps")
-    return warns
 
 
 def _wigner_values(psi: np.ndarray, dx: float, eps: float) -> np.ndarray:
@@ -146,23 +144,20 @@ def _wigner_values(psi: np.ndarray, dx: float, eps: float) -> np.ndarray:
 
 def wigner(state: WaveFunction) -> GridDensity:
     """Wigner transform of a pure state on the eps-scaled phase grid."""
-    warns = _support_checks(state)
+    _support_checks(state)
     grid = build_wigner_grid(state.grid, state.eps)
     values = _wigner_values(state.values, state.grid.dx, state.eps)
-    return GridDensity(values, grid, tag="wigner",
-                       warnings=state.warnings + warns)
+    return GridDensity(values, grid, tag="wigner")
 
 
 def wigner_ensemble(ens: DensityEnsemble) -> GridDensity:
     """Weight-convex combination of member Wigner transforms."""
     acc = None
-    warns = ()
     for weight, member in ens.members:
         gd = wigner(member)
-        warns += gd.warnings
         acc = weight * gd.values if acc is None else acc + weight * gd.values
     grid = build_wigner_grid(ens.grid, ens.eps)
-    return GridDensity(acc, grid, tag="wigner", warnings=warns)
+    return GridDensity(acc, grid, tag="wigner")
 
 
 def husimi(density: GridDensity, eps: float) -> GridDensity:
@@ -175,8 +170,7 @@ def husimi(density: GridDensity, eps: float) -> GridDensity:
     mult = (np.exp(-eps * gx.k ** 2)[:, None]
             * np.exp(-eps * gp.k ** 2)[None, :])
     smoothed = sfft.ifft2(sfft.fft2(density.values) * mult).real
-    return GridDensity(smoothed, density.grid, tag="husimi",
-                       warnings=density.warnings)
+    return GridDensity(smoothed, density.grid, tag="husimi")
 
 
 def _require_grid(density, op: str) -> GridDensity:
@@ -226,4 +220,4 @@ def restrict_p(density: GridDensity, p_max: float) -> GridDensity:
     sub = build_position_grid(2 * half, -half * dp, half * dp)
     return GridDensity(density.values[:, lo:hi],
                        PhaseGrid(density.grid.x_grid, sub),
-                       tag=density.tag, warnings=density.warnings)
+                       tag=density.tag)

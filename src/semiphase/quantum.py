@@ -7,12 +7,14 @@ classical side); the pure -eps^2 Lap convention is alpha = 1.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import ConfigurationError, NumericsError, ShapeMismatchError
+from .errors import (ConfigurationError, NumericsError, SemiphaseWarning,
+                     ShapeMismatchError)
 from .grids import PositionGrid, quadrature
 from .potentials import PotentialSpec, evaluate
 
@@ -33,7 +35,6 @@ class WaveFunction:
     values: np.ndarray = field(repr=False, compare=False)
     eps: float
     grid: PositionGrid
-    warnings: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -51,13 +52,12 @@ class WaveFunction:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def normalized(cls, values, eps: float, grid: PositionGrid,
-                   warnings: tuple = ()) -> "WaveFunction":
+    def normalized(cls, values, eps: float, grid: PositionGrid) -> "WaveFunction":
         v = np.asarray(values, dtype=np.complex128)
         n2 = quadrature(np.abs(v) ** 2, grid)
         if n2 <= 0 or not np.isfinite(n2):
             raise NumericsError("cannot normalize a zero or non-finite state")
-        return cls(v / np.sqrt(n2), eps, grid, warnings)
+        return cls(v / np.sqrt(n2), eps, grid)
 
     def norm(self) -> float:
         return float(np.sqrt(quadrature(np.abs(self.values) ** 2, self.grid)))
@@ -108,17 +108,17 @@ class PropagatorConfig:
             raise ConfigurationError("t_final must be >= 0")
 
 
-def _resolution_warnings(v: np.ndarray, grid: PositionGrid, eps: float,
-                         dt: float, alpha: float) -> tuple:
-    warns = []
+def _check_resolution(v: np.ndarray, grid: PositionGrid, eps: float,
+                      dt: float, alpha: float) -> None:
     kmax = float(np.max(np.abs(grid.k)))
     pot_phase = float(np.max(np.abs(v))) * abs(dt) / eps
     kin_phase = alpha * eps * kmax ** 2 * abs(dt)
     if pot_phase > np.pi / 4:
-        warns.append(f"potential phase {pot_phase:.2f} rad/step exceeds pi/4")
+        warnings.warn(f"potential phase {pot_phase:.2f} rad/step exceeds pi/4",
+                      SemiphaseWarning)
     if kin_phase > np.pi / 4:
-        warns.append(f"kinetic phase {kin_phase:.2f} rad/step at Nyquist exceeds pi/4")
-    return tuple(warns)
+        warnings.warn(f"kinetic phase {kin_phase:.2f} rad/step at Nyquist exceeds pi/4",
+                      SemiphaseWarning)
 
 
 def propagate(state: WaveFunction, pot: PotentialSpec,
@@ -146,9 +146,8 @@ def propagate(state: WaveFunction, pot: PotentialSpec,
         psi = half_v * psi
     if not np.all(np.isfinite(psi.view(np.float64))):
         raise NumericsError("propagation produced non-finite values")
-
-    warns = state.warnings + _resolution_warnings(v, state.grid, eps, h, cfg.alpha)
-    return WaveFunction(psi, eps, state.grid, warnings=warns)
+    _check_resolution(v, state.grid, eps, h, cfg.alpha)
+    return WaveFunction(psi, eps, state.grid)
 
 
 def propagate_ensemble(ens: DensityEnsemble, pot: PotentialSpec,

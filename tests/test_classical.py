@@ -132,6 +132,13 @@ def test_integrate_rejects_bad_dt():
         integrate_hamiltonian(1.0, 0.0, harmonic_potential(), -1e-3, 1.0)
 
 
+def test_integrate_rejects_custom_potential():
+    # sampled potentials have no closed-form force to integrate
+    pot = custom_potential(np.zeros(64))
+    with pytest.raises(ConfigurationError, match="no closed-form gradient"):
+        integrate_hamiltonian(1.0, 0.0, pot, 1e-3, 1.0)
+
+
 # ------------------------------------------------------- particle transport
 
 

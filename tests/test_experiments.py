@@ -1,12 +1,13 @@
 """Experiment registry, config plumbing, manifests, CLI exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semiphase import ConfigurationError
+from semiphase import ConfigurationError, SemiphaseWarning
 from semiphase.cli import main
 from semiphase.experiments import (
     EXPERIMENTS,
@@ -15,6 +16,7 @@ from semiphase.experiments import (
     resolve_experiment,
     run_experiment,
 )
+from semiphase.experiments import _Emitter
 
 
 # -------------------------------------------------------------- registry
@@ -66,6 +68,28 @@ def test_run_rejects_bad_grid_and_theta(tmp_path):
     with pytest.raises(ConfigurationError):
         run_experiment(defaults_for("L2MollifiedRate", sample_times=(-0.1,),
                                     out_dir=str(tmp_path / "r")))
+
+
+def test_harmonic_rejects_eps_ladder():
+    # one rung per run; a longer ladder used to run eps_ladder[0] alone
+    with pytest.raises(ConfigurationError):
+        run_experiment(defaults_for("HarmonicExact", grid_n=256, dt=5e-3,
+                                    eps_ladder=(0.1, 0.05)))
+
+
+def test_weak_convergence_needs_positive_time(tmp_path):
+    # no positive sample time leaves nothing to compare, not a gate failure
+    with pytest.raises(ConfigurationError):
+        run_experiment(defaults_for("WeakConvergence", sample_times=(-0.1, 0.0),
+                                    out_dir=str(tmp_path / "w")))
+    assert not (tmp_path / "w").exists()
+
+
+def test_config_has_no_dead_fields():
+    assert "t_final" not in ExperimentConfig.__dataclass_fields__
+    assert "eps_mollify_ladder" not in ExperimentConfig.__dataclass_fields__
+    with pytest.raises(TypeError):
+        defaults_for("HarmonicExact", t_final=1.0)
 
 
 # ---------------------------------------------------- run + manifest
@@ -256,3 +280,49 @@ def test_driver_records_pinned(tmp_path, name):
             assert abs(got[key] - want) <= 1e-10 * abs(want), key
         else:
             assert got[key] == want, key
+
+
+# ------------------------------------------------------------ warnings
+
+# sizes for the drivers _PINNED leaves out
+_SMALL = {
+    "HarmonicExact": dict(grid_n=256, dt=5e-3),
+    "ConjectureProbe": dict(grid_n=256, eps_ladder=(0.1, 0.05)),
+    "BranchAtlas": dict(theta_list=(0.5,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_manifest_warnings_pinned(tmp_path, name):
+    # every driver's manifest lists the SemiphaseWarnings raised during its
+    # run; ConcentrationSplit's potential-phase warning is among them
+    out = tmp_path / name
+    sizes = {**_PINNED, **_SMALL}[name]
+    man = run_experiment(defaults_for(name, out_dir=str(out), **sizes))
+    pinned = json.loads(
+        (Path(__file__).parent / "pinned_warnings.json").read_text())[name]
+    assert list(man.warnings) == pinned
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == pinned
+
+
+def test_emitter_records_own_category_and_reshows_others():
+    cfg = defaults_for("ConjectureProbe")
+    with pytest.warns(RuntimeWarning, match="numpy-style"):
+        with _Emitter(cfg) as em:
+            em.warn("first")
+            warnings.warn("numpy-style", RuntimeWarning)
+            em.warn("second")
+            em.warn("first")
+            man = em.finish(passed=True)
+    assert man.warnings == ("first", "second")
+
+
+def test_failed_run_restores_warning_state(tmp_path):
+    # a 512-point grid fails check_fourier_conditions inside the emitter
+    filters, show = list(warnings.filters), warnings.showwarning
+    with pytest.raises(ConfigurationError, match="shell analysis"):
+        run_experiment(defaults_for("L2MollifiedRate", grid_n=512,
+                                    out_dir=str(tmp_path / "r")))
+    assert (tmp_path / "r").is_dir()  # the emitter was entered
+    assert warnings.filters == filters
+    assert warnings.showwarning is show

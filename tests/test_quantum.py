@@ -7,6 +7,7 @@ from semiphase import (
     ConfigurationError,
     DensityEnsemble,
     PropagatorConfig,
+    SemiphaseWarning,
     coherent_state,
     build_position_grid,
     h2_energy,
@@ -134,3 +135,9 @@ def test_propagator_config_validation():
         PropagatorConfig(dt=0.0, t_final=1.0)
     with pytest.raises(ConfigurationError):
         PropagatorConfig(dt=1e-3, t_final=-1.0)
+
+
+def test_coarse_step_warns_outside_a_run(grid):
+    psi = coherent_state(0.3, 0.4, 0.05, grid)
+    with pytest.warns(SemiphaseWarning, match="potential phase"):
+        propagate(psi, harmonic_potential(), PropagatorConfig(dt=0.1, t_final=0.2))
