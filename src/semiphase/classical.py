@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.sparse import csr_matrix
 
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
                      SemiphaseWarning)
@@ -284,53 +285,96 @@ def _cubic_weights(s: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class _FootInterpolator:
-    """Precomputed clamped-bicubic gather at fixed foot points.
+    """Clamped-bicubic step at fixed foot points, as one sparse matrix.
 
-    The advecting field is autonomous, so the backward feet are the same
-    every step; the 4x4 stencil indices and weights are built once.
-    x is periodic, p is zero-padded: mass that leaves the p-window is
-    lost, and nothing reports the loss.
+    The advecting field is autonomous, so the backward feet, and with
+    them every cell's 4x4 Catmull-Rom stencil, are the same every step:
+    the step is a fixed linear map, built once as a CSR matrix over the
+    flattened grid. Each row holds the products sx[a] * sp[b] in (a, b)
+    order, so the matvec sums in the order of a dense 16-term loop and
+    rounds the same way. x is periodic; p is zero-padded, so stencil
+    columns outside the p-window are left out of the matrix (they would
+    multiply zero). Mass that leaves the p-window is lost, and nothing
+    reports the loss.
+
+    Each value is then clamped to the min and max of its 16 stencil
+    values, zeros of out-of-window columns included: the step never
+    expands the sup/inf bounds and keeps nonnegative data nonnegative.
     """
+
+    _CHUNK = 8192  # cells per build block: bounds the (16, chunk) temporaries
 
     def __init__(self, xf, pf, x_grid: PositionGrid, p_grid: PositionGrid):
         nx, npts = x_grid.n_points, p_grid.n_points
-        gx = (xf - x_grid.x_min) / x_grid.dx
-        gp = (pf - p_grid.x_min) / p_grid.dx
-        ix = np.floor(gx).astype(np.int64)
-        ip = np.floor(gp).astype(np.int64)
-        self.sx = _cubic_weights(gx - ix)
-        self.sp = _cubic_weights(gp - ip)
-        self.ix = [(ix + a - 1) % nx for a in range(4)]
-        # clip each stencil column into [-1, npts]; both ends alias the
-        # sentinel zero columns of the padded array
-        self.ip = [np.clip(ip + b - 1, -1, npts) for b in range(4)]
-        self.npts = npts
+        ip = np.floor((pf - p_grid.x_min) / p_grid.dx)
+        # stencil columns ip-1 .. ip+2 that fall inside [0, npts)
+        width = np.minimum(ip + 2, npts - 1) - np.maximum(ip - 1, 0) + 1
+        indptr = np.zeros(nx * npts + 1, dtype=np.int64)
+        np.cumsum(4 * np.clip(width, 0, 4).ravel(), out=indptr[1:])
+        del ip, width
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        # flat index of each stencil's origin in the (nx, npts + 5) window
+        # arrays of _stencil_range
+        self.origin = np.empty((nx, npts), dtype=np.int32)
+        rows = max(1, self._CHUNK // npts)
+        for r0 in range(0, nx, rows):
+            blk = slice(r0, r0 + rows)
+            gx = (xf[blk] - x_grid.x_min) / x_grid.dx
+            gp = (pf[blk] - p_grid.x_min) / p_grid.dx
+            ix = np.floor(gx).astype(np.int64)
+            ip = np.floor(gp).astype(np.int64)
+            sx = _cubic_weights(gx - ix)
+            sp = _cubic_weights(gp - ip)
+            w = np.empty((4, 4) + gx.shape)
+            col = np.empty((4, 4) + gx.shape, dtype=np.int32)
+            for a in range(4):
+                row = ((ix + a - 1) % nx) * npts
+                for b in range(4):
+                    np.multiply(sx[a], sp[b], out=w[a, b])
+                    # int32 holds every kept column (< nx * npts); the
+                    # dropped ones may wrap
+                    np.add(row, ip + b - 1, out=col[a, b], casting="unsafe")
+            inside = [(ip >= 1 - b) & (ip < npts + 1 - b) for b in range(4)]
+            keep = np.stack(4 * inside)
+            # cell by cell, (a, b) order within a cell
+            w, col, keep = (v.reshape(16, -1).T for v in (w, col, keep))
+            start, stop = indptr[r0 * npts], indptr[min(r0 + rows, nx) * npts]
+            data[start:stop] = w[keep]
+            indices[start:stop] = col[keep]
+            self.origin[blk] = (((ix - 1) % nx) * (npts + 5)
+                                + np.clip(ip - 1, -4, npts) + 4)
+        self.matrix = csr_matrix((data, indices, indptr),
+                                 shape=(nx * npts, nx * npts))
+
+    def _stencil_range(self, f: np.ndarray, op) -> np.ndarray:
+        # op (np.minimum or np.maximum) over each cell's 4x4 stencil:
+        # 4 rows periodically along x, then 4 columns along p over 4 zero
+        # columns per side (so a clipped stencil reads zeros), read at the
+        # stencil origins
+        g = np.pad(f, ((0, 3), (0, 0)), mode="wrap")
+        g = op(g[:-1], g[1:])
+        g = op(g[:-2], g[2:])
+        g = np.pad(g, ((0, 0), (4, 4)))
+        g = op(g[:, :-1], g[:, 1:])
+        g = op(g[:, :-2], g[:, 2:])
+        return g.take(self.origin)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        # pad two sentinel zero columns (index -1 and npts wrap onto them)
-        fp = np.zeros((f.shape[0], self.npts + 2))
-        fp[:, :-2] = f
-        out = np.zeros_like(f)
-        lo = np.full_like(f, np.inf)
-        hi = np.full_like(f, -np.inf)
-        for a in range(4):
-            row = self.ix[a]
-            wa = self.sx[a]
-            for b in range(4):
-                val = fp[row, self.ip[b]]
-                out += wa * self.sp[b] * val
-                np.minimum(lo, val, out=lo)
-                np.maximum(hi, val, out=hi)
-        # clamp to the stencil range: exact L-infinity non-expansion
-        return np.clip(out, lo, hi)
+        out = (self.matrix @ f.ravel()).reshape(f.shape)
+        # clamp to the stencil range: exact L-infinity non-expansion. One
+        # bound at a time keeps one window array alive; lo <= hi, so this
+        # is np.clip(out, lo, hi)
+        np.maximum(out, self._stencil_range(f, np.minimum), out=out)
+        np.minimum(out, self._stencil_range(f, np.maximum), out=out)
+        return out
 
 
 def _trace_feet(x_grid: PositionGrid, p_grid: PositionGrid, force, dt: float):
-    # one backward RK4 step of (x' = p, p' = -V'(x)) from every node
-    X = np.broadcast_to(x_grid.nodes[:, None],
-                        (x_grid.n_points, p_grid.n_points)).copy()
-    P = np.broadcast_to(p_grid.nodes[None, :],
-                        (x_grid.n_points, p_grid.n_points)).copy()
+    # one backward RK4 step of (x' = p, p' = -V'(x)) from every node; the
+    # first stage broadcasts, so its force is evaluated on the x-nodes only
+    X = x_grid.nodes[:, None]
+    P = p_grid.nodes[None, :]
     h = -dt
 
     def rhs(x, p):
@@ -351,9 +395,12 @@ def liouville_semi_lagrangian(rho0: GridDensity, pot: PotentialSpec,
     """Solve  d rho/dt + p dx rho - V~'(x) dp rho = 0  by backward tracing.
 
     Foot points come from one RK4 step of the reversed characteristic
-    flow; values are gathered by bicubic interpolation clamped to the
-    stencil range, so sup/inf bounds never expand and nonnegative data
-    stays nonnegative.
+    flow. They are the same every step, so the clamped-bicubic gather is
+    built once per call as a sparse matrix (see _FootInterpolator) and
+    each step is one sparse matvec plus the clamp to the stencil range:
+    sup/inf bounds never expand and nonnegative data stays nonnegative.
+    x is periodic; mass that leaves the p-window is lost, and nothing
+    reports the loss.
     """
     if not isinstance(rho0, GridDensity):
         raise RepresentationError("liouville_semi_lagrangian needs a grid density")
@@ -374,8 +421,9 @@ def liouville_semi_lagrangian(rho0: GridDensity, pot: PotentialSpec,
             f"(x: {pmax * h / x_grid.dx:.2f}, p: {fmax * h / p_grid.dx:.2f} cells)",
             SemiphaseWarning)
 
-    xf, pf = _trace_feet(x_grid, p_grid, force, h)
-    interp = _FootInterpolator(xf, pf, x_grid, p_grid)
+    # the feet die with the constructor call, before the first step
+    interp = _FootInterpolator(*_trace_feet(x_grid, p_grid, force, h),
+                               x_grid, p_grid)
 
     f = rho0.values.copy()
     for _ in range(n_steps):

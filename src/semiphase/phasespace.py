@@ -131,10 +131,11 @@ def _wigner_values(psi: np.ndarray, dx: float, eps: float) -> np.ndarray:
     pad = np.zeros(4 * n, dtype=np.complex128)
     pad[n:3 * n] = fine
     i = np.arange(n)[:, None]
-    m = np.arange(-n, n)[None, :]
+    # offsets in ifftshift order (0 .. N-1, -N .. -1), ready for the ifft
+    m = sfft.ifftshift(np.arange(-n, n))[None, :]
     corr = np.conj(pad[n + 2 * i + m]) * pad[n + 2 * i - m]
-    corr[:, 0] = 0.0  # unpaired Nyquist offset m = -N; drop for exact realness
-    w = sfft.ifft(sfft.ifftshift(corr, axes=1), axis=1)
+    corr[:, n] = 0.0  # unpaired Nyquist offset m = -N; drop for exact realness
+    w = sfft.ifft(corr, axis=1)
     w = sfft.fftshift(w, axes=1) * (dx * 2 * n / (2.0 * np.pi * eps))
     imag_max = float(np.abs(w.imag).max())
     if imag_max > 1e-9:

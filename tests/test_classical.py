@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiphase import (
     ConfigurationError,
@@ -11,6 +12,10 @@ from semiphase import (
     build_position_grid,
 )
 from semiphase.classical import (
+    _cubic_weights,
+    _FootInterpolator,
+    _force_function,
+    _trace_feet,
     branch_constants,
     branch_family,
     branch_ode_residual,
@@ -259,6 +264,93 @@ def test_liouville_validation():
         liouville_semi_lagrangian(rho0, harmonic_potential(), 1e-3, -0.1, 1.0)
     with pytest.raises(Exception):
         liouville_semi_lagrangian("not a density", harmonic_potential(), 0.0, 0.1, 1.0)
+
+
+def _dense_step(f, xf, pf, x_grid, p_grid):
+    # the 16-gather step that _FootInterpolator's sparse matrix replaced,
+    # kept as its reference: out-of-window stencil columns read two zero
+    # sentinel columns, terms are summed in (a, b) order
+    nx, npts = x_grid.n_points, p_grid.n_points
+    gx = (xf - x_grid.x_min) / x_grid.dx
+    gp = (pf - p_grid.x_min) / p_grid.dx
+    ix = np.floor(gx).astype(np.int64)
+    ip = np.floor(gp).astype(np.int64)
+    sx = _cubic_weights(gx - ix)
+    sp = _cubic_weights(gp - ip)
+    fp = np.zeros((nx, npts + 2))
+    fp[:, :-2] = f
+    out = np.zeros_like(f)
+    lo = np.full_like(f, np.inf)
+    hi = np.full_like(f, -np.inf)
+    for a in range(4):
+        row = (ix + a - 1) % nx
+        for b in range(4):
+            val = fp[row, np.clip(ip + b - 1, -1, npts)]
+            out += sx[a] * sp[b] * val
+            np.minimum(lo, val, out=lo)
+            np.maximum(hi, val, out=hi)
+    return np.clip(out, lo, hi)
+
+
+def _random_feet(rng, x_grid, p_grid):
+    # x-feet up to two periods off the grid; p-feet up to half a window
+    # past either edge, so some stencils are clipped and some lie outside
+    shape = (x_grid.n_points, p_grid.n_points)
+    xf = rng.uniform(x_grid.x_min - 2 * x_grid.length,
+                     x_grid.x_max + 2 * x_grid.length, shape)
+    pf = rng.uniform(p_grid.x_min - 0.5 * p_grid.length,
+                     p_grid.x_max + 0.5 * p_grid.length, shape)
+    return xf, pf
+
+
+def _rough_feet(x_grid, p_grid):
+    # production feet: one coarse RK4 step in a mollified rough field
+    force = _force_function(rough_power_potential(theta=0.5), 0.05, x_grid)
+    return _trace_feet(x_grid, p_grid, force, 0.5)
+
+
+@pytest.mark.parametrize("feet", [
+    lambda gx, gp: _random_feet(np.random.default_rng(7), gx, gp), _rough_feet])
+def test_foot_interpolator_matches_dense_gather(feet):
+    gx = build_position_grid(16, -2.0, 2.0)
+    gp = build_position_grid(32, -1.0, 1.0)
+    xf, pf = feet(gx, gp)
+    npts = gp.n_points
+    ip = np.floor((pf - gp.x_min) / gp.dx)
+    assert np.any(xf < gx.x_min) and np.any(xf >= gx.x_max)
+    assert np.any((ip >= -2) & (ip <= 0))  # partly past the lower edge
+    assert np.any((ip >= npts - 2) & (ip <= npts))  # partly past the upper edge
+    assert np.any((ip < -2) | (ip > npts))  # whole stencil outside
+    interp = _FootInterpolator(xf, pf, gx, gp)
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(xf.shape)
+    ref = f.copy()
+    for _ in range(5):
+        before = f.copy()
+        f_next = interp.apply(f)
+        assert np.array_equal(f, before)
+        ref = _dense_step(ref, xf, pf, gx, gp)
+        assert np.array_equal(f_next, ref)
+        f = f_next
+
+
+@settings(max_examples=30, deadline=None)
+@given(logn=st.integers(min_value=3, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       nonneg=st.booleans())
+def test_foot_interpolator_clamp_bounds(logn, seed, nonneg):
+    rng = np.random.default_rng(seed)
+    gx = build_position_grid(2 ** logn, -1.0, 1.0)
+    gp = build_position_grid(2 ** (9 - logn), -2.0, 2.0)
+    xf, pf = _random_feet(rng, gx, gp)
+    f = rng.standard_normal(xf.shape) * 10.0 ** rng.uniform(-3, 3)
+    if nonneg:
+        f = np.maximum(f, 0.0)
+    out = _FootInterpolator(xf, pf, gx, gp).apply(f)
+    assert out.min() >= min(0.0, f.min())
+    assert out.max() <= max(0.0, f.max())
+    if nonneg:
+        assert out.min() >= 0.0
 
 
 @pytest.mark.parametrize("pot", [harmonic_potential()] + [
