@@ -1,14 +1,14 @@
 """Phase-space numerics for semiclassical Schrodinger dynamics.
 
 Spectral grids, split-step quantum propagation, Wigner/Husimi
-transforms, classical transport (trajectories, particle clouds,
+transforms, classical transport (trajectories, atomic measures,
 semi-Lagrangian Liouville), rough-potential diagnostics, weak and L2
 convergence metrics, and a reproducible experiment harness over eps
 ladders.
 """
 from ._version import __version__
-from .classical import (ParticleCloud, SampledPath, TrajectoryBranch,
-                        branch_constants, branch_family, branch_ode_residual,
+from .classical import (SampledPath, TrajectoryBranch, branch_constants,
+                        branch_family, branch_ode_residual,
                         integrate_hamiltonian, liouville_semi_lagrangian,
                         transport_particles)
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
@@ -32,8 +32,8 @@ from .quantum import (DensityEnsemble, PropagatorConfig, WaveFunction,
                       h2_energy, propagate, propagate_ensemble)
 from .states import (ConcentratingProfile, RandomFamilySpec,
                      RealizedConcentration, check_epsn_operator_bound,
-                     coherent_state, concentrating_wigner_data,
-                     concentration_lattice, sample_random_family,
-                     scaling_exponents)
+                     coherent_mixture, coherent_state,
+                     concentrating_wigner_data, concentration_lattice,
+                     random_family, scaling_exponents)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

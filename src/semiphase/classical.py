@@ -1,5 +1,6 @@
 """Classical transport: bicharacteristic branches, symplectic integration,
-semi-Lagrangian Liouville stepping, and particle-cloud pushforward.
+semi-Lagrangian Liouville stepping, and the pushforward of atomic
+measures (transported clouds are phasespace.AtomicMeasure, masses kept).
 
 The rough potential -|x|^{1+theta} admits multiple trajectories out of
 the unstable origin: for each sign there is a closed-form escape
@@ -23,12 +24,11 @@ from scipy.sparse import csr_matrix
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
                      SemiphaseWarning)
 from .grids import PositionGrid, build_position_grid
-from .phasespace import GridDensity
+from .phasespace import AtomicMeasure, GridDensity
 from .potentials import PotentialSpec, gradient_at, mollify
 
 __all__ = [
     "TrajectoryBranch",
-    "ParticleCloud",
     "SampledPath",
     "branch_family",
     "branch_constants",
@@ -83,16 +83,9 @@ class TrajectoryBranch:
 
 
 def branch_family(theta: float, signs_and_delays) -> list[TrajectoryBranch]:
-    """Branches for each (sign, t0) pair; sign accepts +-1/0 or plus/minus/rest."""
-    names = {"plus": 1, "minus": -1, "rest": 0}
-    out = []
-    for sign, t0 in signs_and_delays:
-        if isinstance(sign, str):
-            if sign not in names:
-                raise ConfigurationError(f"unknown branch sign {sign!r}")
-            sign = names[sign]
-        out.append(TrajectoryBranch(sign=int(sign), t0=float(t0), theta=theta))
-    return out
+    """Branches for each (sign, t0) pair, sign +1, -1 or 0."""
+    return [TrajectoryBranch(sign=sign, t0=float(t0), theta=theta)
+            for sign, t0 in signs_and_delays]
 
 
 def branch_ode_residual(branch: TrajectoryBranch, t, h: float = 1e-6) -> tuple[float, float]:
@@ -113,35 +106,6 @@ def branch_ode_residual(branch: TrajectoryBranch, t, h: float = 1e-6) -> tuple[f
     r1 = float(np.max(np.abs(xdot - branch.P(t)) / scale))
     r2 = float(np.max(np.abs(pdot - force) / scale))
     return r1, r2
-
-
-@dataclass(frozen=True)
-class ParticleCloud:
-    """Weighted phase-space points; the atomic carrier of transported mass."""
-
-    masses: np.ndarray = field(repr=False, compare=False)
-    xs: np.ndarray = field(repr=False, compare=False)
-    ps: np.ndarray = field(repr=False, compare=False)
-    time: float = 0.0
-
-    def __post_init__(self):
-        m = np.asarray(self.masses, dtype=np.float64)
-        x = np.asarray(self.xs, dtype=np.float64)
-        p = np.asarray(self.ps, dtype=np.float64)
-        if not (m.shape == x.shape == p.shape) or m.ndim != 1 or m.size == 0:
-            raise ConfigurationError("masses, xs, ps must be equal-length 1-D arrays")
-        if np.any(m <= 0):
-            raise ConfigurationError("particle masses must be positive")
-        object.__setattr__(self, "masses", m)
-        object.__setattr__(self, "xs", x)
-        object.__setattr__(self, "ps", p)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-    def __len__(self) -> int:
-        return self.masses.size
 
 
 @dataclass(frozen=True)
@@ -249,13 +213,14 @@ def integrate_hamiltonian(x0: float, p0: float, pot: PotentialSpec,
     return SampledPath(ts=ts, xs=xs, ps=ps)
 
 
-def transport_particles(cloud: ParticleCloud, pot: PotentialSpec,
+def transport_particles(cloud: AtomicMeasure, pot: PotentialSpec,
                         eps_mollify: float, dt: float, t_final: float,
-                        field_grid: PositionGrid | None = None) -> ParticleCloud:
-    """Push every particle through the (possibly mollified) field.
+                        field_grid: PositionGrid | None = None) -> AtomicMeasure:
+    """Push every atom through the (possibly mollified) field.
 
-    t_final may be negative (backward transport); dt is a positive step
-    magnitude.
+    Returns the transported atomic measure: the same masses, in the same
+    order, at the Verlet endpoints. t_final may be negative (backward
+    transport); dt is a positive step magnitude.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be > 0")
@@ -265,8 +230,7 @@ def transport_particles(cloud: ParticleCloud, pot: PotentialSpec,
     h = t_final / n_steps
     force = _force_function(pot, eps_mollify, field_grid)
     x, p = _verlet(cloud.xs, cloud.ps, force, h, n_steps)
-    return ParticleCloud(masses=cloud.masses.copy(), xs=x, ps=p,
-                         time=cloud.time + t_final)
+    return AtomicMeasure(np.stack([cloud.masses, x, p], axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ import scipy.fft as sfft
 from scipy.special import erfc
 
 from ._version import __version__
-from .classical import (ParticleCloud, TrajectoryBranch, branch_family,
-                        branch_ode_residual, integrate_hamiltonian,
-                        liouville_semi_lagrangian, transport_particles)
+from .classical import (TrajectoryBranch, branch_family, branch_ode_residual,
+                        integrate_hamiltonian, liouville_semi_lagrangian,
+                        transport_particles)
 from .errors import ConfigurationError, NumericsError, SemiphaseWarning
 from .grids import PhaseGrid, PositionGrid, build_position_grid
 from .gridio import write_csv, write_grid
@@ -34,12 +34,11 @@ from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
                          l2_norm, restrict_p, sup_norm, wigner, wigner_ensemble)
 from .potentials import (PotentialSpec, check_fourier_conditions,
                          harmonic_potential, rough_power_potential)
-from .quantum import (DensityEnsemble, PropagatorConfig, propagate,
-                      propagate_ensemble)
+from .quantum import PropagatorConfig, propagate, propagate_ensemble
 from .states import (ConcentratingProfile, RandomFamilySpec,
-                     check_epsn_operator_bound, coherent_state,
-                     concentration_lattice, concentrating_wigner_data,
-                     sample_random_family)
+                     check_epsn_operator_bound, coherent_mixture,
+                     coherent_state, concentration_lattice,
+                     concentrating_wigner_data, random_family)
 
 __all__ = [
     "ExperimentConfig",
@@ -119,6 +118,12 @@ class ExperimentConfig:
             raise ConfigurationError("eps_ladder must be strictly decreasing")
         if self.dt <= 0 or self.dt_classical <= 0:
             raise ConfigurationError("dt and dt_classical must be > 0")
+        # the lattices take (k - 1) // 2 points per side: an even size
+        # would silently run the next smaller odd one
+        if self.datum_k < 1 or self.datum_k % 2 == 0:
+            raise ConfigurationError(f"datum_k must be odd and >= 1, got {self.datum_k}")
+        if self.n_side < 3 or self.n_side % 2 == 0:
+            raise ConfigurationError(f"n_side must be odd and >= 3, got {self.n_side}")
         object.__setattr__(self, "eps_ladder", lad)
         object.__setattr__(self, "sample_times",
                            tuple(float(t) for t in self.sample_times))
@@ -328,33 +333,26 @@ def run_harmonic_exact(cfg: ExperimentConfig) -> RunManifest:
 # shared datum helpers
 
 
-def _mixture_offsets(k: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    # fixed (eps-independent) lattice over +-2 sigma with Gaussian weights
-    h = (k - 1) // 2
+def _mixture_datum(cfg: ExperimentConfig) -> AtomicMeasure:
+    """Atoms of the fixed-width (eps-independent) coherent mixture.
+
+    A datum_k x datum_k lattice over +-2 datum_sigma about datum_center
+    with Gaussian masses; its coherent mixture is the quantum datum and
+    the atoms themselves are its classical limit.
+    """
+    x0, p0 = cfg.datum_center
+    sigma = cfg.datum_sigma
+    h = (cfg.datum_k - 1) // 2
     offs = 2.0 * sigma * np.arange(-h, h + 1, dtype=np.float64) / max(h, 1)
     uu, vv = np.meshgrid(offs, offs, indexing="ij")
     wgt = np.exp(-(uu ** 2 + vv ** 2) / (2.0 * sigma ** 2))
     wgt = wgt / wgt.sum()
-    return np.stack([uu.ravel(), vv.ravel()], axis=1), wgt.ravel()
+    return AtomicMeasure(np.stack([wgt.ravel(), x0 + uu.ravel(),
+                                   p0 + vv.ravel()], axis=1))
 
 
-def _fixed_width_mixture(cfg: ExperimentConfig, eps: float,
-                         grid: PositionGrid) -> tuple[DensityEnsemble, ParticleCloud]:
-    """Coherent mixture of fixed phase-space width and its atomic limit."""
-    x0, p0 = cfg.datum_center
-    offsets, weights = _mixture_offsets(cfg.datum_k, cfg.datum_sigma)
-    members = tuple(
-        (float(w), coherent_state(x0 + du, p0 + dv, eps, grid))
-        for (du, dv), w in zip(offsets, weights))
-    ens = DensityEnsemble(members=members, eps=eps)
-    cloud = ParticleCloud(masses=weights.copy(),
-                          xs=x0 + offsets[:, 0], ps=p0 + offsets[:, 1])
-    return ens, cloud
-
-
-def _atoms_char(cloud: ParticleCloud, mcfg: WeakMetricConfig,
+def _atoms_char(meas: AtomicMeasure, mcfg: WeakMetricConfig,
                 heat_time: float = 0.0) -> np.ndarray:
-    meas = AtomicMeasure(tuple(zip(cloud.masses, cloud.xs, cloud.ps)))
     return char_function(meas, mcfg.xi, mcfg.eta, heat_time) / meas.total_mass
 
 
@@ -376,23 +374,24 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
         mcfg = WeakMetricConfig()
+        datum = _mixture_datum(cfg)
         rows = []
         sups_raw = []
         sups_moll = []
         for eps in cfg.eps_ladder:
             grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-            ens, cloud0 = _fixed_width_mixture(cfg, eps, grid)
+            ens = coherent_mixture(datum, eps, grid)
             sup_raw = 0.0
             sup_moll = 0.0
             for t, ens in _evolve_at(ens, times,
                                      _schrodinger(propagate_ensemble, pot, cfg.dt)):
                 # one characteristic function of the ensemble per sample time
                 chi_q = char_function(ens, mcfg.xi, mcfg.eta, heat_time=eps)
-                cloud_raw = transport_particles(cloud0, pot, 0.0,
+                cloud_raw = transport_particles(datum, pot, 0.0,
                                                 cfg.dt_classical, t)
                 d_raw = char_distance(
                     chi_q, _atoms_char(cloud_raw, mcfg, heat_time=eps), mcfg)
-                cloud_moll = transport_particles(cloud0, pot, eps,
+                cloud_moll = transport_particles(datum, pot, eps,
                                                  cfg.dt_classical, t,
                                                  field_grid=grid)
                 d_moll = char_distance(
@@ -514,18 +513,17 @@ def _split_profiles(cfg: ExperimentConfig) -> dict:
 
 
 def _split_grid_size(cfg: ExperimentConfig, profile: ConcentratingProfile,
-                     eps: float, pot: PotentialSpec, times) -> tuple[int, float, float]:
+                     eps: float, pot: PotentialSpec, times,
+                     lattice: AtomicMeasure) -> tuple[int, float, float]:
     """Pick the position-grid size from a classical pre-flight.
 
     The dual momentum window pi*eps/dx must cover the fastest classical
     excursion of the lattice plus a coherent-width margin; the spatial
     step must resolve the concentrated profile width.
     """
-    weights, centers = concentration_lattice(profile, eps, cfg.n_side)
-    cloud = ParticleCloud(masses=weights, xs=centers[:, 0], ps=centers[:, 1])
-    max_p = float(np.max(np.abs(cloud.ps)))
-    max_x = float(np.max(np.abs(cloud.xs)))
-    for _, moved in _evolve_at(cloud, times, lambda c, span: transport_particles(
+    max_p = float(np.max(np.abs(lattice.ps)))
+    max_x = float(np.max(np.abs(lattice.xs)))
+    for _, moved in _evolve_at(lattice, times, lambda c, span: transport_particles(
             c, pot, 0.0, cfg.dt_classical, span)):
         max_p = max(max_p, float(np.max(np.abs(moved.ps))))
         max_x = max(max_x, float(np.max(np.abs(moved.xs))))
@@ -551,26 +549,29 @@ def _split_grid_size(cfg: ExperimentConfig, profile: ConcentratingProfile,
     return n, max_p, max_x
 
 
-def _mirror_jobs(weights: np.ndarray, centers: np.ndarray) -> list:
-    """Pair lattice members with their exact phase-space negations.
+def _mirror_jobs(lattice: AtomicMeasure) -> list:
+    """Pair lattice atoms with their exact phase-space negations.
 
-    The parity flip of a coherent state is the coherent state at the
-    negated center, and evolution under an even potential commutes with
-    parity, so a mirror member's characteristic function is the complex
-    conjugate of its partner's; each pair costs one propagation.
+    Returns (x, p, mass, mirror mass) per job, the mirror mass 0 for an
+    unpaired atom. The parity flip of a coherent state is the coherent
+    state at the negated center, and evolution under an even potential
+    commutes with parity, so a mirror member's characteristic function
+    is the complex conjugate of its partner's; each pair costs one
+    propagation.
     """
-    index = {(float(x), float(p)): i for i, (x, p) in enumerate(centers)}
+    atoms = lattice.atoms.tolist()
+    index = {(x, p): i for i, (_, x, p) in enumerate(atoms)}
     jobs = []
     seen = set()
-    for i, (x, p) in enumerate(centers):
+    for i, (m, x, p) in enumerate(atoms):
         if i in seen:
             continue
-        j = index.get((-float(x), -float(p)))
+        j = index.get((-x, -p))
         if j is None or j == i or j in seen:
-            jobs.append((i, float(weights[i]), 0.0))
+            jobs.append((x, p, m, 0.0))
             seen.add(i)
         else:
-            jobs.append((i, float(weights[i]), float(weights[j])))
+            jobs.append((x, p, m, atoms[j][0]))
             seen.update((i, j))
     return jobs
 
@@ -621,22 +622,21 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
             prec: dict = {"c_plus": c_plus, "c_minus": c_minus, "per_eps": []}
             husimi_dists = {t: [] for t in times}
             for eps in cfg.eps_ladder:
-                n_grid, max_p, max_x = _split_grid_size(cfg, profile, eps, pot, times)
+                lattice = concentration_lattice(profile, eps, cfg.n_side)
+                n_grid, max_p, max_x = _split_grid_size(cfg, profile, eps, pot,
+                                                        times, lattice)
                 x_grid = build_position_grid(n_grid, cfg.x_min, cfg.x_max)
                 p_raster = build_position_grid(512, -1.0, 1.0)
                 rc = concentrating_wigner_data(profile, eps,
-                                               PhaseGrid(x_grid, p_raster),
-                                               cfg.n_side)
-                target_mass = rc.target.total_mass
-                jobs = _mirror_jobs(rc.weights, rc.centers)
+                                               PhaseGrid(x_grid, p_raster), lattice)
                 chi_acc = {t: np.zeros((mcfg.n_nodes, mcfg.n_nodes), complex)
                            for t in times}
                 right = dict.fromkeys(times, 0.0)
                 left = dict.fromkeys(times, 0.0)
                 xseps = {t: branch.X(t) / 2.0 for t in times}
-                for i, w_self, w_mirror in jobs:
-                    for t, psi in _evolve_at(rc.ensemble.members[i][1], times,
-                                             advance):
+                for x, p, w_self, w_mirror in _mirror_jobs(lattice):
+                    for t, psi in _evolve_at(coherent_state(x, p, eps, x_grid),
+                                             times, advance):
                         chi = char_function(psi, mcfg.xi, mcfg.eta)
                         chi_acc[t] += w_self * chi
                         if w_mirror:
@@ -646,13 +646,13 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                         right[t] += w_self * above + w_mirror * below
                         left[t] += w_self * below + w_mirror * above
                 per_eps = {"eps": eps, "n_grid": n_grid, "lam": rc.lam,
-                           "l2_gap": rc.l2_gap, "target_mass": target_mass,
+                           "l2_gap": rc.l2_gap, "target_mass": rc.target_mass,
                            "max_classical_p": max_p, "max_classical_x": max_x,
-                           "n_members": len(rc.weights), "times": []}
+                           "n_members": len(lattice), "times": []}
                 for t in times:
-                    atoms = AtomicMeasure(((c_plus, branch.X(t), branch.P(t)),
-                                           (c_minus, -branch.X(t), -branch.P(t))))
-                    chi_at = char_function(atoms, mcfg.xi, mcfg.eta) / atoms.total_mass
+                    chi_at = _atoms_char(AtomicMeasure(
+                        ((c_plus, branch.X(t), branch.P(t)),
+                         (c_minus, -branch.X(t), -branch.P(t)))), mcfg)
                     d_hus = char_distance(chi_acc[t], chi_at, mcfg, heat_time=eps)
                     d_wig = char_distance(chi_acc[t], chi_at, mcfg)
                     husimi_dists[t].append(d_hus)
@@ -674,8 +674,8 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                                 passed = False
                                 em.warn(f"shifted right mass {right[t]:.3f} at t={t} "
                                         f"misses c+={c_plus:.3f} +- 0.07")
-                real_rows.append((pname, eps, rc.lam, len(rc.weights), n_grid,
-                                  rc.l2_gap, target_mass, max_p, max_x))
+                real_rows.append((pname, eps, rc.lam, len(lattice), n_grid,
+                                  rc.l2_gap, rc.target_mass, max_p, max_x))
                 prec["per_eps"].append(per_eps)
             for t in times:
                 ds = husimi_dists[t]
@@ -725,41 +725,36 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
         pot = _potential(cfg)
         grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
         mcfg = WeakMetricConfig()
-        spec = _family_spec(cfg)
+        family = random_family(_family_spec(cfg))
         advance = _schrodinger(propagate, pot, cfg.dt)
 
         avg_rows, sample_rows = [], []
         averages, ratios = [], []
         for eps in cfg.eps_ladder:
-            family = sample_random_family(spec, eps, grid)
-            points = np.array([pt for pt, _ in family])
-            weighted = [(1.0 / len(family), s) for _, s in family]
-            ratio = check_epsn_operator_bound(weighted, eps)
+            ens = coherent_mixture(family, eps, grid)
+            ratio = check_epsn_operator_bound(ens)
             ratios.append(ratio)
             if ratio > 1.0:
                 em.warn(f"eps={eps:g}: operator-bound ratio {ratio:.3f} > 1; "
                         "outside the slow-concentration assumption regime")
             # classical endpoints for all samples at every requested time
-            atom_paths = {}
-            cloud0 = ParticleCloud(masses=np.full(len(family), 1.0 / len(family)),
-                                   xs=points[:, 0], ps=points[:, 1])
-            for t in fwd + back:
-                moved = transport_particles(cloud0, pot, eps, cfg.dt_classical,
+            moved = {t: transport_particles(family, pot, eps, cfg.dt_classical,
                                             t, field_grid=grid)
-                atom_paths[t] = np.stack([moved.xs, moved.ps], axis=1)
+                     for t in fwd + back}
 
             sups = np.zeros(len(family))
-            for idx, (pt, psi0) in enumerate(family):
+            for idx, (_, psi0) in enumerate(ens.members):
                 sup_d = 0.0
                 for times in (fwd, back):
                     for t, psi in _evolve_at(psi0, times, advance):
-                        ax, ap = atom_paths[t][idx]
-                        d = weak_distance(psi, AtomicMeasure(((1.0, ax, ap),)),
-                                          mcfg, heat_time_mu=eps,
+                        atom = AtomicMeasure(((1.0, moved[t].xs[idx],
+                                               moved[t].ps[idx]),))
+                        d = weak_distance(psi, atom, mcfg, heat_time_mu=eps,
                                           heat_time_nu=eps)
                         sup_d = max(sup_d, d)
                 sups[idx] = sup_d
-                sample_rows.append((eps, idx, pt[0], pt[1], sup_d))
+                sample_rows.append((eps, idx, family.xs[idx], family.ps[idx],
+                                    sup_d))
             avg = float(np.mean(sups))
             averages.append(avg)
             avg_rows.append((eps, avg, ratio))
@@ -780,25 +775,18 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
 # ConjectureProbe
 
 
-def _probe_family(cfg: ExperimentConfig, eps: float,
-                  grid: PositionGrid) -> DensityEnsemble:
+def _probe_atoms(cfg: ExperimentConfig, eps: float) -> AtomicMeasure:
     if cfg.probe_family == "pure":
         x0, p0 = cfg.datum_center
-        return DensityEnsemble(members=((1.0, coherent_state(x0, p0, eps, grid)),),
-                               eps=eps)
+        return AtomicMeasure(((1.0, x0, p0),))
     if cfg.probe_family == "box":
         half = np.sqrt(cfg.box_area) / 2.0
         m_side = max(2, round(np.sqrt(cfg.box_area / (2.0 * np.pi * eps))))
         offs = half * (2.0 * np.arange(m_side) + 1.0 - m_side) / m_side
         w = 1.0 / m_side ** 2
-        members = tuple(
-            (w, coherent_state(x0, p0, eps, grid))
-            for x0 in offs for p0 in offs)
-        return DensityEnsemble(members=members, eps=eps)
+        return AtomicMeasure([(w, x0, p0) for x0 in offs for p0 in offs])
     if cfg.probe_family == "density":
-        family = sample_random_family(_family_spec(cfg), eps, grid)
-        w = 1.0 / len(family)
-        return DensityEnsemble(members=tuple((w, s) for _, s in family), eps=eps)
+        return random_family(_family_spec(cfg))
     raise ConfigurationError(f"unknown probe family {cfg.probe_family!r}")
 
 
@@ -814,7 +802,7 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> RunManifest:
         rows = []
         sups = []
         for eps in cfg.eps_ladder:
-            ens = _probe_family(cfg, eps, grid)
+            ens = coherent_mixture(_probe_atoms(cfg, eps), eps, grid)
             w_ens = wigner_ensemble(ens)
             sup = sup_norm(husimi(w_ens, eps))
             sups.append(sup)

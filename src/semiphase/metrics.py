@@ -95,12 +95,9 @@ def _unit_powers(t, x) -> np.ndarray:
 
 
 def _char_atoms(meas: AtomicMeasure, xi, eta) -> np.ndarray:
-    masses = np.array([a[0] for a in meas.atoms])
-    xs = np.array([a[1] for a in meas.atoms])
-    ps = np.array([a[2] for a in meas.atoms])
-    ex = _unit_powers(xi, xs)
-    ep = _unit_powers(eta, ps)
-    return ex @ (masses[:, None] * ep.T)
+    ex = _unit_powers(xi, meas.xs)
+    ep = _unit_powers(eta, meas.ps)
+    return ex @ (meas.masses[:, None] * ep.T)
 
 
 def _char_grid(density: GridDensity, xi, eta) -> np.ndarray:

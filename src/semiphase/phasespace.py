@@ -10,8 +10,11 @@ exact to rounding. The momentum axis is the eps-scaled dual grid:
     p_l = l * dp,  dp = 2*pi*eps / (2*L),  l in [-N, N).
 
 Two density representations coexist: grid functions (possibly signed,
-for Wigner) and atomic measures (the weak-* limit objects). They only
-meet inside the weak metric; atoms are never rasterized implicitly.
+for Wigner) and atomic measures (the weak-* limit objects). Atomic
+measures are the one phase-space point-set type: initial data, their
+coherent-mixture centers and classically transported clouds are all
+atomic measures. The two representations only meet inside the weak
+metric; atoms are never rasterized implicitly.
 """
 from __future__ import annotations
 
@@ -64,23 +67,49 @@ class GridDensity:
         return float(self.grid.cell_area * self.values.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicMeasure:
-    """Finite positive combination of Dirac masses on phase space."""
+    """Finite positive combination of Dirac masses on phase space.
 
-    atoms: tuple  # of (mass, x, p)
+    atoms is a read-only float (M, 3) array of (mass, x, p) rows, built
+    from any sequence of such triples or from an (M, 3) array. Equality
+    is identity: compare the atoms arrays for values.
+    """
+
+    atoms: np.ndarray
 
     def __post_init__(self):
-        atoms = tuple((float(m), float(x), float(p)) for m, x, p in self.atoms)
-        if not atoms:
+        # column-contiguous, so masses/xs/ps are contiguous views
+        atoms = np.array(self.atoms, dtype=np.float64, order="F")
+        if atoms.size == 0:
             raise ConfigurationError("atomic measure needs at least one atom")
-        if any(m <= 0 for m, _, _ in atoms):
+        if atoms.ndim != 2 or atoms.shape[1] != 3:
+            raise ShapeMismatchError(
+                f"atoms must be (mass, x, p) rows, got shape {atoms.shape}")
+        if not np.all(atoms[:, 0] > 0):
             raise ConfigurationError("atom masses must be positive")
+        atoms.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
 
     @property
+    def masses(self) -> np.ndarray:
+        return self.atoms[:, 0]
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.atoms[:, 1]
+
+    @property
+    def ps(self) -> np.ndarray:
+        return self.atoms[:, 2]
+
+    @property
     def total_mass(self) -> float:
-        return float(sum(m for m, _, _ in self.atoms))
+        # left to right: numpy's pairwise sum rounds differently
+        return float(sum(self.masses.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.atoms)
 
 
 def build_wigner_grid(x_grid: PositionGrid, eps: float) -> PhaseGrid:
@@ -219,6 +248,7 @@ def restrict_p(density: GridDensity, p_max: float) -> GridDensity:
         raise ConfigurationError(
             f"p-window {p_max} exceeds the grid extent {pg.x_max}")
     sub = build_position_grid(2 * half, -half * dp, half * dp)
-    return GridDensity(density.values[:, lo:hi],
+    # a copy: a slice would keep the whole transform alive
+    return GridDensity(density.values[:, lo:hi].copy(),
                        PhaseGrid(density.grid.x_grid, sub),
                        tag=density.tag)

@@ -69,11 +69,6 @@ class PotentialSpec:
         if self.kind == "custom" and self.samples is None:
             raise ConfigurationError("custom potential needs samples")
 
-    def label(self) -> str:
-        if self.kind == "rough_power":
-            return f"rough_power(theta={self.theta:g},r={self.core_radius:g})"
-        return self.kind
-
 
 def harmonic_potential() -> PotentialSpec:
     return PotentialSpec(kind="harmonic")

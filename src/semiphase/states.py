@@ -11,6 +11,10 @@ normalized to unit mass so the datum matches a trace-one ensemble. The
 datum is realized as a deterministic coherent-state lattice mixture;
 the lattice is mirror-symmetric by construction so even profiles give
 exactly balanced left/right weights.
+
+Every point-set datum (the lattice, a random family) is an
+AtomicMeasure, and coherent_mixture is the one place its atoms become
+weighted coherent states.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericsError
 from .grids import PhaseGrid, PositionGrid
-from .phasespace import GridDensity
+from .phasespace import AtomicMeasure
 from .quantum import DensityEnsemble, WaveFunction
 
 __all__ = [
@@ -29,9 +33,10 @@ __all__ = [
     "RandomFamilySpec",
     "scaling_exponents",
     "coherent_state",
+    "coherent_mixture",
     "concentration_lattice",
     "concentrating_wigner_data",
-    "sample_random_family",
+    "random_family",
     "check_epsn_operator_bound",
 ]
 
@@ -67,6 +72,18 @@ def coherent_state(x0: float, p0: float, eps: float,
     psi = (np.pi * eps) ** -0.25 * np.exp(
         -(x - x0) ** 2 / (2.0 * eps) + 1j * p0 * x / eps)
     return WaveFunction.normalized(psi, eps, grid)
+
+
+def coherent_mixture(atoms: AtomicMeasure, eps: float,
+                     grid: PositionGrid) -> DensityEnsemble:
+    """Coherent states at the atoms, weighted by their masses, in atom order.
+
+    The masses must sum to 1 (DensityEnsemble checks it).
+    """
+    return DensityEnsemble(
+        members=tuple((m, coherent_state(x, p, eps, grid))
+                      for m, x, p in atoms.atoms.tolist()),
+        eps=eps)
 
 
 @dataclass(frozen=True)
@@ -142,14 +159,16 @@ class ConcentratingProfile:
 
 @dataclass(frozen=True)
 class RealizedConcentration:
-    """Concentrating datum plus its coherent-lattice realization."""
+    """How well a coherent lattice realizes the concentrating datum.
 
-    target: GridDensity
-    ensemble: DensityEnsemble
-    weights: np.ndarray = field(repr=False, compare=False)
-    centers: np.ndarray = field(repr=False, compare=False)  # (M, 2) phase points
-    l2_gap: float = 0.0
-    lam: float = 0.0
+    target_mass is the phase-grid quadrature of the target raster, l2_gap
+    the L2 distance between the lattice mixture's Wigner function and the
+    target, lam = log(1/eps).
+    """
+
+    target_mass: float
+    l2_gap: float
+    lam: float
 
 
 def _lattice_points(radius: float, n_side: int) -> np.ndarray:
@@ -159,11 +178,10 @@ def _lattice_points(radius: float, n_side: int) -> np.ndarray:
 
 
 def concentration_lattice(profile: ConcentratingProfile, eps: float,
-                          n_side: int = 21) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and phase-space centers of the realizing coherent lattice.
+                          n_side: int = 21) -> AtomicMeasure:
+    """Atoms of the realizing coherent lattice, masses summing to 1.
 
-    Returns (weights, centers) with weights normalized to sum 1 and
-    centers of shape (M, 2) in physical units; mirror-image lattice
+    Positions and momenta are in physical units; mirror-image lattice
     points come out as exact floating-point negations of each other.
     """
     lam = profile.lam(eps)
@@ -176,21 +194,20 @@ def concentration_lattice(profile: ConcentratingProfile, eps: float,
     weights = wgt[keep]
     weights = weights / weights.sum()
     uu, vv = np.meshgrid(us, vs, indexing="ij")
-    centers = np.stack([uu[keep] * lam ** (-a_x),
-                        vv[keep] * lam ** (-a_k)], axis=1)
-    return weights, centers
+    return AtomicMeasure(np.stack([weights, uu[keep] * lam ** (-a_x),
+                                   vv[keep] * lam ** (-a_k)], axis=1))
 
 
 def concentrating_wigner_data(profile: ConcentratingProfile, eps: float,
                               phase_grid: PhaseGrid,
-                              n_side: int = 21) -> RealizedConcentration:
-    """Rasterize the scaled bump and realize it as a coherent mixture.
+                              lattice: AtomicMeasure) -> RealizedConcentration:
+    """Rasterize the scaled bump on phase_grid and measure its realization.
 
-    The raster lives on phase_grid; the mixture members live on
-    phase_grid.x_grid. The reported l2_gap is the exact L2 distance
-    between the mixture's Wigner function (a sum of width-sqrt(eps)
-    Gaussians) and the target, computed in closed form; it is large by
-    design at small eps, where the two agree weakly but not in L2.
+    lattice is concentration_lattice(profile, eps). The reported l2_gap
+    is the exact L2 distance between the lattice's coherent mixture's
+    Wigner function (a sum of width-sqrt(eps) Gaussians) and the target,
+    computed in closed form; it is large by design at small eps, where
+    the two agree weakly but not in L2.
     """
     lam = profile.lam(eps)
     a_mass, a_x, a_k = profile.exponents
@@ -205,30 +222,21 @@ def concentrating_wigner_data(profile: ConcentratingProfile, eps: float,
             f"{dx_need:.3g} (have {gx.dx:.3g}) and dp < {dp_need:.3g} "
             f"(have {gp.dx:.3g})")
 
-    raster = lam ** a_mass * profile.w(sx * gx.nodes[:, None],
-                                       sk * gp.nodes[None, :])
-    target = GridDensity(raster, phase_grid, tag="wigner")
-
-    # coherent lattice in the w-frame, mapped to phase space
-    weights, centers = concentration_lattice(profile, eps, n_side)
-    members = tuple(
-        (float(w), coherent_state(cx, cp, eps, gx))
-        for w, (cx, cp) in zip(weights, centers))
-    ensemble = DensityEnsemble(members=members, eps=eps)
-
-    gap = _realization_gap(profile, lam, eps, weights, centers)
-    return RealizedConcentration(target=target, ensemble=ensemble,
-                                 weights=weights, centers=centers,
-                                 l2_gap=gap, lam=lam)
+    # the (N, 512) raster lives only for its sum
+    target_mass = float(phase_grid.cell_area * np.sum(
+        lam ** a_mass * profile.w(sx * gx.nodes[:, None], sk * gp.nodes[None, :])))
+    gap = _realization_gap(profile, lam, eps, lattice)
+    return RealizedConcentration(target_mass=target_mass, l2_gap=gap, lam=lam)
 
 
 def _realization_gap(profile: ConcentratingProfile, lam: float, eps: float,
-                     weights: np.ndarray, centers: np.ndarray) -> float:
+                     lattice: AtomicMeasure) -> float:
     # ||W_ens - W_t||^2 = ||W_ens||^2 - 2 <W_ens, W_t> + ||W_t||^2, all closed
     # form / quadrature: coherent blobs are Gaussians of per-axis width eps/2,
     # <G_a, G_b> = exp(-|a-b|^2 / (2 eps)) / (2 pi eps).
     a_mass, a_x, a_k = profile.exponents
-    dz2 = np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    weights, cx, cp = lattice.masses, lattice.xs, lattice.ps
+    dz2 = (cx[:, None] - cx[None, :]) ** 2 + (cp[:, None] - cp[None, :]) ** 2
     norm_ens2 = float(weights @ (np.exp(-dz2 / (2 * eps)) / (2 * np.pi * eps)) @ weights)
 
     uu, vv, du, dv = profile._quad_lattice()
@@ -238,8 +246,8 @@ def _realization_gap(profile: ConcentratingProfile, lam: float, eps: float,
     cross = 0.0
     for m in range(0, len(weights), 64):
         sl = slice(m, m + 64)
-        ex = np.exp(-(centers[sl, 0][:, None] - xs[None, :]) ** 2 / eps)
-        ek = np.exp(-(centers[sl, 1][:, None] - ks[None, :]) ** 2 / eps)
+        ex = np.exp(-(cx[sl][:, None] - xs[None, :]) ** 2 / eps)
+        ek = np.exp(-(cp[sl][:, None] - ks[None, :]) ** 2 / eps)
         blur = np.einsum("mi,ij,mj->m", ex, wq, ek) * du * dv / (np.pi * eps)
         cross += float(weights[sl] @ blur)
 
@@ -315,36 +323,27 @@ class RandomFamilySpec:
             f"{self.min_separation}; shrink min_separation or the family")
 
 
-def sample_random_family(spec: RandomFamilySpec, eps: float,
-                         grid: PositionGrid) -> list:
-    """Deterministic list of (phase point, coherent state) pairs."""
-    rng = np.random.default_rng(spec.seed)
-    points = spec.draw(rng)
-    return [(pt.copy(), coherent_state(pt[0], pt[1], eps, grid))
-            for pt in points]
+def random_family(spec: RandomFamilySpec) -> AtomicMeasure:
+    """The spec's seeded points as equal-mass atoms, in draw order."""
+    points = spec.draw(np.random.default_rng(spec.seed))
+    m = len(points)
+    return AtomicMeasure(np.column_stack([np.full(m, 1.0 / m), points]))
 
 
-def check_epsn_operator_bound(family, eps: float) -> float:
+def check_epsn_operator_bound(ens: DensityEnsemble) -> float:
     """Top eigenvalue of sum_i w_i |psi_i><psi_i| divided by eps^n (n = 1).
 
-    The family satisfies the operator bound <= eps^n Id exactly when the
-    returned ratio is <= 1. The rank-M operator is reduced exactly to the
-    M x M matrix D^{1/2} G D^{1/2} (G the Gram matrix of the states, D
-    the weights), whose spectrum it shares; a dense hermitian eigensolve
-    is robust to the near-degenerate top clusters that spread families
-    produce. All states must share one grid.
+    The ensemble satisfies the operator bound <= eps^n Id exactly when
+    the returned ratio is <= 1. The rank-M operator is reduced exactly to
+    the M x M matrix D^{1/2} G D^{1/2} (G the Gram matrix of the states,
+    D the weights), whose spectrum it shares; a dense hermitian
+    eigensolve is robust to the near-degenerate top clusters that spread
+    families produce.
     """
-    family = [(float(w), s) for w, s in family]
-    if not family:
-        raise ConfigurationError("empty family")
-    wsum = sum(w for w, _ in family)
-    if abs(wsum - 1.0) > 1e-9:
-        raise ConfigurationError(f"family weights sum to {wsum}, expected 1")
-    grid = family[0][1].grid
-    states = np.stack([s.values for _, s in family])
-    weights = np.array([w for w, _ in family])
-    gram = (np.conj(states) @ states.T) * grid.dx
+    states = np.stack([s.values for _, s in ens.members])
+    weights = np.array([w for w, _ in ens.members])
+    gram = (np.conj(states) @ states.T) * ens.grid.dx
     root_w = np.sqrt(weights)
     reduced = root_w[:, None] * gram * root_w[None, :]
     top = float(np.linalg.eigvalsh(reduced)[-1])
-    return top / eps
+    return top / ens.eps

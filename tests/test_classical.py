@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiphase import (
+    AtomicMeasure,
     ConfigurationError,
     GridDensity,
     NumericsError,
-    ParticleCloud,
     build_position_grid,
 )
 from semiphase.classical import (
@@ -148,21 +148,20 @@ def test_integrate_rejects_custom_potential():
 
 
 def test_transport_single_matches_integrator():
-    cloud = ParticleCloud(masses=np.array([1.0]), xs=np.array([0.7]),
-                          ps=np.array([-0.2]), time=0.0)
+    cloud = AtomicMeasure(((1.0, 0.7, -0.2),))
     out = transport_particles(cloud, harmonic_potential(), 0.0, 1e-3, 0.8)
     path = integrate_hamiltonian(0.7, -0.2, harmonic_potential(), 1e-3, 0.8)
     assert out.xs[0] == pytest.approx(path.xs[-1], abs=1e-12)
     assert out.ps[0] == pytest.approx(path.ps[-1], abs=1e-12)
-    assert out.time == pytest.approx(0.8)
 
 
 def test_transport_antisymmetric_pair():
-    cloud = ParticleCloud(masses=np.array([0.5, 0.5]), xs=np.array([0.6, -0.6]),
-                          ps=np.array([0.0, 0.0]), time=0.0)
+    cloud = AtomicMeasure(((0.3, 0.6, 0.0), (0.7, -0.6, 0.0)))
     out = transport_particles(cloud, rough_power_potential(theta=0.5), 0.0, 1e-3, 1.0)
     assert out.xs[0] == pytest.approx(-out.xs[1], abs=1e-13)
     assert out.ps[0] == pytest.approx(-out.ps[1], abs=1e-13)
+    # the result is an atomic measure with the masses unchanged, in order
+    assert isinstance(out, AtomicMeasure)
     assert np.array_equal(out.masses, cloud.masses)
 
 
@@ -171,9 +170,9 @@ def test_transport_free_cloud_drifts():
     n = 200
     grid = build_position_grid(512, -12.0, 12.0)
     pot = custom_potential(np.zeros(512))
-    cloud = ParticleCloud(masses=np.full(n, 1.0 / n),
-                          xs=rng.normal(0.0, 0.5, n),
-                          ps=rng.normal(0.3, 0.2, n), time=0.0)
+    cloud = AtomicMeasure(np.column_stack([np.full(n, 1.0 / n),
+                                           rng.normal(0.0, 0.5, n),
+                                           rng.normal(0.3, 0.2, n)]))
     out = transport_particles(cloud, pot, 1e-3, 0.01, 2.0, field_grid=grid)
     drift = out.xs.mean() - cloud.xs.mean()
     assert drift == pytest.approx(cloud.ps.mean() * 2.0, abs=1e-9)
@@ -181,8 +180,7 @@ def test_transport_free_cloud_drifts():
 
 
 def test_transport_backward_inverts_forward():
-    cloud = ParticleCloud(masses=np.array([1.0]), xs=np.array([0.4]),
-                          ps=np.array([0.1]), time=0.0)
+    cloud = AtomicMeasure(((1.0, 0.4, 0.1),))
     pot = harmonic_potential()
     fwd = transport_particles(cloud, pot, 0.0, 1e-3, 1.0)
     back = transport_particles(fwd, pot, 0.0, 1e-3, -1.0)

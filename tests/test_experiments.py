@@ -57,6 +57,17 @@ def test_config_validation():
         defaults_for("HarmonicExact", dt=0.0)
 
 
+@pytest.mark.parametrize("field, size", [
+    ("datum_k", 4), ("datum_k", 0), ("datum_k", -1),
+    ("n_side", 20), ("n_side", 1), ("n_side", 2),
+])
+def test_config_rejects_lattice_sizes(field, size):
+    # lattices take (k - 1) // 2 points per side: datum_k=4 would run a
+    # 3x3 mixture, n_side=1 divides 0/0
+    with pytest.raises(ConfigurationError, match=field):
+        defaults_for("WeakConvergence", **{field: size})
+
+
 def test_run_rejects_bad_grid_and_theta(tmp_path):
     # grid size, branch-exponent and sample-time guards trip when the run starts
     with pytest.raises(ConfigurationError):

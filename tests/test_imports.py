@@ -1,6 +1,8 @@
-"""Every name a semiphase module imports is used in that module."""
+"""Every name a semiphase module imports is used in that module, and
+every name it exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,11 @@ def test_no_unused_imports(path):
 def test_unused_import_detector():
     src = "import os\nfrom json import dumps, loads\nprint(loads(os.sep))\n"
     assert _unused_imports(src) == ["dumps (line 2)"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_all_names_exist(path):
+    # tracing wraps each layer by getattr over its __all__: a stale entry
+    # would break every traced run
+    mod = importlib.import_module(f"semiphase.{path.stem}")
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []

@@ -209,3 +209,13 @@ def test_restrict_p_window(grid):
     # all mass of this state lives well inside the window
     assert R.total_mass == pytest.approx(1.0, abs=1e-8)
     assert R.grid.p_grid.n_points & (R.grid.p_grid.n_points - 1) == 0
+
+
+def test_restrict_p_owns_its_window(grid):
+    # the window is a copy: a view would keep the whole complex transform alive
+    W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
+    R = restrict_p(W, 2.0)
+    assert R.values.base is None
+    lo = (W.grid.p_grid.n_points - R.grid.p_grid.n_points) // 2
+    assert np.array_equal(R.values,
+                          W.values[:, lo:lo + R.grid.p_grid.n_points])
