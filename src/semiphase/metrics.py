@@ -107,14 +107,23 @@ def _char_grid(density: GridDensity, xi, eta) -> np.ndarray:
     return (ex @ density.values @ ep.T) * density.grid.cell_area
 
 
-def _char_wavefunction(state: WaveFunction, xi, eta) -> np.ndarray:
-    grid = state.grid
-    spec = sfft.fft(state.values)
+def _char_members(members, xi, eta) -> np.ndarray:
+    """sum_i w_i * (ambiguity integral of member i), one kernel matmul.
+
+    members are (weight, WaveFunction) pairs on one grid at one eps.
+    """
+    eps, grid = members[0][1].eps, members[0][1].grid
     # spectral shifts psi(x +- eps*eta/2), all eta at once
-    phases = _unit_powers(np.asarray(eta) * (state.eps / 2.0), grid.k)
-    plus = sfft.ifft(spec[None, :] * phases, axis=1)
-    minus = sfft.ifft(spec[None, :] * phases.conj(), axis=1)
-    integrand = plus * minus.conj()
+    phases = _unit_powers(np.asarray(eta) * (eps / 2.0), grid.k)
+    phases_conj = phases.conj()
+    integrand = np.zeros((phases.shape[0], grid.n_points), dtype=np.complex128)
+    for w, state in members:
+        spec = sfft.fft(state.values)
+        plus = sfft.ifft(spec * phases, axis=1, overwrite_x=True)
+        minus = sfft.ifft(spec * phases_conj, axis=1, overwrite_x=True)
+        plus *= np.conj(minus, out=minus)
+        plus *= w
+        integrand += plus
     kernel = _unit_powers(xi, grid.nodes)
     return (kernel @ integrand.T) * grid.dx
 
@@ -123,7 +132,9 @@ def char_function(obj, xi, eta, heat_time: float = 0.0) -> np.ndarray:
     """Characteristic function on the (xi, eta) tensor grid.
 
     Accepts atomic measures, grid densities, wavefunctions (Wigner
-    measure, via the ambiguity integral) and density ensembles.
+    measure, via the ambiguity integral) and density ensembles. An
+    ensemble sums its weighted member integrands first and takes one
+    kernel matmul; a wavefunction is the one-member case.
     heat_time > 0 multiplies by exp(-t(xi^2+eta^2)), i.e. compares the
     e^{t Laplacian}-smoothed measure; heat_time = eps is the Husimi.
     """
@@ -134,12 +145,9 @@ def char_function(obj, xi, eta, heat_time: float = 0.0) -> np.ndarray:
     elif isinstance(obj, GridDensity):
         chi = _char_grid(obj, xi, eta)
     elif isinstance(obj, WaveFunction):
-        chi = _char_wavefunction(obj, xi, eta)
+        chi = _char_members(((1.0, obj),), xi, eta)
     elif isinstance(obj, DensityEnsemble):
-        chi = None
-        for w, member in obj.members:
-            c = _char_wavefunction(member, xi, eta)
-            chi = w * c if chi is None else chi + w * c
+        chi = _char_members(obj.members, xi, eta)
     else:
         raise RepresentationError(f"no characteristic function for {type(obj)!r}")
     if heat_time > 0.0:

@@ -82,16 +82,18 @@ def test_char_mirror_conjugate(grid, mcfg):
     assert np.max(np.abs(b - np.conj(a))) < 1e-12
 
 
-def test_char_ensemble_streams_members(grid):
+def test_char_ensemble_streams_members(grid, mcfg):
+    # one summed integrand and one kernel matmul equal the weighted sum
+    # of member characteristic functions
     eps = 0.05
-    a = coherent_state(-0.5, 0.0, eps, grid)
-    b = coherent_state(0.5, 0.2, eps, grid)
-    ens = DensityEnsemble(members=((0.3, a), (0.7, b)), eps=eps)
-    xi = np.linspace(-4, 4, 9)
-    eta = np.linspace(-4, 4, 9)
-    chi = char_function(ens, xi, eta)
-    expect = 0.3 * char_function(a, xi, eta) + 0.7 * char_function(b, xi, eta)
-    assert np.max(np.abs(chi - expect)) < 1e-12
+    weights = (0.1, 0.2, 0.3, 0.4)
+    members = tuple((w, coherent_state(x0, p0, eps, grid)) for w, (x0, p0)
+                    in zip(weights, ((-0.5, 0.0), (0.5, 0.2), (1.2, -0.4),
+                                     (-1.0, 0.6))))
+    ens = DensityEnsemble(members=members, eps=eps)
+    chi = char_function(ens, mcfg.xi, mcfg.eta)
+    expect = sum(w * char_function(m, mcfg.xi, mcfg.eta) for w, m in members)
+    assert np.max(np.abs(chi - expect)) < 1e-13
 
 
 # -------------------------------------------------------- weak_distance

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from semiphase import (
     ConfigurationError,
@@ -12,6 +13,7 @@ from semiphase import (
     coherent_state,
 )
 from semiphase.phasespace import (
+    _wigner_values,
     build_wigner_grid,
     husimi,
     l2_norm,
@@ -44,6 +46,42 @@ def test_wigner_coherent_closed_form(grid):
     expect = _gauss2(W.grid, x0, p0, eps / 2.0)  # (pi eps)^{-1} Gaussian
     assert np.max(np.abs(W.values - expect)) < 1e-10 / eps
     assert W.total_mass == pytest.approx(1.0, abs=1e-8)
+
+
+def _full_correlation_wigner(psi, dx, eps):
+    # the reference: the whole correlation over offsets m in [-N, N)
+    n = psi.size
+    pad = np.zeros(4 * n, dtype=np.complex128)
+    pad[n:3 * n] = upsample2(psi)
+    i = np.arange(n)[:, None]
+    m = sfft.ifftshift(np.arange(-n, n))[None, :]
+    corr = np.conj(pad[n + 2 * i + m]) * pad[n + 2 * i - m]
+    corr[:, n] = 0.0
+    w = sfft.ifft(corr, axis=1)
+    w = sfft.fftshift(w, axes=1) * (dx * 2 * n / (2.0 * np.pi * eps))
+    assert np.abs(w.imag).max() < 1e-9
+    return w.real
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("kind", ["coherent", "cat", "off_centre"])
+def test_hermitian_half_wigner_matches_full_correlation(n, kind):
+    g = build_position_grid(n, -8.0, 8.0)
+    eps = 0.1
+    if kind == "coherent":
+        psi = coherent_state(0.0, 0.0, eps, g)
+    elif kind == "cat":
+        psi = WaveFunction.normalized(coherent_state(-1.0, 0.3, eps, g).values
+                                      + coherent_state(1.0, -0.3, eps, g).values,
+                                      eps, g)
+    else:
+        psi = coherent_state(3.1, 0.9, eps, g)
+    got = _wigner_values(psi.values, g.dx, eps)
+    ref = _full_correlation_wigner(psi.values, g.dx, eps)
+    if kind == "cat":
+        assert ref.min() < -0.1 * ref.max()  # negative fringes
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_wigner_position_reflection(grid):

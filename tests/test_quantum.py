@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
+from semiphase import quantum
 from semiphase import (
     ConfigurationError,
     DensityEnsemble,
@@ -14,7 +16,7 @@ from semiphase import (
     propagate,
     propagate_ensemble,
 )
-from semiphase.potentials import custom_potential, harmonic_potential
+from semiphase.potentials import custom_potential, evaluate, harmonic_potential
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,58 @@ def test_strang_self_convergence_order(grid):
     ]
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.2)
+
+
+def _unfused_strang(state, pot, cfg):
+    # the reference loop: both half-potential steps inside every step
+    v = evaluate(pot, state.grid)
+    n_steps = max(1, round(cfg.t_final / abs(cfg.dt)))
+    h = (cfg.t_final if cfg.dt > 0 else -cfg.t_final) / n_steps
+    half_v = np.exp(-0.5j * v * h / state.eps)
+    kin = np.exp(-1j * cfg.alpha * state.eps * state.grid.k ** 2 * h)
+    psi = state.values
+    for _ in range(n_steps):
+        psi = half_v * psi
+        psi = sfft.ifft(kin * sfft.fft(psi))
+        psi = half_v * psi
+    return psi
+
+
+@pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
+@pytest.mark.parametrize("dt, t_final", [
+    (1e-3, 0.3),    # forward
+    (-1e-3, 0.3),   # backward
+    (0.4, 0.3),     # n_steps == 1: both ends are half steps
+    (0.03, 0.1),    # t_final/dt = 3.33: the step is resized
+])
+def test_fused_strang_matches_unfused_loop(grid, dt, t_final):
+    psi = coherent_state(0.5, -0.3, 0.05, grid)
+    before = psi.values.copy()
+    cfg = PropagatorConfig(dt=dt, t_final=t_final)
+    out = propagate(psi, harmonic_potential(), cfg).values
+    ref = _unfused_strang(psi, harmonic_potential(), cfg)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the in-place loop and overwrite_x FFTs never write the input
+    assert np.array_equal(psi.values, before)
+
+
+@pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
+def test_ensemble_propagates_each_member_once(grid, monkeypatch):
+    calls = []
+    real = quantum.propagate
+
+    def counting(state, pot, cfg):
+        calls.append(state)
+        return real(state, pot, cfg)
+
+    monkeypatch.setattr(quantum, "propagate", counting)
+    eps = 0.05
+    members = tuple((0.25, coherent_state(x0, 0.0, eps, grid))
+                    for x0 in (-1.0, -0.3, 0.3, 1.0))
+    ens = DensityEnsemble(members=members, eps=eps)
+    propagate_ensemble(ens, harmonic_potential(),
+                       PropagatorConfig(dt=1e-2, t_final=0.05))
+    assert [id(s) for s in calls] == [id(s) for _, s in members]
 
 
 def test_ensemble_single_member_matches_pure(grid):

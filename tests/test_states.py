@@ -257,6 +257,22 @@ def test_epsn_bound_weight_validation(grid):
         DensityEnsemble(members=((0.5, psi),), eps=eps)
 
 
+def test_ensemble_weight_sum_tolerance_scales_with_members(grid):
+    # equal weights 1/M summed left to right miss 1 by 1.9e-12 at
+    # M = 100,000, inside the (M - 1) * 2**-53 rounding bound
+    eps = 0.05
+    psi = coherent_state(0.0, 0.0, eps, grid)
+    m = 100_000
+    ens = DensityEnsemble(members=tuple((1.0 / m, psi) for _ in range(m)),
+                          eps=eps)
+    assert len(ens.members) == m
+    for m in (3, 100_000):
+        weights = [1.0 / m] * m
+        weights[0] += 1e-9
+        with pytest.raises(ConfigurationError, match="weights sum"):
+            DensityEnsemble(members=tuple((w, psi) for w in weights), eps=eps)
+
+
 # --------------------------------------------- atoms and coherent mixtures
 
 
