@@ -539,13 +539,15 @@ def _split_grid_size(cfg: ExperimentConfig, profile: ConcentratingProfile,
     a_x = profile.exponents[1]
     n_window = p_need * length / (np.pi * eps)
     n_resolve = 16.0 * length * lam ** a_x
-    n = 8
-    while n < max(n_window, n_resolve):
-        n *= 2
-        if n > 2 ** 17:
-            raise ConfigurationError(
-                f"eps={eps:g} needs a position grid beyond 2^17 points "
-                f"(window {n_window:.0f}, resolution {n_resolve:.0f})")
+    # the smallest even FFT-fast length strictly above both needs; strictly,
+    # so dx stays below concentrating_wigner_data's dx_need
+    n = sfft.next_fast_len(max(8, int(max(n_window, n_resolve)) + 1))
+    while n % 2:
+        n = sfft.next_fast_len(n + 1)
+    if n > 2 ** 17:
+        raise ConfigurationError(
+            f"eps={eps:g} needs a position grid beyond 2^17 points "
+            f"(window {n_window:.0f}, resolution {n_resolve:.0f})")
     return n, max_p, max_x
 
 

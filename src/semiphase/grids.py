@@ -26,13 +26,14 @@ __all__ = [
 ]
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class PositionGrid:
-    """Uniform periodic grid on [x_min, x_max) with 2^k nodes.
+    """Uniform periodic grid on [x_min, x_max) with an even number of nodes.
+
+    Any even length >= 8 is accepted; the FFTs are mixed-radix, so a
+    2*3*5*7*11-smooth length (scipy.fft.next_fast_len) costs about the
+    same per point as a power of two. Evenness keeps the Nyquist mode
+    unpaired, which upsampling and the Wigner lattice rely on.
 
     Also used for the momentum axis of a PhaseGrid, in which case the
     "positions" are momenta; the arithmetic is identical.
@@ -48,9 +49,9 @@ class PositionGrid:
     def __post_init__(self):
         if not isinstance(self.n_points, (int, np.integer)):
             raise ConfigurationError(f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 8 or not _is_power_of_two(int(self.n_points)):
+        if self.n_points < 8 or self.n_points % 2:
             raise ConfigurationError(
-                f"n_points must be a power of two >= 8, got {self.n_points}")
+                f"n_points must be an even integer >= 8, got {self.n_points}")
         if not (self.x_max > self.x_min):
             raise ConfigurationError(
                 f"degenerate interval [{self.x_min}, {self.x_max}]")

@@ -198,6 +198,10 @@ def concentration_lattice(profile: ConcentratingProfile, eps: float,
                                    vv[keep] * lam ** (-a_k)], axis=1))
 
 
+# x-grid rows per block of the target raster: a 64 x 512 block is 256 KiB
+_TARGET_ROWS = 64
+
+
 def concentrating_wigner_data(profile: ConcentratingProfile, eps: float,
                               phase_grid: PhaseGrid,
                               lattice: AtomicMeasure) -> RealizedConcentration:
@@ -222,9 +226,14 @@ def concentrating_wigner_data(profile: ConcentratingProfile, eps: float,
             f"{dx_need:.3g} (have {gx.dx:.3g}) and dp < {dp_need:.3g} "
             f"(have {gp.dx:.3g})")
 
-    # the (N, 512) raster lives only for its sum
-    target_mass = float(phase_grid.cell_area * np.sum(
-        lam ** a_mass * profile.w(sx * gx.nodes[:, None], sk * gp.nodes[None, :])))
+    # the raster lives only for its sum, so it is summed a block of rows
+    # at a time and never built whole
+    kp = sk * gp.nodes[None, :]
+    raster_sum = 0.0
+    for i in range(0, gx.n_points, _TARGET_ROWS):
+        rows = sx * gx.nodes[i:i + _TARGET_ROWS, None]
+        raster_sum += float(np.sum(profile.w(rows, kp)))
+    target_mass = float(phase_grid.cell_area * lam ** a_mass * raster_sum)
     gap = _realization_gap(profile, lam, eps, lattice)
     return RealizedConcentration(target_mass=target_mass, l2_gap=gap, lam=lam)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from semiphase import ConfigurationError, SemiphaseWarning
 from semiphase.cli import main
@@ -16,7 +17,9 @@ from semiphase.experiments import (
     resolve_experiment,
     run_experiment,
 )
-from semiphase.experiments import _Emitter
+from semiphase.experiments import (_Emitter, _potential, _split_grid_size,
+                                   _split_profiles)
+from semiphase.states import concentration_lattice
 
 
 # -------------------------------------------------------------- registry
@@ -245,6 +248,34 @@ def test_run_harmonic_negative_time(tmp_path):
         out_dir=str(tmp_path / "neg")))
     assert man.passed
     assert man.records["max_l2_error"] < 1e-4
+
+
+# ---------------------------------------------------- split grid sizing
+
+@pytest.mark.parametrize("pname, sizes", [("even", (300, 2592, 24500)),
+                                          ("shifted", (250, 2100, 19200))])
+def test_split_grid_is_smallest_even_fast_length(pname, sizes):
+    # the classical pre-flight only; no propagation
+    cfg = defaults_for("ConcentrationSplit")
+    profile = _split_profiles(cfg)[pname]
+    times = sorted(t for t in cfg.sample_times if t > 0)
+    length = cfg.x_max - cfg.x_min
+    got = []
+    for eps in (1e-2, 1e-3, 1e-4):
+        lattice = concentration_lattice(profile, eps, cfg.n_side)
+        n, max_p, _ = _split_grid_size(cfg, profile, eps, _potential(cfg),
+                                       times, lattice)
+        lam = profile.lam(eps)
+        a_x = profile.exponents[1]
+        n_window = (1.05 * max_p + 6.0 * np.sqrt(eps / 2.0)) * length / (np.pi * eps)
+        n_resolve = 16.0 * length * lam ** a_x
+        need = max(n_window, n_resolve)
+        fast_even = [m for m in range(int(need) + 1, n + 1)
+                     if m % 2 == 0 and sfft.next_fast_len(m) == m]
+        assert fast_even[0] == n
+        assert length / n < lam ** (-a_x) / 16.0  # concentrating_wigner_data's dx_need
+        got.append(n)
+    assert tuple(got) == sizes
 
 
 # ------------------------------------------------------- record pins

@@ -26,10 +26,16 @@ def test_grid_dual_frequencies():
     assert np.all(np.diff(g.k_centered) > 0)
 
 
-@pytest.mark.parametrize("n", [7, 12, 100, 384, 0, -8])
-def test_grid_rejects_non_power_of_two(n):
-    with pytest.raises(ConfigurationError):
-        build_position_grid(n, -1.0, 1.0)
+@pytest.mark.parametrize("n", [7, 9, 123, 0, -8, 12, 100, 210, 384, 1232])
+def test_grid_length_contract(n):
+    # any even length >= 8 is a grid; odd or shorter lengths are refused
+    if n < 8 or n % 2:
+        with pytest.raises(ConfigurationError, match="even integer >= 8"):
+            build_position_grid(n, -1.0, 1.0)
+        return
+    g = build_position_grid(n, -1.0, 1.0)
+    assert g.n_points == n and g.dx == 2.0 / n
+    assert np.array_equal(g.k, 2.0 * np.pi * np.fft.fftfreq(n, g.dx))
 
 
 def test_grid_rejects_degenerate_interval():

@@ -1,5 +1,6 @@
 """Initial-state families: coherent states, concentrating data, random families."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from semiphase import (
     build_position_grid,
     coherent_state,
 )
+from semiphase.grids import PhaseGrid
 from semiphase.phasespace import build_wigner_grid, wigner
 from semiphase.states import (
     check_epsn_operator_bound,
@@ -155,6 +157,44 @@ def test_concentrating_data_unresolved_grid_raises():
     with pytest.raises(ConfigurationError):
         concentrating_wigner_data(prof, 1e-4, build_wigner_grid(xg, 1e-4),
                                   concentration_lattice(prof, 1e-4))
+
+
+def _split_phase_grid(n_points):
+    # ConcentrationSplit's raster: its x-grid and a 512-node p-axis
+    return PhaseGrid(build_position_grid(n_points, -2.0, 2.0),
+                     build_position_grid(512, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, 0.05)])
+def test_concentrating_target_mass_matches_one_shot_raster(center):
+    eps = 1e-3
+    prof = ConcentratingProfile(theta=0.5, center=center, radius_u=0.5,
+                                radius_v=0.5)
+    # 1000 rows: 15 full blocks of 64 and a partial one
+    pg = _split_phase_grid(1000)
+    real = concentrating_wigner_data(prof, eps, pg, concentration_lattice(prof, eps, 7))
+    a_mass, a_x, a_k = prof.exponents
+    lam = prof.lam(eps)
+    raster = lam ** a_mass * prof.w(lam ** a_x * pg.x[:, None],
+                                    lam ** a_k * pg.p[None, :])
+    want = float(pg.cell_area * np.sum(raster))
+    assert abs(real.target_mass - want) <= 1e-13 * abs(want)
+
+
+def test_concentrating_data_never_builds_the_raster():
+    # one (20480, 512) float64 raster alone is 80 MiB
+    eps = 1e-4
+    prof = ConcentratingProfile(theta=0.5, center=(0.3, 0.05), radius_u=0.5,
+                                radius_v=0.5)
+    pg = _split_phase_grid(20480)
+    lattice = concentration_lattice(prof, eps, 7)
+    tracemalloc.start()
+    try:
+        concentrating_wigner_data(prof, eps, pg, lattice)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # ------------------------------------------------------- random families
