@@ -2,9 +2,9 @@
 
 Spectral grids, split-step quantum propagation, Wigner/Husimi
 transforms, classical transport (trajectories, atomic measures,
-semi-Lagrangian Liouville), rough-potential diagnostics, weak and L2
-convergence metrics, and a reproducible experiment harness over eps
-ladders.
+semi-Lagrangian Liouville), the Fourier-decay check of rough potentials,
+weak and L2 convergence metrics, and a reproducible experiment harness
+over eps ladders.
 """
 from ._version import __version__
 from .classical import (SampledPath, TrajectoryBranch, branch_constants,
@@ -16,20 +16,19 @@ from .errors import (ConfigurationError, NumericsError, RepresentationError,
 from .experiments import (EXPERIMENTS, ExperimentConfig, RunManifest,
                           defaults_for, resolve_experiment, run_experiment)
 from .grids import (PhaseGrid, PositionGrid, build_position_grid, dft_forward,
-                    dft_inverse, quadrature)
+                    quadrature)
 from .gridio import read_grid, write_csv, write_grid
 from .metrics import (RateFit, WeakMetricConfig, char_distance, char_function,
                       fit_rate, l2_distance, weak_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
-                         l2_norm, marginals, restrict_p, sup_norm, upsample2,
-                         wigner, wigner_ensemble)
-from .potentials import (BVGradientReport, FourierConditionReport,
-                         PotentialSpec, bv_gradient_diagnostic,
+                         l2_norm, restrict_p, sup_norm, upsample2, wigner,
+                         wigner_ensemble)
+from .potentials import (FourierConditionReport, PotentialSpec,
                          check_fourier_conditions, custom_potential, evaluate,
                          evaluate_at, gradient_at, harmonic_potential,
-                         mollify, mollify_samples, rough_power_potential)
+                         mollify, rough_power_potential)
 from .quantum import (DensityEnsemble, PropagatorConfig, WaveFunction,
-                      h2_energy, propagate, propagate_ensemble)
+                      propagate, propagate_ensemble)
 from .states import (ConcentratingProfile, RandomFamilySpec,
                      RealizedConcentration, check_epsn_operator_bound,
                      coherent_mixture, coherent_state,

@@ -25,7 +25,8 @@ from .errors import (ConfigurationError, NumericsError, RepresentationError,
                      SemiphaseWarning)
 from .grids import PositionGrid, build_position_grid
 from .phasespace import AtomicMeasure, GridDensity
-from .potentials import PotentialSpec, gradient_at, mollify
+from .potentials import (CORE_RADIUS, TAIL_COEFF, PotentialSpec, gradient_at,
+                         mollify)
 
 __all__ = [
     "TrajectoryBranch",
@@ -93,7 +94,7 @@ def branch_ode_residual(branch: TrajectoryBranch, t, h: float = 1e-6) -> tuple[f
 
     V'(X) is the untruncated power law -(1+theta)|X|^theta sgn(X) that
     the closed forms solve, not the catalog potential, whose quartic
-    tail takes over at |X| > core_radius. Scaled by max(1, |X|, |P|) so
+    tail takes over at |X| > CORE_RADIUS. Scaled by max(1, |X|, |P|) so
     the number reads as a relative error on escape branches while
     staying meaningful on the rest branch.
     """
@@ -167,7 +168,7 @@ def _scalar_force(pot: PotentialSpec):
     if pot.kind == "harmonic":
         return lambda x: -x
     if pot.kind == "rough_power":
-        th, r, q = pot.theta, pot.core_radius, pot.tail_coeff
+        th, r, q = pot.theta, CORE_RADIUS, TAIL_COEFF
         cr = (1.0 + th) * r ** th
 
         def force(x):
@@ -186,7 +187,7 @@ def _scalar_force(pot: PotentialSpec):
 def integrate_hamiltonian(x0: float, p0: float, pot: PotentialSpec,
                           dt: float, t_final: float) -> SampledPath:
     """Störmer-Verlet path from (x0, p0) under the raw field, all steps kept."""
-    if dt <= 0 or t_final <= 0:
+    if not (dt > 0 and t_final > 0):
         raise ConfigurationError("dt and t_final must be > 0")
     n_steps = max(1, round(t_final / dt))
     h = t_final / n_steps
@@ -222,7 +223,7 @@ def transport_particles(cloud: AtomicMeasure, pot: PotentialSpec,
     order, at the Verlet endpoints. t_final may be negative (backward
     transport); dt is a positive step magnitude.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ConfigurationError("dt must be > 0")
     if t_final == 0:
         return cloud
@@ -368,7 +369,7 @@ def liouville_semi_lagrangian(rho0: GridDensity, pot: PotentialSpec,
     """
     if not isinstance(rho0, GridDensity):
         raise RepresentationError("liouville_semi_lagrangian needs a grid density")
-    if dt <= 0 or t_final < 0:
+    if not (dt > 0 and t_final >= 0):
         raise ConfigurationError("dt must be > 0 and t_final >= 0")
     if t_final == 0:
         return rho0

@@ -116,7 +116,7 @@ class ExperimentConfig:
             raise ConfigurationError("eps_ladder entries must lie in (0, 1)")
         if not _strictly_decreasing(lad):
             raise ConfigurationError("eps_ladder must be strictly decreasing")
-        if self.dt <= 0 or self.dt_classical <= 0:
+        if not (self.dt > 0 and self.dt_classical > 0):
             raise ConfigurationError("dt and dt_classical must be > 0")
         # the lattices take (k - 1) // 2 points per side: an even size
         # would silently run the next smaller odd one
@@ -127,35 +127,6 @@ class ExperimentConfig:
         object.__setattr__(self, "eps_ladder", lad)
         object.__setattr__(self, "sample_times",
                            tuple(float(t) for t in self.sample_times))
-
-    @classmethod
-    def defaults_for(cls, experiment: str, **overrides) -> "ExperimentConfig":
-        base: dict = {"experiment": experiment}
-        if experiment == "HarmonicExact":
-            base.update(potential="harmonic", eps_ladder=(0.05,), grid_n=1024,
-                        sample_times=tuple(float(np.pi / 2) * s
-                                           for s in (0.25, 0.5, 0.75, 1.0)),
-                        datum_center=(0.8, -0.6))
-        elif experiment == "WeakConvergence":
-            base.update(potential="rough_power", datum_center=(1.5, 0.0),
-                        sample_times=(0.25, 0.5, 0.75, 1.0))
-        elif experiment == "L2MollifiedRate":
-            base.update(potential="rough_power", datum_center=(1.5, 0.0),
-                        sample_times=(0.25, 0.5, 0.75, 1.0))
-        elif experiment == "ConcentrationSplit":
-            base.update(potential="rough_power", theta=0.5,
-                        eps_ladder=(1e-2, 1e-3, 1e-4), dt=2e-3,
-                        x_min=-2.0, x_max=2.0, sample_times=(0.5, 1.0))
-        elif experiment == "RandomFamily":
-            base.update(potential="harmonic", law="hardcore_gaussian",
-                        law_scale=(1.5, 1.5),
-                        sample_times=(-1.0, -0.5, 0.5, 1.0))
-        elif experiment == "ConjectureProbe":
-            base.update(potential="harmonic", datum_center=(0.0, 0.0))
-        elif experiment == "BranchAtlas":
-            base.update(potential="rough_power")
-        base.update(overrides)
-        return cls(**base)
 
 
 @dataclass(frozen=True)
@@ -918,12 +889,27 @@ def resolve_experiment(name: str) -> str:
         f"{', '.join(sorted(EXPERIMENTS))}")
 
 
+# each experiment's departures from the ExperimentConfig field defaults
+_DEFAULTS = {
+    "HarmonicExact": dict(potential="harmonic", eps_ladder=(0.05,),
+                          sample_times=tuple(float(np.pi / 2) * s
+                                             for s in (0.25, 0.5, 0.75, 1.0)),
+                          datum_center=(0.8, -0.6)),
+    "ConcentrationSplit": dict(eps_ladder=(1e-2, 1e-3, 1e-4), dt=2e-3,
+                               x_min=-2.0, x_max=2.0, sample_times=(0.5, 1.0)),
+    "RandomFamily": dict(potential="harmonic", law="hardcore_gaussian",
+                         law_scale=(1.5, 1.5),
+                         sample_times=(-1.0, -0.5, 0.5, 1.0)),
+    "ConjectureProbe": dict(potential="harmonic", datum_center=(0.0, 0.0)),
+}
+
+
 def defaults_for(experiment: str, **overrides) -> ExperimentConfig:
     """Tuned default config for a named experiment (aliases accepted)."""
-    return ExperimentConfig.defaults_for(resolve_experiment(experiment),
-                                         **overrides)
+    name = resolve_experiment(experiment)
+    return ExperimentConfig(name, **{**_DEFAULTS.get(name, {}), **overrides})
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Dispatch a config to its experiment driver."""
-    return EXPERIMENTS[resolve_experiment(cfg.experiment)](cfg)
+    return EXPERIMENTS[cfg.experiment](cfg)

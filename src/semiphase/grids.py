@@ -5,7 +5,7 @@ lives on these grids, so the conventions are pinned here once:
 
 * nodes x_i = x_min + i*dx, i = 0..n-1, periodic wrap at x_max;
 * dual frequencies in standard DFT ordering, k_j = 2*pi*fftfreq(n, dx);
-* DFT pair is unitary (norm="ortho") so Parseval holds with no factors.
+* the DFT is unitary (norm="ortho") so Parseval holds with no factors.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ __all__ = [
     "build_position_grid",
     "quadrature",
     "dft_forward",
-    "dft_inverse",
 ]
 
 
@@ -65,11 +64,6 @@ class PositionGrid:
     @property
     def length(self) -> float:
         return self.x_max - self.x_min
-
-    @property
-    def k_centered(self) -> np.ndarray:
-        """Dual frequencies sorted ascending (fftshifted view)."""
-        return np.fft.fftshift(self.k)
 
     def __len__(self) -> int:
         return self.n_points
@@ -122,9 +116,3 @@ def dft_forward(c, grid: PositionGrid) -> np.ndarray:
     """Unitary DFT along the last axis; Parseval holds exactly."""
     c = _check_length(c, grid, "dft_forward")
     return sfft.fft(c, axis=-1, norm="ortho")
-
-
-def dft_inverse(c, grid: PositionGrid) -> np.ndarray:
-    """Inverse of dft_forward."""
-    c = _check_length(c, grid, "dft_inverse")
-    return sfft.ifft(c, axis=-1, norm="ortho")

@@ -40,7 +40,6 @@ __all__ = [
     "husimi",
     "sup_norm",
     "l2_norm",
-    "marginals",
     "restrict_p",
     "upsample2",
 ]
@@ -90,6 +89,8 @@ class AtomicMeasure:
                 f"atoms must be (mass, x, p) rows, got shape {atoms.shape}")
         if not np.all(atoms[:, 0] > 0):
             raise ConfigurationError("atom masses must be positive")
+        if not np.all(np.isfinite(atoms)):
+            raise ConfigurationError("atoms must be finite")
         atoms.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
 
@@ -217,14 +218,6 @@ def sup_norm(density: GridDensity) -> float:
 def l2_norm(density: GridDensity) -> float:
     density = _require_grid(density, "l2_norm")
     return float(np.sqrt(density.grid.cell_area * np.sum(density.values ** 2)))
-
-
-def marginals(density: GridDensity) -> tuple[np.ndarray, np.ndarray]:
-    """(x-marginal, p-marginal): axis sums scaled by the complementary spacing."""
-    density = _require_grid(density, "marginals")
-    dxm = density.values.sum(axis=1) * density.grid.p_grid.dx
-    dpm = density.values.sum(axis=0) * density.grid.x_grid.dx
-    return dxm, dpm
 
 
 def restrict_p(density: GridDensity, p_max: float) -> GridDensity:

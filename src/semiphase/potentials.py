@@ -3,10 +3,11 @@
 The catalog covers three kinds:
 
 * ``harmonic``     v(x) = x^2/2, the exactly-solvable reference;
-* ``rough_power``  v(x) = -|x|^{1+theta} on a core interval [-r, r],
+* ``rough_power``  v(x) = -|x|^{1+theta} on the core interval [-1, 1],
   continued C^1 by a confining quartic tail outside (the unstable-origin
   example driving the branch-splitting experiments);
-* ``custom``       raw samples on the working grid, for diagnostics.
+* ``custom``       raw samples on the working grid; no experiment builds
+  one, but the tests feed their oracles arbitrary sampled fields with it.
 
 Mollification is the heat semigroup at time eps applied spectrally;
 the Fourier-condition checker tests the dyadic-shell decay of |V^hat|
@@ -26,7 +27,6 @@ from .grids import PositionGrid, dft_forward
 __all__ = [
     "PotentialSpec",
     "FourierConditionReport",
-    "BVGradientReport",
     "harmonic_potential",
     "rough_power_potential",
     "custom_potential",
@@ -34,27 +34,27 @@ __all__ = [
     "evaluate_at",
     "gradient_at",
     "mollify",
-    "mollify_samples",
     "check_fourier_conditions",
-    "bv_gradient_diagnostic",
 ]
+
+# rough_power tail past the core r: v(r) + v'(r)(|x|-r) + q(|x|-r)^4
+CORE_RADIUS = 1.0  # r
+TAIL_COEFF = 1.0  # q
+_FOURIER_SLACK = 3.0  # allowed growth of a shell's ratio to the envelope
+_SHELL_MIN = 16.0  # lowest shell edge: box-scale features dominate below
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
     """Immutable description of a potential on the line.
 
-    For ``rough_power``, ``core_radius`` is the half-width r of the exact
-    power-law region and ``tail_coeff`` the quartic coefficient q of the
-    confining continuation  v(x) = v(r) + v'(r)(|x|-r) + q(|x|-r)^4.
-    ``samples`` is only set for ``custom`` and is tied to the grid it was
-    sampled on (length-checked at use sites).
+    ``theta`` is only read for ``rough_power``. ``samples`` is only set
+    for ``custom`` and is tied to the grid it was sampled on
+    (length-checked at use sites).
     """
 
     kind: str
     theta: float = 0.0
-    core_radius: float = 1.0
-    tail_coeff: float = 1.0
     samples: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -64,8 +64,6 @@ class PotentialSpec:
             if not (0.0 < self.theta < 1.0):
                 raise ConfigurationError(
                     f"rough_power needs theta in (0,1), got {self.theta}")
-            if self.core_radius <= 0 or self.tail_coeff <= 0:
-                raise ConfigurationError("core_radius and tail_coeff must be > 0")
         if self.kind == "custom" and self.samples is None:
             raise ConfigurationError("custom potential needs samples")
 
@@ -74,10 +72,8 @@ def harmonic_potential() -> PotentialSpec:
     return PotentialSpec(kind="harmonic")
 
 
-def rough_power_potential(theta: float, core_radius: float = 1.0,
-                          tail_coeff: float = 1.0) -> PotentialSpec:
-    return PotentialSpec(kind="rough_power", theta=theta,
-                         core_radius=core_radius, tail_coeff=tail_coeff)
+def rough_power_potential(theta: float) -> PotentialSpec:
+    return PotentialSpec(kind="rough_power", theta=theta)
 
 
 def custom_potential(samples) -> PotentialSpec:
@@ -91,7 +87,7 @@ def evaluate_at(pot: PotentialSpec, x) -> np.ndarray:
     if pot.kind == "harmonic":
         return 0.5 * x ** 2
     if pot.kind == "rough_power":
-        th, r, q = pot.theta, pot.core_radius, pot.tail_coeff
+        th, r, q = pot.theta, CORE_RADIUS, TAIL_COEFF
         ax = np.abs(x)
         core = -ax ** (1.0 + th)
         s = ax - r
@@ -106,7 +102,7 @@ def gradient_at(pot: PotentialSpec, x) -> np.ndarray:
     if pot.kind == "harmonic":
         return x.copy()
     if pot.kind == "rough_power":
-        th, r, q = pot.theta, pot.core_radius, pot.tail_coeff
+        th, r, q = pot.theta, CORE_RADIUS, TAIL_COEFF
         ax = np.abs(x)
         sg = np.sign(x)
         core = -(1.0 + th) * ax ** th * sg
@@ -123,30 +119,23 @@ def evaluate(pot: PotentialSpec, grid: PositionGrid) -> np.ndarray:
                 f"custom samples length {pot.samples.shape[0]} != grid {grid.n_points}")
         return pot.samples.copy()
     if pot.kind == "rough_power":
-        r = pot.core_radius
+        r = CORE_RADIUS
         if grid.x_min > -r or grid.x_max < r:
             raise ConfigurationError(
                 f"grid [{grid.x_min}, {grid.x_max}] does not contain core [-{r}, {r}]")
     return evaluate_at(pot, grid.nodes)
 
 
-def mollify_samples(values, eps: float, grid: PositionGrid) -> np.ndarray:
-    """Heat semigroup at time eps applied to grid samples, spectrally."""
+def mollify(pot: PotentialSpec, eps: float, grid: PositionGrid) -> np.ndarray:
+    """V~ = e^{eps * Laplacian} V on the grid (Gaussian blur, variance 2*eps)."""
+    values = evaluate(pot, grid)
     if eps < 0:
         raise ConfigurationError(f"mollification time must be >= 0, got {eps}")
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[-1] != grid.n_points:
-        raise ShapeMismatchError("mollify: sample length != grid size")
     mult = np.exp(-eps * grid.k ** 2)
     return np.real(sfft.ifft(mult * sfft.fft(values)))
 
 
-def mollify(pot: PotentialSpec, eps: float, grid: PositionGrid) -> np.ndarray:
-    """V~ = e^{eps * Laplacian} V on the grid (Gaussian blur, variance 2*eps)."""
-    return mollify_samples(evaluate(pot, grid), eps, grid)
-
-
-def _core_window(pot: PotentialSpec, grid: PositionGrid) -> np.ndarray:
+def _core_window(grid: PositionGrid) -> np.ndarray:
     # C-infinity plateau around the origin: 1 on the core region, smooth
     # bump rolloff to 0 well inside the domain. The decay exponents under
     # test describe the singular structure at 0; the confining tail and
@@ -154,7 +143,7 @@ def _core_window(pot: PotentialSpec, grid: PositionGrid) -> np.ndarray:
     # features whose spectrum would otherwise swamp the shell sums. The
     # window's own spectrum falls faster than any power, so it does not
     # alter polynomial decay rates.
-    r0 = pot.core_radius if pot.kind == "rough_power" else 1.0
+    r0 = CORE_RADIUS
     r1 = min(3.0 * r0, 0.45 * grid.length)
     if r1 <= r0:
         raise ConfigurationError(
@@ -208,15 +197,14 @@ class FourierConditionReport:
 
 
 def check_fourier_conditions(pot: PotentialSpec, grid: PositionGrid,
-                             theta: float, slack: float = 3.0,
-                             shell_min: float = 16.0) -> FourierConditionReport:
+                             theta: float) -> FourierConditionReport:
     """Test |V^hat| against the shell bounds C|b^{m-1-theta} - a^{m-1-theta}|.
 
     Analytic potentials are windowed to their core region before
     transforming (see _core_window): the envelope describes the spectrum
     of the singular structure, and both the confining tail and the
     box-scale features otherwise dominate the low shells. For the same
-    reason shells start at shell_min rather than 1. Custom samples are
+    reason shells start at _SHELL_MIN rather than 1. Custom samples are
     transformed as given, which keeps |V^hat| exactly invariant under
     circular translation. The check targets the decay exponents, with a
     fitted constant and a multiplicative slack, since exact constants
@@ -225,7 +213,7 @@ def check_fourier_conditions(pot: PotentialSpec, grid: PositionGrid,
     if pot.kind == "custom":
         v = evaluate(pot, grid)
     else:
-        v = evaluate(pot, grid) * _core_window(pot, grid)
+        v = evaluate(pot, grid) * _core_window(grid)
     # continuous-normalization transform: V^hat(S_j) ~ dx * DFT
     vhat = np.abs(dft_forward(v, grid)) * grid.dx * np.sqrt(grid.n_points) / np.sqrt(2 * np.pi)
     absS = np.abs(grid.k)
@@ -233,7 +221,7 @@ def check_fourier_conditions(pot: PotentialSpec, grid: PositionGrid,
 
     kmax = absS.max()
     shells = []
-    a = float(shell_min)
+    a = _SHELL_MIN
     while 2.0 * a <= 0.75 * kmax:
         shells.append((a, 2.0 * a))
         a *= 2.0
@@ -272,7 +260,8 @@ def check_fourier_conditions(pot: PotentialSpec, grid: PositionGrid,
         for m in range(3):
             passes[f"shell_m{m}"] = True
         passes["integrability"] = True
-        return FourierConditionReport(shells, integrals, 0.0, theta, slack, passes, 0.0)
+        return FourierConditionReport(shells, integrals, 0.0, theta,
+                                      _FOURIER_SLACK, passes, 0.0)
 
     # the substantive condition is the exponent: one constant must cover
     # every shell, so the ratio to the envelope may not grow along the
@@ -285,7 +274,7 @@ def check_fourier_conditions(pot: PotentialSpec, grid: PositionGrid,
             passes[f"shell_m{m}"] = True
             continue
         anchor = ratios[int(np.argmax(col_live))]  # first live shell
-        ok_col = negligible[:, m] | (ratios <= slack * anchor + 1e-300)
+        ok_col = negligible[:, m] | (ratios <= _FOURIER_SLACK * anchor + 1e-300)
         passes[f"shell_m{m}"] = bool(np.all(ok_col))
 
     # integrability of |V^hat| S^2/(1+S^2): finite on any grid, so report
@@ -296,32 +285,6 @@ def check_fourier_conditions(pot: PotentialSpec, grid: PositionGrid,
     passes["integrability"] = bool(np.all(np.diff(tail) <= 0.0)
                                    or np.all(negligible[-3:, 0]))
 
-    return FourierConditionReport(shells, integrals, fitted_C, theta, slack,
-                                  passes, integrability_value)
+    return FourierConditionReport(shells, integrals, fitted_C, theta,
+                                  _FOURIER_SLACK, passes, integrability_value)
 
-
-@dataclass(frozen=True)
-class BVGradientReport:
-    """Discrete bounded-variation diagnostic for the gradient field."""
-
-    total_variation: float
-    sup_growth_ratio: float  # max |v'(x)| / (1 + |x|)
-
-
-def bv_gradient_diagnostic(pot: PotentialSpec, grid: PositionGrid) -> BVGradientReport:
-    """TV of the sampled gradient and its sublinear-growth ratio.
-
-    Interior differences only: the periodization jump at the domain edge
-    is an artifact and is excluded. For custom kinds the gradient comes
-    from central differences of the samples.
-    """
-    if pot.kind == "custom":
-        v = evaluate(pot, grid)
-        g = (v[2:] - v[:-2]) / (2.0 * grid.dx)
-        xs = grid.nodes[1:-1]
-    else:
-        g = gradient_at(pot, grid.nodes)
-        xs = grid.nodes
-    tv = float(np.sum(np.abs(np.diff(g))))
-    ratio = float(np.max(np.abs(g) / (1.0 + np.abs(xs))))
-    return BVGradientReport(total_variation=tv, sup_growth_ratio=ratio)

@@ -1,9 +1,8 @@
-"""Scaled quantum propagation  i*eps dpsi/dt = (-alpha eps^2 Lap + V) psi.
+"""Scaled quantum propagation  i*eps dpsi/dt = (-(eps^2/2) Lap + V) psi.
 
 Strang split-step spectral stepping for pure states and finite mixtures.
-The kinetic prefactor alpha defaults to 1/2 so the classical symbol is
-alpha k^2 = k^2/2 and the transport drift is k (matching X' = P on the
-classical side); the pure -eps^2 Lap convention is alpha = 1.
+The kinetic factor 1/2 makes the classical symbol k^2/2 and the transport
+drift k, matching X' = P on the classical side.
 """
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ __all__ = [
     "PropagatorConfig",
     "propagate",
     "propagate_ensemble",
-    "h2_energy",
 ]
 
 
@@ -81,7 +79,7 @@ class DensityEnsemble:
         # rounding bound of a left-to-right sum of M terms near 1
         if abs(wsum - 1.0) > max(1e-12, (len(members) - 1) * 2.0 ** -53):
             raise ConfigurationError(f"weights sum to {wsum!r}, expected 1")
-        if any(w <= 0 for w, _ in members):
+        if not all(w > 0 for w, _ in members):
             raise ConfigurationError("weights must be in (0, 1]")
         g0 = members[0][1].grid
         for _, s in members:
@@ -100,20 +98,19 @@ class PropagatorConfig:
 
     dt: float
     t_final: float
-    alpha: float = 0.5
 
     def __post_init__(self):
-        if self.dt == 0:
-            raise ConfigurationError("dt must be nonzero")
-        if self.t_final < 0:
-            raise ConfigurationError("t_final must be >= 0")
+        if not abs(self.dt) > 0:
+            raise ConfigurationError(f"dt must be nonzero, got {self.dt}")
+        if not self.t_final >= 0:
+            raise ConfigurationError(f"t_final must be >= 0, got {self.t_final}")
 
 
 def _check_resolution(v: np.ndarray, grid: PositionGrid, eps: float,
-                      dt: float, alpha: float) -> None:
+                      dt: float) -> None:
     kmax = float(np.max(np.abs(grid.k)))
     pot_phase = float(np.max(np.abs(v))) * abs(dt) / eps
-    kin_phase = alpha * eps * kmax ** 2 * abs(dt)
+    kin_phase = 0.5 * eps * kmax ** 2 * abs(dt)
     if pot_phase > np.pi / 4:
         warnings.warn(f"potential phase {pot_phase:.2f} rad/step exceeds pi/4",
                       SemiphaseWarning)
@@ -124,7 +121,7 @@ def _check_resolution(v: np.ndarray, grid: PositionGrid, eps: float,
 
 def propagate(state: WaveFunction, pot: PotentialSpec,
               cfg: PropagatorConfig) -> WaveFunction:
-    """Strang splitting e^{-iV dt/2eps} e^{i alpha eps dt Lap} e^{-iV dt/2eps}.
+    """Strang splitting e^{-iV dt/2eps} e^{i eps dt Lap/2} e^{-iV dt/2eps}.
 
     The number of steps is t_final/|dt| rounded to the nearest integer
     (at least 1), with the step resized to land on t_final exactly.
@@ -143,7 +140,7 @@ def propagate(state: WaveFunction, pot: PotentialSpec,
     k2 = state.grid.k ** 2
     half_v = np.exp(-0.5j * v * h / eps)
     full_v = half_v * half_v
-    kin = np.exp(-1j * cfg.alpha * eps * k2 * h)
+    kin = np.exp(-1j * 0.5 * eps * k2 * h)
 
     psi = half_v * state.values
     for step in range(n_steps):
@@ -153,7 +150,7 @@ def propagate(state: WaveFunction, pot: PotentialSpec,
         psi *= full_v if step < n_steps - 1 else half_v
     if not np.all(np.isfinite(psi.view(np.float64))):
         raise NumericsError("propagation produced non-finite values")
-    _check_resolution(v, state.grid, eps, h, cfg.alpha)
+    _check_resolution(v, state.grid, eps, h)
     return WaveFunction(psi, eps, state.grid)
 
 
@@ -162,12 +159,4 @@ def propagate_ensemble(ens: DensityEnsemble, pot: PotentialSpec,
     """Propagate each member independently; weights are untouched."""
     new = tuple((w, propagate(s, pot, cfg)) for w, s in ens.members)
     return replace(ens, members=new)
-
-
-def h2_energy(state: WaveFunction, pot: PotentialSpec, alpha: float = 0.5) -> float:
-    """||H_eps psi||_2^2 with H_eps = -alpha eps^2 Lap + V, computed spectrally."""
-    v = evaluate(pot, state.grid)
-    kin_mult = alpha * state.eps ** 2 * state.grid.k ** 2
-    h_psi = sfft.ifft(kin_mult * sfft.fft(state.values)) + v * state.values
-    return float(quadrature(np.abs(h_psi) ** 2, state.grid))
 

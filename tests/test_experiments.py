@@ -58,6 +58,9 @@ def test_config_validation():
         defaults_for("HarmonicExact", eps_ladder=(0.05, 0.1))
     with pytest.raises(ConfigurationError):
         defaults_for("HarmonicExact", dt=0.0)
+    for field in ("dt", "dt_classical"):
+        with pytest.raises(ConfigurationError):
+            defaults_for("HarmonicExact", **{field: float("nan")})
 
 
 @pytest.mark.parametrize("field, size", [
@@ -206,6 +209,13 @@ def test_cli_bad_grid_exit_2(tmp_path):
     cfg = _write_cfg(tmp_path, {"experiment": "HarmonicExact", "grid_n": 123})
     assert main(["run", "HarmonicExact", "--config", cfg,
                  "--out", str(tmp_path / "z")]) == 2
+
+
+def test_cli_nan_step_exit_2(tmp_path):
+    # json reads NaN; it must be refused before a run reaches round()
+    cfg = _write_cfg(tmp_path, {"experiment": "HarmonicExact", "dt": float("nan")})
+    assert main(["run", "HarmonicExact", "--config", cfg,
+                 "--out", str(tmp_path / "n")]) == 2
 
 
 def test_cli_eps_override(tmp_path):

@@ -1,11 +1,10 @@
-"""Potential catalog: pointwise values, mollification, spectral and BV diagnostics."""
+"""Potential catalog: pointwise values, mollification, spectral diagnostics."""
 
 import numpy as np
 import pytest
 
 from semiphase import ConfigurationError, build_position_grid
 from semiphase.potentials import (
-    bv_gradient_diagnostic,
     check_fourier_conditions,
     custom_potential,
     evaluate,
@@ -44,7 +43,7 @@ def test_rough_power_core_values():
 
 def test_rough_power_tail_confines():
     # C^1 tail: V(r+s) = -r^{1+t} - (1+t) r^t s + q s^4
-    pot = rough_power_potential(theta=0.5, core_radius=1.0, tail_coeff=1.0)
+    pot = rough_power_potential(theta=0.5)
     s = 7.0
     assert evaluate_at(pot, 8.0) == pytest.approx(-1.0 - 1.5 * s + s**4)
     # gradient continuous across the core boundary
@@ -170,42 +169,6 @@ def test_fourier_shells_structure(grid):
     # dyadic: upper edge doubles the lower edge
     assert np.allclose(shells[:, 1], 2.0 * shells[:, 0])
     assert np.asarray(rep.shell_integrals).shape == (shells.shape[0], 3)
-
-
-# ------------------------------------------------------------ BV diagnostic
-
-
-def test_bv_harmonic_total_variation():
-    grid = build_position_grid(1024, -4.0, 4.0)
-    rep = bv_gradient_diagnostic(harmonic_potential(), grid)
-    assert rep.total_variation == pytest.approx(8.0, abs=2 * grid.dx)
-
-
-def test_bv_rough_power_converges():
-    # analytic TV of V' on [-L/2, L/2]: continuous piecewise-monotone force
-    pot = rough_power_potential(theta=0.5, core_radius=1.0, tail_coeff=1.0)
-    vals = []
-    for n in (1024, 2048, 4096):
-        grid = build_position_grid(n, -2.0, 2.0)
-        vals.append(bv_gradient_diagnostic(pot, grid).total_variation)
-    # core contributes 2 * (3/2) r^{1/2} twice (down and up through zero);
-    # tail on [1,2]: |V'| from 3/2 down to its minimum then up to 4*1 - 3/2
-    assert abs(vals[-1] - vals[-2]) < abs(vals[-2] - vals[-3]) + 1e-9
-    assert vals[-1] == pytest.approx(vals[-2], rel=5e-3)
-
-
-def test_bv_step_gradient_jump():
-    grid = build_position_grid(2048, -4.0, 4.0)
-    # V with V' a unit step: V = max(x, 0) => TV(V') = 1
-    pot = custom_potential(np.maximum(grid.nodes, 0.0))
-    rep = bv_gradient_diagnostic(pot, grid)
-    assert rep.total_variation == pytest.approx(1.0, rel=5e-2)
-
-
-def test_bv_growth_ratio_finite(grid):
-    rep = bv_gradient_diagnostic(harmonic_potential(), grid)
-    assert np.isfinite(rep.sup_growth_ratio)
-    assert rep.sup_growth_ratio > 0.0
 
 
 # ------------------------------------------------------------- validation

@@ -295,6 +295,8 @@ def test_epsn_bound_weight_validation(grid):
         DensityEnsemble(members=((0.0, psi),), eps=eps)
     with pytest.raises(ConfigurationError):
         DensityEnsemble(members=((0.5, psi),), eps=eps)
+    with pytest.raises(ConfigurationError):
+        DensityEnsemble(members=((np.nan, psi),), eps=eps)
 
 
 def test_ensemble_weight_sum_tolerance_scales_with_members(grid):
@@ -338,6 +340,8 @@ def test_atomic_measure_accepts_triples_and_arrays():
     (((0.0, 0.0, 0.0),), ConfigurationError),
     (((0.5, 0.0, 0.0), (-0.5, 1.0, 0.0)), ConfigurationError),
     (((np.nan, 0.0, 0.0),), ConfigurationError),
+    (((1.0, np.nan, 0.0),), ConfigurationError),
+    (((1.0, 0.0, np.inf),), ConfigurationError),
 ])
 def test_atomic_measure_rejects_bad_atoms(atoms, error):
     with pytest.raises(error):
