@@ -2,6 +2,11 @@
 semi-Lagrangian Liouville stepping, and the pushforward of atomic
 measures (transported clouds are phasespace.AtomicMeasure, masses kept).
 
+Transport in the mollified field V~ = e^{eps Lap} V uses the force
+-V~' sampled spectrally on a periodic grid and interpolated by a
+periodic cubic spline solved with one real FFT (_periodic_spline), so
+the module needs no scipy.interpolate.
+
 The rough potential -|x|^{1+theta} admits multiple trajectories out of
 the unstable origin: for each sign there is a closed-form escape
 
@@ -18,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+import scipy.fft as sfft
 from scipy.sparse import csr_matrix
 
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
@@ -118,13 +123,52 @@ class SampledPath:
     ps: np.ndarray = field(repr=False, compare=False)
 
 
+def _periodic_spline(y: np.ndarray, grid: PositionGrid):
+    """Periodic cubic spline through (grid.nodes, y), vectorized.
+
+    On a uniform periodic grid the spline's second derivatives solve the
+    circulant system  M[j-1] + 4 M[j] + M[j+1] = 6 (y[j+1] - 2 y[j] +
+    y[j-1]) / h^2,  so one real FFT divide by 4 + 2 cos(2 pi k / N)
+    solves it exactly. Each interval keeps the cubic in its offset
+    s = (x - x_j) / h in [0, 1). Evaluation takes the interval index as
+    floor((x - x_min) / h) mod N, so any x wraps into the period, and
+    runs Horner. Non-finite x gives NaN, never an exception.
+    """
+    n, h, lo = grid.n_points, grid.dx, grid.x_min
+    lam = 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    m = sfft.irfft(sfft.rfft(y) * ((6.0 / h ** 2) * (lam - 2.0) / (4.0 + lam)), n)
+    y1, m1 = np.roll(y, -1), np.roll(m, -1)
+    coef = (y, (y1 - y) - h * h * (2.0 * m + m1) / 6.0,
+            (0.5 * h * h) * m, h * h * (m1 - m) / 6.0)
+
+    def spline(x):
+        s = np.asarray(x, dtype=np.float64) - lo
+        s /= h
+        i = np.floor(s)
+        with np.errstate(invalid="ignore"):  # inf - inf and int(nan) stay NaN
+            s -= i
+            j = i.astype(np.intp)
+        del i
+        j %= n
+        # Horner in place: two full-size temporaries besides s and j
+        out = coef[3].take(j)
+        for c in coef[2::-1]:
+            out *= s
+            out += c.take(j)
+        return out
+
+    return spline
+
+
 def _force_function(pot: PotentialSpec, eps_mollify: float,
                     field_grid: PositionGrid | None):
     """-V'(x) as a vectorized callable, mollified spectrally when asked.
 
-    Mollified forces are sampled on field_grid (default [-12, 12) with
-    8192 nodes) and interpolated by a periodic cubic spline; raw forces
-    use the closed forms, with V'(0) = 0 on the rough kind.
+    Mollified forces differentiate V~ = e^{eps Lap} V spectrally on
+    field_grid (default [-12, 12) with 8192 nodes) and interpolate -V~'
+    by the periodic cubic spline of _periodic_spline, so x wraps into
+    the grid's period; raw forces use the closed forms, with V'(0) = 0
+    on the rough kind.
     """
     if eps_mollify < 0:
         raise ConfigurationError(f"eps_mollify must be >= 0, got {eps_mollify}")
@@ -133,19 +177,8 @@ def _force_function(pot: PotentialSpec, eps_mollify: float,
     if field_grid is None:
         field_grid = build_position_grid(8192, -12.0, 12.0)
     vt = mollify(pot, eps_mollify, field_grid)
-    import scipy.fft as sfft
     dvt = np.real(sfft.ifft(1j * field_grid.k * sfft.fft(vt)))
-    spline = CubicSpline(
-        np.append(field_grid.nodes, field_grid.x_max),
-        np.append(dvt, dvt[0]), bc_type="periodic")
-    lo, hi = field_grid.x_min, field_grid.x_max
-    length = hi - lo
-
-    def force(x):
-        xw = lo + np.mod(np.asarray(x, dtype=np.float64) - lo, length)
-        return -spline(xw)
-
-    return force
+    return _periodic_spline(-dvt, field_grid)
 
 
 def _verlet(xs, ps, force, dt: float, n_steps: int):

@@ -116,8 +116,11 @@ class ExperimentConfig:
             raise ConfigurationError("eps_ladder entries must lie in (0, 1)")
         if not _strictly_decreasing(lad):
             raise ConfigurationError("eps_ladder must be strictly decreasing")
-        if not (self.dt > 0 and self.dt_classical > 0):
-            raise ConfigurationError("dt and dt_classical must be > 0")
+        if not (0 < self.dt < np.inf and 0 < self.dt_classical < np.inf):
+            raise ConfigurationError("dt and dt_classical must be finite and > 0")
+        times = tuple(float(t) for t in self.sample_times)
+        if not np.all(np.isfinite(times)):
+            raise ConfigurationError(f"sample_times must be finite, got {times}")
         # the lattices take (k - 1) // 2 points per side: an even size
         # would silently run the next smaller odd one
         if self.datum_k < 1 or self.datum_k % 2 == 0:
@@ -125,8 +128,7 @@ class ExperimentConfig:
         if self.n_side < 3 or self.n_side % 2 == 0:
             raise ConfigurationError(f"n_side must be odd and >= 3, got {self.n_side}")
         object.__setattr__(self, "eps_ladder", lad)
-        object.__setattr__(self, "sample_times",
-                           tuple(float(t) for t in self.sample_times))
+        object.__setattr__(self, "sample_times", times)
 
 
 @dataclass(frozen=True)

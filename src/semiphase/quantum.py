@@ -100,10 +100,10 @@ class PropagatorConfig:
     t_final: float
 
     def __post_init__(self):
-        if not abs(self.dt) > 0:
-            raise ConfigurationError(f"dt must be nonzero, got {self.dt}")
-        if not self.t_final >= 0:
-            raise ConfigurationError(f"t_final must be >= 0, got {self.t_final}")
+        if not 0 < abs(self.dt) < np.inf:
+            raise ConfigurationError(f"dt must be finite and nonzero, got {self.dt}")
+        if not 0 <= self.t_final < np.inf:
+            raise ConfigurationError(f"t_final must be finite and >= 0, got {self.t_final}")
 
 
 def _check_resolution(v: np.ndarray, grid: PositionGrid, eps: float,

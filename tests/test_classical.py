@@ -1,7 +1,10 @@
 """Classical side: multivalued branches, symplectic integration, Liouville transport."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings, strategies as st
 
 from semiphase import (
@@ -16,6 +19,7 @@ from semiphase.classical import (
     _FootInterpolator,
     _force_function,
     _trace_feet,
+    _verlet,
     branch_constants,
     branch_family,
     branch_ode_residual,
@@ -24,7 +28,8 @@ from semiphase.classical import (
     transport_particles,
 )
 from semiphase.phasespace import PhaseGrid
-from semiphase.potentials import custom_potential, harmonic_potential, rough_power_potential
+from semiphase.potentials import (custom_potential, harmonic_potential, mollify,
+                                  rough_power_potential)
 
 
 # ----------------------------------------------------------------- branches
@@ -186,6 +191,67 @@ def test_transport_backward_inverts_forward():
     back = transport_particles(fwd, pot, 0.0, 1e-3, -1.0)
     assert back.xs[0] == pytest.approx(0.4, abs=1e-10)
     assert back.ps[0] == pytest.approx(0.1, abs=1e-10)
+
+
+# --------------------------------------------------------- mollified force
+
+# the two field grids of the mollified force: the Liouville x-grid of the
+# rate experiment and the default particle-transport grid (None)
+_FIELD_GRIDS = [build_position_grid(1024, -8.0, 8.0), None]
+_DEFAULT_FIELD_GRID = build_position_grid(8192, -12.0, 12.0)
+
+
+def _mollified_derivative(eps, grid):
+    vt = mollify(rough_power_potential(theta=0.5), eps, grid)
+    return np.real(sfft.ifft(1j * grid.k * sfft.fft(vt)))
+
+
+@pytest.mark.parametrize("field_grid", _FIELD_GRIDS, ids=["1024", "8192"])
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+def test_mollified_force_matches_cubic_spline(field_grid, eps):
+    # oracle: scipy's periodic CubicSpline through the same samples
+    from scipy.interpolate import CubicSpline
+    grid = field_grid or _DEFAULT_FIELD_GRID
+    dvt = _mollified_derivative(eps, grid)
+    ref = CubicSpline(np.append(grid.nodes, grid.x_max),
+                      np.append(dvt, dvt[0]), bc_type="periodic")
+    force = _force_function(rough_power_potential(theta=0.5), eps, field_grid)
+    x = np.random.default_rng(11).uniform(grid.x_min, grid.x_max, 20_000)
+    x = np.concatenate([x, grid.nodes[:7] + 0.5 * grid.dx, [grid.x_min]])
+    scale = np.max(np.abs(dvt))
+    assert np.max(np.abs(force(x) + ref(x))) <= 1e-13 * scale
+    # exact at the nodes, where the cubic's offset is 0
+    assert np.array_equal(force(grid.nodes), -dvt)
+
+
+@pytest.mark.parametrize("field_grid", _FIELD_GRIDS, ids=["1024", "8192"])
+def test_mollified_force_is_periodic(field_grid):
+    grid = field_grid or _DEFAULT_FIELD_GRID
+    force = _force_function(rough_power_potential(theta=0.5), 0.05, field_grid)
+    x = np.random.default_rng(2).uniform(grid.x_min, grid.x_max, 5_000)
+    # dyadic points, so x ± k * length is exact
+    x = np.round(x * 1024) / 1024
+    scale = np.max(np.abs(force(grid.nodes)))
+    for k in (1, 2, 5):
+        for shifted in (x + k * grid.length, x - k * grid.length):
+            np.testing.assert_allclose(force(shifted), force(x), rtol=0,
+                                       atol=1e-13 * scale)
+            if grid.dx == 2.0 ** -6:  # power-of-two spacing: bit for bit
+                assert np.array_equal(force(shifted), force(x))
+
+
+def test_mollified_force_non_finite_positions():
+    force = _force_function(rough_power_potential(theta=0.5), 0.05, None)
+    bad = np.array([np.nan, np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = force(bad)
+        assert not np.any(np.isfinite(out))
+        assert np.isfinite(force(np.array([0.3, *bad]))[0])
+    # so the cloud integrator still refuses the run
+    for x0 in bad:
+        with pytest.raises(NumericsError):
+            _verlet(np.array([0.5, x0]), np.zeros(2), force, 1e-3, 3)
 
 
 # ------------------------------------------------------------- Liouville SL

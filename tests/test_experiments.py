@@ -59,8 +59,12 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         defaults_for("HarmonicExact", dt=0.0)
     for field in ("dt", "dt_classical"):
-        with pytest.raises(ConfigurationError):
-            defaults_for("HarmonicExact", **{field: float("nan")})
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                defaults_for("HarmonicExact", **{field: bad})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigurationError, match="sample_times"):
+            defaults_for("HarmonicExact", sample_times=(0.5, bad))
 
 
 @pytest.mark.parametrize("field, size", [
@@ -212,10 +216,14 @@ def test_cli_bad_grid_exit_2(tmp_path):
 
 
 def test_cli_nan_step_exit_2(tmp_path):
-    # json reads NaN; it must be refused before a run reaches round()
-    cfg = _write_cfg(tmp_path, {"experiment": "HarmonicExact", "dt": float("nan")})
-    assert main(["run", "HarmonicExact", "--config", cfg,
-                 "--out", str(tmp_path / "n")]) == 2
+    # json reads NaN and Infinity; they must be refused before a run
+    # reaches round()
+    for name, overrides in [
+            ("dt-nan", {"dt": float("nan")}), ("dt-inf", {"dt": float("inf")}),
+            ("t-inf", {"grid_n": 256, "dt": 5e-3, "sample_times": [float("inf")]})]:
+        cfg = _write_cfg(tmp_path, {"experiment": "HarmonicExact", **overrides})
+        assert main(["run", "HarmonicExact", "--config", cfg,
+                     "--out", str(tmp_path / name)]) == 2, name
 
 
 def test_cli_eps_override(tmp_path):

@@ -3,6 +3,9 @@ name it exports exists, and some module references it."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,19 @@ def test_every_export_is_reached():
     # an exported name that nothing in the package calls is API that no
     # experiment, CLI path or diagnostic reaches
     assert _unreached_exports(_MODULES) == _UNREACHED_OK
+
+
+def test_import_leaves_heavy_scipy_unloaded():
+    # scipy.interpolate pulls in scipy.optimize, scipy.linalg and
+    # numpy.f2py; the package needs none of them, so a fresh interpreter
+    # must not load them on `import semiphase`
+    heavy = ("scipy.interpolate", "scipy.optimize", "scipy.linalg")
+    code = ("import sys, semiphase; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    env = dict(os.environ)
+    src = str(Path(semiphase.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""

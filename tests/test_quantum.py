@@ -165,6 +165,11 @@ def test_propagator_config_validation():
         PropagatorConfig(dt=float("nan"), t_final=1.0)
     with pytest.raises(ConfigurationError):
         PropagatorConfig(dt=1e-3, t_final=float("nan"))
+    for dt in (float("inf"), -float("inf")):
+        with pytest.raises(ConfigurationError):
+            PropagatorConfig(dt=dt, t_final=1.0)
+    with pytest.raises(ConfigurationError):
+        PropagatorConfig(dt=1e-3, t_final=float("inf"))
 
 
 def test_coarse_step_warns_outside_a_run(grid):
