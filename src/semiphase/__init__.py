@@ -18,8 +18,8 @@ from .experiments import (EXPERIMENTS, ExperimentConfig, RunManifest,
 from .grids import (PhaseGrid, PositionGrid, build_position_grid, dft_forward,
                     quadrature)
 from .gridio import read_grid, write_csv, write_grid
-from .metrics import (RateFit, WeakMetricConfig, char_distance, char_function,
-                      fit_rate, l2_distance, weak_distance)
+from .metrics import (RateFit, char_distance, char_function, fit_rate,
+                      l2_distance, weak_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
                          l2_norm, restrict_p, sup_norm, upsample2, wigner,
                          wigner_ensemble)

@@ -28,7 +28,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
                      SemiphaseWarning)
-from .grids import PositionGrid, build_position_grid
+from .grids import PositionGrid, build_position_grid, time_steps
 from .phasespace import AtomicMeasure, GridDensity
 from .potentials import (CORE_RADIUS, TAIL_COEFF, PotentialSpec, gradient_at,
                          mollify)
@@ -222,8 +222,7 @@ def integrate_hamiltonian(x0: float, p0: float, pot: PotentialSpec,
     """Störmer-Verlet path from (x0, p0) under the raw field, all steps kept."""
     if not (dt > 0 and t_final > 0):
         raise ConfigurationError("dt and t_final must be > 0")
-    n_steps = max(1, round(t_final / dt))
-    h = t_final / n_steps
+    n_steps, h = time_steps(t_final, dt)
     ts = h * np.arange(n_steps + 1)
     xs = np.empty(n_steps + 1)
     ps = np.empty(n_steps + 1)
@@ -258,10 +257,9 @@ def transport_particles(cloud: AtomicMeasure, pot: PotentialSpec,
     """
     if not dt > 0:
         raise ConfigurationError("dt must be > 0")
+    n_steps, h = time_steps(t_final, dt)
     if t_final == 0:
         return cloud
-    n_steps = max(1, round(abs(t_final) / dt))
-    h = t_final / n_steps
     force = _force_function(pot, eps_mollify, field_grid)
     x, p = _verlet(cloud.xs, cloud.ps, force, h, n_steps)
     return AtomicMeasure(np.stack([cloud.masses, x, p], axis=1))
@@ -404,11 +402,10 @@ def liouville_semi_lagrangian(rho0: GridDensity, pot: PotentialSpec,
         raise RepresentationError("liouville_semi_lagrangian needs a grid density")
     if not (dt > 0 and t_final >= 0):
         raise ConfigurationError("dt must be > 0 and t_final >= 0")
+    n_steps, h = time_steps(t_final, dt)
     if t_final == 0:
         return rho0
     x_grid, p_grid = rho0.grid.x_grid, rho0.grid.p_grid
-    n_steps = max(1, round(t_final / dt))
-    h = t_final / n_steps
 
     force = _force_function(pot, eps_mollify, x_grid)
     pmax = float(np.max(np.abs(p_grid.nodes)))

@@ -28,7 +28,7 @@ from .classical import (TrajectoryBranch, branch_family, branch_ode_residual,
 from .errors import ConfigurationError, NumericsError, SemiphaseWarning
 from .grids import PhaseGrid, PositionGrid, build_position_grid
 from .gridio import write_csv, write_grid
-from .metrics import (WeakMetricConfig, _strictly_decreasing, char_distance,
+from .metrics import (NODES, _strictly_decreasing, char_distance,
                       char_function, fit_rate, l2_distance, weak_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
                          l2_norm, restrict_p, sup_norm, wigner, wigner_ensemble)
@@ -116,8 +116,12 @@ class ExperimentConfig:
             raise ConfigurationError("eps_ladder entries must lie in (0, 1)")
         if not _strictly_decreasing(lad):
             raise ConfigurationError("eps_ladder must be strictly decreasing")
-        if not (0 < self.dt < np.inf and 0 < self.dt_classical < np.inf):
-            raise ConfigurationError("dt and dt_classical must be finite and > 0")
+        if not all(0 < dt < np.inf for dt in (self.dt, self.dt_classical,
+                                               self.shadow_dt)):
+            raise ConfigurationError(
+                "dt, dt_classical and shadow_dt must be finite and > 0")
+        if not np.all(np.isfinite((self.shadow_t1, self.shadow_t_final))):
+            raise ConfigurationError("shadow_t1 and shadow_t_final must be finite")
         times = tuple(float(t) for t in self.sample_times)
         if not np.all(np.isfinite(times)):
             raise ConfigurationError(f"sample_times must be finite, got {times}")
@@ -324,9 +328,8 @@ def _mixture_datum(cfg: ExperimentConfig) -> AtomicMeasure:
                                    p0 + vv.ravel()], axis=1))
 
 
-def _atoms_char(meas: AtomicMeasure, mcfg: WeakMetricConfig,
-                heat_time: float = 0.0) -> np.ndarray:
-    return char_function(meas, mcfg.xi, mcfg.eta, heat_time) / meas.total_mass
+def _atoms_char(meas: AtomicMeasure) -> np.ndarray:
+    return char_function(meas) / meas.total_mass
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +349,6 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
         raise ConfigurationError("WeakConvergence needs positive sample times")
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
-        mcfg = WeakMetricConfig()
         datum = _mixture_datum(cfg)
         rows = []
         sups_raw = []
@@ -359,16 +361,14 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
             for t, ens in _evolve_at(ens, times,
                                      _schrodinger(propagate_ensemble, pot, cfg.dt)):
                 # one characteristic function of the ensemble per sample time
-                chi_q = char_function(ens, mcfg.xi, mcfg.eta, heat_time=eps)
+                chi_q = char_function(ens)
                 cloud_raw = transport_particles(datum, pot, 0.0,
                                                 cfg.dt_classical, t)
-                d_raw = char_distance(
-                    chi_q, _atoms_char(cloud_raw, mcfg, heat_time=eps), mcfg)
+                d_raw = char_distance(chi_q, _atoms_char(cloud_raw), heat_time=eps)
                 cloud_moll = transport_particles(datum, pot, eps,
                                                  cfg.dt_classical, t,
                                                  field_grid=grid)
-                d_moll = char_distance(
-                    chi_q, _atoms_char(cloud_moll, mcfg, heat_time=eps), mcfg)
+                d_moll = char_distance(chi_q, _atoms_char(cloud_moll), heat_time=eps)
                 rows.append((eps, t, d_raw, d_moll))
                 sup_raw = max(sup_raw, d_raw)
                 sup_moll = max(sup_moll, d_moll)
@@ -584,7 +584,6 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
         raise ConfigurationError("ConcentrationSplit needs positive sample times")
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
-        mcfg = WeakMetricConfig()
         branch = TrajectoryBranch(sign=1, t0=0.0, theta=cfg.theta)
         advance = _schrodinger(propagate, pot, cfg.dt)
 
@@ -604,7 +603,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                 p_raster = build_position_grid(512, -1.0, 1.0)
                 rc = concentrating_wigner_data(profile, eps,
                                                PhaseGrid(x_grid, p_raster), lattice)
-                chi_acc = {t: np.zeros((mcfg.n_nodes, mcfg.n_nodes), complex)
+                chi_acc = {t: np.zeros((NODES.size, NODES.size), complex)
                            for t in times}
                 right = dict.fromkeys(times, 0.0)
                 left = dict.fromkeys(times, 0.0)
@@ -612,7 +611,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                 for x, p, w_self, w_mirror in _mirror_jobs(lattice):
                     for t, psi in _evolve_at(coherent_state(x, p, eps, x_grid),
                                              times, advance):
-                        chi = char_function(psi, mcfg.xi, mcfg.eta)
+                        chi = char_function(psi)
                         chi_acc[t] += w_self * chi
                         if w_mirror:
                             chi_acc[t] += w_mirror * np.conj(chi)
@@ -627,9 +626,9 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                 for t in times:
                     chi_at = _atoms_char(AtomicMeasure(
                         ((c_plus, branch.X(t), branch.P(t)),
-                         (c_minus, -branch.X(t), -branch.P(t)))), mcfg)
-                    d_hus = char_distance(chi_acc[t], chi_at, mcfg, heat_time=eps)
-                    d_wig = char_distance(chi_acc[t], chi_at, mcfg)
+                         (c_minus, -branch.X(t), -branch.P(t)))))
+                    d_hus = char_distance(chi_acc[t], chi_at, heat_time=eps)
+                    d_wig = char_distance(chi_acc[t], chi_at)
                     husimi_dists[t].append(d_hus)
                     dist_rows.append((pname, eps, t, d_hus, d_wig))
                     mass_rows.append((pname, eps, t, right[t], left[t],
@@ -699,7 +698,6 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
         grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-        mcfg = WeakMetricConfig()
         family = random_family(_family_spec(cfg))
         advance = _schrodinger(propagate, pot, cfg.dt)
 
@@ -724,8 +722,7 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
                     for t, psi in _evolve_at(psi0, times, advance):
                         atom = AtomicMeasure(((1.0, moved[t].xs[idx],
                                                moved[t].ps[idx]),))
-                        d = weak_distance(psi, atom, mcfg, heat_time_mu=eps,
-                                          heat_time_nu=eps)
+                        d = weak_distance(psi, atom, heat_time=eps)
                         sup_d = max(sup_d, d)
                 sups[idx] = sup_d
                 sample_rows.append((eps, idx, family.xs[idx], family.ps[idx],

@@ -20,6 +20,7 @@ __all__ = [
     "PositionGrid",
     "PhaseGrid",
     "build_position_grid",
+    "time_steps",
     "quadrature",
     "dft_forward",
 ]
@@ -96,6 +97,16 @@ class PhaseGrid:
 def build_position_grid(n_points: int, x_min: float, x_max: float) -> PositionGrid:
     """Validated constructor for PositionGrid."""
     return PositionGrid(n_points, float(x_min), float(x_max))
+
+
+def time_steps(span: float, dt: float) -> tuple[int, float]:
+    """The step rule of every time stepper: n = max(1, round(|span|/|dt|))
+    steps of signed size span/n; dt must be finite and nonzero, span finite."""
+    if not (0 < abs(dt) < np.inf and abs(span) < np.inf):
+        raise ConfigurationError(
+            f"need a finite nonzero dt and a finite span, got {dt}, {span}")
+    n = max(1, round(abs(span) / abs(dt)))
+    return n, span / n
 
 
 def _check_length(c, grid: PositionGrid, what: str):

@@ -14,7 +14,7 @@ import scipy.fft as sfft
 
 from .errors import (ConfigurationError, NumericsError, SemiphaseWarning,
                      ShapeMismatchError)
-from .grids import PositionGrid, quadrature
+from .grids import PositionGrid, quadrature, time_steps
 from .potentials import PotentialSpec, evaluate
 
 __all__ = [
@@ -133,8 +133,7 @@ def propagate(state: WaveFunction, pot: PotentialSpec,
     if cfg.t_final == 0.0:
         return state
     v = evaluate(pot, state.grid)
-    n_steps = max(1, round(cfg.t_final / abs(cfg.dt)))
-    h = (cfg.t_final if cfg.dt > 0 else -cfg.t_final) / n_steps
+    n_steps, h = time_steps(cfg.t_final if cfg.dt > 0 else -cfg.t_final, cfg.dt)
 
     eps = state.eps
     k2 = state.grid.k ** 2

@@ -137,9 +137,19 @@ def test_integrate_nan_raises():
         integrate_hamiltonian(1e200, 0.0, rough_power_potential(theta=0.5), 0.1, 1.0)
 
 
+_NON_FINITE = (float("inf"), float("nan"))
+
+
 def test_integrate_rejects_bad_dt():
     with pytest.raises(ConfigurationError):
         integrate_hamiltonian(1.0, 0.0, harmonic_potential(), -1e-3, 1.0)
+    # unchecked, an infinite dt would run one step and an infinite span
+    # would overflow round()
+    for bad in _NON_FINITE:
+        with pytest.raises(ConfigurationError):
+            integrate_hamiltonian(1.0, 0.0, harmonic_potential(), bad, 1.0)
+        with pytest.raises(ConfigurationError):
+            integrate_hamiltonian(1.0, 0.0, harmonic_potential(), 1e-3, bad)
 
 
 def test_integrate_rejects_custom_potential():
@@ -182,6 +192,18 @@ def test_transport_free_cloud_drifts():
     drift = out.xs.mean() - cloud.xs.mean()
     assert drift == pytest.approx(cloud.ps.mean() * 2.0, abs=1e-9)
     assert np.max(np.abs(out.ps - cloud.ps)) < 1e-9
+
+
+def test_transport_rejects_non_finite_steps():
+    # unchecked, an infinite dt would run one step and a non-finite span
+    # would make round() raise OverflowError or ValueError
+    cloud = AtomicMeasure(((1.0, 0.4, 0.1),))
+    for bad in _NON_FINITE:
+        with pytest.raises(ConfigurationError):
+            transport_particles(cloud, harmonic_potential(), 0.0, bad, 1.0)
+        for span in (bad, -bad):
+            with pytest.raises(ConfigurationError):
+                transport_particles(cloud, harmonic_potential(), 0.0, 1e-3, span)
 
 
 def test_transport_backward_inverts_forward():
@@ -326,6 +348,11 @@ def test_liouville_validation():
     rho0 = GridDensity(values=np.ones(pg.shape), grid=pg, tag="density")
     with pytest.raises(ConfigurationError):
         liouville_semi_lagrangian(rho0, harmonic_potential(), 1e-3, -0.1, 1.0)
+    for bad in _NON_FINITE:
+        with pytest.raises(ConfigurationError):
+            liouville_semi_lagrangian(rho0, harmonic_potential(), 1e-3, bad, 1.0)
+        with pytest.raises(ConfigurationError):
+            liouville_semi_lagrangian(rho0, harmonic_potential(), 1e-3, 0.1, bad)
     with pytest.raises(Exception):
         liouville_semi_lagrangian("not a density", harmonic_potential(), 0.0, 0.1, 1.0)
 

@@ -58,10 +58,11 @@ def test_config_validation():
         defaults_for("HarmonicExact", eps_ladder=(0.05, 0.1))
     with pytest.raises(ConfigurationError):
         defaults_for("HarmonicExact", dt=0.0)
-    for field in ("dt", "dt_classical"):
+    for field in ("dt", "dt_classical", "shadow_dt", "shadow_t1",
+                  "shadow_t_final"):
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ConfigurationError):
-                defaults_for("HarmonicExact", **{field: bad})
+            with pytest.raises(ConfigurationError, match=field):
+                defaults_for("BranchAtlas", **{field: bad})
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ConfigurationError, match="sample_times"):
             defaults_for("HarmonicExact", sample_times=(0.5, bad))
@@ -223,6 +224,13 @@ def test_cli_nan_step_exit_2(tmp_path):
             ("t-inf", {"grid_n": 256, "dt": 5e-3, "sample_times": [float("inf")]})]:
         cfg = _write_cfg(tmp_path, {"experiment": "HarmonicExact", **overrides})
         assert main(["run", "HarmonicExact", "--config", cfg,
+                     "--out", str(tmp_path / name)]) == 2, name
+    # BranchAtlas would overflow round() on shadow_t_final=inf and run
+    # one Verlet step on shadow_dt=inf
+    for name, overrides in [("shadow-t-inf", {"shadow_t_final": float("inf")}),
+                            ("shadow-dt-inf", {"shadow_dt": float("inf")})]:
+        cfg = _write_cfg(tmp_path, {"experiment": "BranchAtlas", **overrides})
+        assert main(["run", "BranchAtlas", "--config", cfg,
                      "--out", str(tmp_path / name)]) == 2, name
 
 

@@ -6,7 +6,7 @@ import scipy.fft as sfft
 from hypothesis import given, settings, strategies as st
 
 from semiphase import ConfigurationError, ShapeMismatchError, build_position_grid
-from semiphase.grids import PhaseGrid, dft_forward, quadrature
+from semiphase.grids import PhaseGrid, dft_forward, quadrature, time_steps
 
 
 def test_grid_basic_geometry():
@@ -43,6 +43,23 @@ def test_grid_rejects_degenerate_interval():
         build_position_grid(64, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
         build_position_grid(64, 2.0, -2.0)
+
+
+@pytest.mark.parametrize("span, dt, n", [
+    (1.0, 1e-3, 1000), (-1.0, 1e-3, 1000), (0.3, -0.1, 3), (0.25, 0.1, 2),
+    (0.36, 0.1, 4), (1e-4, 0.1, 1), (0.0, 0.1, 1),
+])
+def test_time_steps_rule(span, dt, n):
+    # n = max(1, round(|span| / |dt|)) steps of signed size span / n
+    assert time_steps(span, dt) == (n, span / n)
+
+
+def test_time_steps_rejects_non_finite():
+    for span, dt in [(1.0, 0.0), (1.0, float("inf")), (1.0, -float("inf")),
+                     (1.0, float("nan")), (float("inf"), 1e-3),
+                     (-float("inf"), 1e-3), (float("nan"), 1e-3)]:
+        with pytest.raises(ConfigurationError):
+            time_steps(span, dt)
 
 
 def test_quadrature_constant_and_bandlimited():

@@ -10,12 +10,12 @@ from semiphase import (
     GridDensity,
     RepresentationError,
     ShapeMismatchError,
-    WeakMetricConfig,
     build_position_grid,
     coherent_state,
 )
 from semiphase.errors import NumericsError
-from semiphase.metrics import char_function, fit_rate, l2_distance, weak_distance
+from semiphase.metrics import (NODES, char_distance, char_function, fit_rate,
+                               l2_distance, weak_distance)
 from semiphase.phasespace import l2_norm, wigner
 from semiphase.quantum import DensityEnsemble
 
@@ -25,64 +25,76 @@ def grid():
     return build_position_grid(512, -8.0, 8.0)
 
 
-@pytest.fixture(scope="module")
-def mcfg():
-    return WeakMetricConfig()
-
-
 # -------------------------------------------------------- char_function
 
 
-def _outer(xi, eta, fn):
-    return fn(np.asarray(xi)[:, None], np.asarray(eta)[None, :])
+XI, ETA = NODES[:, None], NODES[None, :]
+DNODE = 0.5
+WEIGHT = np.exp(-(XI**2 + ETA**2) / 2.0)
+
+
+def test_nodes_fixed_and_read_only():
+    assert NODES.shape == (33,) and NODES[0] == -8.0 and NODES[-1] == 8.0
+    assert np.all(np.diff(NODES) == DNODE)
+    assert not NODES.flags.writeable
+    with pytest.raises(ValueError):
+        NODES[0] = 0.0
 
 
 def test_char_single_atom_analytic():
     mu = AtomicMeasure(((1.0, 0.7, -0.3),))
-    xi = np.array([0.0, 1.0, 2.0])
-    eta = np.array([0.5, -1.0, 0.0])
-    chi = char_function(mu, xi, eta)
-    expect = _outer(xi, eta, lambda a, b: np.exp(-1j * (a * 0.7 + b * (-0.3))))
-    assert chi.shape == (3, 3)
+    chi = char_function(mu)
+    expect = np.exp(-1j * (XI * 0.7 + ETA * (-0.3)))
+    assert chi.shape == (33, 33)
     assert np.max(np.abs(chi - expect)) < 1e-14
 
 
 def test_char_atom_heat_multiplier():
-    mu = AtomicMeasure(((1.0, 0.2, 0.4),))
-    xi = np.linspace(-3, 3, 11)
-    eta = np.linspace(-2, 2, 11)
-    bare = char_function(mu, xi, eta)
-    heated = char_function(mu, xi, eta, heat_time=0.3)
-    damp = _outer(xi, eta, lambda a, b: np.exp(-0.3 * (a**2 + b**2)))
-    assert np.max(np.abs(heated - bare * damp)) < 1e-14
+    # |chi| = 1 for one atom, so the heated distance to zero is the
+    # lattice sum of exp(-(t + 1/2)(xi^2 + eta^2)) dxi deta
+    bare = char_function(AtomicMeasure(((1.0, 0.2, 0.4),)))
+    d = char_distance(bare, np.zeros_like(bare), heat_time=0.3)
+    expect = (np.sum(np.exp(-0.8 * NODES**2)) * DNODE) ** 2
+    assert d == pytest.approx(expect, rel=1e-14)
+    assert char_distance(bare, np.zeros_like(bare)) > d
 
 
-def test_char_wavefunction_matches_wigner_grid(grid, mcfg):
+def test_char_distance_heat_placement_oracle(grid):
+    # the multiplier on the gap equals heating both characteristic
+    # functions first: |a h - b h| = |a - b| h for h > 0
+    a = char_function(coherent_state(0.6, 0.4, 0.05, grid))
+    b = char_function(AtomicMeasure(((0.3, 0.5, 0.4), (0.7, -0.2, 0.1))))
+    for t in (0.05, 0.3, 1.0):
+        h = np.exp(-t * (XI**2 + ETA**2))
+        expect = np.sum(np.abs(a * h - b * h) * WEIGHT) * DNODE**2
+        assert char_distance(a, b, heat_time=t) == pytest.approx(expect, rel=1e-14)
+
+
+def test_char_wavefunction_matches_wigner_grid(grid):
     psi = coherent_state(0.6, 0.4, 0.05, grid)
-    a = char_function(psi, mcfg.xi, mcfg.eta)
-    b = char_function(wigner(psi), mcfg.xi, mcfg.eta)
+    a = char_function(psi)
+    b = char_function(wigner(psi))
     assert np.max(np.abs(a - b)) < 1e-10
 
 
-def test_char_coherent_analytic(grid, mcfg):
+def test_char_coherent_analytic(grid):
     eps, x0, p0 = 0.1, -0.4, 0.8
     psi = coherent_state(x0, p0, eps, grid)
-    chi = char_function(psi, mcfg.xi, mcfg.eta)
-    expect = _outer(mcfg.xi, mcfg.eta, lambda a, b: np.exp(
-        -1j * (a * x0 + b * p0) - eps * (a**2 + b**2) / 4.0))
+    chi = char_function(psi)
+    expect = np.exp(-1j * (XI * x0 + ETA * p0) - eps * (XI**2 + ETA**2) / 4.0)
     assert np.max(np.abs(chi - expect)) < 1e-12
 
 
-def test_char_mirror_conjugate(grid, mcfg):
+def test_char_mirror_conjugate(grid):
     eps = 0.05
     psi = coherent_state(0.9, 0.5, eps, grid)
     mirror = coherent_state(-0.9, -0.5, eps, grid)
-    a = char_function(psi, mcfg.xi, mcfg.eta)
-    b = char_function(mirror, mcfg.xi, mcfg.eta)
+    a = char_function(psi)
+    b = char_function(mirror)
     assert np.max(np.abs(b - np.conj(a))) < 1e-12
 
 
-def test_char_ensemble_streams_members(grid, mcfg):
+def test_char_ensemble_streams_members(grid):
     # one summed integrand and one kernel matmul equal the weighted sum
     # of member characteristic functions
     eps = 0.05
@@ -91,53 +103,53 @@ def test_char_ensemble_streams_members(grid, mcfg):
                     in zip(weights, ((-0.5, 0.0), (0.5, 0.2), (1.2, -0.4),
                                      (-1.0, 0.6))))
     ens = DensityEnsemble(members=members, eps=eps)
-    chi = char_function(ens, mcfg.xi, mcfg.eta)
-    expect = sum(w * char_function(m, mcfg.xi, mcfg.eta) for w, m in members)
+    chi = char_function(ens)
+    expect = sum(w * char_function(m) for w, m in members)
     assert np.max(np.abs(chi - expect)) < 1e-13
 
 
 # -------------------------------------------------------- weak_distance
 
 
-def test_weak_distance_identity(grid, mcfg):
+def test_weak_distance_identity(grid):
     W = wigner(coherent_state(0.2, 0.1, 0.05, grid))
-    assert weak_distance(W, W, mcfg) < 1e-12
+    assert weak_distance(W, W) < 1e-12
     mu = AtomicMeasure(((0.5, 0.0, 0.0), (0.5, 1.0, 0.0)))
-    assert weak_distance(mu, mu, mcfg) < 1e-12
+    assert weak_distance(mu, mu) < 1e-12
 
 
-def test_weak_distance_symmetry(grid, mcfg):
+def test_weak_distance_symmetry(grid):
     a = wigner(coherent_state(-0.4, 0.0, 0.05, grid))
     b = AtomicMeasure(((1.0, 0.3, 0.2),))
-    assert weak_distance(a, b, mcfg) == pytest.approx(weak_distance(b, a, mcfg), rel=1e-12)
+    assert weak_distance(a, b) == pytest.approx(weak_distance(b, a), rel=1e-12)
 
 
-def test_weak_distance_atom_separation_monotone(mcfg):
+def test_weak_distance_atom_separation_monotone():
     origin = AtomicMeasure(((1.0, 0.0, 0.0),))
-    ds = [weak_distance(origin, AtomicMeasure(((1.0, a, 0.0),)), mcfg)
+    ds = [weak_distance(origin, AtomicMeasure(((1.0, a, 0.0),)))
           for a in (0.2, 0.5, 1.0, 2.0)]
     assert all(x < y for x, y in zip(ds, ds[1:]))
     # bounded by 2 * weight mass; plateaus near (4/pi) * weight mass for
     # separations incommensurate with the node spacing
-    far = weak_distance(origin, AtomicMeasure(((1.0, 20.3, 0.0),)), mcfg)
-    assert far <= 2.0 * mcfg.weight_mass() + 1e-9
+    far = weak_distance(origin, AtomicMeasure(((1.0, 20.3, 0.0),)))
+    assert far <= 2.0 * np.sum(WEIGHT) * DNODE**2 + 1e-9
     assert 6.0 < far < 9.0
 
 
-def test_weak_distance_mass_normalization(grid, mcfg):
+def test_weak_distance_mass_normalization(grid):
     W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
     scaled = GridDensity(values=5.0 * W.values, grid=W.grid, tag=W.tag)
-    assert weak_distance(W, scaled, mcfg) < 1e-12
+    assert weak_distance(W, scaled) < 1e-12
 
 
-def test_weak_distance_zero_mass_raises(grid, mcfg):
+def test_weak_distance_zero_mass_raises(grid):
     W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
     zero = GridDensity(values=np.zeros_like(W.values), grid=W.grid, tag=W.tag)
     with pytest.raises(NumericsError):
-        weak_distance(W, zero, mcfg)
+        weak_distance(W, zero)
 
 
-def test_weak_distance_translation_continuity(mcfg):
+def test_weak_distance_translation_continuity():
     # Gaussian atomic cloud vs shifted copy: distance monotone in the shift
     rng = np.random.default_rng(2)
     pts = rng.normal(0.0, 0.7, (60, 2))
@@ -145,12 +157,12 @@ def test_weak_distance_translation_continuity(mcfg):
     ds = []
     for h in (0.8, 0.4, 0.2, 0.1, 0.05):
         moved = AtomicMeasure(tuple((1.0 / 60, x + h, p) for x, p in pts))
-        ds.append(weak_distance(base, moved, mcfg))
+        ds.append(weak_distance(base, moved))
     assert all(x > y for x, y in zip(ds, ds[1:]))
     assert ds[-1] < 0.35
 
 
-def test_weak_distance_sampling_converges(grid, mcfg):
+def test_weak_distance_sampling_converges(grid):
     # atomic discretization of a Gaussian density improves with sample count
     W = wigner(coherent_state(0.0, 0.0, 0.2, grid))
     rng = np.random.default_rng(9)
@@ -158,20 +170,20 @@ def test_weak_distance_sampling_converges(grid, mcfg):
     for n in (100, 1000, 10000):
         pts = rng.normal(0.0, np.sqrt(0.1), (n, 2))  # matches Wigner variance eps/2
         atoms = AtomicMeasure(tuple((1.0 / n, x, p) for x, p in pts))
-        ds.append(weak_distance(W, atoms, mcfg))
+        ds.append(weak_distance(W, atoms))
     assert ds[2] < ds[1] < ds[0]
     assert ds[2] < 0.1
 
 
-def test_weak_distance_heat_both_sides_baseline(grid, mcfg):
+def test_weak_distance_heat_both_sides_baseline(grid):
     # heating both sides at the state's own eps leaves only the Gaussian
     # quarter-width mismatch: |chi_W - chi_atom| e^{-eps r^2} integrates to
     # pi (1/(s+eps) - 1/(s+5eps/4)) with s = 1/(2 sigma^2)
     eps = 0.1
     psi = coherent_state(0.3, -0.2, eps, grid)
     atom = AtomicMeasure(((1.0, 0.3, -0.2),))
-    d = weak_distance(wigner(psi), atom, mcfg, heat_time_mu=eps, heat_time_nu=eps)
-    s = 1.0 / (2 * mcfg.gaussian_weight_sigma**2)
+    d = weak_distance(wigner(psi), atom, heat_time=eps)
+    s = 0.5  # 1 / (2 sigma^2), sigma = 1
     exact = np.pi * (1.0 / (s + eps) - 1.0 / (s + 1.25 * eps))
     assert d == pytest.approx(exact, rel=0.05)
 
@@ -182,12 +194,11 @@ def test_weak_distance_heat_both_sides_baseline(grid, mcfg):
     st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=4),
     st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=4))
 def test_weak_distance_triangle_inequality(pa, pb, pc):
-    cfg = WeakMetricConfig(n_nodes=17)
     mk = lambda pts: AtomicMeasure(tuple((1.0 / len(pts), x, p) for x, p in pts))
     a, b, c = mk(pa), mk(pb), mk(pc)
-    dab = weak_distance(a, b, cfg)
-    dbc = weak_distance(b, c, cfg)
-    dac = weak_distance(a, c, cfg)
+    dab = weak_distance(a, b)
+    dbc = weak_distance(b, c)
+    dac = weak_distance(a, c)
     assert dac <= dab + dbc + 1e-9
 
 

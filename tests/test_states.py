@@ -87,16 +87,15 @@ def test_coherent_state_boundary_rejects(grid):
 
 def test_coherent_husimi_sharpens_along_ladder(grid):
     # weak distance to the target atom decreases as eps shrinks
-    from semiphase import AtomicMeasure, WeakMetricConfig
+    from semiphase import AtomicMeasure
     from semiphase.metrics import weak_distance
     from semiphase.phasespace import husimi
 
     atom = AtomicMeasure(((1.0, 0.6, -0.4),))
-    cfg = WeakMetricConfig()
     ds = []
     for eps in (0.2, 0.1, 0.05):
         H = husimi(wigner(coherent_state(0.6, -0.4, eps, grid)), eps)
-        ds.append(weak_distance(H, atom, cfg))
+        ds.append(weak_distance(H, atom))
     assert ds[2] < ds[1] < ds[0]
 
 
