@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,20 @@ __all__ = [
     "run_conjecture_probe",
     "run_branch_atlas",
 ]
+
+def _as_number(value, kind: str):
+    """value read as a "float", an integral "int" or a "tuple" of floats."""
+    if kind == "tuple":
+        return tuple(_as_number(v, "float") for v in value)
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError("a bool is not a number")
+    if kind == "int" and isinstance(value, (int, np.integer)):
+        return int(value)
+    number = float(value)
+    if kind == "int" and not number.is_integer():
+        raise ValueError("not an integer")
+    return int(number) if kind == "int" else number
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -111,10 +125,19 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {', '.join(EXPERIMENTS)}")
-        lad = tuple(float(e) for e in self.eps_ladder)
-        if not lad or any(not (0.0 < e < 1.0) for e in lad):
+        # JSON configs may quote numbers: read each numeric field by its
+        # annotation, or refuse it by name
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", "int", "tuple"):
+                try:
+                    object.__setattr__(self, f.name, _as_number(value, f.type))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ConfigurationError(
+                        f"{f.name}: cannot read {value!r} as {f.type} ({exc})") from None
+        if not self.eps_ladder or not all(0.0 < e < 1.0 for e in self.eps_ladder):
             raise ConfigurationError("eps_ladder entries must lie in (0, 1)")
-        if not _strictly_decreasing(lad):
+        if not _strictly_decreasing(self.eps_ladder):
             raise ConfigurationError("eps_ladder must be strictly decreasing")
         if not all(0 < dt < np.inf for dt in (self.dt, self.dt_classical,
                                                self.shadow_dt)):
@@ -122,17 +145,15 @@ class ExperimentConfig:
                 "dt, dt_classical and shadow_dt must be finite and > 0")
         if not np.all(np.isfinite((self.shadow_t1, self.shadow_t_final))):
             raise ConfigurationError("shadow_t1 and shadow_t_final must be finite")
-        times = tuple(float(t) for t in self.sample_times)
-        if not np.all(np.isfinite(times)):
-            raise ConfigurationError(f"sample_times must be finite, got {times}")
+        if not np.all(np.isfinite(self.sample_times)):
+            raise ConfigurationError(
+                f"sample_times must be finite, got {self.sample_times}")
         # the lattices take (k - 1) // 2 points per side: an even size
         # would silently run the next smaller odd one
         if self.datum_k < 1 or self.datum_k % 2 == 0:
             raise ConfigurationError(f"datum_k must be odd and >= 1, got {self.datum_k}")
         if self.n_side < 3 or self.n_side % 2 == 0:
             raise ConfigurationError(f"n_side must be odd and >= 3, got {self.n_side}")
-        object.__setattr__(self, "eps_ladder", lad)
-        object.__setattr__(self, "sample_times", times)
 
 
 @dataclass(frozen=True)
@@ -164,9 +185,9 @@ def _jsonable(obj):
 def _config_hash(cfg: ExperimentConfig) -> str:
     # output plumbing is excluded: the hash identifies the science, so
     # identical hashes promise byte-identical CSV contents
-    fields = {k: v for k, v in asdict(cfg).items()
-              if k not in ("out_dir", "dump_grids")}
-    payload = json.dumps(fields, sort_keys=True, default=_jsonable)
+    science = {k: v for k, v in asdict(cfg).items()
+               if k not in ("out_dir", "dump_grids")}
+    payload = json.dumps(science, sort_keys=True, default=_jsonable)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -246,8 +267,10 @@ class _Emitter:
 def _evolve_at(state, times, advance):
     """Yield (t, state) at each sample time in the given order, from t = 0.
 
-    advance(state, span) moves a state by the signed gap from the
-    previous sample time, so negative spans evolve backward.
+    The one "propagate to the next sample time" loop, for quantum states
+    and classical clouds alike. advance(state, span) moves a state by
+    the signed gap from the previous sample time, so negative spans
+    evolve backward.
     """
     t_prev = 0.0
     for t in times:
@@ -260,6 +283,13 @@ def _schrodinger(propagator, pot: PotentialSpec, dt: float):
     """advance() for _evolve_at: Strang steps of |dt|, with dt < 0 on negative spans."""
     return lambda state, span: propagator(state, pot, PropagatorConfig(
         dt=dt if span >= 0 else -dt, t_final=abs(span)))
+
+
+def _transport(pot: PotentialSpec, eps_mollify: float, dt: float,
+               field_grid: PositionGrid | None = None):
+    """advance() for _evolve_at: Verlet transport of a cloud by the signed span."""
+    return lambda cloud, span: transport_particles(cloud, pot, eps_mollify, dt,
+                                                   span, field_grid=field_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +358,6 @@ def _mixture_datum(cfg: ExperimentConfig) -> AtomicMeasure:
                                    p0 + vv.ravel()], axis=1))
 
 
-def _atoms_char(meas: AtomicMeasure) -> np.ndarray:
-    return char_function(meas) / meas.total_mass
-
-
 # ---------------------------------------------------------------------------
 # WeakConvergence
 
@@ -351,29 +377,22 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
         pot = _potential(cfg)
         datum = _mixture_datum(cfg)
         rows = []
-        sups_raw = []
-        sups_moll = []
         for eps in cfg.eps_ladder:
             grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
             ens = coherent_mixture(datum, eps, grid)
-            sup_raw = 0.0
-            sup_moll = 0.0
-            for t, ens in _evolve_at(ens, times,
-                                     _schrodinger(propagate_ensemble, pot, cfg.dt)):
+            quantum = _evolve_at(ens, times,
+                                 _schrodinger(propagate_ensemble, pot, cfg.dt))
+            raw = _evolve_at(datum, times, _transport(pot, 0.0, cfg.dt_classical))
+            moll = _evolve_at(datum, times, _transport(pot, eps, cfg.dt_classical,
+                                                       field_grid=grid))
+            for (t, ens), (_, cloud_raw), (_, cloud_moll) in zip(quantum, raw, moll):
                 # one characteristic function of the ensemble per sample time
                 chi_q = char_function(ens)
-                cloud_raw = transport_particles(datum, pot, 0.0,
-                                                cfg.dt_classical, t)
-                d_raw = char_distance(chi_q, _atoms_char(cloud_raw), heat_time=eps)
-                cloud_moll = transport_particles(datum, pot, eps,
-                                                 cfg.dt_classical, t,
-                                                 field_grid=grid)
-                d_moll = char_distance(chi_q, _atoms_char(cloud_moll), heat_time=eps)
+                d_raw = char_distance(chi_q, char_function(cloud_raw), heat_time=eps)
+                d_moll = char_distance(chi_q, char_function(cloud_moll), heat_time=eps)
                 rows.append((eps, t, d_raw, d_moll))
-                sup_raw = max(sup_raw, d_raw)
-                sup_moll = max(sup_moll, d_moll)
-            sups_raw.append(sup_raw)
-            sups_moll.append(sup_moll)
+        sups_raw = [max(r[2] for r in rows if r[0] == eps) for eps in cfg.eps_ladder]
+        sups_moll = [max(r[3] for r in rows if r[0] == eps) for eps in cfg.eps_ladder]
         em.csv("weak_convergence_times.csv",
                ["eps", "t", "distance_raw_flow", "distance_mollified_flow"], rows)
         em.csv("weak_convergence_sup.csv",
@@ -496,8 +515,7 @@ def _split_grid_size(cfg: ExperimentConfig, profile: ConcentratingProfile,
     """
     max_p = float(np.max(np.abs(lattice.ps)))
     max_x = float(np.max(np.abs(lattice.xs)))
-    for _, moved in _evolve_at(lattice, times, lambda c, span: transport_particles(
-            c, pot, 0.0, cfg.dt_classical, span)):
+    for _, moved in _evolve_at(lattice, times, _transport(pot, 0.0, cfg.dt_classical)):
         max_p = max(max_p, float(np.max(np.abs(moved.ps))))
         max_x = max(max_x, float(np.max(np.abs(moved.xs))))
     margin = 6.0 * np.sqrt(eps / 2.0)
@@ -624,7 +642,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                            "max_classical_p": max_p, "max_classical_x": max_x,
                            "n_members": len(lattice), "times": []}
                 for t in times:
-                    chi_at = _atoms_char(AtomicMeasure(
+                    chi_at = char_function(AtomicMeasure(
                         ((c_plus, branch.X(t), branch.P(t)),
                          (c_minus, -branch.X(t), -branch.P(t)))))
                     d_hus = char_distance(chi_acc[t], chi_at, heat_time=eps)
@@ -638,16 +656,15 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                                              "right_mass": right[t],
                                              "left_mass": left[t]})
                     if eps == eps_smallest:
-                        if pname == "even":
-                            if abs(right[t] - 0.5) > 0.05 or abs(left[t] - 0.5) > 0.05:
-                                passed = False
-                                em.warn(f"even masses ({right[t]:.3f}, {left[t]:.3f}) "
-                                        f"at t={t} miss 0.5 +- 0.05")
-                        else:
-                            if abs(right[t] - c_plus) > 0.07:
-                                passed = False
-                                em.warn(f"shifted right mass {right[t]:.3f} at t={t} "
-                                        f"misses c+={c_plus:.3f} +- 0.07")
+                        if pname == "even" and max(abs(right[t] - 0.5),
+                                                   abs(left[t] - 0.5)) > 0.05:
+                            passed = False
+                            em.warn(f"even masses ({right[t]:.3f}, {left[t]:.3f}) "
+                                    f"at t={t} miss 0.5 +- 0.05")
+                        elif pname != "even" and abs(right[t] - c_plus) > 0.07:
+                            passed = False
+                            em.warn(f"shifted right mass {right[t]:.3f} at t={t} "
+                                    f"misses c+={c_plus:.3f} +- 0.07")
                 real_rows.append((pname, eps, rc.lam, len(lattice), n_grid,
                                   rc.l2_gap, rc.target_mass, max_p, max_x))
                 prec["per_eps"].append(per_eps)
@@ -710,23 +727,21 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
             if ratio > 1.0:
                 em.warn(f"eps={eps:g}: operator-bound ratio {ratio:.3f} > 1; "
                         "outside the slow-concentration assumption regime")
-            # classical endpoints for all samples at every requested time
-            moved = {t: transport_particles(family, pot, eps, cfg.dt_classical,
-                                            t, field_grid=grid)
-                     for t in fwd + back}
+            # classical endpoints for all samples, one walk each way
+            transport = _transport(pot, eps, cfg.dt_classical, field_grid=grid)
+            moved = {t: cloud for times in (fwd, back)
+                     for t, cloud in _evolve_at(family, times, transport)}
 
-            sups = np.zeros(len(family))
+            sups = []
             for idx, (_, psi0) in enumerate(ens.members):
                 sup_d = 0.0
                 for times in (fwd, back):
                     for t, psi in _evolve_at(psi0, times, advance):
-                        atom = AtomicMeasure(((1.0, moved[t].xs[idx],
-                                               moved[t].ps[idx]),))
-                        d = weak_distance(psi, atom, heat_time=eps)
-                        sup_d = max(sup_d, d)
-                sups[idx] = sup_d
-                sample_rows.append((eps, idx, family.xs[idx], family.ps[idx],
-                                    sup_d))
+                        # one atom of the moved family: char_function drops its mass
+                        atom = AtomicMeasure(moved[t].atoms[idx:idx + 1])
+                        sup_d = max(sup_d, weak_distance(psi, atom, heat_time=eps))
+                sups.append(sup_d)
+                sample_rows.append((eps, idx, family.xs[idx], family.ps[idx], sup_d))
             avg = float(np.mean(sups))
             averages.append(avg)
             avg_rows.append((eps, avg, ratio))
@@ -829,10 +844,7 @@ def run_branch_atlas(cfg: ExperimentConfig) -> RunManifest:
                                              cfg.shadow_t_final - cfg.shadow_t1)
                 t_abs = cfg.shadow_t1 + path.ts
                 stride = max(1, len(path.ts) // 10)
-                idx = list(range(0, len(path.ts), stride))
-                if idx[-1] != len(path.ts) - 1:
-                    idx.append(len(path.ts) - 1)
-                for j in idx:
+                for j in sorted({*range(0, len(path.ts), stride), len(path.ts) - 1}):
                     shadow_rows.append((theta, sign, t_abs[j], br.X(t_abs[j]),
                                         br.P(t_abs[j]), path.xs[j], path.ps[j]))
                 xb, pb = br.X(t_abs[-1]), br.P(t_abs[-1])
@@ -869,18 +881,12 @@ EXPERIMENTS = {
     "BranchAtlas": run_branch_atlas,
 }
 
-_ALIASES = {}
-for _name in EXPERIMENTS:
-    _ALIASES[_name.lower()] = _name
-    kebab = "".join("-" + c.lower() if c.isupper() else c for c in _name).lstrip("-")
-    _ALIASES[kebab] = _name
+_ALIASES = {name.lower(): name for name in EXPERIMENTS}
 
 
 def resolve_experiment(name: str) -> str:
     """Canonical experiment name from CamelCase or kebab-case input."""
-    if name in EXPERIMENTS:
-        return name
-    key = name.strip().lower()
+    key = name.strip().lower().replace("-", "")
     if key in _ALIASES:
         return _ALIASES[key]
     raise ConfigurationError(

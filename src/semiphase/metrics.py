@@ -13,10 +13,12 @@ gridding via the ambiguity integral
 
     mu^hat(xi, eta) = int conj(psi(x + eps eta/2)) psi(x - eps eta/2) e^{-i xi x} dx,
 
-the characteristic function of the Wigner measure. Heat-kernel
-smoothing (the Husimi picture) is a pure multiplier in this dual
-representation; char_distance applies it to the gap, so smoothed
-comparisons cost nothing extra.
+the characteristic function of the Wigner measure. char_function
+divides every representation by its own mass, the value at the lattice
+origin, so it returns the characteristic function of a probability
+measure. Heat-kernel smoothing (the Husimi picture) is a pure
+multiplier in this dual representation; char_distance applies it to
+the gap, so smoothed comparisons cost nothing extra.
 """
 from __future__ import annotations
 
@@ -47,6 +49,8 @@ NODES.flags.writeable = False
 _DNODE = 0.5
 _R2 = NODES[:, None] ** 2 + NODES[None, :] ** 2
 _WEIGHT = np.exp(-_R2 / 2.0)
+# NODES[_ORIGIN] == 0, where a characteristic function is the total mass
+_ORIGIN = NODES.size // 2
 
 
 def _unit_powers(t, x) -> np.ndarray:
@@ -68,42 +72,50 @@ def _char_members(members) -> np.ndarray:
     """sum_i w_i * (ambiguity integral of member i), one kernel matmul.
 
     members are (weight, WaveFunction) pairs on one grid at one eps.
+    Row j of the shift table gives psi(x - eps*eta_j/2); NODES is
+    symmetric, so row 32 - j is psi(x + eps*eta_j/2).
     """
     eps, grid = members[0][1].eps, members[0][1].grid
-    # spectral shifts psi(x +- eps*eta/2), all eta at once
     phases = _unit_powers(NODES * (eps / 2.0), grid.k)
-    phases_conj = phases.conj()
     integrand = np.zeros((phases.shape[0], grid.n_points), dtype=np.complex128)
     for w, state in members:
-        spec = sfft.fft(state.values)
-        plus = sfft.ifft(spec * phases, axis=1, overwrite_x=True)
-        minus = sfft.ifft(spec * phases_conj, axis=1, overwrite_x=True)
-        plus *= np.conj(minus, out=minus)
-        plus *= w
-        integrand += plus
+        shifted = sfft.ifft(sfft.fft(state.values) * phases, axis=1,
+                            overwrite_x=True)
+        pair = np.conj(shifted[::-1])
+        pair *= shifted
+        pair *= w
+        integrand += pair
     kernel = _unit_powers(NODES, grid.nodes)
     return (kernel @ integrand.T) * grid.dx
 
 
 def char_function(obj) -> np.ndarray:
-    """Characteristic function on the NODES x NODES lattice.
+    """Characteristic function of obj, as a probability, on NODES x NODES.
 
     Accepts atomic measures, grid densities, wavefunctions (Wigner
     measure, via the ambiguity integral) and density ensembles. An
     ensemble sums its weighted member integrands first and takes one
-    kernel matmul; a wavefunction is the one-member case.
+    kernel matmul; a wavefunction is the one-member case. The result is
+    divided by its value at the origin node, the total mass, so it is 1
+    there; a mass whose real part is not positive raises NumericsError.
     """
     if isinstance(obj, AtomicMeasure):
         ex, ep = _unit_powers(NODES, obj.xs), _unit_powers(NODES, obj.ps)
-        return ex @ (obj.masses[:, None] * ep.T)
-    if isinstance(obj, GridDensity):
+        chi = ex @ (obj.masses[:, None] * ep.T)
+    elif isinstance(obj, GridDensity):
         ex, ep = _unit_powers(NODES, obj.grid.x), _unit_powers(NODES, obj.grid.p)
-        return (ex @ obj.values @ ep.T) * obj.grid.cell_area
-    if isinstance(obj, WaveFunction):
-        return _char_members(((1.0, obj),))
-    if isinstance(obj, DensityEnsemble):
-        return _char_members(obj.members)
-    raise RepresentationError(f"no characteristic function for {type(obj)!r}")
+        chi = (ex @ obj.values @ ep.T) * obj.grid.cell_area
+    elif isinstance(obj, WaveFunction):
+        chi = _char_members(((1.0, obj),))
+    elif isinstance(obj, DensityEnsemble):
+        chi = _char_members(obj.members)
+    else:
+        raise RepresentationError(f"no characteristic function for {type(obj)!r}")
+    mass = chi[_ORIGIN, _ORIGIN].real
+    if not mass > 0:
+        raise NumericsError(f"char_function needs a positive mass, got {mass}")
+    chi /= mass
+    return chi
 
 
 def char_distance(chi_mu, chi_nu, heat_time: float = 0.0) -> float:
@@ -120,35 +132,20 @@ def char_distance(chi_mu, chi_nu, heat_time: float = 0.0) -> float:
     return float(np.sum(gap * _WEIGHT) * _DNODE ** 2)
 
 
-def _total_mass(obj) -> float:
-    if isinstance(obj, (AtomicMeasure, GridDensity)):
-        return obj.total_mass
-    if isinstance(obj, WaveFunction):
-        return obj.norm() ** 2
-    if isinstance(obj, DensityEnsemble):
-        return float(sum(w for w, _ in obj.members))
-    raise RepresentationError(f"no mass for {type(obj)!r}")
-
-
 def weak_distance(mu, nu, heat_time: float = 0.0) -> float:
-    """Bounded Fourier-weighted distance after normalizing both to mass 1.
+    """char_distance between the characteristic functions of mu and nu.
 
-    Bounded by 2 sum(w) dxi deta, zero iff the characteristic functions
+    char_function normalizes both to mass 1, so the distance is bounded
+    by 2 sum(w) dxi deta and is zero iff the characteristic functions
     agree on the lattice; heat_time smooths both as in char_distance.
     """
-    m_mu, m_nu = _total_mass(mu), _total_mass(nu)
-    if m_mu <= 0 or m_nu <= 0:
-        raise NumericsError(f"weak_distance needs positive masses, got {m_mu}, {m_nu}")
-    chi_mu = char_function(mu) / m_mu
-    chi_nu = char_function(nu) / m_nu
-    return char_distance(chi_mu, chi_nu, heat_time)
+    return char_distance(char_function(mu), char_function(nu), heat_time)
 
 
 def l2_distance(a: GridDensity, b: GridDensity) -> float:
     if not isinstance(a, GridDensity) or not isinstance(b, GridDensity):
         raise RepresentationError("l2_distance needs two grid densities")
-    if a.grid.shape != b.grid.shape or a.grid.x_grid != b.grid.x_grid \
-            or a.grid.p_grid != b.grid.p_grid:
+    if a.grid != b.grid:
         raise ShapeMismatchError("l2_distance: phase grids differ")
     return float(np.sqrt(a.grid.cell_area * np.sum((a.values - b.values) ** 2)))
 
@@ -162,12 +159,6 @@ class RateFit:
     fitted_slope: float
     r_squared: float
     dropped: int = 0
-
-    def __post_init__(self):
-        if len(self.eps_values) != len(self.distances) or len(self.eps_values) < 3:
-            raise ConfigurationError("rate fit needs >= 3 matched points")
-        if not _strictly_decreasing(self.eps_values):
-            raise ConfigurationError("eps_values must be strictly decreasing")
 
 
 def _strictly_decreasing(values) -> bool:
@@ -185,6 +176,8 @@ def fit_rate(eps_values, distances) -> RateFit:
     if len(kept) < 3:
         raise NumericsError(
             f"rate fit needs >= 3 positive distances, have {len(kept)}")
+    if not _strictly_decreasing([e for e, _ in kept]):
+        raise ConfigurationError("eps_values must be strictly decreasing")
     le = np.log([e for e, _ in kept])
     ld = np.log([d for _, d in kept])
     slope, intercept = np.polyfit(le, ld, 1)

@@ -17,8 +17,12 @@ from semiphase.experiments import (
     resolve_experiment,
     run_experiment,
 )
-from semiphase.experiments import (_Emitter, _potential, _split_grid_size,
-                                   _split_profiles)
+from semiphase.classical import transport_particles
+from semiphase.experiments import (_Emitter, _evolve_at, _mixture_datum,
+                                   _potential, _split_grid_size,
+                                   _split_profiles, _transport)
+from semiphase.grids import build_position_grid
+from semiphase.metrics import NODES
 from semiphase.states import concentration_lattice
 
 
@@ -66,6 +70,17 @@ def test_config_validation():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ConfigurationError, match="sample_times"):
             defaults_for("HarmonicExact", sample_times=(0.5, bad))
+    # numeric fields convert by annotation; bools and non-numbers are refused
+    cfg = defaults_for("HarmonicExact", dt="0.001", grid_n="256", seed=3.0,
+                       datum_center=["1.5", "0"])
+    assert (cfg.dt, cfg.grid_n, cfg.seed) == (0.001, 256, 3)
+    assert cfg.datum_center == (1.5, 0.0)
+    assert type(cfg.grid_n) is int and type(cfg.seed) is int
+    for field, bad in [("dt", "fast"), ("dt", True), ("grid_n", 256.5),
+                       ("grid_n", False), ("datum_center", ["1.5", None]),
+                       ("eps_ladder", 0.05), ("theta", None)]:
+        with pytest.raises(ConfigurationError, match=field):
+            defaults_for("HarmonicExact", **{field: bad})
 
 
 @pytest.mark.parametrize("field, size", [
@@ -155,7 +170,38 @@ def test_run_probe_pure_family(tmp_path):
     # pure coherent family: husimi sup * eps = 1/(5 pi) at every eps
     for line in rows[1:]:
         parts = line.split(",")
-        assert float(parts[3]) == pytest.approx(1.0 / (5 * np.pi), rel=1e-3)
+        assert float(parts[3]) == pytest.approx(1.0 / (5 * np.pi), rel=1e-12)
+
+
+def test_random_family_harmonic_closed_form():
+    # on the harmonic potential a coherent state stays coherent and its
+    # centre follows the classical rotation, so every sample's Husimi
+    # distance to its atom is the same lattice sum of
+    # (1 - e^{-eps r^2/4}) e^{-eps r^2} e^{-r^2/2} dxi deta
+    ladder = (0.2, 0.1, 0.05)
+    man = run_experiment(defaults_for("RandomFamily", m_samples=4,
+                                      eps_ladder=ladder,
+                                      sample_times=(-0.1, 0.1), grid_n=1024))
+    r2 = NODES[:, None] ** 2 + NODES[None, :] ** 2
+    for eps, avg in zip(ladder, man.records["averages"]):
+        exact = np.sum((1.0 - np.exp(-eps * r2 / 4.0)) * np.exp(-eps * r2)
+                       * np.exp(-r2 / 2.0)) * 0.25
+        assert avg == pytest.approx(exact, rel=1e-9), eps
+
+
+@pytest.mark.parametrize("eps_mollify", [0.0, 0.1])
+def test_transport_walk_matches_transport_from_zero(eps_mollify):
+    # each gap is a multiple of dt, so the walk takes the same Verlet steps
+    cfg = defaults_for("WeakConvergence")
+    pot, datum = _potential(cfg), _mixture_datum(cfg)
+    field_grid = build_position_grid(1024, -8.0, 8.0) if eps_mollify else None
+    times = (0.25, 0.5, 0.75, 1.0)
+    walk = _evolve_at(datum, times, _transport(pot, eps_mollify, 5e-3,
+                                               field_grid=field_grid))
+    for t, cloud in walk:
+        direct = transport_particles(datum, pot, eps_mollify, 5e-3, t,
+                                     field_grid=field_grid)
+        assert np.array_equal(cloud.atoms, direct.atoms), t
 
 
 def test_unknown_experiment_raises():
@@ -232,6 +278,20 @@ def test_cli_nan_step_exit_2(tmp_path):
         cfg = _write_cfg(tmp_path, {"experiment": "BranchAtlas", **overrides})
         assert main(["run", "BranchAtlas", "--config", cfg,
                      "--out", str(tmp_path / name)]) == 2, name
+    # a quoted number runs as the number; a word or a bool is refused
+    for name, dt in [("dt-word", "fast"), ("dt-bool", True)]:
+        cfg = _write_cfg(tmp_path, {"experiment": "HarmonicExact", "dt": dt})
+        assert main(["run", "HarmonicExact", "--config", cfg,
+                     "--out", str(tmp_path / name)]) == 2, name
+    hashes = []
+    for name, dt in [("dt-quoted", "0.001"), ("dt-number", 0.001)]:
+        cfg = _write_cfg(tmp_path, {"experiment": "HarmonicExact",
+                                    "grid_n": 256, "dt": dt})
+        assert main(["run", "HarmonicExact", "--config", cfg,
+                     "--out", str(tmp_path / name)]) == 0, name
+        hashes.append(json.loads(
+            (tmp_path / name / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def test_cli_eps_override(tmp_path):

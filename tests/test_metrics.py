@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings, strategies as st
 
 from semiphase import (
@@ -14,7 +15,8 @@ from semiphase import (
     coherent_state,
 )
 from semiphase.errors import NumericsError
-from semiphase.metrics import (NODES, char_distance, char_function, fit_rate,
+from semiphase.metrics import (NODES, _char_members, _unit_powers,
+                               char_distance, char_function, fit_rate,
                                l2_distance, weak_distance)
 from semiphase.phasespace import l2_norm, wigner
 from semiphase.quantum import DensityEnsemble
@@ -39,6 +41,8 @@ def test_nodes_fixed_and_read_only():
     assert not NODES.flags.writeable
     with pytest.raises(ValueError):
         NODES[0] = 0.0
+    # _char_members reads psi(x + eps eta/2) from the reversed shift rows
+    assert np.array_equal(NODES, -NODES[::-1])
 
 
 def test_char_single_atom_analytic():
@@ -108,6 +112,64 @@ def test_char_ensemble_streams_members(grid):
     assert np.max(np.abs(chi - expect)) < 1e-13
 
 
+def _two_table_char_members(members):
+    # reference: separate shift tables for psi(x - eps eta/2) and
+    # psi(x + eps eta/2), one batch of inverse FFTs each
+    eps, grid = members[0][1].eps, members[0][1].grid
+    phases = _unit_powers(NODES * (eps / 2.0), grid.k)
+    phases_conj = phases.conj()
+    integrand = np.zeros((phases.shape[0], grid.n_points), dtype=np.complex128)
+    for w, state in members:
+        spec = sfft.fft(state.values)
+        plus = sfft.ifft(spec * phases, axis=1)
+        minus = sfft.ifft(spec * phases_conj, axis=1)
+        integrand += w * plus * np.conj(minus)
+    kernel = _unit_powers(NODES, grid.nodes)
+    return (kernel @ integrand.T) * grid.dx
+
+
+def _rel_dev(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def test_one_shift_table_matches_two_tables(corpus):
+    for label, psi in corpus:
+        members = ((1.0, psi),)
+        assert _rel_dev(_char_members(members),
+                        _two_table_char_members(members)) <= 1e-13, label
+
+
+def test_one_shift_table_matches_two_tables_ensemble(grid):
+    eps = 0.05
+    members = tuple((w, coherent_state(x0, p0, eps, grid)) for w, (x0, p0)
+                    in zip((0.1, 0.2, 0.3, 0.4),
+                           ((-0.5, 0.0), (0.5, 0.2), (1.2, -0.4), (-1.0, 0.6))))
+    assert _rel_dev(_char_members(members),
+                    _two_table_char_members(members)) <= 1e-13
+
+
+def test_char_is_one_at_origin_for_every_representation(grid):
+    origin = NODES.size // 2
+    assert NODES[origin] == 0.0
+    psi = coherent_state(0.6, 0.4, 0.05, grid)
+    ens = DensityEnsemble(members=((0.25, psi),
+                                   (0.75, coherent_state(-0.3, 0.1, 0.05, grid))),
+                          eps=0.05)
+    scaled = GridDensity(values=3.0 * wigner(psi).values, grid=wigner(psi).grid,
+                         tag="wigner")
+    for obj in (AtomicMeasure(((2.0, 0.7, -0.3), (1.5, -0.2, 0.4))), scaled,
+                psi, ens):
+        assert abs(char_function(obj)[origin, origin] - 1.0) <= 1e-15, type(obj)
+
+
+def test_char_ignores_atom_mass_scale():
+    atoms = np.array([(0.2, 0.7, -0.3), (0.5, -0.2, 0.4), (0.3, 1.1, 0.0)])
+    tripled = atoms * np.array([3.0, 1.0, 1.0])
+    a = char_function(AtomicMeasure(atoms))
+    b = char_function(AtomicMeasure(tripled))
+    assert np.max(np.abs(a - b)) < 1e-15
+
+
 # -------------------------------------------------------- weak_distance
 
 
@@ -147,6 +209,8 @@ def test_weak_distance_zero_mass_raises(grid):
     zero = GridDensity(values=np.zeros_like(W.values), grid=W.grid, tag=W.tag)
     with pytest.raises(NumericsError):
         weak_distance(W, zero)
+    with pytest.raises(NumericsError):
+        char_function(zero)
 
 
 def test_weak_distance_translation_continuity():
