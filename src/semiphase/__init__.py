@@ -2,14 +2,14 @@
 
 Spectral grids, split-step quantum propagation, Wigner/Husimi
 transforms, classical transport (trajectories, atomic measures,
-semi-Lagrangian Liouville), the Fourier-decay check of rough potentials,
-weak and L2 convergence metrics, and a reproducible experiment harness
-over eps ladders.
+Liouville by pullback along characteristics), the Fourier-decay check
+of rough potentials, weak and L2 convergence metrics, and a
+reproducible experiment harness over eps ladders.
 """
 from ._version import __version__
 from .classical import (SampledPath, TrajectoryBranch, branch_constants,
                         branch_family, branch_ode_residual,
-                        integrate_hamiltonian, liouville_semi_lagrangian,
+                        characteristic_feet, integrate_hamiltonian,
                         transport_particles)
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
                      SemiphaseError, SemiphaseWarning, ShapeMismatchError)

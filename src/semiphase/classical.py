@@ -1,6 +1,7 @@
 """Classical transport: bicharacteristic branches, symplectic integration,
-semi-Lagrangian Liouville stepping, and the pushforward of atomic
-measures (transported clouds are phasespace.AtomicMeasure, masses kept).
+the pushforward of atomic measures (transported clouds are
+phasespace.AtomicMeasure, masses kept) and the characteristic feet that
+solve the Liouville equation by pullback.
 
 Transport in the mollified field V~ = e^{eps Lap} V uses the force
 -V~' sampled spectrally on a periodic grid and interpolated by a
@@ -19,17 +20,14 @@ of uniqueness that the transport experiments probe.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.sparse import csr_matrix
 
-from .errors import (ConfigurationError, NumericsError, RepresentationError,
-                     SemiphaseWarning)
+from .errors import ConfigurationError, NumericsError
 from .grids import PositionGrid, build_position_grid, time_steps
-from .phasespace import AtomicMeasure, GridDensity
+from .phasespace import AtomicMeasure
 from .potentials import (CORE_RADIUS, TAIL_COEFF, PotentialSpec, gradient_at,
                          mollify)
 
@@ -39,8 +37,8 @@ __all__ = [
     "branch_family",
     "branch_constants",
     "branch_ode_residual",
+    "characteristic_feet",
     "integrate_hamiltonian",
-    "liouville_semi_lagrangian",
     "transport_particles",
 ]
 
@@ -265,162 +263,31 @@ def transport_particles(cloud: AtomicMeasure, pot: PotentialSpec,
     return AtomicMeasure(np.stack([cloud.masses, x, p], axis=1))
 
 
-# ---------------------------------------------------------------------------
-# semi-Lagrangian Liouville solver
+def characteristic_feet(feet, pot: PotentialSpec, eps_mollify: float, dt: float,
+                        t_final: float, field_grid: PositionGrid | None = None):
+    """Move the points feet = (x, p) by t_final along x' = p, p' = -V~'(x).
 
-
-def _cubic_weights(s: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Catmull-Rom weights for fractional offset s in [0, 1)
-    s2 = s * s
-    s3 = s2 * s
-    w0 = -0.5 * s3 + s2 - 0.5 * s
-    w1 = 1.5 * s3 - 2.5 * s2 + 1.0
-    w2 = -1.5 * s3 + 2.0 * s2 + 0.5 * s
-    w3 = 0.5 * s3 - 0.5 * s2
-    return w0, w1, w2, w3
-
-
-class _FootInterpolator:
-    """Clamped-bicubic step at fixed foot points, as one sparse matrix.
-
-    The advecting field is autonomous, so the backward feet, and with
-    them every cell's 4x4 Catmull-Rom stencil, are the same every step:
-    the step is a fixed linear map, built once as a CSR matrix over the
-    flattened grid. Each row holds the products sx[a] * sp[b] in (a, b)
-    order, so the matvec sums in the order of a dense 16-term loop and
-    rounds the same way. x is periodic; p is zero-padded, so stencil
-    columns outside the p-window are left out of the matrix (they would
-    multiply zero). Mass that leaves the p-window is lost, and nothing
-    reports the loss.
-
-    Each value is then clamped to the min and max of its 16 stencil
-    values, zeros of out-of-window columns included: the step never
-    expands the sup/inf bounds and keeps nonnegative data nonnegative.
+    Classical RK4 in the (possibly mollified) field, on a pair of
+    broadcastable arrays. With t_final = -t the feet are Phi_{-t}(x, p),
+    so rho_0 at them is the Liouville solution rho_t = rho_0 o Phi_{-t}
+    on those nodes, without interpolation. t_final may be negative (the
+    sign of the steps); dt is a positive step magnitude.
     """
-
-    _CHUNK = 8192  # cells per build block: bounds the (16, chunk) temporaries
-
-    def __init__(self, xf, pf, x_grid: PositionGrid, p_grid: PositionGrid):
-        nx, npts = x_grid.n_points, p_grid.n_points
-        ip = np.floor((pf - p_grid.x_min) / p_grid.dx)
-        # stencil columns ip-1 .. ip+2 that fall inside [0, npts)
-        width = np.minimum(ip + 2, npts - 1) - np.maximum(ip - 1, 0) + 1
-        indptr = np.zeros(nx * npts + 1, dtype=np.int64)
-        np.cumsum(4 * np.clip(width, 0, 4).ravel(), out=indptr[1:])
-        del ip, width
-        data = np.empty(indptr[-1])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        # flat index of each stencil's origin in the (nx, npts + 5) window
-        # arrays of _stencil_range
-        self.origin = np.empty((nx, npts), dtype=np.int32)
-        rows = max(1, self._CHUNK // npts)
-        for r0 in range(0, nx, rows):
-            blk = slice(r0, r0 + rows)
-            gx = (xf[blk] - x_grid.x_min) / x_grid.dx
-            gp = (pf[blk] - p_grid.x_min) / p_grid.dx
-            ix = np.floor(gx).astype(np.int64)
-            ip = np.floor(gp).astype(np.int64)
-            sx = _cubic_weights(gx - ix)
-            sp = _cubic_weights(gp - ip)
-            w = np.empty((4, 4) + gx.shape)
-            col = np.empty((4, 4) + gx.shape, dtype=np.int32)
-            for a in range(4):
-                row = ((ix + a - 1) % nx) * npts
-                for b in range(4):
-                    np.multiply(sx[a], sp[b], out=w[a, b])
-                    # int32 holds every kept column (< nx * npts); the
-                    # dropped ones may wrap
-                    np.add(row, ip + b - 1, out=col[a, b], casting="unsafe")
-            inside = [(ip >= 1 - b) & (ip < npts + 1 - b) for b in range(4)]
-            keep = np.stack(4 * inside)
-            # cell by cell, (a, b) order within a cell
-            w, col, keep = (v.reshape(16, -1).T for v in (w, col, keep))
-            start, stop = indptr[r0 * npts], indptr[min(r0 + rows, nx) * npts]
-            data[start:stop] = w[keep]
-            indices[start:stop] = col[keep]
-            self.origin[blk] = (((ix - 1) % nx) * (npts + 5)
-                                + np.clip(ip - 1, -4, npts) + 4)
-        self.matrix = csr_matrix((data, indices, indptr),
-                                 shape=(nx * npts, nx * npts))
-
-    def _stencil_range(self, f: np.ndarray, op) -> np.ndarray:
-        # op (np.minimum or np.maximum) over each cell's 4x4 stencil:
-        # 4 rows periodically along x, then 4 columns along p over 4 zero
-        # columns per side (so a clipped stencil reads zeros), read at the
-        # stencil origins
-        g = np.pad(f, ((0, 3), (0, 0)), mode="wrap")
-        g = op(g[:-1], g[1:])
-        g = op(g[:-2], g[2:])
-        g = np.pad(g, ((0, 0), (4, 4)))
-        g = op(g[:, :-1], g[:, 1:])
-        g = op(g[:, :-2], g[:, 2:])
-        return g.take(self.origin)
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        out = (self.matrix @ f.ravel()).reshape(f.shape)
-        # clamp to the stencil range: exact L-infinity non-expansion. One
-        # bound at a time keeps one window array alive; lo <= hi, so this
-        # is np.clip(out, lo, hi)
-        np.maximum(out, self._stencil_range(f, np.minimum), out=out)
-        np.minimum(out, self._stencil_range(f, np.maximum), out=out)
-        return out
-
-
-def _trace_feet(x_grid: PositionGrid, p_grid: PositionGrid, force, dt: float):
-    # one backward RK4 step of (x' = p, p' = -V'(x)) from every node; the
-    # first stage broadcasts, so its force is evaluated on the x-nodes only
-    X = x_grid.nodes[:, None]
-    P = p_grid.nodes[None, :]
-    h = -dt
-
-    def rhs(x, p):
-        return p, force(x)
-
-    k1x, k1p = rhs(X, P)
-    k2x, k2p = rhs(X + 0.5 * h * k1x, P + 0.5 * h * k1p)
-    k3x, k3p = rhs(X + 0.5 * h * k2x, P + 0.5 * h * k2p)
-    k4x, k4p = rhs(X + h * k3x, P + h * k3p)
-    xf = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-    pf = P + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return xf, pf
-
-
-def liouville_semi_lagrangian(rho0: GridDensity, pot: PotentialSpec,
-                              eps_mollify: float, dt: float,
-                              t_final: float) -> GridDensity:
-    """Solve  d rho/dt + p dx rho - V~'(x) dp rho = 0  by backward tracing.
-
-    Foot points come from one RK4 step of the reversed characteristic
-    flow. They are the same every step, so the clamped-bicubic gather is
-    built once per call as a sparse matrix (see _FootInterpolator) and
-    each step is one sparse matvec plus the clamp to the stencil range:
-    sup/inf bounds never expand and nonnegative data stays nonnegative.
-    x is periodic; mass that leaves the p-window is lost, and nothing
-    reports the loss.
-    """
-    if not isinstance(rho0, GridDensity):
-        raise RepresentationError("liouville_semi_lagrangian needs a grid density")
-    if not (dt > 0 and t_final >= 0):
-        raise ConfigurationError("dt must be > 0 and t_final >= 0")
+    if not dt > 0:
+        raise ConfigurationError("dt must be > 0")
     n_steps, h = time_steps(t_final, dt)
+    x, p = (np.asarray(a, dtype=np.float64) for a in feet)
     if t_final == 0:
-        return rho0
-    x_grid, p_grid = rho0.grid.x_grid, rho0.grid.p_grid
-
-    force = _force_function(pot, eps_mollify, x_grid)
-    pmax = float(np.max(np.abs(p_grid.nodes)))
-    fmax = float(np.max(np.abs(force(x_grid.nodes))))
-    if pmax * h / x_grid.dx > 1.0 or fmax * h / p_grid.dx > 1.0:
-        warnings.warn(
-            f"semi-Lagrangian feet cross more than one cell per step "
-            f"(x: {pmax * h / x_grid.dx:.2f}, p: {fmax * h / p_grid.dx:.2f} cells)",
-            SemiphaseWarning)
-
-    # the feet die with the constructor call, before the first step
-    interp = _FootInterpolator(*_trace_feet(x_grid, p_grid, force, h),
-                               x_grid, p_grid)
-
-    f = rho0.values.copy()
+        return x, p
+    force = _force_function(pot, eps_mollify, field_grid)
     for _ in range(n_steps):
-        f = interp.apply(f)
-    return GridDensity(f, rho0.grid, tag=rho0.tag)
+        # k1x = p; a broadcast first stage evaluates its force on x's shape
+        k1p = force(x)
+        k2x, k2p = p + 0.5 * h * k1p, force(x + 0.5 * h * p)
+        k3x, k3p = p + 0.5 * h * k2p, force(x + 0.5 * h * k2x)
+        k4x, k4p = p + h * k3p, force(x + h * k3x)
+        x = x + (h / 6.0) * (p + 2 * k2x + 2 * k3x + k4x)
+        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+        raise NumericsError("characteristic feet are not finite")
+    return x, p

@@ -73,20 +73,23 @@ def _char_members(members) -> np.ndarray:
 
     members are (weight, WaveFunction) pairs on one grid at one eps.
     Row j of the shift table gives psi(x - eps*eta_j/2); NODES is
-    symmetric, so row 32 - j is psi(x + eps*eta_j/2).
+    symmetric, so row 32 - j is psi(x + eps*eta_j/2). Only eta <= 0 is
+    computed: chi(xi, -eta) = conj(chi(-xi, eta)) fills the rest.
     """
     eps, grid = members[0][1].eps, members[0][1].grid
     phases = _unit_powers(NODES * (eps / 2.0), grid.k)
-    integrand = np.zeros((phases.shape[0], grid.n_points), dtype=np.complex128)
+    half = _ORIGIN + 1
+    integrand = np.zeros((half, grid.n_points), dtype=np.complex128)
     for w, state in members:
         shifted = sfft.ifft(sfft.fft(state.values) * phases, axis=1,
                             overwrite_x=True)
-        pair = np.conj(shifted[::-1])
-        pair *= shifted
+        pair = np.conj(shifted[:-half - 1:-1])
+        pair *= shifted[:half]
         pair *= w
         integrand += pair
     kernel = _unit_powers(NODES, grid.nodes)
-    return (kernel @ integrand.T) * grid.dx
+    lo = (kernel @ integrand.T) * grid.dx
+    return np.concatenate([lo, np.conj(lo[::-1, -2::-1])], axis=1)
 
 
 def char_function(obj) -> np.ndarray:

@@ -1,11 +1,10 @@
-"""Classical side: multivalued branches, symplectic integration, Liouville transport."""
+"""Classical side: multivalued branches, symplectic integration, Liouville pullback."""
 
 import warnings
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
-from hypothesis import given, settings, strategies as st
 
 from semiphase import (
     AtomicMeasure,
@@ -15,16 +14,13 @@ from semiphase import (
     build_position_grid,
 )
 from semiphase.classical import (
-    _cubic_weights,
-    _FootInterpolator,
     _force_function,
-    _trace_feet,
     _verlet,
     branch_constants,
     branch_family,
     branch_ode_residual,
+    characteristic_feet,
     integrate_hamiltonian,
-    liouville_semi_lagrangian,
     transport_particles,
 )
 from semiphase.phasespace import PhaseGrid
@@ -276,48 +272,57 @@ def test_mollified_force_non_finite_positions():
             _verlet(np.array([0.5, x0]), np.zeros(2), force, 1e-3, 3)
 
 
-# ------------------------------------------------------------- Liouville SL
+# --------------------------------------------------- Liouville by pullback
 
 
-def _blob(pg, x0, p0, var):
-    X = pg.x[:, None]
-    P = pg.p[None, :]
-    return np.exp(-((X - x0) ** 2 + (P - p0) ** 2) / (2 * var))
+def _blob(x0, p0, var):
+    def datum(x, p):
+        return np.exp(-((x - x0) ** 2 + (p - p0) ** 2) / (2 * var))
+    return datum
+
+
+def _pullback(datum, pg, pot, eps_mollify, dt, t, field_grid=None):
+    # rho_t = rho_0 o Phi_{-t} on the nodes of pg
+    feet = characteristic_feet((pg.x[:, None], pg.p[None, :]), pot, eps_mollify,
+                               dt, -t, field_grid=field_grid)
+    return GridDensity(values=datum(*feet), grid=pg, tag="density")
 
 
 def test_liouville_free_transport_commensurate():
     gx = build_position_grid(128, -4.0, 4.0)
     gp = build_position_grid(64, -2.0, 2.0)
     pg = PhaseGrid(gx, gp)
-    rho0 = GridDensity(values=_blob(pg, 0.0, 0.0, 0.16), grid=pg, tag="density")
+    blob = _blob(0.0, 0.0, 0.16)
+    rho0 = blob(pg.x[:, None], pg.p[None, :])
     pot = custom_potential(np.zeros(128))
     # dt * dk / dx = 1: every row shifts an integer cell count per step
-    out = liouville_semi_lagrangian(rho0, pot, 1e-6, 1.0, 1.0)
-    expect = np.empty_like(rho0.values)
+    out = _pullback(blob, pg, pot, 1e-6, 1.0, 1.0, field_grid=gx)
+    expect = np.empty_like(rho0)
     for j, k in enumerate(gp.nodes):
-        expect[:, j] = np.roll(rho0.values[:, j], round(k * 1.0 / gx.dx))
+        expect[:, j] = np.roll(rho0[:, j], round(k * 1.0 / gx.dx))
     assert np.max(np.abs(out.values - expect)) < 1e-9
 
 
 def test_liouville_mass_positivity_linf():
-    # resolved blob on 512^2: interpolation mass error sits below 1e-6/t
+    # resolved blob on 512^2: quadrature mass error sits below 1e-6
     gx = build_position_grid(512, -4.0, 4.0)
     gp = build_position_grid(512, -4.0, 4.0)
     pg = PhaseGrid(gx, gp)
-    rho0 = GridDensity(values=_blob(pg, 0.8, 0.0, 0.2), grid=pg, tag="density")
-    out = liouville_semi_lagrangian(rho0, harmonic_potential(), 1e-3, 0.05, 1.0)
+    blob = _blob(0.8, 0.0, 0.2)
+    rho0 = GridDensity(values=blob(pg.x[:, None], pg.p[None, :]), grid=pg,
+                       tag="density")
+    out = _pullback(blob, pg, harmonic_potential(), 1e-3, 0.05, 1.0, field_grid=gx)
     assert abs(out.total_mass - rho0.total_mass) < 1e-6 * rho0.total_mass
     assert out.values.min() >= -1e-9
     assert out.values.max() <= rho0.values.max() + 1e-6
 
 
-def test_liouville_harmonic_rotation():
+def _rotation_error(dt, t=np.pi / 2):
     gx = build_position_grid(512, -4.0, 4.0)
     gp = build_position_grid(512, -4.0, 4.0)
     pg = PhaseGrid(gx, gp)
-    rho0 = GridDensity(values=_blob(pg, 1.0, 0.0, 0.25), grid=pg, tag="density")
-    t = np.pi / 2
-    out = liouville_semi_lagrangian(rho0, harmonic_potential(), 1e-4, t / 24, t)
+    out = _pullback(_blob(1.0, 0.0, 0.25), pg, harmonic_potential(), 1e-4,
+                    dt, t)
     X = pg.x[:, None]
     P = pg.p[None, :]
     # clockwise flow: rho(t, x, p) = rho0(x cos t - p sin t, x sin t + p cos t)
@@ -325,123 +330,71 @@ def test_liouville_harmonic_rotation():
                       + (X * np.sin(t) + P * np.cos(t)) ** 2) / 0.5)
     num = np.sqrt(np.sum((out.values - expect) ** 2) * pg.cell_area)
     den = np.sqrt(np.sum(expect**2) * pg.cell_area)
-    assert num / den < 1e-4
+    return num / den
+
+
+def test_liouville_harmonic_rotation():
+    assert _rotation_error(np.pi / 2 / 24) < 1e-4
+
+
+def test_liouville_rk4_order():
+    # fourth order: halving the step divides the error by about 16
+    t = np.pi / 2
+    assert _rotation_error(t / 48) <= _rotation_error(t / 24) / 10.0
 
 
 def test_liouville_mollified_cauchy_on_rough():
     gx = build_position_grid(128, -3.0, 3.0)
     gp = build_position_grid(128, -3.0, 3.0)
     pg = PhaseGrid(gx, gp)
-    rho0 = GridDensity(values=_blob(pg, 0.5, 0.2, 0.2), grid=pg, tag="density")
+    blob = _blob(0.5, 0.2, 0.2)
     pot = rough_power_potential(theta=0.5)
     outs = [
-        liouville_semi_lagrangian(rho0, pot, em, 0.02, 0.4).values
+        _pullback(blob, pg, pot, em, 0.02, 0.4, field_grid=gx).values
         for em in (4e-2, 2e-2, 1e-2, 5e-3)
     ]
     gaps = [np.sum(np.abs(b - a)) * pg.cell_area for a, b in zip(outs, outs[1:])]
     assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
 
 
-def test_liouville_validation():
-    gx = build_position_grid(64, -2.0, 2.0)
+def test_liouville_walk_matches_one_span():
+    # the field is autonomous: two spans that are multiples of the step
+    # take the same RK4 steps as one span
+    gx = build_position_grid(64, -3.0, 3.0)
     pg = PhaseGrid(gx, gx)
-    rho0 = GridDensity(values=np.ones(pg.shape), grid=pg, tag="density")
+    pot = rough_power_potential(theta=0.5)
+    start = (pg.x[:, None], pg.p[None, :])
+    once = characteristic_feet(start, pot, 0.05, 0.05, -0.4, field_grid=gx)
+    mid = characteristic_feet(start, pot, 0.05, 0.05, -0.2, field_grid=gx)
+    twice = characteristic_feet(mid, pot, 0.05, 0.05, -0.2, field_grid=gx)
+    assert all(np.array_equal(a, b) for a, b in zip(once, twice))
+
+
+def test_liouville_nonnegative_datum_bounded():
+    # the pullback only evaluates the datum, so the values stay in
+    # [0, sup f0] = [0, 1] by construction
+    gx = build_position_grid(128, -3.0, 3.0)
+    pg = PhaseGrid(gx, gx)
+    out = _pullback(_blob(0.5, 0.2, 0.2), pg, rough_power_potential(theta=0.5),
+                    0.02, 0.02, 0.8, field_grid=gx)
+    assert out.values.min() >= 0.0
+    assert out.values.max() <= 1.0
+
+
+def test_liouville_validation():
+    start = (np.zeros(3), np.ones(3))
     with pytest.raises(ConfigurationError):
-        liouville_semi_lagrangian(rho0, harmonic_potential(), 1e-3, -0.1, 1.0)
+        characteristic_feet(start, harmonic_potential(), 1e-3, -0.1, 1.0)
+    with pytest.raises(ConfigurationError):
+        characteristic_feet(start, harmonic_potential(), 1e-3, 0.0, 1.0)
     for bad in _NON_FINITE:
         with pytest.raises(ConfigurationError):
-            liouville_semi_lagrangian(rho0, harmonic_potential(), 1e-3, bad, 1.0)
+            characteristic_feet(start, harmonic_potential(), 1e-3, bad, 1.0)
         with pytest.raises(ConfigurationError):
-            liouville_semi_lagrangian(rho0, harmonic_potential(), 1e-3, 0.1, bad)
-    with pytest.raises(Exception):
-        liouville_semi_lagrangian("not a density", harmonic_potential(), 0.0, 0.1, 1.0)
-
-
-def _dense_step(f, xf, pf, x_grid, p_grid):
-    # the 16-gather step that _FootInterpolator's sparse matrix replaced,
-    # kept as its reference: out-of-window stencil columns read two zero
-    # sentinel columns, terms are summed in (a, b) order
-    nx, npts = x_grid.n_points, p_grid.n_points
-    gx = (xf - x_grid.x_min) / x_grid.dx
-    gp = (pf - p_grid.x_min) / p_grid.dx
-    ix = np.floor(gx).astype(np.int64)
-    ip = np.floor(gp).astype(np.int64)
-    sx = _cubic_weights(gx - ix)
-    sp = _cubic_weights(gp - ip)
-    fp = np.zeros((nx, npts + 2))
-    fp[:, :-2] = f
-    out = np.zeros_like(f)
-    lo = np.full_like(f, np.inf)
-    hi = np.full_like(f, -np.inf)
-    for a in range(4):
-        row = (ix + a - 1) % nx
-        for b in range(4):
-            val = fp[row, np.clip(ip + b - 1, -1, npts)]
-            out += sx[a] * sp[b] * val
-            np.minimum(lo, val, out=lo)
-            np.maximum(hi, val, out=hi)
-    return np.clip(out, lo, hi)
-
-
-def _random_feet(rng, x_grid, p_grid):
-    # x-feet up to two periods off the grid; p-feet up to half a window
-    # past either edge, so some stencils are clipped and some lie outside
-    shape = (x_grid.n_points, p_grid.n_points)
-    xf = rng.uniform(x_grid.x_min - 2 * x_grid.length,
-                     x_grid.x_max + 2 * x_grid.length, shape)
-    pf = rng.uniform(p_grid.x_min - 0.5 * p_grid.length,
-                     p_grid.x_max + 0.5 * p_grid.length, shape)
-    return xf, pf
-
-
-def _rough_feet(x_grid, p_grid):
-    # production feet: one coarse RK4 step in a mollified rough field
-    force = _force_function(rough_power_potential(theta=0.5), 0.05, x_grid)
-    return _trace_feet(x_grid, p_grid, force, 0.5)
-
-
-@pytest.mark.parametrize("feet", [
-    lambda gx, gp: _random_feet(np.random.default_rng(7), gx, gp), _rough_feet])
-def test_foot_interpolator_matches_dense_gather(feet):
-    gx = build_position_grid(16, -2.0, 2.0)
-    gp = build_position_grid(32, -1.0, 1.0)
-    xf, pf = feet(gx, gp)
-    npts = gp.n_points
-    ip = np.floor((pf - gp.x_min) / gp.dx)
-    assert np.any(xf < gx.x_min) and np.any(xf >= gx.x_max)
-    assert np.any((ip >= -2) & (ip <= 0))  # partly past the lower edge
-    assert np.any((ip >= npts - 2) & (ip <= npts))  # partly past the upper edge
-    assert np.any((ip < -2) | (ip > npts))  # whole stencil outside
-    interp = _FootInterpolator(xf, pf, gx, gp)
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal(xf.shape)
-    ref = f.copy()
-    for _ in range(5):
-        before = f.copy()
-        f_next = interp.apply(f)
-        assert np.array_equal(f, before)
-        ref = _dense_step(ref, xf, pf, gx, gp)
-        assert np.array_equal(f_next, ref)
-        f = f_next
-
-
-@settings(max_examples=30, deadline=None)
-@given(logn=st.integers(min_value=3, max_value=6),
-       seed=st.integers(min_value=0, max_value=2**31 - 1),
-       nonneg=st.booleans())
-def test_foot_interpolator_clamp_bounds(logn, seed, nonneg):
-    rng = np.random.default_rng(seed)
-    gx = build_position_grid(2 ** logn, -1.0, 1.0)
-    gp = build_position_grid(2 ** (9 - logn), -2.0, 2.0)
-    xf, pf = _random_feet(rng, gx, gp)
-    f = rng.standard_normal(xf.shape) * 10.0 ** rng.uniform(-3, 3)
-    if nonneg:
-        f = np.maximum(f, 0.0)
-    out = _FootInterpolator(xf, pf, gx, gp).apply(f)
-    assert out.min() >= min(0.0, f.min())
-    assert out.max() <= max(0.0, f.max())
-    if nonneg:
-        assert out.min() >= 0.0
+            characteristic_feet(start, harmonic_potential(), 1e-3, 0.1, bad)
+    with pytest.raises(NumericsError):
+        characteristic_feet((np.array([0.5, np.nan]), np.zeros(2)),
+                            harmonic_potential(), 1e-3, 0.1, 1.0)
 
 
 @pytest.mark.parametrize("pot", [harmonic_potential()] + [

@@ -79,9 +79,11 @@ def test_every_export_is_reached():
 
 def test_import_leaves_heavy_scipy_unloaded():
     # scipy.interpolate pulls in scipy.optimize, scipy.linalg and
-    # numpy.f2py; the package needs none of them, so a fresh interpreter
-    # must not load them on `import semiphase`
-    heavy = ("scipy.interpolate", "scipy.optimize", "scipy.linalg")
+    # numpy.f2py, and scipy.sparse is a large import of its own; the
+    # package needs none of them, so a fresh interpreter must not load
+    # them on `import semiphase`
+    heavy = ("scipy.interpolate", "scipy.optimize", "scipy.linalg",
+             "scipy.sparse")
     code = ("import sys, semiphase; "
             f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
     env = dict(os.environ)

@@ -148,6 +148,34 @@ def test_one_shift_table_matches_two_tables_ensemble(grid):
                     _two_table_char_members(members)) <= 1e-13
 
 
+def _full_row_char_members(members):
+    # reference: all 33 eta rows of the integrand, each times the kernel
+    eps, grid = members[0][1].eps, members[0][1].grid
+    phases = _unit_powers(NODES * (eps / 2.0), grid.k)
+    integrand = np.zeros((phases.shape[0], grid.n_points), dtype=np.complex128)
+    for w, state in members:
+        shifted = sfft.ifft(sfft.fft(state.values) * phases, axis=1)
+        integrand += w * np.conj(shifted[::-1]) * shifted
+    kernel = _unit_powers(NODES, grid.nodes)
+    return (kernel @ integrand.T) * grid.dx
+
+
+def test_half_rows_match_full_rows(corpus):
+    for label, psi in corpus:
+        members = ((1.0, psi),)
+        assert _rel_dev(_char_members(members),
+                        _full_row_char_members(members)) <= 1e-13, label
+
+
+def test_half_rows_match_full_rows_ensemble(grid):
+    eps = 0.05
+    members = tuple((w, coherent_state(x0, p0, eps, grid)) for w, (x0, p0)
+                    in zip((0.1, 0.2, 0.3, 0.4),
+                           ((-0.5, 0.0), (0.5, 0.2), (1.2, -0.4), (-1.0, 0.6))))
+    assert _rel_dev(_char_members(members),
+                    _full_row_char_members(members)) <= 1e-13
+
+
 def test_char_is_one_at_origin_for_every_representation(grid):
     origin = NODES.size // 2
     assert NODES[origin] == 0.0
