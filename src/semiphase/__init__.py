@@ -7,9 +7,8 @@ of rough potentials, weak and L2 convergence metrics, and a
 reproducible experiment harness over eps ladders.
 """
 from ._version import __version__
-from .classical import (SampledPath, TrajectoryBranch, branch_constants,
-                        branch_family, branch_ode_residual,
-                        characteristic_feet, integrate_hamiltonian,
+from .classical import (TrajectoryBranch, branch_constants, branch_family,
+                        branch_ode_residual, characteristic_feet,
                         transport_particles)
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
                      SemiphaseError, SemiphaseWarning, ShapeMismatchError)

@@ -1,7 +1,9 @@
-"""Classical transport: bicharacteristic branches, symplectic integration,
-the pushforward of atomic measures (transported clouds are
-phasespace.AtomicMeasure, masses kept) and the characteristic feet that
-solve the Liouville equation by pullback.
+"""Classical transport: bicharacteristic branches, the characteristic
+feet of the flow x' = p, p' = -V'(x), and the pushforward of atomic
+measures along them (transported clouds are phasespace.AtomicMeasure,
+masses kept). characteristic_feet is the one integrator: it moves
+clouds, the Liouville feet of the pullback solution and the shadows of
+the closed-form branches.
 
 Transport in the mollified field V~ = e^{eps Lap} V uses the force
 -V~' sampled spectrally on a periodic grid and interpolated by a
@@ -28,17 +30,14 @@ import scipy.fft as sfft
 from .errors import ConfigurationError, NumericsError
 from .grids import PositionGrid, build_position_grid, time_steps
 from .phasespace import AtomicMeasure
-from .potentials import (CORE_RADIUS, TAIL_COEFF, PotentialSpec, gradient_at,
-                         mollify)
+from .potentials import PotentialSpec, gradient_at, mollify
 
 __all__ = [
     "TrajectoryBranch",
-    "SampledPath",
     "branch_family",
     "branch_constants",
     "branch_ode_residual",
     "characteristic_feet",
-    "integrate_hamiltonian",
     "transport_particles",
 ]
 
@@ -112,15 +111,6 @@ def branch_ode_residual(branch: TrajectoryBranch, t, h: float = 1e-6) -> tuple[f
     return r1, r2
 
 
-@dataclass(frozen=True)
-class SampledPath:
-    """Störmer-Verlet trajectory samples."""
-
-    ts: np.ndarray = field(repr=False, compare=False)
-    xs: np.ndarray = field(repr=False, compare=False)
-    ps: np.ndarray = field(repr=False, compare=False)
-
-
 def _periodic_spline(y: np.ndarray, grid: PositionGrid):
     """Periodic cubic spline through (grid.nodes, y), vectorized.
 
@@ -179,90 +169,6 @@ def _force_function(pot: PotentialSpec, eps_mollify: float,
     return _periodic_spline(-dvt, field_grid)
 
 
-def _verlet(xs, ps, force, dt: float, n_steps: int):
-    x = np.array(xs, dtype=np.float64, copy=True)
-    p = np.array(ps, dtype=np.float64, copy=True)
-    f = force(x)
-    for _ in range(n_steps):
-        p_half = p + 0.5 * dt * f
-        x = x + dt * p_half
-        f = force(x)
-        p = p_half + 0.5 * dt * f
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-        raise NumericsError("trajectory integration produced non-finite values")
-    return x, p
-
-
-def _scalar_force(pot: PotentialSpec):
-    # plain-float force for single-trajectory integration; the numpy
-    # route costs ~10x per step at size 1
-    if pot.kind == "harmonic":
-        return lambda x: -x
-    if pot.kind == "rough_power":
-        th, r, q = pot.theta, CORE_RADIUS, TAIL_COEFF
-        cr = (1.0 + th) * r ** th
-
-        def force(x):
-            ax = abs(x)
-            if ax == 0.0:
-                return 0.0
-            sg = 1.0 if x > 0 else -1.0
-            if ax <= r:
-                return (1.0 + th) * ax ** th * sg
-            return (cr - 4.0 * q * (ax - r) ** 3) * sg
-
-        return force
-    raise ConfigurationError("custom potentials have no closed-form gradient")
-
-
-def integrate_hamiltonian(x0: float, p0: float, pot: PotentialSpec,
-                          dt: float, t_final: float) -> SampledPath:
-    """Störmer-Verlet path from (x0, p0) under the raw field, all steps kept."""
-    if not (dt > 0 and t_final > 0):
-        raise ConfigurationError("dt and t_final must be > 0")
-    n_steps, h = time_steps(t_final, dt)
-    ts = h * np.arange(n_steps + 1)
-    xs = np.empty(n_steps + 1)
-    ps = np.empty(n_steps + 1)
-    xs[0], ps[0] = x0, p0
-    force = _scalar_force(pot)
-    x, p = float(x0), float(p0)
-    try:
-        f = force(x)
-        for j in range(n_steps):
-            p_half = p + 0.5 * h * f
-            x = x + h * p_half
-            f = force(x)
-            p = p_half + 0.5 * h * f
-            xs[j + 1], ps[j + 1] = x, p
-    except OverflowError as exc:
-        # plain-float powers raise instead of returning inf
-        raise NumericsError(
-            "trajectory integration produced non-finite values") from exc
-    if not (np.isfinite(x) and np.isfinite(p)):
-        raise NumericsError("trajectory integration produced non-finite values")
-    return SampledPath(ts=ts, xs=xs, ps=ps)
-
-
-def transport_particles(cloud: AtomicMeasure, pot: PotentialSpec,
-                        eps_mollify: float, dt: float, t_final: float,
-                        field_grid: PositionGrid | None = None) -> AtomicMeasure:
-    """Push every atom through the (possibly mollified) field.
-
-    Returns the transported atomic measure: the same masses, in the same
-    order, at the Verlet endpoints. t_final may be negative (backward
-    transport); dt is a positive step magnitude.
-    """
-    if not dt > 0:
-        raise ConfigurationError("dt must be > 0")
-    n_steps, h = time_steps(t_final, dt)
-    if t_final == 0:
-        return cloud
-    force = _force_function(pot, eps_mollify, field_grid)
-    x, p = _verlet(cloud.xs, cloud.ps, force, h, n_steps)
-    return AtomicMeasure(np.stack([cloud.masses, x, p], axis=1))
-
-
 def characteristic_feet(feet, pot: PotentialSpec, eps_mollify: float, dt: float,
                         t_final: float, field_grid: PositionGrid | None = None):
     """Move the points feet = (x, p) by t_final along x' = p, p' = -V~'(x).
@@ -291,3 +197,16 @@ def characteristic_feet(feet, pot: PotentialSpec, eps_mollify: float, dt: float,
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
         raise NumericsError("characteristic feet are not finite")
     return x, p
+
+
+def transport_particles(cloud: AtomicMeasure, pot: PotentialSpec,
+                        eps_mollify: float, dt: float, t_final: float,
+                        field_grid: PositionGrid | None = None) -> AtomicMeasure:
+    """The pushforward of cloud by the flow over t_final.
+
+    characteristic_feet on the atoms' (x, p); the masses stay the same,
+    in the same order.
+    """
+    x, p = characteristic_feet((cloud.xs, cloud.ps), pot, eps_mollify, dt,
+                               t_final, field_grid=field_grid)
+    return AtomicMeasure(np.stack([cloud.masses, x, p], axis=1))

@@ -1,9 +1,10 @@
-"""Command line front end: run experiments, sweep ladders, probe families.
+"""Command line front end: run experiments and sweep ladders.
 
 Exit codes: 0 all assertions passed, 1 assertion failure, 2 configuration
-error. Configs are JSON objects whose keys mirror ExperimentConfig;
-command line flags override file values. Every SemiphaseWarning raised
-during a run is printed from its manifest.
+error. Configs are JSON objects whose keys mirror ExperimentConfig; an
+"experiment" key must name the experiment being run. Command line flags
+override file values. Every SemiphaseWarning raised during a run is
+printed from its manifest.
 """
 from __future__ import annotations
 
@@ -28,7 +29,10 @@ def _load_config(experiment: str, args) -> ExperimentConfig:
         raw = json.loads(Path(args.config).read_text())
         if not isinstance(raw, dict):
             raise ConfigurationError(f"config {args.config} is not a JSON object")
-        raw.pop("experiment", None)
+        named = raw.pop("experiment", experiment)
+        if resolve_experiment(str(named)) != experiment:
+            raise ConfigurationError(
+                f"config {args.config} is for {named}, not {experiment}")
         known = set(ExperimentConfig.__dataclass_fields__)
         unknown = sorted(set(raw) - known)
         if unknown:
@@ -80,11 +84,6 @@ def _cmd_sweep(args) -> int:
     return worst
 
 
-def _cmd_probe(args) -> int:
-    args.experiment = "ConjectureProbe"
-    return _cmd_run(args)
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--eps", type=float, nargs="+",
@@ -110,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("experiment")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_probe = sub.add_parser("probe", help="alias for `run ConjectureProbe`")
-    _add_common(p_probe)
-    p_probe.set_defaults(func=_cmd_probe)
     return parser
 
 

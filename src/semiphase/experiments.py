@@ -23,8 +23,7 @@ from scipy.special import erfc
 
 from ._version import __version__
 from .classical import (TrajectoryBranch, branch_family, branch_ode_residual,
-                        characteristic_feet, integrate_hamiltonian,
-                        transport_particles)
+                        characteristic_feet, transport_particles)
 from .errors import ConfigurationError, NumericsError, SemiphaseWarning
 from .grids import PhaseGrid, PositionGrid, build_position_grid
 from .gridio import write_csv, write_grid
@@ -118,7 +117,7 @@ class ExperimentConfig:
     t0_list: tuple = (0.0, 0.5, 1.0)
     shadow_t1: float = 0.5
     shadow_t_final: float = 1.5
-    shadow_dt: float = 1e-5
+    shadow_dt: float = 1e-3
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -145,9 +144,9 @@ class ExperimentConfig:
                 "dt, dt_classical and shadow_dt must be finite and > 0")
         if not np.all(np.isfinite((self.shadow_t1, self.shadow_t_final))):
             raise ConfigurationError("shadow_t1 and shadow_t_final must be finite")
-        if not np.all(np.isfinite(self.sample_times)):
+        if not self.sample_times or not np.all(np.isfinite(self.sample_times)):
             raise ConfigurationError(
-                f"sample_times must be finite, got {self.sample_times}")
+                f"sample_times must be non-empty and finite, got {self.sample_times}")
         # the lattices take (k - 1) // 2 points per side: an even size
         # would silently run the next smaller odd one
         if self.datum_k < 1 or self.datum_k % 2 == 0:
@@ -287,7 +286,7 @@ def _schrodinger(propagator, pot: PotentialSpec, dt: float):
 
 def _transport(pot: PotentialSpec, eps_mollify: float, dt: float,
                field_grid: PositionGrid | None = None):
-    """advance() for _evolve_at: Verlet transport of a cloud by the signed span."""
+    """advance() for _evolve_at: a cloud pushed along the flow by the signed span."""
     return lambda cloud, span: transport_particles(cloud, pot, eps_mollify, dt,
                                                    span, field_grid=field_grid)
 
@@ -817,24 +816,30 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> RunManifest:
 
 
 def run_branch_atlas(cfg: ExperimentConfig) -> RunManifest:
-    """Closed-form trajectory branches, ODE residuals, symplectic shadows.
+    """Closed-form trajectory branches, ODE residuals, integrated shadows.
 
     For every theta in the list: the rest branch plus +-branches with
     each configured delay; residuals of the closed forms against the
-    Hamiltonian ODE must stay below 1e-6, and a Verlet trajectory
-    started on the undelayed branch must track it to relative error
-    1e-5 at the final time.
+    Hamiltonian ODE must stay below 1e-6, and the characteristics
+    started on both undelayed branches at shadow_t1 must track them to
+    relative error 1e-5 at shadow_t_final. Eleven evenly spaced shadow
+    samples per branch are written.
     """
     for theta in cfg.theta_list:
         if theta >= 0.95:
             raise ConfigurationError(
                 f"theta={theta} too close to 1: branch exponent 2/(1-theta) "
                 "diverges; restrict to theta < 0.95")
+    if not cfg.shadow_t_final > cfg.shadow_t1:
+        raise ConfigurationError(
+            f"shadow_t_final={cfg.shadow_t_final} must exceed "
+            f"shadow_t1={cfg.shadow_t1}")
     with _Emitter(cfg) as em:
         branch_rows, resid_rows, shadow_rows = [], [], []
         max_resid = 0.0
         max_shadow_rel = 0.0
         ts = np.linspace(0.0, cfg.shadow_t_final, 61)
+        t_abs = np.linspace(cfg.shadow_t1, cfg.shadow_t_final, 11)
         for theta in cfg.theta_list:
             pot = rough_power_potential(theta)
             spec_list = [(0, 0.0)] + [(s, t0) for s in (1, -1) for t0 in cfg.t0_list]
@@ -846,19 +851,21 @@ def run_branch_atlas(cfg: ExperimentConfig) -> RunManifest:
                     r1, r2 = branch_ode_residual(br, t)
                     max_resid = max(max_resid, abs(r1), abs(r2))
                     resid_rows.append((theta, br.sign, br.t0, t, r1, r2))
-            for sign in (1, -1):
-                br = TrajectoryBranch(sign=sign, t0=0.0, theta=theta)
-                x1, p1 = br.X(cfg.shadow_t1), br.P(cfg.shadow_t1)
-                path = integrate_hamiltonian(x1, p1, pot, cfg.shadow_dt,
-                                             cfg.shadow_t_final - cfg.shadow_t1)
-                t_abs = cfg.shadow_t1 + path.ts
-                stride = max(1, len(path.ts) // 10)
-                for j in sorted({*range(0, len(path.ts), stride), len(path.ts) - 1}):
-                    shadow_rows.append((theta, sign, t_abs[j], br.X(t_abs[j]),
-                                        br.P(t_abs[j]), path.xs[j], path.ps[j]))
+            # both signs walk as one pair of arrays
+            branches = branch_family(theta, [(1, 0.0), (-1, 0.0)])
+            start = (np.array([br.X(cfg.shadow_t1) for br in branches]),
+                     np.array([br.P(cfg.shadow_t1) for br in branches]))
+            walk = _evolve_at(start, t_abs - cfg.shadow_t1,
+                              lambda f, span: characteristic_feet(
+                                  f, pot, 0.0, cfg.shadow_dt, span))
+            shadows = [feet for _, feet in walk]
+            for i, br in enumerate(branches):
+                for t, (xs, ps) in zip(t_abs, shadows):
+                    shadow_rows.append((theta, br.sign, t, br.X(t), br.P(t),
+                                        xs[i], ps[i]))
                 xb, pb = br.X(t_abs[-1]), br.P(t_abs[-1])
-                rel = float(np.hypot(path.xs[-1] - xb, path.ps[-1] - pb)
-                            / np.hypot(xb, pb))
+                xs, ps = shadows[-1]
+                rel = float(np.hypot(xs[i] - xb, ps[i] - pb) / np.hypot(xb, pb))
                 max_shadow_rel = max(max_shadow_rel, rel)
         em.csv("atlas_branches.csv", ["theta", "sign", "t0", "nu", "c0"],
                branch_rows)

@@ -5,7 +5,9 @@ lives on these grids, so the conventions are pinned here once:
 
 * nodes x_i = x_min + i*dx, i = 0..n-1, periodic wrap at x_max;
 * dual frequencies in standard DFT ordering, k_j = 2*pi*fftfreq(n, dx);
-* the DFT is unitary (norm="ortho") so Parseval holds with no factors.
+* dft_forward is the unitary DFT (norm="ortho"), so Parseval holds with
+  no factors; every other transform in the package calls scipy.fft with
+  its default scaling (forward unnormalized, inverse by 1/n).
 """
 from __future__ import annotations
 

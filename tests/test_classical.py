@@ -1,4 +1,4 @@
-"""Classical side: multivalued branches, symplectic integration, Liouville pullback."""
+"""Classical side: multivalued branches, RK4 characteristics, Liouville pullback."""
 
 import warnings
 
@@ -15,12 +15,10 @@ from semiphase import (
 )
 from semiphase.classical import (
     _force_function,
-    _verlet,
     branch_constants,
     branch_family,
     branch_ode_residual,
     characteristic_feet,
-    integrate_hamiltonian,
     transport_particles,
 )
 from semiphase.phasespace import PhaseGrid
@@ -96,74 +94,75 @@ def test_delayed_branch_residual_away_from_start():
 # ------------------------------------------------------------- integrator
 
 
+def _feet(x0, p0, pot, dt, t):
+    x, p = characteristic_feet((np.array([x0]), np.array([p0])), pot, 0.0, dt, t)
+    return x[0], p[0]
+
+
 def test_integrate_harmonic_rotation():
-    path = integrate_hamiltonian(1.0, 0.0, harmonic_potential(), 1e-3, 1.0)
-    assert path.ts[-1] == pytest.approx(1.0)
-    assert path.xs[-1] == pytest.approx(np.cos(1.0), abs=1e-5)
-    assert path.ps[-1] == pytest.approx(-np.sin(1.0), abs=1e-5)
-
-
-def test_integrate_energy_drift_quadratic_in_dt():
-    def drift(dt):
-        path = integrate_hamiltonian(1.2, 0.0, harmonic_potential(), dt, 10.0)
-        e = 0.5 * path.ps**2 + 0.5 * path.xs**2
-        return np.max(np.abs(e - e[0]))
-
-    d1, d2 = drift(2e-3), drift(1e-3)
-    assert d1 / d2 == pytest.approx(4.0, rel=0.2)
+    x, p = _feet(1.0, 0.0, harmonic_potential(), 1e-3, 1.0)
+    assert x == pytest.approx(np.cos(1.0), abs=1e-12)
+    assert p == pytest.approx(-np.sin(1.0), abs=1e-12)
 
 
 def test_integrate_shadow_tracks_branch():
     nu, c0 = branch_constants(0.5)
     t1 = 0.5
     x1, p1 = c0 * t1**nu, c0 * nu * t1 ** (nu - 1)
-    path = integrate_hamiltonian(x1, p1, rough_power_potential(theta=0.5), 1e-4, 1.0)
-    x_exact = c0 * 1.5**nu
-    assert abs(path.xs[-1] - x_exact) / x_exact < 1e-3
+    x, p = _feet(x1, p1, rough_power_potential(theta=0.5), 1e-3, 1.0)
+    x_exact, p_exact = c0 * 1.5**nu, c0 * nu * 1.5 ** (nu - 1)
+    assert abs(x - x_exact) / x_exact < 1e-9
+    assert abs(p - p_exact) / p_exact < 1e-9
 
 
 def test_integrate_rest_point_is_fixed():
-    path = integrate_hamiltonian(0.0, 0.0, rough_power_potential(theta=0.5), 1e-3, 1.0)
-    assert np.max(np.abs(path.xs)) == 0.0
-    assert np.max(np.abs(path.ps)) == 0.0
+    # V'(0) = 0 on the rough kind, so the origin never moves
+    x, p = _feet(0.0, 0.0, rough_power_potential(theta=0.5), 1e-3, 1.0)
+    assert x == 0.0 and p == 0.0
 
 
 def test_integrate_nan_raises():
-    with pytest.raises(NumericsError):
-        integrate_hamiltonian(1e200, 0.0, rough_power_potential(theta=0.5), 0.1, 1.0)
+    # the quartic tail overflows to inf, then inf - inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError):
+            _feet(1e200, 0.0, rough_power_potential(theta=0.5), 0.1, 1.0)
 
 
 _NON_FINITE = (float("inf"), float("nan"))
 
 
 def test_integrate_rejects_bad_dt():
+    start = (np.zeros(3), np.ones(3))
     with pytest.raises(ConfigurationError):
-        integrate_hamiltonian(1.0, 0.0, harmonic_potential(), -1e-3, 1.0)
-    # unchecked, an infinite dt would run one step and an infinite span
+        characteristic_feet(start, harmonic_potential(), 1e-3, -0.1, 1.0)
+    with pytest.raises(ConfigurationError):
+        characteristic_feet(start, harmonic_potential(), 1e-3, 0.0, 1.0)
+    # unchecked, an infinite dt would run one step and a non-finite span
     # would overflow round()
     for bad in _NON_FINITE:
         with pytest.raises(ConfigurationError):
-            integrate_hamiltonian(1.0, 0.0, harmonic_potential(), bad, 1.0)
+            characteristic_feet(start, harmonic_potential(), 1e-3, bad, 1.0)
         with pytest.raises(ConfigurationError):
-            integrate_hamiltonian(1.0, 0.0, harmonic_potential(), 1e-3, bad)
+            characteristic_feet(start, harmonic_potential(), 1e-3, 0.1, bad)
 
 
 def test_integrate_rejects_custom_potential():
-    # sampled potentials have no closed-form force to integrate
+    # sampled potentials have no closed-form force for the raw field
     pot = custom_potential(np.zeros(64))
     with pytest.raises(ConfigurationError, match="no closed-form gradient"):
-        integrate_hamiltonian(1.0, 0.0, pot, 1e-3, 1.0)
+        _feet(1.0, 0.0, pot, 1e-3, 1.0)
 
 
 # ------------------------------------------------------- particle transport
 
 
 def test_transport_single_matches_integrator():
+    # oracle: the exact harmonic rotation of (x0, p0) = (0.7, -0.2)
     cloud = AtomicMeasure(((1.0, 0.7, -0.2),))
     out = transport_particles(cloud, harmonic_potential(), 0.0, 1e-3, 0.8)
-    path = integrate_hamiltonian(0.7, -0.2, harmonic_potential(), 1e-3, 0.8)
-    assert out.xs[0] == pytest.approx(path.xs[-1], abs=1e-12)
-    assert out.ps[0] == pytest.approx(path.ps[-1], abs=1e-12)
+    c, s = np.cos(0.8), np.sin(0.8)
+    assert out.xs[0] == pytest.approx(0.7 * c - 0.2 * s, abs=1e-12)
+    assert out.ps[0] == pytest.approx(-0.2 * c - 0.7 * s, abs=1e-12)
 
 
 def test_transport_antisymmetric_pair():
@@ -266,10 +265,11 @@ def test_mollified_force_non_finite_positions():
         out = force(bad)
         assert not np.any(np.isfinite(out))
         assert np.isfinite(force(np.array([0.3, *bad]))[0])
-    # so the cloud integrator still refuses the run
+    # so the integrator still refuses the run
     for x0 in bad:
         with pytest.raises(NumericsError):
-            _verlet(np.array([0.5, x0]), np.zeros(2), force, 1e-3, 3)
+            characteristic_feet((np.array([0.5, x0]), np.zeros(2)),
+                                rough_power_potential(theta=0.5), 0.05, 1e-3, 3e-3)
 
 
 # --------------------------------------------------- Liouville by pullback
@@ -382,33 +382,7 @@ def test_liouville_nonnegative_datum_bounded():
 
 
 def test_liouville_validation():
-    start = (np.zeros(3), np.ones(3))
-    with pytest.raises(ConfigurationError):
-        characteristic_feet(start, harmonic_potential(), 1e-3, -0.1, 1.0)
-    with pytest.raises(ConfigurationError):
-        characteristic_feet(start, harmonic_potential(), 1e-3, 0.0, 1.0)
-    for bad in _NON_FINITE:
-        with pytest.raises(ConfigurationError):
-            characteristic_feet(start, harmonic_potential(), 1e-3, bad, 1.0)
-        with pytest.raises(ConfigurationError):
-            characteristic_feet(start, harmonic_potential(), 1e-3, 0.1, bad)
+    # step checks: test_integrate_rejects_bad_dt; a non-finite foot is refused
     with pytest.raises(NumericsError):
         characteristic_feet((np.array([0.5, np.nan]), np.zeros(2)),
                             harmonic_potential(), 1e-3, 0.1, 1.0)
-
-
-@pytest.mark.parametrize("pot", [harmonic_potential()] + [
-    rough_power_potential(th) for th in (0.1, 0.3, 0.5, 0.7)])
-def test_scalar_force_matches_gradient(pot):
-    # the plain-float Verlet force is the array formula. Equal to rounding
-    # only: numpy's vectorized power may differ from libm pow by an ulp
-    # (it does on AVX-512 builds), so bitwise equality is platform-bound
-    from semiphase.classical import _scalar_force
-    from semiphase.potentials import gradient_at
-
-    xs = np.concatenate([np.linspace(-3.0, 3.0, 20001), [0.0, 1.0, -1.0]])
-    force = _scalar_force(pot)
-    got = np.array([force(float(x)) for x in xs])
-    want = -gradient_at(pot, xs)
-    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-15
-    assert force(0.0) == 0.0 and force(1.0) == want[-2]

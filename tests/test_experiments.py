@@ -70,6 +70,9 @@ def test_config_validation():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ConfigurationError, match="sample_times"):
             defaults_for("HarmonicExact", sample_times=(0.5, bad))
+    # no sample time leaves HarmonicExact's max() an empty sequence
+    with pytest.raises(ConfigurationError, match="sample_times"):
+        defaults_for("HarmonicExact", sample_times=())
     # numeric fields convert by annotation; bools and non-numbers are refused
     cfg = defaults_for("HarmonicExact", dt="0.001", grid_n="256", seed=3.0,
                        datum_center=["1.5", "0"])
@@ -102,6 +105,10 @@ def test_run_rejects_bad_grid_and_theta(tmp_path):
     with pytest.raises(ConfigurationError):
         run_experiment(defaults_for("BranchAtlas", theta_list=(0.99,),
                                     out_dir=str(tmp_path / "t")))
+    for t_final in (0.5, 0.2):  # the shadows need a positive span
+        with pytest.raises(ConfigurationError, match="shadow_t_final"):
+            run_experiment(defaults_for("BranchAtlas", shadow_t_final=t_final,
+                                        out_dir=str(tmp_path / "s")))
     with pytest.raises(ConfigurationError):
         run_experiment(defaults_for("L2MollifiedRate", sample_times=(-0.1,),
                                     out_dir=str(tmp_path / "r")))
@@ -173,6 +180,21 @@ def test_run_probe_pure_family(tmp_path):
         assert float(parts[3]) == pytest.approx(1.0 / (5 * np.pi), rel=1e-12)
 
 
+def test_run_probe_box_family():
+    # about box_area/(2 pi eps) coherent members spread over the box: the
+    # Husimi sup stays near the uniform density 1/box_area at every eps,
+    # so sup * eps falls with eps instead of staying at the pure 1/(5 pi)
+    # (N=256 cannot hold the box's momenta at eps=0.05)
+    ladder = (0.2, 0.1, 0.05)
+    man = run_experiment(defaults_for("ConjectureProbe", probe_family="box",
+                                      grid_n=512, eps_ladder=ladder))
+    box_area = defaults_for("ConjectureProbe").box_area
+    for sup in man.records["sups"]:
+        assert sup == pytest.approx(1.0 / box_area, rel=0.02)
+    sup_eps = man.records["sup_times_eps"]
+    assert all(b < a for a, b in zip(sup_eps, sup_eps[1:]))
+
+
 def test_random_family_harmonic_closed_form():
     # on the harmonic potential a coherent state stays coherent and its
     # centre follows the classical rotation, so every sample's Husimi
@@ -186,12 +208,12 @@ def test_random_family_harmonic_closed_form():
     for eps, avg in zip(ladder, man.records["averages"]):
         exact = np.sum((1.0 - np.exp(-eps * r2 / 4.0)) * np.exp(-eps * r2)
                        * np.exp(-r2 / 2.0)) * 0.25
-        assert avg == pytest.approx(exact, rel=1e-9), eps
+        assert avg == pytest.approx(exact, rel=1e-11), eps
 
 
 @pytest.mark.parametrize("eps_mollify", [0.0, 0.1])
 def test_transport_walk_matches_transport_from_zero(eps_mollify):
-    # each gap is a multiple of dt, so the walk takes the same Verlet steps
+    # each gap is a multiple of dt, so the walk takes the same RK4 steps
     cfg = defaults_for("WeakConvergence")
     pot, datum = _potential(cfg), _mixture_datum(cfg)
     field_grid = build_position_grid(1024, -8.0, 8.0) if eps_mollify else None
@@ -229,9 +251,10 @@ def test_cli_run_pass(tmp_path):
 
 
 def test_cli_assertion_failure_exit_1(tmp_path):
-    # deliberately coarse shadow step: tracking tolerance 1e-5 cannot hold
+    # deliberately coarse shadow step: one RK4 step per 0.1 span errs
+    # about 2e-4, against the 1e-5 tracking tolerance
     cfg = _write_cfg(tmp_path, {
-        "experiment": "BranchAtlas", "theta_list": [0.5], "shadow_dt": 0.05,
+        "experiment": "BranchAtlas", "theta_list": [0.5], "shadow_dt": 0.1,
     })
     code = main(["run", "BranchAtlas", "--config", cfg,
                  "--out", str(tmp_path / "out1")])
@@ -242,6 +265,21 @@ def test_cli_assertion_failure_exit_1(tmp_path):
 
 def test_cli_unknown_experiment_exit_2(tmp_path):
     assert main(["run", "Bogus", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_cli_config_for_other_experiment_exit_2(tmp_path, capsys):
+    # the file's experiment must be the one being run, not silently replaced
+    cfg = _write_cfg(tmp_path, {"experiment": "WeakConvergence", "grid_n": 256})
+    assert main(["run", "HarmonicExact", "--config", cfg,
+                 "--out", str(tmp_path / "other")]) == 2
+    err = capsys.readouterr().err
+    assert "WeakConvergence" in err and "HarmonicExact" in err
+    assert not (tmp_path / "other").exists()
+    # an alias of the same experiment is the same experiment
+    cfg = _write_cfg(tmp_path, {"experiment": "harmonic-exact", "grid_n": 256,
+                                "dt": 5e-3})
+    assert main(["run", "HarmonicExact", "--config", cfg,
+                 "--out", str(tmp_path / "alias")]) == 0
 
 
 def test_cli_bad_config_key_exit_2(tmp_path):
@@ -264,15 +302,16 @@ def test_cli_bad_grid_exit_2(tmp_path):
 
 def test_cli_nan_step_exit_2(tmp_path):
     # json reads NaN and Infinity; they must be refused before a run
-    # reaches round()
+    # reaches round(), and no sample time before HarmonicExact's max()
     for name, overrides in [
             ("dt-nan", {"dt": float("nan")}), ("dt-inf", {"dt": float("inf")}),
-            ("t-inf", {"grid_n": 256, "dt": 5e-3, "sample_times": [float("inf")]})]:
+            ("t-inf", {"grid_n": 256, "dt": 5e-3, "sample_times": [float("inf")]}),
+            ("t-empty", {"grid_n": 256, "dt": 5e-3, "sample_times": []})]:
         cfg = _write_cfg(tmp_path, {"experiment": "HarmonicExact", **overrides})
         assert main(["run", "HarmonicExact", "--config", cfg,
                      "--out", str(tmp_path / name)]) == 2, name
     # BranchAtlas would overflow round() on shadow_t_final=inf and run
-    # one Verlet step on shadow_dt=inf
+    # one step per span on shadow_dt=inf
     for name, overrides in [("shadow-t-inf", {"shadow_t_final": float("inf")}),
                             ("shadow-dt-inf", {"shadow_dt": float("inf")})]:
         cfg = _write_cfg(tmp_path, {"experiment": "BranchAtlas", **overrides})
@@ -296,11 +335,13 @@ def test_cli_nan_step_exit_2(tmp_path):
 
 def test_cli_eps_override(tmp_path):
     cfg = _write_cfg(tmp_path, {"experiment": "ConjectureProbe", "grid_n": 256})
-    code = main(["probe", "--config", cfg, "--eps", "0.1",
+    code = main(["run", "ConjectureProbe", "--config", cfg, "--eps", "0.1",
                  "--out", str(tmp_path / "pr")])
     assert code == 0
     text = (tmp_path / "pr" / "conjecture_probe.csv").read_text()
     assert len(text.splitlines()) == 2  # header + single eps row
+    with pytest.raises(SystemExit):  # `run ConjectureProbe` is the one route
+        main(["probe"])
 
 
 def test_cli_sweep_per_eps_dirs(tmp_path):

@@ -93,3 +93,11 @@ def test_import_leaves_heavy_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_package_line_budget():
+    # src/semiphase stays under 3,000 lines: a change that adds lines
+    # deletes as many elsewhere
+    total = sum(len(p.read_text().splitlines())
+                for p in Path(semiphase.__file__).parent.glob("*.py"))
+    assert total < 3000, total
