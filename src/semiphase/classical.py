@@ -137,7 +137,9 @@ def _periodic_spline(y: np.ndarray, grid: PositionGrid):
             s -= i
             j = i.astype(np.intp)
         del i
-        j %= n
+        # wrap only when needed; negative indices read as huge unsigned ones
+        if j.view(np.uintp).max(initial=0) >= n:
+            j %= n
         # Horner in place: two full-size temporaries besides s and j
         out = coef[3].take(j)
         for c in coef[2::-1]:
@@ -169,6 +171,11 @@ def _force_function(pot: PotentialSpec, eps_mollify: float,
     return _periodic_spline(-dvt, field_grid)
 
 
+# points per RK4 block of characteristic_feet: the stages of one block
+# stay in cache through every step
+_FEET_BLOCK = 16384
+
+
 def characteristic_feet(feet, pot: PotentialSpec, eps_mollify: float, dt: float,
                         t_final: float, field_grid: PositionGrid | None = None):
     """Move the points feet = (x, p) by t_final along x' = p, p' = -V~'(x).
@@ -178,6 +185,12 @@ def characteristic_feet(feet, pot: PotentialSpec, eps_mollify: float, dt: float,
     so rho_0 at them is the Liouville solution rho_t = rho_0 o Phi_{-t}
     on those nodes, without interpolation. t_final may be negative (the
     sign of the steps); dt is a positive step magnitude.
+
+    The pair is broadcast once into C-ordered copies, which are the
+    outputs. Every step runs on one block of _FEET_BLOCK points at a
+    time before the next block starts, so memory is the outputs plus
+    one block's stages, and each point sees the same arithmetic as in a
+    whole-array step.
     """
     if not dt > 0:
         raise ConfigurationError("dt must be > 0")
@@ -186,16 +199,22 @@ def characteristic_feet(feet, pot: PotentialSpec, eps_mollify: float, dt: float,
     if t_final == 0:
         return x, p
     force = _force_function(pot, eps_mollify, field_grid)
-    for _ in range(n_steps):
-        # k1x = p; a broadcast first stage evaluates its force on x's shape
-        k1p = force(x)
-        k2x, k2p = p + 0.5 * h * k1p, force(x + 0.5 * h * p)
-        k3x, k3p = p + 0.5 * h * k2p, force(x + 0.5 * h * k2x)
-        k4x, k4p = p + h * k3p, force(x + h * k3x)
-        x = x + (h / 6.0) * (p + 2 * k2x + 2 * k3x + k4x)
-        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-        raise NumericsError("characteristic feet are not finite")
+    # order="C": a copy in the broadcast view's stride order may not
+    # reshape to a view, and the block writes would be lost
+    x, p = (np.array(a, order="C") for a in np.broadcast_arrays(x, p))
+    flat_x, flat_p = x.reshape(-1), p.reshape(-1)
+    for lo in range(0, flat_x.size, _FEET_BLOCK):
+        xb, pb = flat_x[lo:lo + _FEET_BLOCK], flat_p[lo:lo + _FEET_BLOCK]
+        for _ in range(n_steps):
+            k1p = force(xb)
+            k2x, k2p = pb + 0.5 * h * k1p, force(xb + 0.5 * h * pb)
+            k3x, k3p = pb + 0.5 * h * k2p, force(xb + 0.5 * h * k2x)
+            k4x, k4p = pb + h * k3p, force(xb + h * k3x)
+            xb = xb + (h / 6.0) * (pb + 2 * k2x + 2 * k3x + k4x)
+            pb = pb + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        if not (np.all(np.isfinite(xb)) and np.all(np.isfinite(pb))):
+            raise NumericsError("characteristic feet are not finite")
+        flat_x[lo:lo + _FEET_BLOCK], flat_p[lo:lo + _FEET_BLOCK] = xb, pb
     return x, p
 
 

@@ -138,10 +138,15 @@ class ExperimentConfig:
             raise ConfigurationError("eps_ladder entries must lie in (0, 1)")
         if not _strictly_decreasing(self.eps_ladder):
             raise ConfigurationError("eps_ladder must be strictly decreasing")
-        if not all(0 < dt < np.inf for dt in (self.dt, self.dt_classical,
-                                               self.shadow_dt)):
-            raise ConfigurationError(
-                "dt, dt_classical and shadow_dt must be finite and > 0")
+        for name in ("dt", "dt_classical", "shadow_dt", "p_window", "box_area"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and > 0, got {getattr(self, name)}")
+        # a pair of the wrong length fails deep inside a run otherwise
+        for name in ("datum_center", "law_scale", "profile_center"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigurationError(
+                    f"{name} must be a pair, got {getattr(self, name)}")
         if not np.all(np.isfinite((self.shadow_t1, self.shadow_t_final))):
             raise ConfigurationError("shadow_t1 and shadow_t_final must be finite")
         if not self.sample_times or not np.all(np.isfinite(self.sample_times)):

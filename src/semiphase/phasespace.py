@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
                      SemiphaseWarning, ShapeMismatchError)
@@ -157,23 +158,49 @@ def _support_checks(state: WaveFunction) -> None:
             f"{hot / total:.2e} near Nyquist); refine the grid or increase eps")
 
 
+# x-rows per block of the Wigner kernel: one (64, N+1) correlation block
+# and its irfft stay in cache
+_WIGNER_ROWS = 64
+
+
 def _wigner_values(psi: np.ndarray, dx: float, eps: float) -> np.ndarray:
+    """W on the (N, 2N) phase grid, built in blocks of _WIGNER_ROWS x-rows.
+
+    Row i correlates pad[n+2i+m] with pad[n+2i-m] for m = 0 .. N, read
+    as strided windows of the zero-padded half-step samples: rows n+2i,
+    and rows 2i reversed. Each block goes through one reused (64, N+1)
+    buffer and one irfft straight into its rows of the output. The sign
+    row (-1)^m centres the p-axis in place of an fftshift, and zeroes the
+    unpaired Nyquist offset. Memory is the output plus one block.
+    """
     n = psi.size
-    fine = upsample2(psi)
     pad = np.zeros(4 * n, dtype=np.complex128)
-    pad[n:3 * n] = fine
-    i = np.arange(n)[:, None]
+    pad[n:3 * n] = upsample2(psi)
+    win = sliding_window_view(pad, n + 1)
     # corr(i, -m) = conj(corr(i, m)): offsets m = 0 .. N carry it all
-    m = np.arange(n + 1)[None, :]
-    corr = np.conj(pad[n + 2 * i + m]) * pad[n + 2 * i - m]
-    corr[:, n] = 0.0  # the Nyquist offset +-N has no pair; drop it
-    w = sfft.irfft(corr, n=2 * n, axis=1)
-    w *= dx * 2 * n / (2.0 * np.pi * eps)
-    return sfft.fftshift(w, axes=1)
+    ahead, behind = win[n:3 * n:2], win[0:2 * n:2, ::-1]
+    sign = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
+    sign[n] = 0.0  # the Nyquist offset +-N has no pair; drop it
+    scale = dx * 2 * n / (2.0 * np.pi * eps)
+    out = np.empty((n, 2 * n))
+    buf = np.empty((min(n, _WIGNER_ROWS), n + 1), dtype=np.complex128)
+    for lo in range(0, n, _WIGNER_ROWS):
+        hi = min(lo + _WIGNER_ROWS, n)
+        corr = np.conj(ahead[lo:hi], out=buf[:hi - lo])
+        corr *= behind[lo:hi]
+        corr *= sign
+        # numpy's irfft runs the same pocketfft as scipy's, and takes out=
+        w = np.fft.irfft(corr, n=2 * n, axis=1, out=out[lo:hi])
+        w *= scale
+    return out
 
 
 def wigner(state: WaveFunction) -> GridDensity:
-    """Wigner transform of a pure state on the eps-scaled phase grid."""
+    """Wigner transform of a pure state on the eps-scaled phase grid.
+
+    _wigner_values builds it in row blocks, centred by a (-1)^m sign row,
+    so the transform costs its (N, 2N) output plus one block of memory.
+    """
     _support_checks(state)
     grid = build_wigner_grid(state.grid, state.eps)
     values = _wigner_values(state.values, state.grid.dx, state.eps)
@@ -184,8 +211,9 @@ def wigner_ensemble(ens: DensityEnsemble) -> GridDensity:
     """Weight-convex combination of member Wigner transforms."""
     acc = None
     for weight, member in ens.members:
-        gd = wigner(member)
-        acc = weight * gd.values if acc is None else acc + weight * gd.values
+        values = wigner(member).values
+        values *= weight  # in place: no weight * values temporaries
+        acc = values if acc is None else np.add(acc, values, out=acc)
     grid = build_wigner_grid(ens.grid, ens.eps)
     return GridDensity(acc, grid, tag="wigner")
 
@@ -227,9 +255,11 @@ def restrict_p(density: GridDensity, p_max: float) -> GridDensity:
     half-width lies in (p_max/2, p_max]: p_max = 4 keeps |p| <= 2.51 on
     the L2MollifiedRate grids. The full Wigner p-axis scales with eps,
     so fixed-window comparisons across an eps ladder need a common
-    restriction.
+    restriction. p_max must be finite and > 0.
     """
     density = _require_grid(density, "restrict_p")
+    if not 0 < p_max < np.inf:
+        raise ConfigurationError(f"p_max must be finite and > 0, got {p_max}")
     pg = density.grid.p_grid
     dp = pg.dx
     half = int(2 ** np.floor(np.log2(max(p_max / dp, 4.0))))

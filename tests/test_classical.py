@@ -1,5 +1,6 @@
 """Classical side: multivalued branches, RK4 characteristics, Liouville pullback."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from semiphase import (
     build_position_grid,
 )
 from semiphase.classical import (
+    _FEET_BLOCK,
     _force_function,
     branch_constants,
     branch_family,
@@ -21,6 +23,7 @@ from semiphase.classical import (
     characteristic_feet,
     transport_particles,
 )
+from semiphase.grids import time_steps
 from semiphase.phasespace import PhaseGrid
 from semiphase.potentials import (custom_potential, harmonic_potential, mollify,
                                   rough_power_potential)
@@ -379,6 +382,57 @@ def test_liouville_nonnegative_datum_bounded():
                     0.02, 0.02, 0.8, field_grid=gx)
     assert out.values.min() >= 0.0
     assert out.values.max() <= 1.0
+
+
+def _whole_array_feet(feet, pot, eps_mollify, dt, t_final, field_grid):
+    # the reference: every RK4 stage on the whole broadcast array at once
+    n_steps, h = time_steps(t_final, dt)
+    x, p = feet
+    force = _force_function(pot, eps_mollify, field_grid)
+    for _ in range(n_steps):
+        k1p = force(x)
+        k2x, k2p = p + 0.5 * h * k1p, force(x + 0.5 * h * p)
+        k3x, k3p = p + 0.5 * h * k2p, force(x + 0.5 * h * k2x)
+        k4x, k4p = p + h * k3p, force(x + h * k3x)
+        x = x + (h / 6.0) * (p + 2 * k2x + 2 * k3x + k4x)
+        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+    return x, p
+
+
+@pytest.mark.parametrize("pot, eps_mollify", [
+    (rough_power_potential(theta=0.5), 0.05),
+    (rough_power_potential(theta=0.5), 0.0),
+    (harmonic_potential(), 0.0),
+])
+def test_feet_blocks_match_whole_array_steps(pot, eps_mollify):
+    # (N, 1) x (1, M) nodes: 101 * 400 points are two full blocks and
+    # a partial third
+    gx = build_position_grid(128, -3.0, 3.0)
+    x = np.linspace(-2.5, 2.5, 101)[:, None]
+    p = np.linspace(-2.0, 2.0, 400)[None, :]
+    assert 2 * _FEET_BLOCK < x.size * p.size < 3 * _FEET_BLOCK
+    got = characteristic_feet((x, p), pot, eps_mollify, 0.05, -0.2, field_grid=gx)
+    want = _whole_array_feet((x, p), pot, eps_mollify, 0.05, -0.2, gx)
+    for g, w in zip(got, want):
+        assert g.shape == (101, 400) and g.flags.c_contiguous
+        assert np.array_equal(g, w)
+    # the feet moved: block writes reach the outputs
+    assert not np.array_equal(got[0], np.broadcast_to(x, got[0].shape))
+
+
+def test_feet_memory_is_outputs_plus_one_block():
+    # 1024 x 512 feet: no whole-array RK4 stages beside the outputs
+    gx = build_position_grid(1024, -8.0, 8.0)
+    x, p = gx.nodes[:, None], np.linspace(-2.5, 2.5, 512)[None, :]
+    pot = rough_power_potential(theta=0.5)
+    tracemalloc.start()
+    try:
+        feet = characteristic_feet((x, p), pot, 0.05, 0.05, -0.1, field_grid=gx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = peak / sum(a.nbytes for a in feet)
+    assert ratio <= 1.5, ratio
 
 
 def test_liouville_validation():

@@ -300,6 +300,28 @@ def test_cli_bad_grid_exit_2(tmp_path):
                  "--out", str(tmp_path / "z")]) == 2
 
 
+@pytest.mark.parametrize("experiment, field, bad", [
+    ("L2MollifiedRate", "datum_center", [1.5]),
+    ("RandomFamily", "law_scale", [1.0]),
+    ("ConcentrationSplit", "profile_center", [0.3]),
+    ("ConcentrationSplit", "profile_center", [0.3, 0.0, 0.1]),
+    ("L2MollifiedRate", "p_window", -1),
+    ("L2MollifiedRate", "p_window", 0),
+    ("L2MollifiedRate", "p_window", "inf"),
+    ("L2MollifiedRate", "p_window", float("nan")),
+    ("ConjectureProbe", "box_area", -1),
+    ("ConjectureProbe", "box_area", 0),
+    ("ConjectureProbe", "box_area", float("inf")),
+])
+def test_cli_bad_pair_or_window_exit_2(tmp_path, capsys, experiment, field, bad):
+    # these used to end in a traceback, or in a degenerate run
+    cfg = _write_cfg(tmp_path, {"experiment": experiment, field: bad})
+    assert main(["run", experiment, "--config", cfg,
+                 "--out", str(tmp_path / "x")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_nan_step_exit_2(tmp_path):
     # json reads NaN and Infinity; they must be refused before a run
     # reaches round(), and no sample time before HarmonicExact's max()

@@ -1,5 +1,7 @@
 """Wigner/Husimi transforms: closed-form Gaussians, symmetries, bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -62,7 +64,8 @@ def _full_correlation_wigner(psi, dx, eps):
     return w.real
 
 
-@pytest.mark.parametrize("n", [256, 1024])
+# 1000: a partial last row block and a length that is not a power of two
+@pytest.mark.parametrize("n", [256, 1000, 1024])
 @pytest.mark.parametrize("kind", ["coherent", "cat", "off_centre"])
 def test_hermitian_half_wigner_matches_full_correlation(n, kind):
     g = build_position_grid(n, -8.0, 8.0)
@@ -81,6 +84,20 @@ def test_hermitian_half_wigner_matches_full_correlation(n, kind):
         assert ref.min() < -0.1 * ref.max()  # negative fringes
     assert got.dtype == np.float64
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_wigner_memory_is_output_plus_one_block():
+    # row blocks: no (N, N+1) gathers or fftshift copy beside the output
+    g = build_position_grid(1024, -8.0, 8.0)
+    psi = coherent_state(0.5, 0.2, 0.05, g)
+    tracemalloc.start()
+    try:
+        W = wigner(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = peak / W.values.nbytes
+    assert ratio <= 1.25, ratio
 
 
 def test_wigner_position_reflection(grid):
@@ -256,3 +273,11 @@ def test_restrict_p_owns_its_window(grid):
     lo = (W.grid.p_grid.n_points - R.grid.p_grid.n_points) // 2
     assert np.array_equal(R.values,
                           W.values[:, lo:lo + R.grid.p_grid.n_points])
+
+
+@pytest.mark.parametrize("p_max", [-1.0, 0.0, np.inf, np.nan])
+def test_restrict_p_refuses_bad_window(grid, p_max):
+    # a non-positive window used to be floored to 4 cells per side
+    W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
+    with pytest.raises(ConfigurationError, match="p_max"):
+        restrict_p(W, p_max)
