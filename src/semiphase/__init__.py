@@ -14,14 +14,12 @@ from .errors import (ConfigurationError, NumericsError, RepresentationError,
                      SemiphaseError, SemiphaseWarning, ShapeMismatchError)
 from .experiments import (EXPERIMENTS, ExperimentConfig, RunManifest,
                           defaults_for, resolve_experiment, run_experiment)
-from .grids import (PhaseGrid, PositionGrid, build_position_grid, dft_forward,
-                    quadrature)
+from .grids import PhaseGrid, PositionGrid, build_position_grid, quadrature
 from .gridio import read_grid, write_csv, write_grid
 from .metrics import (RateFit, char_distance, char_function, fit_rate,
                       l2_distance, weak_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
-                         l2_norm, restrict_p, sup_norm, upsample2, wigner,
-                         wigner_ensemble)
+                         l2_norm, restrict_p, sup_norm, upsample2, wigner)
 from .potentials import (FourierConditionReport, PotentialSpec,
                          check_fourier_conditions, custom_potential, evaluate,
                          evaluate_at, gradient_at, harmonic_potential,

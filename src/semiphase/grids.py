@@ -1,13 +1,11 @@
-"""Uniform periodic grids and the discrete Fourier contract.
+"""Uniform periodic grids.
 
 Everything downstream (propagation, phase-space transforms, transport)
 lives on these grids, so the conventions are pinned here once:
 
 * nodes x_i = x_min + i*dx, i = 0..n-1, periodic wrap at x_max;
-* dual frequencies in standard DFT ordering, k_j = 2*pi*fftfreq(n, dx);
-* dft_forward is the unitary DFT (norm="ortho"), so Parseval holds with
-  no factors; every other transform in the package calls scipy.fft with
-  its default scaling (forward unnormalized, inverse by 1/n).
+* dual frequencies in standard DFT ordering, k_j = 2*pi*fftfreq(n, dx),
+  for the FFTs' default scaling (forward unnormalized, inverse by 1/n).
 """
 from __future__ import annotations
 
@@ -24,7 +22,6 @@ __all__ = [
     "build_position_grid",
     "time_steps",
     "quadrature",
-    "dft_forward",
 ]
 
 
@@ -111,21 +108,11 @@ def time_steps(span: float, dt: float) -> tuple[int, float]:
     return n, span / n
 
 
-def _check_length(c, grid: PositionGrid, what: str):
-    c = np.asarray(c)
-    if c.shape[-1] != grid.n_points:
-        raise ShapeMismatchError(
-            f"{what}: array length {c.shape[-1]} != grid size {grid.n_points}")
-    return c
-
-
 def quadrature(f, grid: PositionGrid) -> float:
     """Periodic rectangle rule, dx * sum(f). Exact for band-limited f."""
-    f = _check_length(f, grid, "quadrature")
+    f = np.asarray(f)
+    if f.shape[-1] != grid.n_points:
+        raise ShapeMismatchError(
+            f"quadrature: array length {f.shape[-1]} != grid size {grid.n_points}")
     return float(grid.dx * np.sum(f, axis=-1))
 
-
-def dft_forward(c, grid: PositionGrid) -> np.ndarray:
-    """Unitary DFT along the last axis; Parseval holds exactly."""
-    c = _check_length(c, grid, "dft_forward")
-    return sfft.fft(c, axis=-1, norm="ortho")

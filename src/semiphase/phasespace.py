@@ -7,7 +7,9 @@ offsets z = m*dx, m in [-N, N). No interpolation enters the kernel,
 which keeps the x-marginal identity   dp * sum_p W(x, p) = |psi(x)|^2
 exact to rounding. The correlation is Hermitian in m, so only its half
 m = 0 .. N is built and a real inverse FFT returns W: realness holds
-by construction. The momentum axis is the eps-scaled dual grid:
+by construction. A mixture sum_j w_j |psi_j><psi_j| sums its weighted
+member correlations before that one FFT, so states and ensembles share
+one transform. The momentum axis is the eps-scaled dual grid:
 
     p_l = l * dp,  dp = 2*pi*eps / (2*L),  l in [-N, N).
 
@@ -37,7 +39,6 @@ __all__ = [
     "AtomicMeasure",
     "build_wigner_grid",
     "wigner",
-    "wigner_ensemble",
     "husimi",
     "sup_norm",
     "l2_norm",
@@ -163,31 +164,41 @@ def _support_checks(state: WaveFunction) -> None:
 _WIGNER_ROWS = 64
 
 
-def _wigner_values(psi: np.ndarray, dx: float, eps: float) -> np.ndarray:
-    """W on the (N, 2N) phase grid, built in blocks of _WIGNER_ROWS x-rows.
+def _wigner_values(members, dx: float, eps: float) -> np.ndarray:
+    """sum_j w_j W_j on the (N, 2N) phase grid, in blocks of _WIGNER_ROWS x-rows.
 
-    Row i correlates pad[n+2i+m] with pad[n+2i-m] for m = 0 .. N, read
-    as strided windows of the zero-padded half-step samples: rows n+2i,
-    and rows 2i reversed. Each block goes through one reused (64, N+1)
-    buffer and one irfft straight into its rows of the output. The sign
-    row (-1)^m centres the p-axis in place of an fftshift, and zeroes the
-    unpaired Nyquist offset. Memory is the output plus one block.
+    members are (w_j, samples) pairs; each member's zero-padded half-step
+    samples carry sqrt(w_j). Row i correlates pad[n+2i+m] with
+    pad[n+2i-m] for m = 0 .. N, read as strided windows: rows n+2i, and
+    rows 2i reversed. A block sums the members' correlations in one
+    reused (64, N+1) buffer and takes one irfft straight into its rows of
+    the output. The sign row (-1)^m centres the p-axis in place of an
+    fftshift, and zeroes the unpaired Nyquist offset.
     """
-    n = psi.size
-    pad = np.zeros(4 * n, dtype=np.complex128)
-    pad[n:3 * n] = upsample2(psi)
-    win = sliding_window_view(pad, n + 1)
-    # corr(i, -m) = conj(corr(i, m)): offsets m = 0 .. N carry it all
-    ahead, behind = win[n:3 * n:2], win[0:2 * n:2, ::-1]
+    n = members[0][1].size
+    views = []
+    for weight, psi in members:
+        pad = np.zeros(4 * n, dtype=np.complex128)
+        pad[n:3 * n] = upsample2(psi)
+        pad *= np.sqrt(weight)  # exact for the weight 1 of a pure state
+        win = sliding_window_view(pad, n + 1)
+        # corr(i, -m) = conj(corr(i, m)): offsets m = 0 .. N carry it all
+        views.append((win[n:3 * n:2], win[0:2 * n:2, ::-1]))
     sign = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
     sign[n] = 0.0  # the Nyquist offset +-N has no pair; drop it
     scale = dx * 2 * n / (2.0 * np.pi * eps)
     out = np.empty((n, 2 * n))
     buf = np.empty((min(n, _WIGNER_ROWS), n + 1), dtype=np.complex128)
+    term = np.empty_like(buf) if len(views) > 1 else None
+    (first_ahead, first_behind), *rest = views
     for lo in range(0, n, _WIGNER_ROWS):
         hi = min(lo + _WIGNER_ROWS, n)
-        corr = np.conj(ahead[lo:hi], out=buf[:hi - lo])
-        corr *= behind[lo:hi]
+        corr = np.conj(first_ahead[lo:hi], out=buf[:hi - lo])
+        corr *= first_behind[lo:hi]
+        for ahead, behind in rest:
+            t = np.conj(ahead[lo:hi], out=term[:hi - lo])
+            t *= behind[lo:hi]
+            corr += t
         corr *= sign
         # numpy's irfft runs the same pocketfft as scipy's, and takes out=
         w = np.fft.irfft(corr, n=2 * n, axis=1, out=out[lo:hi])
@@ -195,27 +206,19 @@ def _wigner_values(psi: np.ndarray, dx: float, eps: float) -> np.ndarray:
     return out
 
 
-def wigner(state: WaveFunction) -> GridDensity:
-    """Wigner transform of a pure state on the eps-scaled phase grid.
+def wigner(state: WaveFunction | DensityEnsemble) -> GridDensity:
+    """Wigner transform of a WaveFunction or a DensityEnsemble.
 
-    _wigner_values builds it in row blocks, centred by a (-1)^m sign row,
-    so the transform costs its (N, 2N) output plus one block of memory.
+    A state is the one-member, weight-1 ensemble. Any ensemble costs one
+    (N, 2N) output plus its padded members and at most two row blocks.
     """
-    _support_checks(state)
-    grid = build_wigner_grid(state.grid, state.eps)
-    values = _wigner_values(state.values, state.grid.dx, state.eps)
-    return GridDensity(values, grid, tag="wigner")
-
-
-def wigner_ensemble(ens: DensityEnsemble) -> GridDensity:
-    """Weight-convex combination of member Wigner transforms."""
-    acc = None
-    for weight, member in ens.members:
-        values = wigner(member).values
-        values *= weight  # in place: no weight * values temporaries
-        acc = values if acc is None else np.add(acc, values, out=acc)
-    grid = build_wigner_grid(ens.grid, ens.eps)
-    return GridDensity(acc, grid, tag="wigner")
+    members = (state.members if isinstance(state, DensityEnsemble)
+               else ((1.0, state),))
+    for _, member in members:
+        _support_checks(member)
+    values = _wigner_values([(w, m.values) for w, m in members],
+                            state.grid.dx, state.eps)
+    return GridDensity(values, build_wigner_grid(state.grid, state.eps), tag="wigner")
 
 
 def husimi(density: GridDensity, eps: float) -> GridDensity:

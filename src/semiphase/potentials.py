@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ConfigurationError, ShapeMismatchError
-from .grids import PositionGrid, dft_forward
+from .grids import PositionGrid
 
 __all__ = [
     "PotentialSpec",
@@ -215,7 +215,7 @@ def check_fourier_conditions(pot: PotentialSpec, grid: PositionGrid,
     else:
         v = evaluate(pot, grid) * _core_window(grid)
     # continuous-normalization transform: V^hat(S_j) ~ dx * DFT
-    vhat = np.abs(dft_forward(v, grid)) * grid.dx * np.sqrt(grid.n_points) / np.sqrt(2 * np.pi)
+    vhat = np.abs(sfft.fft(v)) * grid.dx / np.sqrt(2 * np.pi)
     absS = np.abs(grid.k)
     dS = 2.0 * np.pi / grid.length
 

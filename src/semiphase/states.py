@@ -49,25 +49,34 @@ def scaling_exponents(theta):
     return a_mass, a_x, a_k
 
 
+def _coherent_margin(eps: float) -> float:
+    return 6.0 * np.sqrt(eps / 2.0)  # 6 sigma, sigma = sqrt(eps/2)
+
+
+def _window_points(p_max: float, eps: float, length: float) -> float:
+    """Grid size N whose momentum window +- pi*eps/dx (dx = length/N)
+    holds a coherent state centred at |p| = p_max, margin included."""
+    return (p_max + _coherent_margin(eps)) * length / (np.pi * eps)
+
+
 def coherent_state(x0: float, p0: float, eps: float,
                    grid: PositionGrid) -> WaveFunction:
     """Gaussian packet (pi eps)^{-1/4} exp(-(x-x0)^2/(2 eps) + i p0 x / eps).
 
     Position and momentum centers must sit at least 6 sigma
     (sigma = sqrt(eps/2)) inside the respective windows; the momentum
-    window of the grid is +- pi*eps/dx.
+    window of the grid is +- pi*eps/dx (_window_points).
     """
     if eps <= 0:
         raise ConfigurationError(f"eps must be > 0, got {eps}")
-    margin = 6.0 * np.sqrt(eps / 2.0)
+    margin = _coherent_margin(eps)
     if x0 - margin < grid.x_min or x0 + margin > grid.x_max:
         raise ConfigurationError(
             f"center x0={x0} within {margin:.3g} of the grid boundary")
-    p_window = np.pi * eps / grid.dx
-    if abs(p0) + margin > p_window:
-        raise ConfigurationError(
-            f"momentum center p0={p0} within {margin:.3g} of the dual window "
-            f"+-{p_window:.3g}; refine the grid")
+    need = _window_points(abs(p0), eps, grid.length)
+    if grid.n_points < need:
+        raise ConfigurationError(f"momentum center p0={p0} needs {need:.0f} grid "
+                                 f"points, have {grid.n_points}; refine the grid")
     x = grid.nodes
     psi = (np.pi * eps) ** -0.25 * np.exp(
         -(x - x0) ** 2 / (2.0 * eps) + 1j * p0 * x / eps)
@@ -144,6 +153,12 @@ class ConcentratingProfile:
     def exponents(self) -> tuple[float, float, float]:
         return scaling_exponents(self.theta)
 
+    def resolution(self, eps: float) -> tuple[float, float]:
+        """The (dx, dp) to stay below: 16 nodes per concentrated width."""
+        lam = self.lam(eps)
+        _, a_x, a_k = self.exponents
+        return lam ** (-a_x) / 16.0, lam ** (-a_k) / 16.0
+
     def half_masses(self) -> tuple[float, float]:
         """(c_plus, c_minus) = integral of w over u > 0 / u < 0."""
         uu, vv, du, dv = self._quad_lattice()
@@ -217,8 +232,7 @@ def concentrating_wigner_data(profile: ConcentratingProfile, eps: float,
     a_mass, a_x, a_k = profile.exponents
     sx = lam ** a_x
     sk = lam ** a_k
-    dx_need = lam ** (-a_x) / 16.0
-    dp_need = lam ** (-a_k) / 16.0
+    dx_need, dp_need = profile.resolution(eps)
     gx, gp = phase_grid.x_grid, phase_grid.p_grid
     if gx.dx >= dx_need or gp.dx >= dp_need:
         raise ConfigurationError(

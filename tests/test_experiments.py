@@ -23,7 +23,7 @@ from semiphase.experiments import (_Emitter, _evolve_at, _mixture_datum,
                                    _split_profiles, _transport)
 from semiphase.grids import build_position_grid
 from semiphase.metrics import NODES
-from semiphase.states import concentration_lattice
+from semiphase.states import _window_points, concentration_lattice
 
 
 # -------------------------------------------------------------- registry
@@ -154,6 +154,16 @@ def test_run_harmonic_small(tmp_path):
     assert data["experiment"] == "HarmonicExact"
     assert data["passed"] is True
     assert data["config_hash"] == man.config_hash
+
+
+def test_harmonic_failed_gate_warns(tmp_path):
+    # dt=0.05 misses the 1e-4 bound: the failure is named in the manifest
+    # next to the two pi/4 phase warnings, as in the other gated drivers
+    man = run_experiment(defaults_for("HarmonicExact", grid_n=256, dt=0.05,
+                                      out_dir=str(tmp_path / "f")))
+    err = man.records["max_l2_error"]
+    assert not man.passed and err > 1e-4
+    assert f"max L2 error {err:.3e} exceeds the 1e-4 bound" in man.warnings
 
 
 def test_run_outputs_deterministic(tmp_path):
@@ -414,15 +424,14 @@ def test_split_grid_is_smallest_even_fast_length(pname, sizes):
         lattice = concentration_lattice(profile, eps, cfg.n_side)
         n, max_p, _ = _split_grid_size(cfg, profile, eps, _potential(cfg),
                                        times, lattice)
-        lam = profile.lam(eps)
-        a_x = profile.exponents[1]
-        n_window = (1.05 * max_p + 6.0 * np.sqrt(eps / 2.0)) * length / (np.pi * eps)
-        n_resolve = 16.0 * length * lam ** a_x
-        need = max(n_window, n_resolve)
+        dx_need, _ = profile.resolution(eps)
+        # coherent_state's window rule and concentrating_wigner_data's
+        # resolution, at the largest classical momentum
+        need = max(_window_points(1.05 * max_p, eps, length), length / dx_need)
         fast_even = [m for m in range(int(need) + 1, n + 1)
                      if m % 2 == 0 and sfft.next_fast_len(m) == m]
         assert fast_even[0] == n
-        assert length / n < lam ** (-a_x) / 16.0  # concentrating_wigner_data's dx_need
+        assert length / n < dx_need
         got.append(n)
     assert tuple(got) == sizes
 

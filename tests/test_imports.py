@@ -1,8 +1,11 @@
 """Every name a semiphase module imports is used in that module, every
-name it exports exists, and some module references it."""
+name it exports exists, and some module references it; the names that the
+benchmark's tracer reads from outside the package stay put."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -101,3 +104,32 @@ def test_package_line_budget():
     total = sum(len(p.read_text().splitlines())
                 for p in Path(semiphase.__file__).parent.glob("*.py"))
     assert total < 3000, total
+
+
+# bench/tracer.py counts work from these bound argument names (the first
+# comes first), and reads these classes and the ensemble's members: a
+# rename breaks every traced benchmark run, and nothing else would notice
+_TRACED_ARGS = {
+    "quantum.propagate": ("state", "cfg"),
+    "metrics.char_function": ("obj",),
+    "classical.transport_particles": ("cloud", "dt", "t_final"),
+    "phasespace.wigner": ("state",),
+}
+
+
+@pytest.mark.parametrize("qualname", sorted(_TRACED_ARGS))
+def test_traced_argument_names(qualname):
+    layer, name = qualname.split(".")
+    fn = getattr(importlib.import_module(f"semiphase.{layer}"), name)
+    params = list(inspect.signature(fn).parameters)
+    first, *others = _TRACED_ARGS[qualname]
+    assert params[0] == first
+    assert set(others) <= set(params)
+
+
+def test_traced_representations():
+    for name in ("AtomicMeasure", "DensityEnsemble", "GridDensity",
+                 "WaveFunction"):
+        assert inspect.isclass(getattr(semiphase, name)), name
+    fields = {f.name for f in dataclasses.fields(semiphase.DensityEnsemble)}
+    assert "members" in fields

@@ -23,7 +23,6 @@ from semiphase.phasespace import (
     sup_norm,
     upsample2,
     wigner,
-    wigner_ensemble,
 )
 
 
@@ -78,7 +77,7 @@ def test_hermitian_half_wigner_matches_full_correlation(n, kind):
                                       eps, g)
     else:
         psi = coherent_state(3.1, 0.9, eps, g)
-    got = _wigner_values(psi.values, g.dx, eps)
+    got = _wigner_values([(1.0, psi.values)], g.dx, eps)
     ref = _full_correlation_wigner(psi.values, g.dx, eps)
     if kind == "cat":
         assert ref.min() < -0.1 * ref.max()  # negative fringes
@@ -154,15 +153,50 @@ def test_wigner_l2_norm_coherent(grid):
         assert l2_norm(W) ** 2 == pytest.approx(1.0 / (2 * np.pi * eps), rel=1e-8)
 
 
-def test_wigner_ensemble_convex(grid):
-    eps = 0.05
-    a = coherent_state(-1.0, 0.0, eps, grid)
-    b = coherent_state(1.0, 0.3, eps, grid)
-    ens = DensityEnsemble(members=((0.25, a), (0.75, b)), eps=eps)
-    W = wigner_ensemble(ens)
-    expect = 0.25 * wigner(a).values + 0.75 * wigner(b).values
-    assert np.max(np.abs(W.values - expect)) < 1e-12 / eps
+@pytest.mark.parametrize("n", [256, 1000, 1024])
+def test_one_member_ensemble_is_the_state(n):
+    g = build_position_grid(n, -8.0, 8.0)
+    psi = coherent_state(0.4, -0.3, 0.1, g)
+    ens = DensityEnsemble(members=((1.0, psi),), eps=0.1)
+    assert np.array_equal(wigner(ens).values, wigner(psi).values)
+
+
+def _four_members(g, eps):
+    cat = WaveFunction.normalized(coherent_state(-1.0, 0.3, eps, g).values
+                                  + coherent_state(1.0, -0.3, eps, g).values,
+                                  eps, g)
+    return ((0.1, coherent_state(0.0, 0.0, eps, g)), (0.2, cat),
+            (0.3, coherent_state(3.1, 0.9, eps, g)),
+            (0.4, coherent_state(-2.0, -1.2, eps, g)))
+
+
+# 1000: a partial last row block
+@pytest.mark.parametrize("n", [1000, 1024])
+def test_wigner_of_ensemble_is_convex(n):
+    g = build_position_grid(n, -8.0, 8.0)
+    eps = 0.1
+    members = _four_members(g, eps)
+    W = wigner(DensityEnsemble(members=members, eps=eps))
+    expect = sum(w * wigner(m).values for w, m in members)
+    assert expect.min() < 0  # the cat's fringes survive the mixture
+    assert np.max(np.abs(W.values - expect)) <= 1e-14 * np.max(np.abs(expect))
     assert W.total_mass == pytest.approx(1.0, abs=1e-8)
+
+
+def test_ensemble_wigner_memory_is_output_members_and_blocks():
+    # the members share one output: no (N, 2N) transform per member
+    g = build_position_grid(1024, -8.0, 8.0)
+    ens = DensityEnsemble(members=_four_members(g, 0.1), eps=0.1)
+    tracemalloc.start()
+    try:
+        W = wigner(ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pads = len(ens.members) * 4 * 1024 * 16  # zero-padded half-step samples
+    block = 64 * 1025 * 16  # one (64, N+1) complex correlation block
+    # the block sum and one member's term, plus a block of slack
+    assert peak <= W.values.nbytes + pads + 3 * block, peak
 
 
 # ----------------------------------------------------------------- husimi
@@ -204,7 +238,7 @@ def test_husimi_cat_fringe_suppression(grid):
     # the cat husimi then agrees with the incoherent mixture's husimi
     Hcat = husimi(W, eps)
     mix = DensityEnsemble(members=((0.5, plus), (0.5, minus)), eps=eps)
-    Hmix = husimi(wigner_ensemble(mix), eps)
+    Hmix = husimi(wigner(mix), eps)
     diff = float(np.max(np.abs(Hcat.values - Hmix.values)))
     assert diff < 1e-5 * float(Hcat.values.max())
 
