@@ -11,6 +11,7 @@ asymptotic constants themselves.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 import warnings
@@ -33,7 +34,8 @@ from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
                          l2_norm, restrict_p, sup_norm, wigner)
 from .potentials import (PotentialSpec, check_fourier_conditions,
                          harmonic_potential, rough_power_potential)
-from .quantum import PropagatorConfig, propagate, propagate_ensemble
+from .quantum import (PropagatorConfig, WaveFunction, propagate,
+                      propagate_ensemble, propagate_rows)
 from .states import (ConcentratingProfile, RandomFamilySpec, _coherent_margin,
                      _window_points, check_epsn_operator_bound,
                      coherent_mixture, coherent_state, concentration_lattice,
@@ -287,6 +289,35 @@ def _schrodinger(propagator, pot: PotentialSpec, dt: float):
     """advance() for _evolve_at: Strang steps of |dt|, with dt < 0 on negative spans."""
     return lambda state, span: propagator(state, pot, PropagatorConfig(
         dt=dt if span >= 0 else -dt, t_final=abs(span)))
+
+
+# members stacked into one (rows, n) block for propagate_rows
+_ROWS = 16
+
+
+def _walk_members(starts, walks, pot: PotentialSpec, dt: float):
+    """Yield (t, j, psi): member j at each sample time of each walk.
+
+    starts are WaveFunctions on one grid and eps. They are stacked _ROWS
+    at a time, and each walk (a list of sample times) runs from the
+    block's start rows through _evolve_at, so one propagate_rows call
+    steps the whole block. Blocks come in member order and each sample
+    time lists its members in order, so a per-t sum over the yields adds
+    in member order.
+    """
+    starts = iter(starts)
+    j0 = 0
+    while block := list(itertools.islice(starts, _ROWS)):
+        eps, grid = block[0].eps, block[0].grid
+        advance = _schrodinger(
+            lambda rows, pot, cfg: propagate_rows(rows, eps, grid, pot, cfg),
+            pot, dt)
+        rows = np.stack([s.values for s in block])
+        for times in walks:
+            for t, moved in _evolve_at(rows, times, advance):
+                for j, row in enumerate(moved, j0):
+                    yield t, j, WaveFunction(row, eps, grid)
+        j0 += len(block)
 
 
 def _transport(pot: PotentialSpec, eps_mollify: float, dt: float,
@@ -581,20 +612,18 @@ def _mirror_jobs(lattice: AtomicMeasure) -> list:
     return jobs
 
 
-def _halfplane_masses(dens: np.ndarray, grid: PositionGrid, eps: float,
-                      xsep: float) -> tuple[float, float]:
-    """(mass above +xsep, mass below -xsep) of the Husimi x-marginal.
+def _halfplane_weights(grid: PositionGrid, eps: float,
+                       xsep: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights for (mass above +xsep, mass below -xsep) of the Husimi x-marginal.
 
     The Husimi x-marginal is |psi|^2 convolved with a variance-2eps
-    Gaussian, so half-plane masses reduce to erfc integrals against the
-    position density.
+    Gaussian, so a half-plane mass is the quadrature of the position
+    density against an erfc weight, which depends on the state only
+    through its grid and eps.
     """
     x = grid.nodes
-    above = float(np.sum(dens * 0.5 * erfc((xsep - x) / (2.0 * np.sqrt(eps))))
-                  * grid.dx)
-    below = float(np.sum(dens * 0.5 * erfc((x + xsep) / (2.0 * np.sqrt(eps))))
-                  * grid.dx)
-    return above, below
+    return (0.5 * erfc((xsep - x) / (2.0 * np.sqrt(eps))),
+            0.5 * erfc((x + xsep) / (2.0 * np.sqrt(eps))))
 
 
 def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
@@ -615,7 +644,6 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
         branch = TrajectoryBranch(sign=1, t0=0.0, theta=cfg.theta)
-        advance = _schrodinger(propagate, pot, cfg.dt)
 
         dist_rows, mass_rows, real_rows = [], [], []
         em.records["profiles"] = {}
@@ -638,17 +666,21 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                 right = dict.fromkeys(times, 0.0)
                 left = dict.fromkeys(times, 0.0)
                 xseps = {t: branch.X(t) / 2.0 for t in times}
-                for x, p, w_self, w_mirror in _mirror_jobs(lattice):
-                    for t, psi in _evolve_at(coherent_state(x, p, eps, x_grid),
-                                             times, advance):
-                        chi = char_function(psi)
-                        chi_acc[t] += w_self * chi
-                        if w_mirror:
-                            chi_acc[t] += w_mirror * np.conj(chi)
-                        above, below = _halfplane_masses(psi.density(), x_grid,
-                                                         eps, xseps[t])
-                        right[t] += w_self * above + w_mirror * below
-                        left[t] += w_self * below + w_mirror * above
+                weights = {t: _halfplane_weights(x_grid, eps, xseps[t])
+                           for t in times}
+                jobs = _mirror_jobs(lattice)
+                starts = (coherent_state(x, p, eps, x_grid) for x, p, _, _ in jobs)
+                for t, j, psi in _walk_members(starts, (times,), pot, cfg.dt):
+                    w_self, w_mirror = jobs[j][2:]
+                    chi = char_function(psi)
+                    chi_acc[t] += w_self * chi
+                    if w_mirror:
+                        chi_acc[t] += w_mirror * np.conj(chi)
+                    dens = psi.density()
+                    above, below = (float(np.sum(dens * w) * x_grid.dx)
+                                    for w in weights[t])
+                    right[t] += w_self * above + w_mirror * below
+                    left[t] += w_self * below + w_mirror * above
                 per_eps = {"eps": eps, "n_grid": n_grid, "lam": rc.lam,
                            "l2_gap": rc.l2_gap, "target_mass": rc.target_mass,
                            "max_classical_p": max_p, "max_classical_x": max_x,
@@ -728,7 +760,6 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
         pot = _potential(cfg)
         grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
         family = random_family(_family_spec(cfg))
-        advance = _schrodinger(propagate, pot, cfg.dt)
 
         avg_rows, sample_rows = [], []
         averages, ratios = [], []
@@ -744,16 +775,14 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
             moved = {t: cloud for times in (fwd, back)
                      for t, cloud in _evolve_at(family, times, transport)}
 
-            sups = []
-            for idx, (_, psi0) in enumerate(ens.members):
-                sup_d = 0.0
-                for times in (fwd, back):
-                    for t, psi in _evolve_at(psi0, times, advance):
-                        # one atom of the moved family: char_function drops its mass
-                        atom = AtomicMeasure(moved[t].atoms[idx:idx + 1])
-                        sup_d = max(sup_d, weak_distance(psi, atom, heat_time=eps))
-                sups.append(sup_d)
-                sample_rows.append((eps, idx, family.xs[idx], family.ps[idx], sup_d))
+            sups = [0.0] * len(ens.members)
+            for t, idx, psi in _walk_members((s for _, s in ens.members),
+                                             (fwd, back), pot, cfg.dt):
+                # one atom of the moved family: char_function drops its mass
+                atom = AtomicMeasure(moved[t].atoms[idx:idx + 1])
+                sups[idx] = max(sups[idx], weak_distance(psi, atom, heat_time=eps))
+            sample_rows.extend((eps, idx, family.xs[idx], family.ps[idx], sup_d)
+                               for idx, sup_d in enumerate(sups))
             avg = float(np.mean(sups))
             averages.append(avg)
             avg_rows.append((eps, avg, ratio))

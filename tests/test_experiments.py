@@ -18,8 +18,9 @@ from semiphase.experiments import (
     run_experiment,
 )
 from semiphase.classical import transport_particles
-from semiphase.experiments import (_Emitter, _evolve_at, _mixture_datum,
-                                   _potential, _split_grid_size,
+from semiphase import experiments
+from semiphase.experiments import (_ROWS, _Emitter, _evolve_at, _mirror_jobs,
+                                   _mixture_datum, _potential, _split_grid_size,
                                    _split_profiles, _transport)
 from semiphase.grids import build_position_grid
 from semiphase.metrics import NODES
@@ -480,6 +481,42 @@ def test_driver_records_pinned(tmp_path, name):
             assert abs(got[key] - want) <= 1e-10 * abs(want), key
         else:
             assert got[key] == want, key
+
+
+def _block_sizes(members: int) -> list:
+    return [min(_ROWS, members - j) for j in range(0, members, _ROWS)]
+
+
+@pytest.mark.parametrize("name", ["ConcentrationSplit", "RandomFamily"])
+def test_experiments_step_members_in_row_blocks(monkeypatch, name):
+    # one propagate_rows call per block of _ROWS members and sample time,
+    # and no per-member propagate
+    blocks = []
+    real = experiments.propagate_rows
+
+    def counting(rows, eps, grid, pot, cfg):
+        blocks.append(rows.shape[0])
+        return real(rows, eps, grid, pot, cfg)
+
+    def refuse(*args):
+        raise AssertionError("per-member propagate")
+
+    monkeypatch.setattr(experiments, "propagate_rows", counting)
+    monkeypatch.setattr(experiments, "propagate", refuse)
+    cfg = defaults_for(name, **_PINNED[name])
+    run_experiment(cfg)
+    if name == "ConcentrationSplit":
+        members = [len(_mirror_jobs(concentration_lattice(profile, eps, cfg.n_side)))
+                   for profile in _split_profiles(cfg).values()
+                   for eps in cfg.eps_ladder]
+        assert max(members) > _ROWS  # full blocks and a partial one
+        walks = [len(cfg.sample_times)]
+    else:
+        members = [cfg.m_samples] * len(cfg.eps_ladder)
+        walks = [sum(t > 0 for t in cfg.sample_times),
+                 sum(t < 0 for t in cfg.sample_times)]
+    assert blocks == [size for m in members for size in _block_sizes(m)
+                      for n_times in walks for _ in range(n_times)]
 
 
 # ------------------------------------------------------------ warnings

@@ -1,5 +1,7 @@
 """Scaled Schroedinger propagation: unitarity, reversibility, order, oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -8,14 +10,18 @@ from semiphase import quantum
 from semiphase import (
     ConfigurationError,
     DensityEnsemble,
+    NumericsError,
     PropagatorConfig,
     SemiphaseWarning,
+    ShapeMismatchError,
     coherent_state,
     build_position_grid,
     propagate,
     propagate_ensemble,
+    propagate_rows,
 )
-from semiphase.potentials import custom_potential, evaluate, harmonic_potential
+from semiphase.potentials import (custom_potential, evaluate, harmonic_potential,
+                                  rough_power_potential)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +137,61 @@ def test_ensemble_propagates_each_member_once(grid, monkeypatch):
     propagate_ensemble(ens, harmonic_potential(),
                        PropagatorConfig(dt=1e-2, t_final=0.05))
     assert [id(s) for s in calls] == [id(s) for _, s in members]
+
+
+def _row_block(grid, eps, centers):
+    states = [coherent_state(x0, p0, eps, grid) for x0, p0 in centers]
+    return states, np.stack([s.values for s in states])
+
+
+_CENTERS = ((-0.6, 0.2), (-0.3, -0.1), (0.0, 0.0), (0.25, 0.3), (0.5, -0.2))
+
+
+@pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
+@pytest.mark.parametrize("dt", [1e-3, -1e-3])
+@pytest.mark.parametrize("n", [168, 210, 1232])
+def test_row_block_matches_one_state_at_a_time(n, dt):
+    # ConcentrationSplit's grid sizes on its [-2, 2] domain and potential
+    eps, g, pot = 1e-2, build_position_grid(n, -2.0, 2.0), rough_power_potential(0.5)
+    cfg = PropagatorConfig(dt=dt, t_final=0.05)
+    states, rows = _row_block(g, eps, _CENTERS)
+    before = rows.copy()
+    out = propagate_rows(rows, eps, g, pot, cfg)
+    assert out.shape == rows.shape
+    for row, state in zip(out, states):
+        assert np.array_equal(row, propagate(state, pot, cfg).values)
+    assert np.array_equal(rows, before)
+
+
+def test_row_block_edges(grid):
+    eps, pot = 0.05, harmonic_potential()
+    _, rows = _row_block(grid, eps, _CENTERS)
+    assert propagate_rows(rows, eps, grid, pot,
+                          PropagatorConfig(dt=1e-2, t_final=0.0)) is rows
+    cfg = PropagatorConfig(dt=1e-2, t_final=0.05)
+    with pytest.raises(ShapeMismatchError):
+        propagate_rows(rows[:, :-1], eps, grid, pot, cfg)
+    rows[3, 100] = np.nan
+    with pytest.raises(NumericsError):
+        propagate_rows(rows, eps, grid, pot, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
+def test_row_block_memory_is_block_plus_factor_rows():
+    # the FFTs run in place on the loop's one copy: the peak is that copy,
+    # the finite check's mask and a few O(N) potential and kinetic rows
+    n, eps = 1232, 1e-2
+    g = build_position_grid(n, -2.0, 2.0)
+    _, rows = _row_block(g, eps, [(x0, 0.1) for x0 in np.linspace(-0.8, 0.8, 16)])
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.02)
+    tracemalloc.start()
+    try:
+        propagate_rows(rows, eps, g, rough_power_potential(0.5), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    factor_rows = 8 * n * np.dtype(complex).itemsize
+    assert peak <= 1.5 * rows.nbytes + factor_rows, peak / rows.nbytes
 
 
 def test_ensemble_single_member_matches_pure(grid):
