@@ -15,7 +15,7 @@ from .errors import (ConfigurationError, NumericsError, RepresentationError,
 from .experiments import (EXPERIMENTS, ExperimentConfig, RunManifest,
                           defaults_for, resolve_experiment, run_experiment)
 from .grids import PhaseGrid, PositionGrid, build_position_grid, quadrature
-from .gridio import read_grid, write_csv, write_grid
+from .gridio import write_csv
 from .metrics import (RateFit, char_distance, char_function, fit_rate,
                       l2_distance, weak_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,

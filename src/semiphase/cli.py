@@ -42,8 +42,6 @@ def _load_config(experiment: str, args) -> ExperimentConfig:
         overrides["eps_ladder"] = tuple(args.eps)
     if args.out:
         overrides["out_dir"] = args.out
-    if args.dump_grids:
-        overrides["dump_grids"] = True
     return defaults_for(experiment, **overrides)
 
 
@@ -89,8 +87,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, nargs="+",
                    help="override the eps ladder (decreasing values)")
     p.add_argument("--out", help="output directory for CSV/manifest")
-    p.add_argument("--dump-grids", action="store_true",
-                   help="also write binary grid snapshots")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,10 @@ the CLI exit code. Acceptance is trend-based: the limit statements being
 probed are asymptotic, so the harness asserts directions (monotone
 decrease, positive fitted rates) and the closed-form oracles, never the
 asymptotic constants themselves.
+
+Each such assertion is a named gate, checked through _Emitter.gate: a
+failed gate warns once, in the gate's own words, and a run passes iff
+none of its gates failed. A driver without gates always passes.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .classical import (TrajectoryBranch, branch_family, branch_ode_residual,
                         characteristic_feet, transport_particles)
 from .errors import ConfigurationError, NumericsError, SemiphaseWarning
 from .grids import PhaseGrid, PositionGrid, build_position_grid
-from .gridio import write_csv, write_grid
+from .gridio import write_csv
 from .metrics import (NODES, _strictly_decreasing, char_distance,
                       char_function, fit_rate, l2_distance, weak_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
@@ -94,7 +98,6 @@ class ExperimentConfig:
     delta_growth: float = 0.1
     seed: int = 0
     out_dir: str | None = None
-    dump_grids: bool = False
     # weak-convergence / random-family datum
     datum_center: tuple = (1.5, 0.0)
     datum_sigma: float = 0.3
@@ -154,6 +157,10 @@ class ExperimentConfig:
         if not self.sample_times or not np.all(np.isfinite(self.sample_times)):
             raise ConfigurationError(
                 f"sample_times must be non-empty and finite, got {self.sample_times}")
+        # the drivers key their per-time sums by sample time
+        if len(set(self.sample_times)) != len(self.sample_times):
+            raise ConfigurationError(
+                f"sample_times must not repeat, got {self.sample_times}")
         # the lattices take (k - 1) // 2 points per side: an even size
         # would silently run the next smaller odd one
         if self.datum_k < 1 or self.datum_k % 2 == 0:
@@ -191,8 +198,7 @@ def _jsonable(obj):
 def _config_hash(cfg: ExperimentConfig) -> str:
     # output plumbing is excluded: the hash identifies the science, so
     # identical hashes promise byte-identical CSV contents
-    science = {k: v for k, v in asdict(cfg).items()
-               if k not in ("out_dir", "dump_grids")}
+    science = {k: v for k, v in asdict(cfg).items() if k != "out_dir"}
     payload = json.dumps(science, sort_keys=True, default=_jsonable)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -206,7 +212,7 @@ def _potential(cfg: ExperimentConfig) -> PotentialSpec:
 
 
 class _Emitter:
-    """Collects CSV tables, warnings and the manifest for one run.
+    """Collects CSV tables, gates, warnings and the manifest for one run.
 
     Used as a context manager: every SemiphaseWarning raised inside the
     block, by the driver or by library code, reaches the manifest once,
@@ -219,6 +225,7 @@ class _Emitter:
         self.t0 = time.perf_counter()
         self.records: dict = {}
         self.outputs: list = []
+        self.passed = True  # until a gate fails
         self.out_dir = Path(cfg.out_dir) if cfg.out_dir else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -246,13 +253,33 @@ class _Emitter:
         write_csv(path, header, rows)
         self.outputs.append(name)
 
-    def grid(self, name: str, values):
-        if self.out_dir is None or not self.cfg.dump_grids:
-            return
-        write_grid(self.out_dir / name, values)
-        self.outputs.append(name)
+    def gate(self, name: str, ok: bool, value, bound: str) -> None:
+        """One named acceptance check; ok says whether value meets bound.
 
-    def finish(self, passed: bool) -> RunManifest:
+        A failed gate warns once, naming value and bound, and fails the run.
+        """
+        if not ok:
+            self.passed = False
+            self.warn(f"gate failed: {name} = {value}, needs {bound}")
+
+    def rate(self, eps_values, distances):
+        """fit_rate over a ladder, recorded as fitted_slope and r_squared.
+
+        Returns the RateFit, or None (with a warning) when too few
+        positive distances leave no fit; dropped rungs warn with their
+        count.
+        """
+        try:
+            fit = fit_rate(eps_values, distances)
+        except NumericsError as exc:
+            self.warn(f"rate fit skipped: {exc}")
+            return None
+        if fit.dropped:
+            self.warn(f"rate fit dropped {fit.dropped} non-positive distance(s)")
+        self.records.update(fitted_slope=fit.fitted_slope, r_squared=fit.r_squared)
+        return fit
+
+    def finish(self) -> RunManifest:
         manifest = RunManifest(
             experiment=self.cfg.experiment,
             config=asdict(self.cfg),
@@ -263,11 +290,25 @@ class _Emitter:
             warnings=tuple(dict.fromkeys(str(w.message) for w in self._caught
                                          if issubclass(w.category, SemiphaseWarning))),
             wall_clock=time.perf_counter() - self.t0,
-            passed=passed,
+            passed=self.passed,
         )
         if self.out_dir is not None:
             (self.out_dir / "manifest.json").write_text(manifest.to_json() + "\n")
         return manifest
+
+
+def _sample_walks(cfg: ExperimentConfig, signs=(1,)) -> list:
+    """One walk per sign: the sample times of that sign, away from t = 0.
+
+    Refuses a config with no sample time of any of the signs.
+    """
+    walks = [sorted((t for t in cfg.sample_times if s * t > 0), key=abs)
+             for s in signs]
+    if not any(walks):
+        raise ConfigurationError(
+            f"{cfg.experiment} needs {'nonzero' if len(signs) > 1 else 'positive'} "
+            "sample times")
+    return walks
 
 
 def _evolve_at(state, times, advance):
@@ -368,14 +409,11 @@ def run_harmonic_exact(cfg: ExperimentConfig) -> RunManifest:
                                   tag="wigner")
             err = l2_distance(w_num, w_exact)
             rows.append((t, err))
-            em.grid(f"wigner_t{t:.4f}.grid", w_num.values)
         em.csv("harmonic_exact.csv", ["t", "l2_error"], rows)
         max_err = float(max(err for _, err in rows))
         em.records.update(eps=eps, max_l2_error=max_err, tolerance=1e-4)
-        passed = max_err < 1e-4
-        if not passed:
-            em.warn(f"max L2 error {max_err:.3e} exceeds the 1e-4 bound")
-        return em.finish(passed=passed)
+        em.gate("max L2 error", max_err < 1e-4, f"{max_err:.3e}", "< 1e-4")
+        return em.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +450,7 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
     field (plus a matched-mollification column for reporting). Asserts
     the sup-over-times distance decreases strictly along the ladder.
     """
-    times = sorted(t for t in cfg.sample_times if t > 0)
-    if not times:
-        raise ConfigurationError("WeakConvergence needs positive sample times")
+    (times,) = _sample_walks(cfg)
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
         datum = _mixture_datum(cfg)
@@ -444,16 +480,9 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
         em.records.update(sup_distances=list(sups_raw),
                           sup_distances_mollified=list(sups_moll),
                           monotone_decreasing=monotone)
-        if len(cfg.eps_ladder) >= 3:
-            try:
-                fit = fit_rate(cfg.eps_ladder, sups_raw)
-                em.records.update(fitted_slope=fit.fitted_slope,
-                                  r_squared=fit.r_squared)
-            except NumericsError as exc:
-                em.warn(f"rate fit skipped: {exc}")
-        if not monotone:
-            em.warn("sup-distance ladder is not strictly decreasing")
-        return em.finish(passed=monotone)
+        em.rate(cfg.eps_ladder, sups_raw)
+        em.gate("sup-distance ladder", monotone, sups_raw, "strictly decreasing")
+        return em.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +508,7 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
     Asserts fitted log-log slope > 0 with r^2 > 0.9; the transport H^2
     growth is recorded, not enforced.
     """
-    times = sorted(t for t in cfg.sample_times if t > 0)
-    if not times:
-        raise ConfigurationError("L2MollifiedRate needs positive sample times")
+    (times,) = _sample_walks(cfg)
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
         grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
@@ -516,7 +543,6 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
                 rows.append((eps, t, d, h2, h2 / (eps ** -cfg.delta_growth * norm0)))
                 sup_d = max(sup_d, d)
             sup_dists.append(sup_d)
-            em.grid(f"rho_eps{eps:g}.grid", rho.values)
         em.csv("l2_rate_times.csv",
                ["eps", "t", "normalized_l2", "h2_transport", "h2_growth_ratio"],
                rows)
@@ -524,17 +550,16 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
                list(zip(cfg.eps_ladder, sup_dists)))
         em.records.update(sup_distances=list(sup_dists),
                           delta_growth=cfg.delta_growth)
+        fit = em.rate(cfg.eps_ladder, sup_dists)
         if len(cfg.eps_ladder) < 3:
             # a short ladder (a sweep point) has no rate: pass on finite distances
-            em.warn(f"rate fit skipped: {len(cfg.eps_ladder)} eps rung(s), needs >= 3")
-            return em.finish(passed=bool(np.all(np.isfinite(sup_dists))))
-        fit = fit_rate(cfg.eps_ladder, sup_dists)
-        em.records.update(fitted_slope=fit.fitted_slope, r_squared=fit.r_squared)
-        passed = fit.fitted_slope > 0.0 and fit.r_squared > 0.9
-        if not passed:
-            em.warn(f"rate fit slope={fit.fitted_slope:.3f} r2={fit.r_squared:.3f} "
-                    "fails the positive-rate gate")
-        return em.finish(passed=passed)
+            em.gate("sup distances", bool(np.all(np.isfinite(sup_dists))),
+                    sup_dists, "finite")
+        else:
+            slope, r2 = (fit.fitted_slope, fit.r_squared) if fit else (np.nan, np.nan)
+            em.gate("rate fit (slope, r2)", slope > 0.0 and r2 > 0.9,
+                    f"({slope:.3f}, {r2:.3f})", "(> 0, > 0.9)")
+        return em.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +663,13 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
     """
     if cfg.potential != "rough_power":
         raise ConfigurationError("ConcentrationSplit requires rough_power")
-    times = sorted(t for t in cfg.sample_times if t > 0)
-    if not times:
-        raise ConfigurationError("ConcentrationSplit needs positive sample times")
+    (times,) = _sample_walks(cfg)
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
         branch = TrajectoryBranch(sign=1, t0=0.0, theta=cfg.theta)
 
         dist_rows, mass_rows, real_rows = [], [], []
         em.records["profiles"] = {}
-        passed = True
         eps_smallest = cfg.eps_ladder[-1]
         for pname, profile in _split_profiles(cfg).items():
             c_plus, c_minus = profile.half_masses()
@@ -699,25 +721,20 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                                              "d_wigner": d_wig,
                                              "right_mass": right[t],
                                              "left_mass": left[t]})
-                    if eps == eps_smallest:
-                        if pname == "even" and max(abs(right[t] - 0.5),
-                                                   abs(left[t] - 0.5)) > 0.05:
-                            passed = False
-                            em.warn(f"even masses ({right[t]:.3f}, {left[t]:.3f}) "
-                                    f"at t={t} miss 0.5 +- 0.05")
-                        elif pname != "even" and abs(right[t] - c_plus) > 0.07:
-                            passed = False
-                            em.warn(f"shifted right mass {right[t]:.3f} at t={t} "
-                                    f"misses c+={c_plus:.3f} +- 0.07")
+                    if eps == eps_smallest and pname == "even":
+                        em.gate(f"even masses at t={t}",
+                                max(abs(right[t] - 0.5), abs(left[t] - 0.5)) <= 0.05,
+                                f"({right[t]:.3f}, {left[t]:.3f})", "0.5 +- 0.05")
+                    elif eps == eps_smallest:
+                        em.gate(f"{pname} right mass at t={t}",
+                                abs(right[t] - c_plus) <= 0.07,
+                                f"{right[t]:.3f}", f"c+={c_plus:.3f} +- 0.07")
                 real_rows.append((pname, eps, rc.lam, len(lattice), n_grid,
                                   rc.l2_gap, rc.target_mass, max_p, max_x))
                 prec["per_eps"].append(per_eps)
-            for t in times:
-                ds = husimi_dists[t]
-                if not _strictly_decreasing(ds):
-                    passed = False
-                    em.warn(f"{pname}: husimi distance ladder at t={t} not "
-                            f"strictly decreasing: {ds}")
+            for t, ds in husimi_dists.items():
+                em.gate(f"{pname} husimi distance ladder at t={t}",
+                        _strictly_decreasing(ds), ds, "strictly decreasing")
             prec["husimi_distances"] = {str(t): husimi_dists[t] for t in times}
             em.records["profiles"][pname] = prec
         em.csv("split_distances.csv",
@@ -728,7 +745,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
         em.csv("split_realization.csv",
                ["profile", "eps", "lam", "n_members", "grid_n", "l2_gap",
                 "target_mass", "max_classical_p", "max_classical_x"], real_rows)
-        return em.finish(passed=passed)
+        return em.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +769,7 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
     average of sup-over-time distances decreases along the ladder; the
     operator-bound ratio is reported, with a warning stamp when > 1.
     """
-    fwd = sorted(t for t in cfg.sample_times if t > 0)
-    back = sorted((t for t in cfg.sample_times if t < 0), reverse=True)
-    if not fwd and not back:
-        raise ConfigurationError("RandomFamily needs nonzero sample times")
+    walks = _sample_walks(cfg, (1, -1))
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
         grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
@@ -772,12 +786,12 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
                         "outside the slow-concentration assumption regime")
             # classical endpoints for all samples, one walk each way
             transport = _transport(pot, eps, cfg.dt_classical, field_grid=grid)
-            moved = {t: cloud for times in (fwd, back)
+            moved = {t: cloud for times in walks
                      for t, cloud in _evolve_at(family, times, transport)}
 
             sups = [0.0] * len(ens.members)
             for t, idx, psi in _walk_members((s for _, s in ens.members),
-                                             (fwd, back), pot, cfg.dt):
+                                             walks, pot, cfg.dt):
                 # one atom of the moved family: char_function drops its mass
                 atom = AtomicMeasure(moved[t].atoms[idx:idx + 1])
                 sups[idx] = max(sups[idx], weak_distance(psi, atom, heat_time=eps))
@@ -794,9 +808,8 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
         em.records.update(averages=averages, operator_bound_ratios=ratios,
                           monotone_decreasing=monotone,
                           m_samples=cfg.m_samples, law=cfg.law)
-        if not monotone:
-            em.warn(f"averaged sup-distances not strictly decreasing: {averages}")
-        return em.finish(passed=monotone)
+        em.gate("averaged sup-distances", monotone, averages, "strictly decreasing")
+        return em.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +853,7 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> RunManifest:
                 "sup_times_2pi_eps", "bound_inv_eps"], rows)
         em.records.update(family=cfg.probe_family, sups=sups,
                           sup_times_eps=[s * e for s, e in zip(sups, cfg.eps_ladder)])
-        return em.finish(passed=True)
+        return em.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -908,11 +921,10 @@ def run_branch_atlas(cfg: ExperimentConfig) -> RunManifest:
                 "p_shadow"], shadow_rows)
         em.records.update(max_residual=max_resid, max_shadow_rel_error=max_shadow_rel,
                           n_branches=len(branch_rows))
-        passed = max_resid < 1e-6 and max_shadow_rel < 1e-5
-        if not passed:
-            em.warn(f"atlas gates failed: residual {max_resid:.3e} (< 1e-6), "
-                    f"shadow rel {max_shadow_rel:.3e} (< 1e-5)")
-        return em.finish(passed=passed)
+        em.gate("max ODE residual", max_resid < 1e-6, f"{max_resid:.3e}", "< 1e-6")
+        em.gate("max shadow rel error", max_shadow_rel < 1e-5,
+                f"{max_shadow_rel:.3e}", "< 1e-5")
+        return em.finish()
 
 
 # ---------------------------------------------------------------------------

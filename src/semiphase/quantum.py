@@ -3,8 +3,9 @@
 Strang split-step spectral stepping for pure states and finite mixtures.
 One kernel, propagate_rows, steps an array whose last axis is the grid:
 a single state (N,) or a block of states (M, N), every row by the same
-FFT pair per step. propagate and propagate_ensemble wrap it for
-WaveFunction and DensityEnsemble. The kinetic factor 1/2 makes the
+FFT pair per step. propagate wraps it for one WaveFunction, and
+propagate_ensemble loops propagate over a DensityEnsemble's members; it
+does not wrap propagate_rows. The kinetic factor 1/2 makes the
 classical symbol k^2/2 and the transport drift k, matching X' = P on the
 classical side.
 """

@@ -1,5 +1,6 @@
 """Experiment registry, config plumbing, manifests, CLI exit codes."""
 
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -20,10 +21,10 @@ from semiphase.experiments import (
 from semiphase.classical import transport_particles
 from semiphase import experiments
 from semiphase.experiments import (_ROWS, _Emitter, _evolve_at, _mirror_jobs,
-                                   _mixture_datum, _potential, _split_grid_size,
-                                   _split_profiles, _transport)
+                                   _mixture_datum, _potential, _sample_walks,
+                                   _split_grid_size, _split_profiles, _transport)
 from semiphase.grids import build_position_grid
-from semiphase.metrics import NODES
+from semiphase.metrics import NODES, RateFit
 from semiphase.states import _window_points, concentration_lattice
 
 
@@ -130,9 +131,26 @@ def test_weak_convergence_needs_positive_time(tmp_path):
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_config_refuses_repeated_sample_times(name):
+    # per-time sums are keyed by t: ConcentrationSplit added every member
+    # twice at a repeated time, reporting half-plane masses near 2
+    with pytest.raises(ConfigurationError, match="sample_times"):
+        defaults_for(name, sample_times=(0.1, 0.2, 0.2))
+
+
+def test_sample_walks_run_away_from_zero():
+    cfg = defaults_for("RandomFamily", sample_times=(0.5, -1.0, 1.0, -0.5, 0.0))
+    assert _sample_walks(cfg, (1, -1)) == [[0.5, 1.0], [-0.5, -1.0]]
+    assert _sample_walks(cfg) == [[0.5, 1.0]]
+    with pytest.raises(ConfigurationError, match="nonzero sample times"):
+        _sample_walks(defaults_for("RandomFamily", sample_times=(0.0,)), (1, -1))
+
+
 def test_config_has_no_dead_fields():
     assert "t_final" not in ExperimentConfig.__dataclass_fields__
     assert "eps_mollify_ladder" not in ExperimentConfig.__dataclass_fields__
+    assert "dump_grids" not in ExperimentConfig.__dataclass_fields__
     with pytest.raises(TypeError):
         defaults_for("HarmonicExact", t_final=1.0)
 
@@ -164,7 +182,7 @@ def test_harmonic_failed_gate_warns(tmp_path):
                                       out_dir=str(tmp_path / "f")))
     err = man.records["max_l2_error"]
     assert not man.passed and err > 1e-4
-    assert f"max L2 error {err:.3e} exceeds the 1e-4 bound" in man.warnings
+    assert f"gate failed: max L2 error = {err:.3e}, needs < 1e-4" in man.warnings
 
 
 def test_run_outputs_deterministic(tmp_path):
@@ -550,8 +568,9 @@ def test_emitter_records_own_category_and_reshows_others():
             warnings.warn("numpy-style", RuntimeWarning)
             em.warn("second")
             em.warn("first")
-            man = em.finish(passed=True)
+            man = em.finish()
     assert man.warnings == ("first", "second")
+    assert man.passed  # no gate failed
 
 
 def test_failed_run_restores_warning_state(tmp_path):
@@ -563,3 +582,69 @@ def test_failed_run_restores_warning_state(tmp_path):
     assert (tmp_path / "r").is_dir()  # the emitter was entered
     assert warnings.filters == filters
     assert warnings.showwarning is show
+
+
+# ------------------------------------------------------------------ gates
+
+
+def _rising():
+    """A distance that grows with every call, so that no ladder decreases."""
+    calls = itertools.count(1.0)
+    return lambda *args, **kwargs: next(calls)
+
+
+def _zero_weights():
+    return lambda grid, eps, xsep: (np.zeros(grid.n_points),) * 2
+
+
+# case: (experiment, overrides of the _PINNED/_SMALL sizes, factories of
+# the experiments-module names to patch, number of gates that fail)
+_FAILING = {
+    "HarmonicExact": ("HarmonicExact", {"dt": 0.05}, {}, 1),
+    "WeakConvergence": ("WeakConvergence", {}, {"char_distance": _rising}, 1),
+    "L2MollifiedRate-rate": (
+        "L2MollifiedRate", {},
+        {"fit_rate": lambda: lambda eps, d: RateFit(tuple(eps), tuple(d), -1.0, 0.5)},
+        1),
+    "L2MollifiedRate-finite": (
+        "L2MollifiedRate", {"eps_ladder": [0.2], "sample_times": [0.01]},
+        {"l2_distance": lambda: lambda a, b: np.inf}, 1),
+    # both profiles' husimi ladders and both mass gates at the one time
+    "ConcentrationSplit": ("ConcentrationSplit", {},
+                           {"char_distance": _rising,
+                            "_halfplane_weights": _zero_weights}, 4),
+    "RandomFamily": ("RandomFamily", {}, {"weak_distance": _rising}, 1),
+    "BranchAtlas": ("BranchAtlas", {"shadow_dt": 0.1},
+                    {"branch_ode_residual": lambda: lambda br, t: (1.0, 1.0)}, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING))
+def test_failed_gates_fail_the_run(tmp_path, monkeypatch, case):
+    name, overrides, patches, n_failed = _FAILING[case]
+    for attr, factory in patches.items():
+        monkeypatch.setattr(experiments, attr, factory())
+    cfg = _write_cfg(tmp_path, {"experiment": name, **{**_PINNED, **_SMALL}[name],
+                                **overrides})
+    assert main(["run", name, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert man["passed"] is False
+    gates = [w for w in man["warnings"] if w.startswith("gate failed: ")]
+    assert len(gates) == n_failed, gates
+
+
+def test_rate_rule_warns_dropped_and_skipped_rungs():
+    cfg = defaults_for("ConjectureProbe")
+    with _Emitter(cfg) as em:
+        fit = em.rate((0.4, 0.2, 0.1, 0.05), (0.8, 0.4, 0.0, 0.1))
+        man = em.finish()
+    assert fit.dropped == 1
+    assert man.warnings == ("rate fit dropped 1 non-positive distance(s)",)
+    assert man.records == {"fitted_slope": fit.fitted_slope,
+                           "r_squared": fit.r_squared}
+    with _Emitter(cfg) as em:
+        assert em.rate((0.2, 0.1), (0.4, 0.2)) is None
+        man = em.finish()
+    assert man.records == {}
+    assert man.warnings == (
+        "rate fit skipped: rate fit needs >= 3 positive distances, have 2",)
