@@ -32,8 +32,9 @@ from .classical import (TrajectoryBranch, branch_family, branch_ode_residual,
 from .errors import ConfigurationError, NumericsError, SemiphaseWarning
 from .grids import PhaseGrid, PositionGrid, build_position_grid
 from .gridio import write_csv
-from .metrics import (NODES, _strictly_decreasing, char_distance,
-                      char_function, fit_rate, l2_distance, weak_distance)
+from .metrics import (_as_probability, _char_rows, _strictly_decreasing,
+                      char_distance, char_function, fit_rate, l2_distance,
+                      weak_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
                          l2_norm, restrict_p, sup_norm, wigner)
 from .potentials import (PotentialSpec, check_fourier_conditions,
@@ -337,14 +338,13 @@ _ROWS = 16
 
 
 def _walk_members(starts, walks, pot: PotentialSpec, dt: float):
-    """Yield (t, j, psi): member j at each sample time of each walk.
+    """Yield (t, j0, rows): members j0, j0 + 1, ... as an (M, N) block at t.
 
-    starts are WaveFunctions on one grid and eps. They are stacked _ROWS
-    at a time, and each walk (a list of sample times) runs from the
-    block's start rows through _evolve_at, so one propagate_rows call
-    steps the whole block. Blocks come in member order and each sample
-    time lists its members in order, so a per-t sum over the yields adds
-    in member order.
+    starts are WaveFunctions on one grid and eps, stacked _ROWS at a
+    time. Each walk (a list of sample times) runs from the block's start
+    rows through _evolve_at, one propagate_rows call per step for the
+    block, and blocks come in member order. A row whose ||psi||^2 is
+    more than 1e-6 from 1 raises NumericsError.
     """
     starts = iter(starts)
     j0 = 0
@@ -356,8 +356,11 @@ def _walk_members(starts, walks, pot: PotentialSpec, dt: float):
         rows = np.stack([s.values for s in block])
         for times in walks:
             for t, moved in _evolve_at(rows, times, advance):
-                for j, row in enumerate(moved, j0):
-                    yield t, j, WaveFunction(row, eps, grid)
+                n2 = np.sum(np.abs(moved) ** 2, axis=1) * grid.dx
+                if not np.all(np.abs(n2 - 1.0) <= 1e-6):
+                    raise NumericsError(f"t={t:g}: a member lost its norm, "
+                                        f"||psi||^2 = {n2.tolist()}")
+                yield t, j0, moved
         j0 += len(block)
 
 
@@ -396,8 +399,7 @@ def run_harmonic_exact(cfg: ExperimentConfig) -> RunManifest:
         psi = coherent_state(x0, p0, eps, grid)
 
         pgrid = build_wigner_grid(grid, eps)
-        xs = pgrid.x[:, None]
-        ps = pgrid.p[None, :]
+        xs, ps = pgrid.x[:, None], pgrid.p[None, :]
         rows = []
         for t, state in _evolve_at(psi, sorted(cfg.sample_times),
                                    _schrodinger(propagate, pot, cfg.dt)):
@@ -407,10 +409,9 @@ def run_harmonic_exact(cfg: ExperimentConfig) -> RunManifest:
             pc = p0 * np.cos(t) - x0 * np.sin(t)
             w_exact = GridDensity(_coherent_wigner(xs, ps, xc, pc, eps), pgrid,
                                   tag="wigner")
-            err = l2_distance(w_num, w_exact)
-            rows.append((t, err))
+            rows.append((t, l2_distance(w_num, w_exact)))
         em.csv("harmonic_exact.csv", ["t", "l2_error"], rows)
-        max_err = float(max(err for _, err in rows))
+        max_err = float(np.max([err for _, err in rows]))
         em.records.update(eps=eps, max_l2_error=max_err, tolerance=1e-4)
         em.gate("max L2 error", max_err < 1e-4, f"{max_err:.3e}", "< 1e-4")
         return em.finish()
@@ -469,8 +470,8 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
                 d_raw = char_distance(chi_q, char_function(cloud_raw), heat_time=eps)
                 d_moll = char_distance(chi_q, char_function(cloud_moll), heat_time=eps)
                 rows.append((eps, t, d_raw, d_moll))
-        sups_raw = [max(r[2] for r in rows if r[0] == eps) for eps in cfg.eps_ladder]
-        sups_moll = [max(r[3] for r in rows if r[0] == eps) for eps in cfg.eps_ladder]
+        sups_raw, sups_moll = ([float(np.max([r[col] for r in rows if r[0] == eps]))
+                                for eps in cfg.eps_ladder] for col in (2, 3))
         em.csv("weak_convergence_times.csv",
                ["eps", "t", "distance_raw_flow", "distance_mollified_flow"], rows)
         em.csv("weak_convergence_sup.csv",
@@ -520,8 +521,7 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
         em.records["fourier_conditions"] = json.loads(report.to_json())
 
         x0, p0 = cfg.datum_center
-        rows = []
-        sup_dists = []
+        rows, sup_dists = [], []
         for eps in cfg.eps_ladder:
             psi = coherent_state(x0, p0, eps, grid)
             w0 = restrict_p(wigner(psi), cfg.p_window)
@@ -541,7 +541,7 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
                 d = l2_distance(w_t, rho) / norm0
                 h2 = _h2_norm(rho)
                 rows.append((eps, t, d, h2, h2 / (eps ** -cfg.delta_growth * norm0)))
-                sup_d = max(sup_d, d)
+                sup_d = float(np.maximum(sup_d, d))
             sup_dists.append(sup_d)
         em.csv("l2_rate_times.csv",
                ["eps", "t", "normalized_l2", "h2_transport", "h2_growth_ratio"],
@@ -622,24 +622,19 @@ def _mirror_jobs(lattice: AtomicMeasure) -> list:
     """
     atoms = lattice.atoms.tolist()
     index = {(x, p): i for i, (_, x, p) in enumerate(atoms)}
-    jobs = []
-    seen = set()
+    jobs, seen = [], set()
     for i, (m, x, p) in enumerate(atoms):
         if i in seen:
             continue
         j = index.get((-x, -p))
-        if j is None or j == i or j in seen:
-            jobs.append((x, p, m, 0.0))
-            seen.add(i)
-        else:
-            jobs.append((x, p, m, atoms[j][0]))
-            seen.update((i, j))
+        paired = j is not None and j != i and j not in seen
+        jobs.append((x, p, m, atoms[j][0] if paired else 0.0))
+        seen.update((i, j) if paired else (i,))
     return jobs
 
 
-def _halfplane_weights(grid: PositionGrid, eps: float,
-                       xsep: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights for (mass above +xsep, mass below -xsep) of the Husimi x-marginal.
+def _halfplane_weights(grid: PositionGrid, eps: float, xsep: float) -> np.ndarray:
+    """Rows (mass above +xsep, mass below -xsep) of the Husimi x-marginal, (2, N).
 
     The Husimi x-marginal is |psi|^2 convolved with a variance-2eps
     Gaussian, so a half-plane mass is the quadrature of the position
@@ -647,8 +642,7 @@ def _halfplane_weights(grid: PositionGrid, eps: float,
     through its grid and eps.
     """
     x = grid.nodes
-    return (0.5 * erfc((xsep - x) / (2.0 * np.sqrt(eps))),
-            0.5 * erfc((x + xsep) / (2.0 * np.sqrt(eps))))
+    return 0.5 * erfc(np.array([xsep - x, x + xsep]) / (2.0 * np.sqrt(eps)))
 
 
 def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
@@ -683,31 +677,29 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                 p_raster = build_position_grid(512, -1.0, 1.0)
                 rc = concentrating_wigner_data(profile, eps,
                                                PhaseGrid(x_grid, p_raster), lattice)
-                chi_acc = {t: np.zeros((NODES.size, NODES.size), complex)
-                           for t in times}
-                right = dict.fromkeys(times, 0.0)
-                left = dict.fromkeys(times, 0.0)
+                chi_acc = dict.fromkeys(times, 0.0)  # per t, the block sums add in
+                right_left = dict.fromkeys(times, 0.0)
                 xseps = {t: branch.X(t) / 2.0 for t in times}
                 weights = {t: _halfplane_weights(x_grid, eps, xseps[t])
                            for t in times}
                 jobs = _mirror_jobs(lattice)
+                masses = np.array([job[2:] for job in jobs]).T  # self, mirror
                 starts = (coherent_state(x, p, eps, x_grid) for x, p, _, _ in jobs)
-                for t, j, psi in _walk_members(starts, (times,), pot, cfg.dt):
-                    w_self, w_mirror = jobs[j][2:]
-                    chi = char_function(psi)
-                    chi_acc[t] += w_self * chi
-                    if w_mirror:
-                        chi_acc[t] += w_mirror * np.conj(chi)
-                    dens = psi.density()
-                    above, below = (float(np.sum(dens * w) * x_grid.dx)
-                                    for w in weights[t])
-                    right[t] += w_self * above + w_mirror * below
-                    left[t] += w_self * below + w_mirror * above
+                for t, j0, rows in _walk_members(starts, (times,), pot, cfg.dt):
+                    w_self, w_mirror = masses[:, j0:j0 + len(rows)]
+                    chi_self, chi_mirror = _char_rows(rows, (w_self, w_mirror),
+                                                      eps, x_grid)
+                    chi_acc[t] += chi_self + np.conj(chi_mirror)
+                    # (above, below) per member; a mirror swaps them
+                    half = weights[t] @ (np.abs(rows) ** 2).T * x_grid.dx
+                    right_left[t] += half @ w_self + half[::-1] @ w_mirror
                 per_eps = {"eps": eps, "n_grid": n_grid, "lam": rc.lam,
                            "l2_gap": rc.l2_gap, "target_mass": rc.target_mass,
                            "max_classical_p": max_p, "max_classical_x": max_x,
                            "n_members": len(lattice), "times": []}
                 for t in times:
+                    right, left = right_left[t].tolist()
+                    _as_probability(chi_acc[t])
                     chi_at = char_function(AtomicMeasure(
                         ((c_plus, branch.X(t), branch.P(t)),
                          (c_minus, -branch.X(t), -branch.P(t)))))
@@ -715,20 +707,20 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                     d_wig = char_distance(chi_acc[t], chi_at)
                     husimi_dists[t].append(d_hus)
                     dist_rows.append((pname, eps, t, d_hus, d_wig))
-                    mass_rows.append((pname, eps, t, right[t], left[t],
+                    mass_rows.append((pname, eps, t, right, left,
                                       c_plus, c_minus, xseps[t]))
                     per_eps["times"].append({"t": t, "d_husimi": d_hus,
                                              "d_wigner": d_wig,
-                                             "right_mass": right[t],
-                                             "left_mass": left[t]})
+                                             "right_mass": right,
+                                             "left_mass": left})
                     if eps == eps_smallest and pname == "even":
                         em.gate(f"even masses at t={t}",
-                                max(abs(right[t] - 0.5), abs(left[t] - 0.5)) <= 0.05,
-                                f"({right[t]:.3f}, {left[t]:.3f})", "0.5 +- 0.05")
+                                np.maximum(abs(right - 0.5), abs(left - 0.5)) <= 0.05,
+                                f"({right:.3f}, {left:.3f})", "0.5 +- 0.05")
                     elif eps == eps_smallest:
                         em.gate(f"{pname} right mass at t={t}",
-                                abs(right[t] - c_plus) <= 0.07,
-                                f"{right[t]:.3f}", f"c+={c_plus:.3f} +- 0.07")
+                                abs(right - c_plus) <= 0.07,
+                                f"{right:.3f}", f"c+={c_plus:.3f} +- 0.07")
                 real_rows.append((pname, eps, rc.lam, len(lattice), n_grid,
                                   rc.l2_gap, rc.target_mass, max_p, max_x))
                 prec["per_eps"].append(per_eps)
@@ -790,11 +782,14 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
                      for t, cloud in _evolve_at(family, times, transport)}
 
             sups = [0.0] * len(ens.members)
-            for t, idx, psi in _walk_members((s for _, s in ens.members),
+            for t, j0, rows in _walk_members((s for _, s in ens.members),
                                              walks, pot, cfg.dt):
-                # one atom of the moved family: char_function drops its mass
-                atom = AtomicMeasure(moved[t].atoms[idx:idx + 1])
-                sups[idx] = max(sups[idx], weak_distance(psi, atom, heat_time=eps))
+                for idx, row in enumerate(rows, j0):
+                    # one atom of the moved family: char_function drops its mass
+                    atom = AtomicMeasure(moved[t].atoms[idx:idx + 1])
+                    d = weak_distance(WaveFunction(row, eps, grid), atom,
+                                      heat_time=eps)
+                    sups[idx] = float(np.maximum(sups[idx], d))
             sample_rows.extend((eps, idx, family.xs[idx], family.ps[idx], sup_d)
                                for idx, sup_d in enumerate(sups))
             avg = float(np.mean(sups))
@@ -840,8 +835,7 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> RunManifest:
     """
     with _Emitter(cfg) as em:
         grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-        rows = []
-        sups = []
+        rows, sups = [], []
         for eps in cfg.eps_ladder:
             ens = coherent_mixture(_probe_atoms(cfg, eps), eps, grid)
             sup = sup_norm(husimi(wigner(ens), eps))
@@ -881,8 +875,7 @@ def run_branch_atlas(cfg: ExperimentConfig) -> RunManifest:
             f"shadow_t1={cfg.shadow_t1}")
     with _Emitter(cfg) as em:
         branch_rows, resid_rows, shadow_rows = [], [], []
-        max_resid = 0.0
-        max_shadow_rel = 0.0
+        max_resid = max_shadow_rel = 0.0
         ts = np.linspace(0.0, cfg.shadow_t_final, 61)
         t_abs = np.linspace(cfg.shadow_t1, cfg.shadow_t_final, 11)
         for theta in cfg.theta_list:
@@ -894,7 +887,7 @@ def run_branch_atlas(cfg: ExperimentConfig) -> RunManifest:
                     if abs(t - br.t0) < 0.02:
                         continue
                     r1, r2 = branch_ode_residual(br, t)
-                    max_resid = max(max_resid, abs(r1), abs(r2))
+                    max_resid = float(np.max([max_resid, abs(r1), abs(r2)]))
                     resid_rows.append((theta, br.sign, br.t0, t, r1, r2))
             # both signs walk as one pair of arrays
             branches = branch_family(theta, [(1, 0.0), (-1, 0.0)])
@@ -911,7 +904,7 @@ def run_branch_atlas(cfg: ExperimentConfig) -> RunManifest:
                 xb, pb = br.X(t_abs[-1]), br.P(t_abs[-1])
                 xs, ps = shadows[-1]
                 rel = float(np.hypot(xs[i] - xb, ps[i] - pb) / np.hypot(xb, pb))
-                max_shadow_rel = max(max_shadow_rel, rel)
+                max_shadow_rel = float(np.maximum(max_shadow_rel, rel))
         em.csv("atlas_branches.csv", ["theta", "sign", "t0", "nu", "c0"],
                branch_rows)
         em.csv("atlas_residuals.csv", ["theta", "sign", "t0", "t", "r1", "r2"],

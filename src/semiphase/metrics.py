@@ -13,7 +13,8 @@ gridding via the ambiguity integral
 
     mu^hat(xi, eta) = int conj(psi(x + eps eta/2)) psi(x - eps eta/2) e^{-i xi x} dx,
 
-the characteristic function of the Wigner measure. char_function
+the characteristic function of the Wigner measure, which _char_rows
+sums over blocks of states with K weight rows at once. char_function
 divides every representation by its own mass, the value at the lattice
 origin, so it returns the characteristic function of a probability
 measure. Heat-kernel smoothing (the Husimi picture) is a pure
@@ -68,39 +69,49 @@ def _unit_powers(t, x) -> np.ndarray:
     return out
 
 
-def _char_members(members) -> np.ndarray:
-    """sum_i w_i * (ambiguity integral of member i), one kernel matmul.
+def _char_rows(rows, weights, eps: float, grid) -> np.ndarray:
+    """K unnormalized sums sum_i weights[k, i] * (ambiguity integral of row i).
 
-    members are (weight, WaveFunction) pairs on one grid at one eps.
+    rows is an (M, N) block or a sequence of (N,) states on grid at eps,
+    weights is (K, M), and the result is (K, 33, 33). Each row is shifted
+    once and added into all K integrands; one kernel matmul covers them.
     Row j of the shift table gives psi(x - eps*eta_j/2); NODES is
     symmetric, so row 32 - j is psi(x + eps*eta_j/2). Only eta <= 0 is
     computed: chi(xi, -eta) = conj(chi(-xi, eta)) fills the rest.
     """
-    eps, grid = members[0][1].eps, members[0][1].grid
+    weights = np.asarray(weights, dtype=np.float64)
     phases = _unit_powers(NODES * (eps / 2.0), grid.k)
     half = _ORIGIN + 1
-    integrand = np.zeros((half, grid.n_points), dtype=np.complex128)
-    for w, state in members:
-        shifted = sfft.ifft(sfft.fft(state.values) * phases, axis=1,
-                            overwrite_x=True)
+    integrand = np.zeros((len(weights), half, grid.n_points), dtype=np.complex128)
+    for row, w_row in zip(rows, weights.T):
+        shifted = sfft.ifft(sfft.fft(row) * phases, axis=1, overwrite_x=True)
         pair = np.conj(shifted[:-half - 1:-1])
         pair *= shifted[:half]
-        pair *= w
-        integrand += pair
+        del shifted  # one (33, N) shift at a time beside the two tables
+        for acc, w in zip(integrand, w_row):
+            acc += w * pair
     kernel = _unit_powers(NODES, grid.nodes)
-    lo = (kernel @ integrand.T) * grid.dx
-    return np.concatenate([lo, np.conj(lo[::-1, -2::-1])], axis=1)
+    lo = (kernel @ integrand.reshape(-1, grid.n_points).T) * grid.dx
+    lo = lo.reshape(NODES.size, len(weights), half).transpose(1, 0, 2)
+    return np.concatenate([lo, np.conj(lo[:, ::-1, -2::-1])], axis=2)
+
+
+def _as_probability(chi: np.ndarray) -> np.ndarray:
+    """chi divided in place by its origin value, the mass, which must be > 0."""
+    mass = chi[_ORIGIN, _ORIGIN].real
+    if not mass > 0:
+        raise NumericsError(f"char_function needs a positive mass, got {mass}")
+    chi /= mass
+    return chi
 
 
 def char_function(obj) -> np.ndarray:
     """Characteristic function of obj, as a probability, on NODES x NODES.
 
     Accepts atomic measures, grid densities, wavefunctions (Wigner
-    measure, via the ambiguity integral) and density ensembles. An
-    ensemble sums its weighted member integrands first and takes one
-    kernel matmul; a wavefunction is the one-member case. The result is
-    divided by its value at the origin node, the total mass, so it is 1
-    there; a mass whose real part is not positive raises NumericsError.
+    measure, via the ambiguity integral) and density ensembles, the two
+    quantum kinds as _char_rows with one weight row. The result is
+    divided by its mass (_as_probability), so it is 1 at the origin.
     """
     if isinstance(obj, AtomicMeasure):
         ex, ep = _unit_powers(NODES, obj.xs), _unit_powers(NODES, obj.ps)
@@ -109,16 +120,13 @@ def char_function(obj) -> np.ndarray:
         ex, ep = _unit_powers(NODES, obj.grid.x), _unit_powers(NODES, obj.grid.p)
         chi = (ex @ obj.values @ ep.T) * obj.grid.cell_area
     elif isinstance(obj, WaveFunction):
-        chi = _char_members(((1.0, obj),))
+        (chi,) = _char_rows(obj.values[None], ((1.0,),), obj.eps, obj.grid)
     elif isinstance(obj, DensityEnsemble):
-        chi = _char_members(obj.members)
+        (chi,) = _char_rows([s.values for _, s in obj.members],
+                            [[w for w, _ in obj.members]], obj.eps, obj.grid)
     else:
         raise RepresentationError(f"no characteristic function for {type(obj)!r}")
-    mass = chi[_ORIGIN, _ORIGIN].real
-    if not mass > 0:
-        raise NumericsError(f"char_function needs a positive mass, got {mass}")
-    chi /= mass
-    return chi
+    return _as_probability(chi)
 
 
 def char_distance(chi_mu, chi_nu, heat_time: float = 0.0) -> float:
@@ -181,8 +189,7 @@ def fit_rate(eps_values, distances) -> RateFit:
             f"rate fit needs >= 3 positive distances, have {len(kept)}")
     if not _strictly_decreasing([e for e, _ in kept]):
         raise ConfigurationError("eps_values must be strictly decreasing")
-    le = np.log([e for e, _ in kept])
-    ld = np.log([d for _, d in kept])
+    le, ld = np.log(np.array(kept).T)
     slope, intercept = np.polyfit(le, ld, 1)
     pred = slope * le + intercept
     ss_res = float(np.sum((ld - pred) ** 2))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from semiphase import ConfigurationError, SemiphaseWarning
+from semiphase import ConfigurationError, SemiphaseWarning, coherent_state
 from semiphase.cli import main
 from semiphase.experiments import (
     EXPERIMENTS,
@@ -20,9 +20,11 @@ from semiphase.experiments import (
 )
 from semiphase.classical import transport_particles
 from semiphase import experiments
+from semiphase.errors import NumericsError
 from semiphase.experiments import (_ROWS, _Emitter, _evolve_at, _mirror_jobs,
                                    _mixture_datum, _potential, _sample_walks,
-                                   _split_grid_size, _split_profiles, _transport)
+                                   _split_grid_size, _split_profiles, _transport,
+                                   _walk_members)
 from semiphase.grids import build_position_grid
 from semiphase.metrics import NODES, RateFit
 from semiphase.states import _window_points, concentration_lattice
@@ -537,6 +539,26 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
                       for n_times in walks for _ in range(n_times)]
 
 
+def test_walk_members_refuses_a_row_that_lost_its_norm(monkeypatch):
+    eps = 1e-2
+    grid = build_position_grid(256, -2.0, 2.0)
+    starts = [coherent_state(x0, 0.1, eps, grid) for x0 in np.linspace(-0.5, 0.5, 5)]
+    pot = experiments.rough_power_potential(0.5)
+    walk = list(_walk_members(starts, ([0.02, 0.04],), pot, 1e-3))
+    assert [(t, j0, rows.shape) for t, j0, rows in walk] == [
+        (0.02, 0, (5, 256)), (0.04, 0, (5, 256))]
+    real = experiments.propagate_rows
+
+    def scaled(rows, *args):
+        out = real(rows, *args).copy()
+        out[3] *= 1.001
+        return out
+
+    monkeypatch.setattr(experiments, "propagate_rows", scaled)
+    with pytest.raises(NumericsError, match="norm"):
+        list(_walk_members(starts, ([0.02],), pot, 1e-3))
+
+
 # ------------------------------------------------------------ warnings
 
 # sizes for the drivers _PINNED leaves out
@@ -597,6 +619,31 @@ def _zero_weights():
     return lambda grid, eps, xsep: (np.zeros(grid.n_points),) * 2
 
 
+def _nan_on_call(name, k, nan=np.nan):
+    """experiments.<name>, returning nan on its k-th call only.
+
+    k > 1, so the NaN is never the first value a maximum sees.
+    """
+    def factory():
+        real, calls = getattr(experiments, name), itertools.count(1)
+        return lambda *args, **kwargs: (nan if next(calls) == k
+                                        else real(*args, **kwargs))
+    return factory
+
+
+def _nan_left_weights():
+    # a NaN weight below -x_sep. Each member's mass below enters both sums
+    # (0 * NaN is NaN), so the right and left masses are both NaN: no
+    # weight makes the left mass alone NaN
+    real = experiments._halfplane_weights
+
+    def weights(grid, eps, xsep):
+        w = np.array(real(grid, eps, xsep))
+        w[1] = np.nan
+        return w
+    return weights
+
+
 # case: (experiment, overrides of the _PINNED/_SMALL sizes, factories of
 # the experiments-module names to patch, number of gates that fail)
 _FAILING = {
@@ -616,6 +663,21 @@ _FAILING = {
     "RandomFamily": ("RandomFamily", {}, {"weak_distance": _rising}, 1),
     "BranchAtlas": ("BranchAtlas", {"shadow_dt": 0.1},
                     {"branch_ode_residual": lambda: lambda br, t: (1.0, 1.0)}, 2),
+    # a NaN that is not the first value of a maximum must reach its gate
+    "HarmonicExact-nan": ("HarmonicExact", {},
+                          {"l2_distance": _nan_on_call("l2_distance", 2)}, 1),
+    "WeakConvergence-nan": ("WeakConvergence", {},
+                            {"char_distance": _nan_on_call("char_distance", 3)}, 1),
+    "L2MollifiedRate-nan": (
+        "L2MollifiedRate", {"eps_ladder": [0.2], "sample_times": [0.01, 0.02]},
+        {"l2_distance": _nan_on_call("l2_distance", 2)}, 1),
+    "ConcentrationSplit-nan-left": ("ConcentrationSplit", {},
+                                    {"_halfplane_weights": _nan_left_weights}, 2),
+    "RandomFamily-nan": ("RandomFamily", {},
+                         {"weak_distance": _nan_on_call("weak_distance", 2)}, 1),
+    "BranchAtlas-nan": ("BranchAtlas", {},
+                        {"branch_ode_residual": _nan_on_call(
+                            "branch_ode_residual", 2, (np.nan, np.nan))}, 1),
 }
 
 

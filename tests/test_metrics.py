@@ -1,5 +1,7 @@
 """Weak metric, characteristic functions, L2 distance, rate fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -15,7 +17,7 @@ from semiphase import (
     coherent_state,
 )
 from semiphase.errors import NumericsError
-from semiphase.metrics import (NODES, _char_members, _unit_powers,
+from semiphase.metrics import (NODES, _char_rows, _unit_powers,
                                char_distance, char_function, fit_rate,
                                l2_distance, weak_distance)
 from semiphase.phasespace import l2_norm, wigner
@@ -41,7 +43,7 @@ def test_nodes_fixed_and_read_only():
     assert not NODES.flags.writeable
     with pytest.raises(ValueError):
         NODES[0] = 0.0
-    # _char_members reads psi(x + eps eta/2) from the reversed shift rows
+    # _char_rows reads psi(x + eps eta/2) from the reversed shift rows
     assert np.array_equal(NODES, -NODES[::-1])
 
 
@@ -132,6 +134,13 @@ def _rel_dev(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def _char_members(members):
+    # the one weighted sum of _char_rows over (weight, WaveFunction) pairs
+    (chi,) = _char_rows([s.values for _, s in members], [[w for w, _ in members]],
+                        members[0][1].eps, members[0][1].grid)
+    return chi
+
+
 def test_one_shift_table_matches_two_tables(corpus):
     for label, psi in corpus:
         members = ((1.0, psi),)
@@ -174,6 +183,46 @@ def test_half_rows_match_full_rows_ensemble(grid):
                            ((-0.5, 0.0), (0.5, 0.2), (1.2, -0.4), (-1.0, 0.6))))
     assert _rel_dev(_char_members(members),
                     _full_row_char_members(members)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1232, 1680])
+def test_char_rows_self_and_mirror_sums(n):
+    # K = 2 over one block, zero mirror weights included, against
+    # sum_j w_s chi_j + w_m conj(chi_j) from the two-table reference
+    eps = 1e-3
+    g = build_position_grid(n, -2.0, 2.0)
+    states = [coherent_state(x0, p0, eps, g) for x0, p0
+              in ((-0.4, 0.1), (0.0, 0.0), (0.3, -0.2), (0.8, 0.3), (-0.9, -0.4))]
+    w_self = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+    w_mirror = np.array([0.1, 0.0, 0.2, 0.0, 0.15])
+    rows = np.stack([s.values for s in states])
+    chi_self, chi_mirror = _char_rows(rows, (w_self, w_mirror), eps, g)
+    got = chi_self + np.conj(chi_mirror)
+    chis = [_two_table_char_members(((1.0, s),)) for s in states]
+    expect = sum(ws * c + wm * np.conj(c) for ws, wm, c in zip(w_self, w_mirror, chis))
+    assert _rel_dev(got, expect) <= 1e-13
+    # the sums are not normalized
+    assert got[16, 16].real == pytest.approx(np.sum(w_self + w_mirror), rel=1e-12)
+
+
+def test_char_rows_memory_is_tables_shift_and_integrands():
+    # rows are transformed one at a time: the peak is the two (33, N)
+    # tables, one row's (33, N) shift, K + 1 integrands of (17, N) and the
+    # output, never a shift per row of the block
+    n, eps, k = 1232, 1e-2, 2
+    g = build_position_grid(n, -2.0, 2.0)
+    rows = np.stack([coherent_state(x0, 0.1, eps, g).values
+                     for x0 in np.linspace(-0.8, 0.8, 16)])
+    weights = np.full((k, len(rows)), 1.0 / 16)
+    tracemalloc.start()
+    try:
+        out = _char_rows(rows, weights, eps, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = 33 * n * np.dtype(complex).itemsize
+    integrand = 17 * n * np.dtype(complex).itemsize
+    assert peak <= 3 * table + (k + 1) * integrand + out.nbytes, peak / table
 
 
 def test_char_is_one_at_origin_for_every_representation(grid):

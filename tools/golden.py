@@ -1,0 +1,83 @@
+"""Golden records of the seven default runs: capture them, or check against them.
+
+Usage (from the repository root):
+
+    python3 tools/golden.py capture
+    python3 tools/golden.py check
+
+``capture`` runs each experiment's default config (``defaults_for(name)``,
+no output directory) and writes ``golden/<name>.json`` with its records,
+warnings and verdict. ``check`` re-runs the same configs and prints, per
+experiment, ``bench/records.py::max_rel_dev`` of the records against the
+golden file and whether the warnings and verdict are identical. It exits
+1 when a warning list or verdict differs or a deviation exceeds TOL, the
+tolerance for a refactor. A change that moves the numerics on purpose
+re-captures the set and lists what moved.
+
+BLAS and OpenMP are pinned to one thread, as in the benchmark. The seven
+runs take a few minutes, most of it ConcentrationSplit, so this script
+is not part of the test suite.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "golden"
+TOL = 1e-10
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from records import max_rel_dev  # noqa: E402
+from semiphase.experiments import (EXPERIMENTS, defaults_for,  # noqa: E402
+                                   run_experiment)
+
+
+def run_default(name: str) -> dict:
+    """Records, warnings and verdict of one default run, after a JSON round trip."""
+    manifest = json.loads(run_experiment(defaults_for(name)).to_json())
+    return {key: manifest[key] for key in ("experiment", "config_hash", "passed",
+                                           "warnings", "records")}
+
+
+def capture() -> int:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in EXPERIMENTS:
+        result = run_default(name)
+        path = GOLDEN_DIR / f"{name}.json"
+        path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+        print(f"{name}: wrote {path.relative_to(ROOT)}", flush=True)
+    return 0
+
+
+def check() -> int:
+    status = 0
+    for name in EXPERIMENTS:
+        golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        result = run_default(name)
+        dev = max_rel_dev(result["records"], golden["records"])
+        same = {key: result[key] == golden[key] for key in ("warnings", "passed")}
+        ok = dev <= TOL and all(same.values())
+        status = status or (0 if ok else 1)
+        print(f"{name}: max_rel_dev {dev:.3g}, warnings "
+              f"{'identical' if same['warnings'] else 'DIFFER'}, passed "
+              f"{'identical' if same['passed'] else 'DIFFERS'}"
+              f"{'' if ok else '  <-- FAIL'}", flush=True)
+    return status
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("command", choices=("capture", "check"))
+    args = parser.parse_args(argv)
+    return capture() if args.command == "capture" else check()
+
+
+if __name__ == "__main__":
+    sys.exit(main())
