@@ -30,17 +30,17 @@ from ._version import __version__
 from .classical import (TrajectoryBranch, branch_family, branch_ode_residual,
                         characteristic_feet, transport_particles)
 from .errors import ConfigurationError, NumericsError, SemiphaseWarning
-from .grids import PhaseGrid, PositionGrid, build_position_grid
+from .grids import PhaseGrid, PositionGrid, build_position_grid, time_steps
 from .gridio import write_csv
 from .metrics import (_as_probability, _char_rows, _strictly_decreasing,
                       char_distance, char_function, fit_rate, l2_distance,
                       weak_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
-                         l2_norm, restrict_p, sup_norm, wigner)
-from .potentials import (PotentialSpec, check_fourier_conditions,
+                         l2_norm, restrict_p, sup_norm, upsample2, wigner)
+from .potentials import (PotentialSpec, check_fourier_conditions, evaluate_at,
                          harmonic_potential, rough_power_potential)
-from .quantum import (PropagatorConfig, WaveFunction, propagate,
-                      propagate_ensemble, propagate_rows)
+from .quantum import (PropagatorConfig, WaveFunction, _check_resolution, _strang,
+                      propagate, propagate_ensemble, propagate_rows)
 from .states import (ConcentratingProfile, RandomFamilySpec, _coherent_margin,
                      _window_points, check_epsn_operator_bound,
                      coherent_mixture, coherent_state, concentration_lattice,
@@ -333,35 +333,131 @@ def _schrodinger(propagator, pot: PotentialSpec, dt: float):
         dt=dt if span >= 0 else -dt, t_final=abs(span)))
 
 
-# members stacked into one (rows, n) block for propagate_rows
+# rows per block; windows: steps per check, frame lag in cells, edge/tail
+# bound, ring RK4 step, cells per sigma
 _ROWS = 16
+_CHECK, _DRIFT, _GUARD, _RING_DT, _SIGMA_CELLS = 8, 4, 1e-6, 0.05, 8
 
 
-def _walk_members(starts, walks, pot: PotentialSpec, dt: float):
-    """Yield (t, j0, rows): members j0, j0 + 1, ... as an (M, N) block at t.
+def _roll_rows(rows: np.ndarray, shifts) -> np.ndarray:
+    """Row j read from index m + shifts[j] (periodic): exact, values only move."""
+    n = rows.shape[-1]
+    return np.take_along_axis(rows, (np.arange(n) + shifts[:, None]) % n, axis=-1)
 
-    starts are WaveFunctions on one grid and eps, stacked _ROWS at a
-    time. Each walk (a list of sample times) runs from the block's start
-    rows through _evolve_at, one propagate_rows call per step for the
-    block, and blocks come in member order. A row whose ||psi||^2 is
-    more than 1e-6 from 1 raises NumericsError.
+
+class _Window:
+    """Members on one periodic grid; row j is phi_j of the lab state
+    e^{i b_j (x - a_j)/eps} phi_j(x - a_j), cells[j] = (a_j, b_j) / (dx, eps*2pi/L).
+
+    Given rows: a fixed block, zero frames, stepped by propagate_rows.
+    Given targets[c], the classical centres at check c: a window on
+    [-L/2, L/2) from their coherent states in the nearest frames, _CHECK
+    Strang steps per check. A check doubles the block by exact padding
+    while the edge mass (outer 5% per side: in x) or the top eighth of
+    |k|'s spectral share (in k) passes _GUARD, then rolls each frame
+    _DRIFT cells off its target onto it in x and k (exact).
     """
-    starts = iter(starts)
+
+    def __init__(self, grid: PositionGrid, eps: float, rows=None, targets=None,
+                 pot: PotentialSpec | None = None):
+        self.grid, self.eps, self.rows, self.targets, self.pot = grid, eps, rows, targets, pot
+        self.checks, self.recentres, self.edge, self.tail, self.h = 0, 0, 0.0, 0.0, 0.0
+        self.peaks, self._tables = np.zeros(2), None  # largest |V| and |k| stepped
+        self.cells = np.zeros((len(rows), 2), np.intp) if targets is None else (
+            np.rint(targets[0] / self.unit).astype(np.intp))
+        if targets is not None:
+            self.rows = np.stack([coherent_state(x - a, p - b, eps, grid).values
+                                  for (x, p), a, b in zip(targets[0], *self.frames)])
+            self._guard()
+
+    @property
+    def unit(self) -> np.ndarray:
+        return np.array([self.grid.dx, self.eps * 2.0 * np.pi / self.grid.length])
+
+    @property
+    def frames(self):  # (a, b), or None in the zero frame
+        return None if self.targets is None else (self.cells * self.unit).T
+
+    def _guard(self) -> None:
+        n, w = self.grid.n_points, -(-self.grid.n_points // 20)
+        dens = np.abs(self.rows) ** 2
+        edge = float(np.max(dens[:, :w].sum(1) + dens[:, -w:].sum(1))) * self.grid.dx
+        self._spec = sfft.fft(self.rows, axis=-1)
+        power = np.abs(self._spec) ** 2
+        top = np.abs(self.grid.k) * self.grid.dx > 7.0 * np.pi / 8.0
+        tail = float(np.max(power[:, top].sum(1) / power.sum(1)))
+        if max(edge, tail) <= _GUARD:
+            self.edge, self.tail = max(self.edge, edge), max(self.tail, tail)
+            return
+        if 2 * n > 2 ** 17 or not np.isfinite(edge + tail):
+            raise NumericsError(f"window guard fails at n={n}: edge {edge:.1e}, tail {tail:.1e}")
+        # in x: zero cells on both sides, L doubles; in k: zero modes, dx halves
+        grow_x = edge > _GUARD
+        self.rows = (np.pad(self.rows, ((0, 0), (n // 2, n // 2))) if grow_x
+                     else np.stack([upsample2(r) for r in self.rows]))
+        self.cells[:, int(grow_x)] *= 2
+        self.grid, self._tables = build_position_grid(
+            2 * n, (1 + grow_x) * self.grid.x_min, (1 + grow_x) * self.grid.x_max), None
+        self._guard()
+
+    def _reframe(self) -> None:
+        move = np.rint(self.targets[self.checks] / self.unit).astype(np.intp) - self.cells
+        move[np.abs(move) < _DRIFT] = 0
+        if move[:, 1].any():
+            self.rows = sfft.ifft(_roll_rows(self._spec, move[:, 1]), axis=-1)
+        self.rows = _roll_rows(self.rows, move[:, 0])
+        self.cells += move
+        self.recentres += int(np.count_nonzero(move))
+
+    def _step_factors(self, h: float):
+        """Per-row V(a + y) and eps*k + b factors, sliced from lab tables."""
+        n = self.grid.n_points
+        if self._tables is None or self._tables[0] != h:
+            cells = np.rint(self.targets / self.unit)
+            lo = cells.min(axis=(0, 1)).astype(np.intp) - n // 2 - 2
+            hi = cells.max(axis=(0, 1)).astype(np.intp) + n // 2 + 2
+            v = evaluate_at(self.pot, self.grid.dx * np.arange(lo[0], hi[0]))
+            k = self.unit[1] / self.eps * np.arange(lo[1], hi[1])
+            self.peaks = np.maximum(self.peaks, [np.max(np.abs(v)), np.max(np.abs(k))])
+            self._tables = (h, lo, np.exp(-0.5j * v * h / self.eps),
+                            np.exp(-1j * 0.5 * self.eps * k ** 2 * h))
+        _, lo, half_v, kin = self._tables
+        q = np.rint(self.grid.k * self.eps / self.unit[1]).astype(np.intp)
+        return (half_v[self.cells[:, :1] + (np.arange(n) - n // 2 - lo[0])],
+                kin[self.cells[:, 1:] + (q - lo[1])])
+
+    def advance(self, span: float, pot: PotentialSpec, dt: float) -> "_Window":
+        """The block after span: a new fixed block, or this window moved on."""
+        if self.targets is None:
+            cfg = PropagatorConfig(dt=np.copysign(dt, span), t_final=abs(span))
+            return _Window(self.grid, self.eps,
+                           propagate_rows(self.rows, self.eps, self.grid, pot, cfg))
+        n_steps, self.h = time_steps(span, dt)
+        for i in range(0, n_steps, _CHECK):
+            self.rows = _strang(self.rows, *self._step_factors(self.h), min(_CHECK, n_steps - i))
+            self.checks += 1
+            self._guard()
+            self._reframe()
+        return self
+
+
+def _walk_members(blocks, walks, pot: PotentialSpec, dt: float):
+    """Yield (t, j0, block): members j0, j0 + 1, ... as the _Window block at t.
+
+    Each walk (sample times) runs from a block's start through _evolve_at;
+    a row whose ||psi||^2 is more than 1e-6 off 1 raises NumericsError.
+    """
     j0 = 0
-    while block := list(itertools.islice(starts, _ROWS)):
-        eps, grid = block[0].eps, block[0].grid
-        advance = _schrodinger(
-            lambda rows, pot, cfg: propagate_rows(rows, eps, grid, pot, cfg),
-            pot, dt)
-        rows = np.stack([s.values for s in block])
+    for block in blocks:
         for times in walks:
-            for t, moved in _evolve_at(rows, times, advance):
-                n2 = np.sum(np.abs(moved) ** 2, axis=1) * grid.dx
+            for t, moved in _evolve_at(block, times,
+                                       lambda b, span: b.advance(span, pot, dt)):
+                n2 = np.sum(np.abs(moved.rows) ** 2, axis=1) * moved.grid.dx
                 if not np.all(np.abs(n2 - 1.0) <= 1e-6):
                     raise NumericsError(f"t={t:g}: a member lost its norm, "
                                         f"||psi||^2 = {n2.tolist()}")
                 yield t, j0, moved
-        j0 += len(block)
+        j0 += len(block.rows)
 
 
 def _transport(pot: PotentialSpec, eps_mollify: float, dt: float,
@@ -576,38 +672,65 @@ def _split_profiles(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _split_grid_size(cfg: ExperimentConfig, profile: ConcentratingProfile,
-                     eps: float, pot: PotentialSpec, times,
-                     lattice: AtomicMeasure) -> tuple[int, float, float]:
-    """Pick the position-grid size from a classical pre-flight.
+def _split_windows(cfg: ExperimentConfig, eps: float, pot: PotentialSpec, times,
+                   jobs: list):
+    """The mirror jobs as _walk_members blocks, their masses, and max |x|, |p|.
 
-    Each lattice state, moved along its classical excursion, must fit
-    coherent_state's x- and momentum windows, and dx must stay below the
-    profile's resolution, as concentrating_wigner_data requires.
+    A ring of 64 points at 4 sigma about each centre, all traced as one
+    cloud, gives the frame targets (the centres at the checks) and window:
+    1.5 times the ring's reach plus one check's move, in x and in
+    p = pi*eps/dx, _DRIFT cells spare and sigma in _SIGMA_CELLS cells. A
+    window as long as the domain or its grid (the finest dx, holding
+    coherent_state's momentum window) runs there in a fixed block, last.
     """
-    max_p = float(np.max(np.abs(lattice.ps)))
-    max_x = float(np.max(np.abs(lattice.xs)))
-    for _, moved in _evolve_at(lattice, times, _transport(pot, 0.0, cfg.dt_classical)):
-        max_p = max(max_p, float(np.max(np.abs(moved.ps))))
-        max_x = max(max_x, float(np.max(np.abs(moved.xs))))
-    x_need = 1.05 * max_x + _coherent_margin(eps)
+    x0, p0 = np.array([job[:2] for job in jobs]).T
+    z = 4.0 * np.sqrt(eps / 2.0) * np.r_[0.0, np.exp(2j * np.pi * np.arange(64) / 64)]
+    ring = (x0[:, None] + z.real, p0[:, None] + z.imag)  # the centre, then the ring
+    stops = np.linspace(0.0, times[-1], int(np.ceil(times[-1] / _RING_DT)) + 1)
+    rk4 = lambda f, span: characteristic_feet(f, pot, 0.0, _RING_DT, span)
+    trace = np.array([[(c[:, 0], np.max(np.abs(c - c[:, :1]), axis=1)) for c in f] for f in
+                      itertools.chain([ring], (f for _, f in _evolve_at(ring, stops[1:], rk4)))])
+    centres, reach = trace[:, :, 0], trace[:, :, 1].max(axis=0)  # (stop, x/p, job), (x/p, job)
+    max_x, max_p = np.max(np.abs(centres), axis=(0, 2))
     length = cfg.x_max - cfg.x_min
-    if x_need > length / 2.0:
+    if (x_need := 1.05 * max_x + _coherent_margin(eps)) > length / 2.0:
         raise ConfigurationError(
             f"classical excursion {x_need:.3f} exceeds the half-domain "
             f"{length / 2:.3f}; widen [x_min, x_max]")
-    n_window = _window_points(1.05 * max_p, eps, length)
-    n_resolve = length / profile.resolution(eps)[0]
-    # the smallest even FFT-fast length strictly above both needs; strictly,
-    # so dx stays below the resolution's dx
-    n = sfft.next_fast_len(max(8, int(max(n_window, n_resolve)) + 1))
-    while n % 2:
-        n = sfft.next_fast_len(n + 1)
-    if n > 2 ** 17:
-        raise ConfigurationError(
-            f"eps={eps:g} needs a position grid beyond 2^17 points "
-            f"(window {n_window:.0f}, resolution {n_resolve:.0f})")
-    return n, max_p, max_x
+    checks = [0.0]  # as _Window.advance walks the sample times
+    for t_prev, t in zip([0.0, *times], times):
+        n, h = time_steps(t - t_prev, cfg.dt)
+        checks += [t_prev + h * min(c, n) for c in range(_CHECK, n + _CHECK, _CHECK)]
+    i = np.clip(np.searchsorted(stops, checks), 1, len(stops) - 1)
+    w = ((checks - stops[i - 1]) / (stops[i] - stops[i - 1]))[:, None, None]
+    targets = ((1.0 - w) * centres[i - 1] + w * centres[i]).transpose(0, 2, 1)
+
+    half_x, half_p = 1.5 * reach + np.max(np.abs(np.diff(targets, axis=0)), axis=0).T
+    dx = np.minimum(np.pi * eps / (half_p + _DRIFT * np.pi * eps / half_x),
+                    np.sqrt(eps / 2.0) / _SIGMA_CELLS)
+    dx = dx.min() * 2.0 ** np.floor(np.log2(dx / dx.min()))  # rung's finest * 2^i
+    need = 2.0 * half_x / dx + 2 * _DRIFT  # n: 2^j or 3 * 2^j
+    n = np.maximum(8, np.minimum(2 ** np.ceil(np.log2(need)),
+                                 3 * 2 ** np.ceil(np.log2(need / 3)))).astype(int)
+    n_domain = 2 * sfft.next_fast_len(
+        int(max(_window_points(1.05 * max_p, eps, length), length / dx.min()) / 2) + 1)
+    domain = (2.0 * half_x >= length) | (n >= n_domain)  # one fixed grid for all of these
+    keys = list(zip(domain, np.where(domain, 0.0, dx), np.where(domain, n_domain, n)))
+    order = sorted(range(len(jobs)), key=keys.__getitem__)
+
+    def blocks():
+        for (on_domain, d, m), group in itertools.groupby(order, keys.__getitem__):
+            group = list(group)
+            for part in (group[lo:lo + _ROWS] for lo in range(0, len(group), _ROWS)):
+                if not on_domain:
+                    grid = build_position_grid(m, -0.5 * m * d, 0.5 * m * d)
+                    yield _Window(grid, eps, targets=targets[:, part], pot=pot)
+                    continue
+                grid = build_position_grid(m, cfg.x_min, cfg.x_max)
+                yield _Window(grid, eps, np.stack([coherent_state(x0[j], p0[j], eps, grid)
+                                                   .values for j in part]))
+
+    return blocks(), np.array([jobs[j][2:] for j in order]).T, float(max_x), float(max_p)
 
 
 def _mirror_jobs(lattice: AtomicMeasure) -> list:
@@ -633,27 +756,22 @@ def _mirror_jobs(lattice: AtomicMeasure) -> list:
     return jobs
 
 
-def _halfplane_weights(grid: PositionGrid, eps: float, xsep: float) -> np.ndarray:
-    """Rows (mass above +xsep, mass below -xsep) of the Husimi x-marginal, (2, N).
-
-    The Husimi x-marginal is |psi|^2 convolved with a variance-2eps
-    Gaussian, so a half-plane mass is the quadrature of the position
-    density against an erfc weight, which depends on the state only
-    through its grid and eps.
-    """
-    x = grid.nodes
-    return 0.5 * erfc(np.array([xsep - x, x + xsep]) / (2.0 * np.sqrt(eps)))
+def _halfplane_weights(nodes: np.ndarray, eps: float, xsep: float) -> np.ndarray:
+    """Weights (mass above +xsep, below -xsep) at lab nodes, (2, *nodes.shape):
+    the Husimi x-marginal is |psi|^2 blurred by a variance-2eps Gaussian."""
+    return 0.5 * erfc(np.array([xsep - nodes, nodes + xsep]) / (2.0 * np.sqrt(eps)))
 
 
 def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
     """Concentrating data on the unstable hilltop: mass splits two ways.
 
     For each profile (symmetric and shifted bump) and each eps, the
-    realizing coherent lattice is propagated and compared against the
-    two-atom measure on the outgoing trajectory branches, with masses
-    c+/c- given by half-plane quadrature of the bump. Asserts the
-    Husimi-side distance ladder decreases at every sampled time and that
-    empirical half-plane masses match c+/c- at the smallest eps.
+    realizing coherent lattice, each mirror job on its co-moving window
+    (_split_windows), is compared against the two-atom measure on the
+    outgoing branches, with masses c+/c- the bump's half-plane masses.
+    Asserts the Husimi-side distance ladder decreases at every sampled
+    time and that empirical half-plane masses match c+/c- at the
+    smallest eps.
     """
     if cfg.potential != "rough_power":
         raise ConfigurationError("ConcentrationSplit requires rough_power")
@@ -661,7 +779,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
         branch = TrajectoryBranch(sign=1, t0=0.0, theta=cfg.theta)
-
+        length = cfg.x_max - cfg.x_min
         dist_rows, mass_rows, real_rows = [], [], []
         em.records["profiles"] = {}
         eps_smallest = cfg.eps_ladder[-1]
@@ -670,33 +788,40 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
             prec: dict = {"c_plus": c_plus, "c_minus": c_minus, "per_eps": []}
             husimi_dists = {t: [] for t in times}
             for eps in cfg.eps_ladder:
-                lattice = concentration_lattice(profile, eps, cfg.n_side)
-                n_grid, max_p, max_x = _split_grid_size(cfg, profile, eps, pot,
-                                                        times, lattice)
-                x_grid = build_position_grid(n_grid, cfg.x_min, cfg.x_max)
-                p_raster = build_position_grid(512, -1.0, 1.0)
-                rc = concentrating_wigner_data(profile, eps,
-                                               PhaseGrid(x_grid, p_raster), lattice)
-                chi_acc = dict.fromkeys(times, 0.0)  # per t, the block sums add in
-                right_left = dict.fromkeys(times, 0.0)
+                jobs = _mirror_jobs(lattice := concentration_lattice(profile, eps, cfg.n_side))
+                # (self, mirror) masses in the order of the blocks
+                blocks, masses, max_x, max_p = _split_windows(cfg, eps, pot, times, jobs)
+                # the raster is only summed: the resolution rule alone sizes it
+                n_grid = 2 * (int(length / profile.resolution(eps)[0]) // 2 + 1)
+                rc = concentrating_wigner_data(profile, eps, PhaseGrid(build_position_grid(
+                    n_grid, cfg.x_min, cfg.x_max), build_position_grid(512, -1.0, 1.0)), lattice)
+                chi_acc, right_left = dict.fromkeys(times, 0.0), dict.fromkeys(times, 0.0)
                 xseps = {t: branch.X(t) / 2.0 for t in times}
-                weights = {t: _halfplane_weights(x_grid, eps, xseps[t])
-                           for t in times}
-                jobs = _mirror_jobs(lattice)
-                masses = np.array([job[2:] for job in jobs]).T  # self, mirror
-                starts = (coherent_state(x, p, eps, x_grid) for x, p, _, _ in jobs)
-                for t, j0, rows in _walk_members(starts, (times,), pot, cfg.dt):
-                    w_self, w_mirror = masses[:, j0:j0 + len(rows)]
-                    chi_self, chi_mirror = _char_rows(rows, (w_self, w_mirror),
-                                                      eps, x_grid)
+                wins = {}  # j0: the block at the last sample time
+                for t, j0, blk in _walk_members(blocks, (times,), pot, cfg.dt):
+                    w_self, w_mirror = masses[:, j0:j0 + len(blk.rows)]
+                    chi_self, chi_mirror = _char_rows(blk.rows, (w_self, w_mirror),
+                                                      eps, blk.grid, blk.frames)
                     chi_acc[t] += chi_self + np.conj(chi_mirror)
-                    # (above, below) per member; a mirror swaps them
-                    half = weights[t] @ (np.abs(rows) ** 2).T * x_grid.dx
+                    # (above, below) at each member's lab nodes; a mirror swaps them
+                    nodes = blk.grid.nodes + blk.cells[:, :1] * blk.grid.dx
+                    half = np.sum(_halfplane_weights(nodes, eps, xseps[t])
+                                  * np.abs(blk.rows) ** 2, axis=-1) * blk.grid.dx
                     right_left[t] += half @ w_self + half[::-1] @ w_mirror
+                    wins[j0] = blk
+                if framed := [b for b in wins.values() if b.targets is not None]:
+                    # once per rung, at the largest |V(a + y)| and |k + b/eps| stepped
+                    _check_resolution(*np.array([b.peaks for b in framed]).T, eps, framed[0].h)
+                rows_n = sorted(b.grid.n_points for b in wins.values() for _ in b.rows)
+                mid = (rows_n[(len(rows_n) - 1) // 2] + rows_n[len(rows_n) // 2]) / 2
+                window = {"window_n": [rows_n[0], mid, rows_n[-1]],
+                          "recentres": sum(b.recentres for b in wins.values()),
+                          "max_edge_mass": max(b.edge for b in wins.values()),
+                          "max_spectral_tail": max(b.tail for b in wins.values())}
                 per_eps = {"eps": eps, "n_grid": n_grid, "lam": rc.lam,
                            "l2_gap": rc.l2_gap, "target_mass": rc.target_mass,
                            "max_classical_p": max_p, "max_classical_x": max_x,
-                           "n_members": len(lattice), "times": []}
+                           "n_members": len(lattice), **window, "times": []}
                 for t in times:
                     right, left = right_left[t].tolist()
                     _as_probability(chi_acc[t])
@@ -722,7 +847,9 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                                 abs(right - c_plus) <= 0.07,
                                 f"{right:.3f}", f"c+={c_plus:.3f} +- 0.07")
                 real_rows.append((pname, eps, rc.lam, len(lattice), n_grid,
-                                  rc.l2_gap, rc.target_mass, max_p, max_x))
+                                  rc.l2_gap, rc.target_mass, max_p, max_x,
+                                  *window["window_n"], window["recentres"],
+                                  window["max_edge_mass"], window["max_spectral_tail"]))
                 prec["per_eps"].append(per_eps)
             for t, ds in husimi_dists.items():
                 em.gate(f"{pname} husimi distance ladder at t={t}",
@@ -735,8 +862,9 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                ["profile", "eps", "t", "right_mass", "left_mass", "c_plus",
                 "c_minus", "x_sep"], mass_rows)
         em.csv("split_realization.csv",
-               ["profile", "eps", "lam", "n_members", "grid_n", "l2_gap",
-                "target_mass", "max_classical_p", "max_classical_x"], real_rows)
+               ["profile", "eps", "lam", "n_members", "grid_n", "l2_gap", "target_mass",
+                "max_classical_p", "max_classical_x", "window_n_min", "window_n_median",
+                "window_n_max", "recentres", "max_edge_mass", "max_spectral_tail"], real_rows)
         return em.finish()
 
 
@@ -782,9 +910,10 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
                      for t, cloud in _evolve_at(family, times, transport)}
 
             sups = [0.0] * len(ens.members)
-            for t, j0, rows in _walk_members((s for _, s in ens.members),
-                                             walks, pot, cfg.dt):
-                for idx, row in enumerate(rows, j0):
+            rows = np.stack([s.values for _, s in ens.members])
+            blocks = (_Window(grid, eps, rows[i:i + _ROWS]) for i in range(0, len(rows), _ROWS))
+            for t, j0, blk in _walk_members(blocks, walks, pot, cfg.dt):
+                for idx, row in enumerate(blk.rows, j0):
                     # one atom of the moved family: char_function drops its mass
                     atom = AtomicMeasure(moved[t].atoms[idx:idx + 1])
                     d = weak_distance(WaveFunction(row, eps, grid), atom,

@@ -69,7 +69,7 @@ def _unit_powers(t, x) -> np.ndarray:
     return out
 
 
-def _char_rows(rows, weights, eps: float, grid) -> np.ndarray:
+def _char_rows(rows, weights, eps: float, grid, frames=None) -> np.ndarray:
     """K unnormalized sums sum_i weights[k, i] * (ambiguity integral of row i).
 
     rows is an (M, N) block or a sequence of (N,) states on grid at eps,
@@ -78,21 +78,31 @@ def _char_rows(rows, weights, eps: float, grid) -> np.ndarray:
     Row j of the shift table gives psi(x - eps*eta_j/2); NODES is
     symmetric, so row 32 - j is psi(x + eps*eta_j/2). Only eta <= 0 is
     computed: chi(xi, -eta) = conj(chi(-xi, eta)) fills the rest.
+
+    frames = (a, b) reads row j as phi_j of e^{i b_j (x - a_j)/eps} phi_j(x - a_j),
+    whose integral is e^{-i(xi a_j + b_j eta)} times phi_j's (summed after it).
     """
     weights = np.asarray(weights, dtype=np.float64)
     phases = _unit_powers(NODES * (eps / 2.0), grid.k)
     half = _ORIGIN + 1
-    integrand = np.zeros((len(weights), half, grid.n_points), dtype=np.complex128)
-    for row, w_row in zip(rows, weights.T):
+    integrand = np.zeros((weights.shape[frames is not None], half, grid.n_points), complex)
+    for i, (row, w_row) in enumerate(zip(rows, weights.T)):
         shifted = sfft.ifft(sfft.fft(row) * phases, axis=1, overwrite_x=True)
         pair = np.conj(shifted[:-half - 1:-1])
         pair *= shifted[:half]
         del shifted  # one (33, N) shift at a time beside the two tables
+        if frames is not None:
+            integrand[i] = pair
+            continue
         for acc, w in zip(integrand, w_row):
             acc += w * pair
     kernel = _unit_powers(NODES, grid.nodes)
     lo = (kernel @ integrand.reshape(-1, grid.n_points).T) * grid.dx
-    lo = lo.reshape(NODES.size, len(weights), half).transpose(1, 0, 2)
+    lo = lo.reshape(NODES.size, len(integrand), half).transpose(1, 0, 2)
+    if frames is not None:
+        a, b = (np.asarray(f, dtype=np.float64)[:, None, None] for f in frames)
+        lo *= np.exp(-1j * (a * NODES[:, None] + b * NODES[:half]))
+        lo = (weights @ lo.reshape(len(lo), -1)).reshape(-1, NODES.size, half)
     return np.concatenate([lo, np.conj(lo[:, ::-1, -2::-1])], axis=2)
 
 

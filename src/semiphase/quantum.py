@@ -1,13 +1,12 @@
 """Scaled quantum propagation  i*eps dpsi/dt = (-(eps^2/2) Lap + V) psi.
 
-Strang split-step spectral stepping for pure states and finite mixtures.
-One kernel, propagate_rows, steps an array whose last axis is the grid:
-a single state (N,) or a block of states (M, N), every row by the same
-FFT pair per step. propagate wraps it for one WaveFunction, and
-propagate_ensemble loops propagate over a DensityEnsemble's members; it
-does not wrap propagate_rows. The kinetic factor 1/2 makes the
-classical symbol k^2/2 and the transport drift k, matching X' = P on the
-classical side.
+Strang split-step spectral stepping. One loop, _strang, steps (N,) or
+(M, N) arrays along the last axis: propagate_rows gives it fixed-grid
+factors (propagate wraps that for a WaveFunction, propagate_ensemble
+loops propagate over members), and ConcentrationSplit's co-moving
+windows (experiments._Window) per-row factors in each row's frame. The
+kinetic factor 1/2 makes the classical symbol k^2/2 and the transport
+drift k, matching X' = P classically.
 """
 from __future__ import annotations
 
@@ -112,11 +111,10 @@ class PropagatorConfig:
             raise ConfigurationError(f"t_final must be finite and >= 0, got {self.t_final}")
 
 
-def _check_resolution(v: np.ndarray, grid: PositionGrid, eps: float,
-                      dt: float) -> None:
-    kmax = float(np.max(np.abs(grid.k)))
+def _check_resolution(v: np.ndarray, k: np.ndarray, eps: float, dt: float) -> None:
+    """Warn when max|v| or the largest wavenumber turns a phase past pi/4 per step."""
     pot_phase = float(np.max(np.abs(v))) * abs(dt) / eps
-    kin_phase = 0.5 * eps * kmax ** 2 * abs(dt)
+    kin_phase = 0.5 * eps * float(np.max(np.abs(k))) ** 2 * abs(dt)
     if pot_phase > np.pi / 4:
         warnings.warn(f"potential phase {pot_phase:.2f} rad/step exceeds pi/4",
                       SemiphaseWarning)
@@ -125,21 +123,30 @@ def _check_resolution(v: np.ndarray, grid: PositionGrid, eps: float,
                       SemiphaseWarning)
 
 
+def _strang(rows: np.ndarray, half_v: np.ndarray, kin: np.ndarray,
+            n_steps: int) -> np.ndarray:
+    """n_steps Strang steps of rows (not written), the one quantum loop.
+
+    Factors are (N,) or per row; half-step potentials fuse where steps meet.
+    """
+    full_v = half_v * half_v
+    psi = half_v * rows
+    for step in range(n_steps):
+        psi = sfft.fft(psi, axis=-1, overwrite_x=True)
+        psi *= kin
+        psi = sfft.ifft(psi, axis=-1, overwrite_x=True)
+        psi *= full_v if step < n_steps - 1 else half_v
+    return psi
+
+
 def propagate_rows(rows: np.ndarray, eps: float, grid: PositionGrid,
                    pot: PotentialSpec, cfg: PropagatorConfig) -> np.ndarray:
     """Strang splitting e^{-iV dt/2eps} e^{i eps dt Lap/2} e^{-iV dt/2eps}.
 
-    rows is one state (N,) or a block of states (M, N) on grid, all at
-    eps; every row takes the same steps, one FFT pair along the last axis
-    per step. Each row comes out bit for bit as if stepped alone (the
-    tests pin this at the experiments' grid sizes), so batching moves no
-    record.
-    The number of steps is t_final/|dt| rounded to the nearest integer
-    (at least 1), with the step resized to land on t_final exactly.
-    The half-potential factors where two steps meet are fused into one
-    full-potential multiply, so half steps run only at the two ends.
-    The loop works in place on its own copy; rows is never written, and
-    a zero span returns rows itself.
+    rows, one state (N,) or a block (M, N) on grid at eps, is stepped by
+    _strang, each row bit for bit as if alone (pinned at the experiments'
+    grid sizes), in round(t_final/|dt|) >= 1 steps that land on t_final.
+    rows is never written, and a zero span returns rows itself.
     """
     if rows.shape[-1] != grid.n_points:
         raise ShapeMismatchError(
@@ -149,19 +156,11 @@ def propagate_rows(rows: np.ndarray, eps: float, grid: PositionGrid,
     v = evaluate(pot, grid)
     n_steps, h = time_steps(cfg.t_final if cfg.dt > 0 else -cfg.t_final, cfg.dt)
 
-    half_v = np.exp(-0.5j * v * h / eps)
-    full_v = half_v * half_v
-    kin = np.exp(-1j * 0.5 * eps * grid.k ** 2 * h)
-
-    psi = half_v * rows
-    for step in range(n_steps):
-        psi = sfft.fft(psi, axis=-1, overwrite_x=True)
-        psi *= kin
-        psi = sfft.ifft(psi, axis=-1, overwrite_x=True)
-        psi *= full_v if step < n_steps - 1 else half_v
+    psi = _strang(rows, np.exp(-0.5j * v * h / eps),
+                  np.exp(-1j * 0.5 * eps * grid.k ** 2 * h), n_steps)
     if not np.all(np.isfinite(psi.view(np.float64))):
         raise NumericsError("propagation produced non-finite values")
-    _check_resolution(v, grid, eps, h)
+    _check_resolution(v, grid.k, eps, h)
     return psi
 
 

@@ -10,6 +10,7 @@ import pytest
 import scipy.fft as sfft
 
 from semiphase import ConfigurationError, SemiphaseWarning, coherent_state
+from semiphase.classical import TrajectoryBranch
 from semiphase.cli import main
 from semiphase.experiments import (
     EXPERIMENTS,
@@ -21,13 +22,16 @@ from semiphase.experiments import (
 from semiphase.classical import transport_particles
 from semiphase import experiments
 from semiphase.errors import NumericsError
-from semiphase.experiments import (_ROWS, _Emitter, _evolve_at, _mirror_jobs,
-                                   _mixture_datum, _potential, _sample_walks,
-                                   _split_grid_size, _split_profiles, _transport,
-                                   _walk_members)
+from semiphase.experiments import (_ROWS, _Emitter, _Window, _evolve_at,
+                                   _halfplane_weights, _mirror_jobs, _mixture_datum,
+                                   _potential, _roll_rows, _sample_walks,
+                                   _split_profiles, _transport, _walk_members)
 from semiphase.grids import build_position_grid
-from semiphase.metrics import NODES, RateFit
-from semiphase.states import _window_points, concentration_lattice
+from semiphase.metrics import (NODES, RateFit, _as_probability, _char_rows,
+                               char_distance, char_function)
+from semiphase.phasespace import AtomicMeasure
+from semiphase.quantum import PropagatorConfig, propagate_rows
+from semiphase.states import concentration_lattice
 
 
 # -------------------------------------------------------------- registry
@@ -353,6 +357,15 @@ def test_cli_bad_pair_or_window_exit_2(tmp_path, capsys, experiment, field, bad)
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_half_domain_refusal_exit_2(tmp_path, capsys):
+    # the classical pre-flight refuses an excursion past the half-domain
+    cfg = _write_cfg(tmp_path, {"experiment": "ConcentrationSplit",
+                                "x_min": -1, "x_max": 1})
+    assert main(["run", "ConcentrationSplit", "--config", cfg,
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "exceeds the half-domain" in capsys.readouterr().err
+
+
 def test_cli_nan_step_exit_2(tmp_path):
     # json reads NaN and Infinity; they must be refused before a run
     # reaches round(), and no sample time before HarmonicExact's max()
@@ -430,33 +443,6 @@ def test_run_harmonic_negative_time(tmp_path):
     assert man.records["max_l2_error"] < 1e-4
 
 
-# ---------------------------------------------------- split grid sizing
-
-@pytest.mark.parametrize("pname, sizes", [("even", (300, 2592, 24500)),
-                                          ("shifted", (250, 2100, 19200))])
-def test_split_grid_is_smallest_even_fast_length(pname, sizes):
-    # the classical pre-flight only; no propagation
-    cfg = defaults_for("ConcentrationSplit")
-    profile = _split_profiles(cfg)[pname]
-    times = sorted(t for t in cfg.sample_times if t > 0)
-    length = cfg.x_max - cfg.x_min
-    got = []
-    for eps in (1e-2, 1e-3, 1e-4):
-        lattice = concentration_lattice(profile, eps, cfg.n_side)
-        n, max_p, _ = _split_grid_size(cfg, profile, eps, _potential(cfg),
-                                       times, lattice)
-        dx_need, _ = profile.resolution(eps)
-        # coherent_state's window rule and concentrating_wigner_data's
-        # resolution, at the largest classical momentum
-        need = max(_window_points(1.05 * max_p, eps, length), length / dx_need)
-        fast_even = [m for m in range(int(need) + 1, n + 1)
-                     if m % 2 == 0 and sfft.next_fast_len(m) == m]
-        assert fast_even[0] == n
-        assert length / n < dx_need
-        got.append(n)
-    assert tuple(got) == sizes
-
-
 # ------------------------------------------------------- record pins
 
 # tiny-size runs of the drivers no other test exercises; the pinned
@@ -509,10 +495,13 @@ def _block_sizes(members: int) -> list:
 
 @pytest.mark.parametrize("name", ["ConcentrationSplit", "RandomFamily"])
 def test_experiments_step_members_in_row_blocks(monkeypatch, name):
-    # one propagate_rows call per block of _ROWS members and sample time,
-    # and no per-member propagate
-    blocks = []
+    # RandomFamily: one propagate_rows call per block of _ROWS members and
+    # sample time. ConcentrationSplit: every mirror job is stepped exactly
+    # once per sample time, in blocks of one window grid and at most _ROWS
+    # rows. Neither steps a member alone through propagate.
+    blocks, walks, advances = [], [], []
     real = experiments.propagate_rows
+    real_walk, real_advance = experiments._walk_members, _Window.advance
 
     def counting(rows, eps, grid, pot, cfg):
         blocks.append(rows.shape[0])
@@ -521,31 +510,54 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
     def refuse(*args):
         raise AssertionError("per-member propagate")
 
+    def recording_walk(starts, walk_times, pot, dt):
+        walks.append([])
+        for t, j0, blk in real_walk(starts, walk_times, pot, dt):
+            walks[-1].append((t, j0, blk.rows.shape))
+            yield t, j0, blk
+
+    def recording_advance(self, span, pot, dt):
+        advances.append((id(self), span))
+        return real_advance(self, span, pot, dt)
+
     monkeypatch.setattr(experiments, "propagate_rows", counting)
     monkeypatch.setattr(experiments, "propagate", refuse)
+    monkeypatch.setattr(experiments, "_walk_members", recording_walk)
+    monkeypatch.setattr(_Window, "advance", recording_advance)
     cfg = defaults_for(name, **_PINNED[name])
     run_experiment(cfg)
     if name == "ConcentrationSplit":
         members = [len(_mirror_jobs(concentration_lattice(profile, eps, cfg.n_side)))
                    for profile in _split_profiles(cfg).values()
                    for eps in cfg.eps_ladder]
-        assert max(members) > _ROWS  # full blocks and a partial one
-        walks = [len(cfg.sample_times)]
+        assert max(members) > _ROWS  # more than one block per rung
+        assert len(walks) == len(members)
+        for yields, m in zip(walks, members):
+            for t in cfg.sample_times:
+                spans = sorted((j0, j0 + shape[0]) for s, j0, shape in yields if s == t)
+                # the blocks at t tile the jobs 0 .. m - 1, each job once
+                assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+                assert spans[-1][1] == m
+            assert all(len(shape) == 2 and shape[0] <= _ROWS for *_, shape in yields)
+        # one advance per block and sample time (one time here: one span each)
+        assert len(advances) == sum(map(len, walks))
+        assert len(set(advances)) == len(advances)
     else:
         members = [cfg.m_samples] * len(cfg.eps_ladder)
-        walks = [sum(t > 0 for t in cfg.sample_times),
-                 sum(t < 0 for t in cfg.sample_times)]
-    assert blocks == [size for m in members for size in _block_sizes(m)
-                      for n_times in walks for _ in range(n_times)]
+        n_walks = [sum(t > 0 for t in cfg.sample_times),
+                   sum(t < 0 for t in cfg.sample_times)]
+        assert blocks == [size for m in members for size in _block_sizes(m)
+                          for n_times in n_walks for _ in range(n_times)]
 
 
 def test_walk_members_refuses_a_row_that_lost_its_norm(monkeypatch):
     eps = 1e-2
     grid = build_position_grid(256, -2.0, 2.0)
-    starts = [coherent_state(x0, 0.1, eps, grid) for x0 in np.linspace(-0.5, 0.5, 5)]
+    starts = [_Window(grid, eps, np.stack([coherent_state(x0, 0.1, eps, grid).values
+                                           for x0 in np.linspace(-0.5, 0.5, 5)]))]
     pot = experiments.rough_power_potential(0.5)
     walk = list(_walk_members(starts, ([0.02, 0.04],), pot, 1e-3))
-    assert [(t, j0, rows.shape) for t, j0, rows in walk] == [
+    assert [(t, j0, blk.rows.shape) for t, j0, blk in walk] == [
         (0.02, 0, (5, 256)), (0.04, 0, (5, 256))]
     real = experiments.propagate_rows
 
@@ -557,6 +569,145 @@ def test_walk_members_refuses_a_row_that_lost_its_norm(monkeypatch):
     monkeypatch.setattr(experiments, "propagate_rows", scaled)
     with pytest.raises(NumericsError, match="norm"):
         list(_walk_members(starts, ([0.02],), pot, 1e-3))
+
+
+# ------------------------------------------------------ co-moving windows
+
+# the pinned ConcentrationSplit config's fixed grid sizes (profile, eps)
+_PINNED_N = {("even", 1e-2): 140, ("even", 1e-3): 960,
+             ("shifted", 1e-2): 96, ("shifted", 1e-3): 560}
+
+
+def _framed_pair(eps=1e-3):
+    """Two coherent states on a 256-point window in their frames, and on a
+    1024-point lab grid with the same dx: (window, rows, frames, lab, lab rows)."""
+    lab = build_position_grid(1024, -1.0, 1.0)
+    n = 256
+    win = build_position_grid(n, -0.5 * n * lab.dx, 0.5 * n * lab.dx)
+    centres = np.array([(0.3, 0.4), (-0.21, -0.1)])
+    ia = np.rint(centres[:, 0] / lab.dx).astype(int) + np.array([3, -2])
+    mb = np.rint(centres[:, 1] / (eps * 2 * np.pi / win.length)).astype(int) + 1
+    a, b = ia * win.dx, mb * eps * 2 * np.pi / win.length
+    rows = np.stack([coherent_state(x - ai, p - bi, eps, win).values
+                     for (x, p), ai, bi in zip(centres, a, b)])
+    lab_rows = np.stack([coherent_state(x, p, eps, lab).values for x, p in centres])
+    return win, rows, (a, b), lab, lab_rows
+
+
+def test_frame_rolls_are_exact():
+    # a re-centre rolls phi in x, a boost rolls its spectrum in k; each
+    # undone is the input bit for bit
+    win, rows, _, _, _ = _framed_pair()
+    s, m = np.array([5, -7]), np.array([3, -4])
+    moved = _roll_rows(rows, s)
+    spec = sfft.fft(moved, axis=-1)
+    boosted = _roll_rows(spec, m)
+    assert np.array_equal(_roll_rows(boosted, -m), spec)
+    assert np.array_equal(_roll_rows(moved, -s), rows)
+    assert np.array_equal(moved[0], np.roll(rows[0], -5))
+
+
+def test_framed_rows_match_the_lab_grid():
+    # e^{-i(xi a + b eta)} times phi's ambiguity integral, and erfc weights
+    # at the nodes a + y, reproduce the same states on a lab grid
+    eps = 1e-3
+    win, rows, frames, lab, lab_rows = _framed_pair(eps)
+    weights = ((0.3, 0.7), (0.5, 0.0))
+    got = _char_rows(rows, weights, eps, win, frames)
+    want = _char_rows(lab_rows, weights, eps, lab)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for xsep in (0.05, 0.25):
+        w_win = _halfplane_weights(frames[0][:, None] + win.nodes, eps, xsep)
+        w_lab = _halfplane_weights(lab.nodes, eps, xsep)
+        got = np.sum(w_win * np.abs(rows) ** 2, axis=-1) * win.dx
+        want = w_lab @ (np.abs(lab_rows) ** 2).T * lab.dx
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_reframe_keeps_the_lab_state():
+    # moving frames to targets many cells away changes phi, not psi
+    eps = 1e-3
+    win_grid, _, (a, b), _, _ = _framed_pair(eps)
+    x0, p0 = np.array([0.3, -0.21]), np.array([0.4, -0.1])
+    targets = np.stack([np.stack([x0, p0], -1), np.stack([x0 + 0.02, p0 - 0.05], -1)])
+    win = _Window(win_grid, eps, targets=targets,
+                  pot=experiments.rough_power_potential(0.5))
+    before = _char_rows(win.rows, ((1.0, 1.0),), eps, win.grid, win.frames)
+    win.checks = 1
+    win._guard()
+    win._reframe()
+    assert win.recentres == 4  # both rows, in x and in k
+    after = _char_rows(win.rows, ((1.0, 1.0),), eps, win.grid, win.frames)
+    assert np.max(np.abs(after - before)) <= 1e-12
+
+
+def test_undersized_window_grows_in_x_and_k():
+    # a packet near the edges of a 32-point window, moving near its
+    # Nyquist momentum: the guard pads in x and in k until the edge mass
+    # and the top-eighth spectral share are both below 1e-6
+    eps = 1e-3
+    grid = build_position_grid(32, -0.08, 0.08)
+    y = grid.nodes
+    phi = np.exp(-(y - 0.01) ** 2 / (2 * eps) + 1j * 0.5 * y / eps)
+    phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.dx)
+    win = _Window(grid, eps, phi[None])
+    win.targets = np.zeros((1, 1, 2))
+    win._guard()
+    assert win.grid.length > grid.length  # grew in x
+    assert win.grid.dx < grid.dx  # grew in k
+    assert win.edge <= 1e-6 and win.tail <= 1e-6
+    # k-padding splits the Nyquist mode in two and keeps half its power:
+    # the undersized start had some there
+    assert abs(np.sum(np.abs(win.rows) ** 2) * win.grid.dx - 1.0) <= 1e-4
+
+
+def test_windows_as_long_as_the_domain_run_on_it():
+    # a long walk stretches the rings past the domain's length: those jobs
+    # run last, in fixed blocks on [x_min, x_max), and the blocks still
+    # tile the jobs
+    eps, times = 1e-2, [3.0]
+    cfg = defaults_for("ConcentrationSplit", eps_ladder=(eps,), sample_times=tuple(times),
+                       n_side=7, x_min=-3.0, x_max=3.0)
+    jobs = _mirror_jobs(concentration_lattice(_split_profiles(cfg)["even"], eps, cfg.n_side))
+    blocks, masses, _, _ = experiments._split_windows(cfg, eps, _potential(cfg), times, jobs)
+    blocks = list(blocks)
+    fixed = [b for b in blocks if b.targets is None]
+    assert fixed and blocks[-len(fixed):] == fixed and len(fixed) < len(blocks)
+    assert {(b.grid.x_min, b.grid.x_max) for b in fixed} == {(-3.0, 3.0)}
+    assert all(b.frames is None and not b.cells.any() for b in fixed)
+    assert sum(len(b.rows) for b in blocks) == len(jobs) == masses.shape[1]
+    assert all(len(b.rows) <= _ROWS for b in blocks)
+
+
+def test_windows_match_doubled_fixed_grids():
+    # every Husimi distance and mass of the pinned run is within 1e-5 of
+    # the same run on fixed grids of twice today's size (propagate_rows)
+    cfg = defaults_for("ConcentrationSplit", **_PINNED["ConcentrationSplit"])
+    man = run_experiment(cfg)
+    pot, (t,) = _potential(cfg), cfg.sample_times
+    branch = TrajectoryBranch(sign=1, t0=0.0, theta=cfg.theta)
+    for pname, profile in _split_profiles(cfg).items():
+        c_plus, c_minus = profile.half_masses()
+        target = char_function(AtomicMeasure(((c_plus, branch.X(t), branch.P(t)),
+                                              (c_minus, -branch.X(t), -branch.P(t)))))
+        records = man.records["profiles"][pname]["per_eps"]
+        for rec, eps in zip(records, cfg.eps_ladder):
+            jobs = _mirror_jobs(concentration_lattice(profile, eps, cfg.n_side))
+            grid = build_position_grid(2 * _PINNED_N[pname, eps], cfg.x_min, cfg.x_max)
+            rows = propagate_rows(
+                np.stack([coherent_state(x, p, eps, grid).values for x, p, _, _ in jobs]),
+                eps, grid, pot, PropagatorConfig(dt=cfg.dt, t_final=t))
+            w = np.array([job[2:] for job in jobs]).T
+            chi_self, chi_mirror = _char_rows(rows, w, eps, grid)
+            chi = _as_probability(chi_self + np.conj(chi_mirror))
+            half = (_halfplane_weights(grid.nodes, eps, branch.X(t) / 2.0)
+                    @ (np.abs(rows) ** 2).T * grid.dx)
+            right, left = half @ w[0] + half[::-1] @ w[1]
+            (got,) = rec["times"]
+            assert abs(got["d_husimi"] - char_distance(chi, target, heat_time=eps)) <= 1e-5
+            assert abs(got["right_mass"] - right) <= 1e-5
+            assert abs(got["left_mass"] - left) <= 1e-5
+            assert rec["max_edge_mass"] <= 1e-6 and rec["max_spectral_tail"] <= 1e-6
 
 
 # ------------------------------------------------------------ warnings
@@ -616,7 +767,7 @@ def _rising():
 
 
 def _zero_weights():
-    return lambda grid, eps, xsep: (np.zeros(grid.n_points),) * 2
+    return lambda nodes, eps, xsep: np.zeros((2,) + nodes.shape)
 
 
 def _nan_on_call(name, k, nan=np.nan):
@@ -637,8 +788,8 @@ def _nan_left_weights():
     # weight makes the left mass alone NaN
     real = experiments._halfplane_weights
 
-    def weights(grid, eps, xsep):
-        w = np.array(real(grid, eps, xsep))
+    def weights(nodes, eps, xsep):
+        w = np.array(real(nodes, eps, xsep))
         w[1] = np.nan
         return w
     return weights
