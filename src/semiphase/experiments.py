@@ -40,7 +40,7 @@ from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
 from .potentials import (PotentialSpec, check_fourier_conditions, evaluate_at,
                          harmonic_potential, rough_power_potential)
 from .quantum import (PropagatorConfig, WaveFunction, _check_resolution, _strang,
-                      propagate, propagate_ensemble, propagate_rows)
+                      _strang_factors, propagate, propagate_ensemble, propagate_rows)
 from .states import (ConcentratingProfile, RandomFamilySpec, _coherent_margin,
                      _window_points, check_epsn_operator_bound,
                      coherent_mixture, coherent_state, concentration_lattice,
@@ -350,24 +350,25 @@ class _Window:
     e^{i b_j (x - a_j)/eps} phi_j(x - a_j), cells[j] = (a_j, b_j) / (dx, eps*2pi/L).
 
     Given rows: a fixed block, zero frames, stepped by propagate_rows.
-    Given targets[c], the classical centres at check c: a window on
-    [-L/2, L/2) from their coherent states in the nearest frames, _CHECK
-    Strang steps per check. A check doubles the block by exact padding
-    while the edge mass (outer 5% per side: in x) or the top eighth of
-    |k|'s spectral share (in k) passes _GUARD, then rolls each frame
-    _DRIFT cells off its target onto it in x and k (exact).
+    Given trace = (stops, centres[stop, j]), the classical centres at the
+    ring's stops: a window on [-L/2, L/2) from their coherent states in
+    the nearest frames, _CHECK Strang steps per check on its own clock t.
+    A check doubles the block by exact padding while the edge mass (outer
+    5% per side: in x) or the top eighth of |k|'s spectral share (in k)
+    passes _GUARD, then rolls each frame _DRIFT cells off the centres
+    interpolated at the check's time onto them in x and k (exact).
+    Either kind moves in place through advance.
     """
 
-    def __init__(self, grid: PositionGrid, eps: float, rows=None, targets=None,
-                 pot: PotentialSpec | None = None):
-        self.grid, self.eps, self.rows, self.targets, self.pot = grid, eps, rows, targets, pot
-        self.checks, self.recentres, self.edge, self.tail, self.h = 0, 0, 0.0, 0.0, 0.0
+    def __init__(self, grid: PositionGrid, eps: float, rows=None, trace=None):
+        self.grid, self.eps, self.rows, self.trace = grid, eps, rows, trace
+        self.t, self.recentres, self.edge, self.tail, self.h = 0.0, 0, 0.0, 0.0, 0.0
         self.peaks, self._tables = np.zeros(2), None  # largest |V| and |k| stepped
-        self.cells = np.zeros((len(rows), 2), np.intp) if targets is None else (
-            np.rint(targets[0] / self.unit).astype(np.intp))
-        if targets is not None:
+        self.cells = np.zeros((len(rows), 2), np.intp) if trace is None else (
+            np.rint(trace[1][0] / self.unit).astype(np.intp))
+        if trace is not None:
             self.rows = np.stack([coherent_state(x - a, p - b, eps, grid).values
-                                  for (x, p), a, b in zip(targets[0], *self.frames)])
+                                  for (x, p), a, b in zip(trace[1][0], *self.frames)])
             self._guard()
 
     @property
@@ -376,7 +377,7 @@ class _Window:
 
     @property
     def frames(self):  # (a, b), or None in the zero frame
-        return None if self.targets is None else (self.cells * self.unit).T
+        return None if self.trace is None else (self.cells * self.unit).T
 
     def _guard(self) -> None:
         n, w = self.grid.n_points, -(-self.grid.n_points // 20)
@@ -400,8 +401,13 @@ class _Window:
             2 * n, (1 + grow_x) * self.grid.x_min, (1 + grow_x) * self.grid.x_max), None
         self._guard()
 
-    def _reframe(self) -> None:
-        move = np.rint(self.targets[self.checks] / self.unit).astype(np.intp) - self.cells
+    def _reframe(self, t: float) -> None:
+        """Roll each frame that lags the centres at time t by _DRIFT cells onto them."""
+        stops, centres = self.trace
+        i = np.clip(np.searchsorted(stops, t), 1, len(stops) - 1)
+        w = (t - stops[i - 1]) / (stops[i] - stops[i - 1])
+        target = (1.0 - w) * centres[i - 1] + w * centres[i]
+        move = np.rint(target / self.unit).astype(np.intp) - self.cells
         move[np.abs(move) < _DRIFT] = 0
         if move[:, 1].any():
             self.rows = sfft.ifft(_roll_rows(self._spec, move[:, 1]), axis=-1)
@@ -409,54 +415,52 @@ class _Window:
         self.cells += move
         self.recentres += int(np.count_nonzero(move))
 
-    def _step_factors(self, h: float):
-        """Per-row V(a + y) and eps*k + b factors, sliced from lab tables."""
+    def _step_factors(self, pot: PotentialSpec, h: float):
+        """Per-row V(a + y) and eps*k + b factors, sliced from lab tables over the trace."""
         n = self.grid.n_points
         if self._tables is None or self._tables[0] != h:
-            cells = np.rint(self.targets / self.unit)
+            cells = np.rint(self.trace[1] / self.unit)
             lo = cells.min(axis=(0, 1)).astype(np.intp) - n // 2 - 2
             hi = cells.max(axis=(0, 1)).astype(np.intp) + n // 2 + 2
-            v = evaluate_at(self.pot, self.grid.dx * np.arange(lo[0], hi[0]))
+            v = evaluate_at(pot, self.grid.dx * np.arange(lo[0], hi[0]))
             k = self.unit[1] / self.eps * np.arange(lo[1], hi[1])
             self.peaks = np.maximum(self.peaks, [np.max(np.abs(v)), np.max(np.abs(k))])
-            self._tables = (h, lo, np.exp(-0.5j * v * h / self.eps),
-                            np.exp(-1j * 0.5 * self.eps * k ** 2 * h))
+            self._tables = (h, lo, *_strang_factors(v, k, self.eps, h))
         _, lo, half_v, kin = self._tables
         q = np.rint(self.grid.k * self.eps / self.unit[1]).astype(np.intp)
         return (half_v[self.cells[:, :1] + (np.arange(n) - n // 2 - lo[0])],
                 kin[self.cells[:, 1:] + (q - lo[1])])
 
     def advance(self, span: float, pot: PotentialSpec, dt: float) -> "_Window":
-        """The block after span: a new fixed block, or this window moved on."""
-        if self.targets is None:
+        """This block moved on by span, in place, and returned."""
+        if self.trace is None:
             cfg = PropagatorConfig(dt=np.copysign(dt, span), t_final=abs(span))
-            return _Window(self.grid, self.eps,
-                           propagate_rows(self.rows, self.eps, self.grid, pot, cfg))
-        n_steps, self.h = time_steps(span, dt)
-        for i in range(0, n_steps, _CHECK):
-            self.rows = _strang(self.rows, *self._step_factors(self.h), min(_CHECK, n_steps - i))
-            self.checks += 1
+            self.rows = propagate_rows(self.rows, self.eps, self.grid, pot, cfg)
+            return self
+        n, self.h = time_steps(span, dt)
+        for i in range(0, n, _CHECK):
+            self.rows = _strang(self.rows, *self._step_factors(pot, self.h), min(_CHECK, n - i))
             self._guard()
-            self._reframe()
+            self._reframe(self.t + self.h * min(i + _CHECK, n))
+        self.t += span
         return self
 
 
-def _walk_members(blocks, walks, pot: PotentialSpec, dt: float):
+def _walk_members(blocks, times, pot: PotentialSpec, dt: float):
     """Yield (t, j0, block): members j0, j0 + 1, ... as the _Window block at t.
 
-    Each walk (sample times) runs from a block's start through _evolve_at;
-    a row whose ||psi||^2 is more than 1e-6 off 1 raises NumericsError.
+    Each block, standing at t = 0, moves in place through the times by
+    _evolve_at; a row whose ||psi||^2 is more than 1e-6 off 1 raises NumericsError.
     """
     j0 = 0
     for block in blocks:
-        for times in walks:
-            for t, moved in _evolve_at(block, times,
-                                       lambda b, span: b.advance(span, pot, dt)):
-                n2 = np.sum(np.abs(moved.rows) ** 2, axis=1) * moved.grid.dx
-                if not np.all(np.abs(n2 - 1.0) <= 1e-6):
-                    raise NumericsError(f"t={t:g}: a member lost its norm, "
-                                        f"||psi||^2 = {n2.tolist()}")
-                yield t, j0, moved
+        for t, moved in _evolve_at(block, times,
+                                   lambda b, span: b.advance(span, pot, dt)):
+            n2 = np.sum(np.abs(moved.rows) ** 2, axis=1) * moved.grid.dx
+            if not np.all(np.abs(n2 - 1.0) <= 1e-6):
+                raise NumericsError(f"t={t:g}: a member lost its norm, "
+                                    f"||psi||^2 = {n2.tolist()}")
+            yield t, j0, moved
         j0 += len(block.rows)
 
 
@@ -677,8 +681,8 @@ def _split_windows(cfg: ExperimentConfig, eps: float, pot: PotentialSpec, times,
     """The mirror jobs as _walk_members blocks, their masses, and max |x|, |p|.
 
     A ring of 64 points at 4 sigma about each centre, all traced as one
-    cloud, gives the frame targets (the centres at the checks) and window:
-    1.5 times the ring's reach plus one check's move, in x and in
+    cloud, gives each window its trace (the centres at the ring's stops)
+    and size: 1.5 times the ring's reach plus one check's move, in x and in
     p = pi*eps/dx, _DRIFT cells spare and sigma in _SIGMA_CELLS cells. A
     window as long as the domain or its grid (the finest dx, holding
     coherent_state's momentum window) runs there in a fixed block, last.
@@ -697,15 +701,9 @@ def _split_windows(cfg: ExperimentConfig, eps: float, pot: PotentialSpec, times,
         raise ConfigurationError(
             f"classical excursion {x_need:.3f} exceeds the half-domain "
             f"{length / 2:.3f}; widen [x_min, x_max]")
-    checks = [0.0]  # as _Window.advance walks the sample times
-    for t_prev, t in zip([0.0, *times], times):
-        n, h = time_steps(t - t_prev, cfg.dt)
-        checks += [t_prev + h * min(c, n) for c in range(_CHECK, n + _CHECK, _CHECK)]
-    i = np.clip(np.searchsorted(stops, checks), 1, len(stops) - 1)
-    w = ((checks - stops[i - 1]) / (stops[i] - stops[i - 1]))[:, None, None]
-    targets = ((1.0 - w) * centres[i - 1] + w * centres[i]).transpose(0, 2, 1)
-
-    half_x, half_p = 1.5 * reach + np.max(np.abs(np.diff(targets, axis=0)), axis=0).T
+    # one check's move: the fastest speed between stops, over _CHECK steps
+    move = np.max(np.abs(np.diff(centres, axis=0)), axis=0) * (_CHECK * cfg.dt / stops[1])
+    half_x, half_p = 1.5 * reach + move
     dx = np.minimum(np.pi * eps / (half_p + _DRIFT * np.pi * eps / half_x),
                     np.sqrt(eps / 2.0) / _SIGMA_CELLS)
     dx = dx.min() * 2.0 ** np.floor(np.log2(dx / dx.min()))  # rung's finest * 2^i
@@ -724,7 +722,8 @@ def _split_windows(cfg: ExperimentConfig, eps: float, pot: PotentialSpec, times,
             for part in (group[lo:lo + _ROWS] for lo in range(0, len(group), _ROWS)):
                 if not on_domain:
                     grid = build_position_grid(m, -0.5 * m * d, 0.5 * m * d)
-                    yield _Window(grid, eps, targets=targets[:, part], pot=pot)
+                    yield _Window(grid, eps,
+                                  trace=(stops, centres[:, :, part].transpose(0, 2, 1)))
                     continue
                 grid = build_position_grid(m, cfg.x_min, cfg.x_max)
                 yield _Window(grid, eps, np.stack([coherent_state(x0[j], p0[j], eps, grid)
@@ -798,7 +797,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                 chi_acc, right_left = dict.fromkeys(times, 0.0), dict.fromkeys(times, 0.0)
                 xseps = {t: branch.X(t) / 2.0 for t in times}
                 wins = {}  # j0: the block at the last sample time
-                for t, j0, blk in _walk_members(blocks, (times,), pot, cfg.dt):
+                for t, j0, blk in _walk_members(blocks, times, pot, cfg.dt):
                     w_self, w_mirror = masses[:, j0:j0 + len(blk.rows)]
                     chi_self, chi_mirror = _char_rows(blk.rows, (w_self, w_mirror),
                                                       eps, blk.grid, blk.frames)
@@ -809,7 +808,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                                   * np.abs(blk.rows) ** 2, axis=-1) * blk.grid.dx
                     right_left[t] += half @ w_self + half[::-1] @ w_mirror
                     wins[j0] = blk
-                if framed := [b for b in wins.values() if b.targets is not None]:
+                if framed := [b for b in wins.values() if b.trace is not None]:
                     # once per rung, at the largest |V(a + y)| and |k + b/eps| stepped
                     _check_resolution(*np.array([b.peaks for b in framed]).T, eps, framed[0].h)
                 rows_n = sorted(b.grid.n_points for b in wins.values() for _ in b.rows)
@@ -911,14 +910,16 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
 
             sups = [0.0] * len(ens.members)
             rows = np.stack([s.values for _, s in ens.members])
-            blocks = (_Window(grid, eps, rows[i:i + _ROWS]) for i in range(0, len(rows), _ROWS))
-            for t, j0, blk in _walk_members(blocks, walks, pot, cfg.dt):
-                for idx, row in enumerate(blk.rows, j0):
-                    # one atom of the moved family: char_function drops its mass
-                    atom = AtomicMeasure(moved[t].atoms[idx:idx + 1])
-                    d = weak_distance(WaveFunction(row, eps, grid), atom,
-                                      heat_time=eps)
-                    sups[idx] = float(np.maximum(sups[idx], d))
+            for times in walks:  # each walk from t = 0, on blocks of its own
+                blocks = (_Window(grid, eps, rows[i:i + _ROWS])
+                          for i in range(0, len(rows), _ROWS))
+                for t, j0, blk in _walk_members(blocks, times, pot, cfg.dt):
+                    for idx, row in enumerate(blk.rows, j0):
+                        # one atom of the moved family: char_function drops its mass
+                        atom = AtomicMeasure(moved[t].atoms[idx:idx + 1])
+                        d = weak_distance(WaveFunction(row, eps, grid), atom,
+                                          heat_time=eps)
+                        sups[idx] = float(np.maximum(sups[idx], d))
             sample_rows.extend((eps, idx, family.xs[idx], family.ps[idx], sup_d)
                                for idx, sup_d in enumerate(sups))
             avg = float(np.mean(sups))

@@ -256,24 +256,13 @@ def check_fourier_conditions(pot: PotentialSpec, grid: PositionGrid,
     fitted_C = float(np.sum(integrals * envelope * live) / denom) if denom > 0 else 0.0
 
     passes = {}
-    if not live.any():
-        for m in range(3):
-            passes[f"shell_m{m}"] = True
-        passes["integrability"] = True
-        return FourierConditionReport(shells, integrals, 0.0, theta,
-                                      _FOURIER_SLACK, passes, 0.0)
-
     # the substantive condition is the exponent: one constant must cover
     # every shell, so the ratio to the envelope may not grow along the
     # ladder beyond the slack factor. Spectra decaying faster than
     # critical (falling ratios) pass; flat-or-slower spectra fail.
     for m in range(3):
         ratios = integrals[:, m] / envelope[:, m]
-        col_live = live[:, m]
-        if not col_live.any():
-            passes[f"shell_m{m}"] = True
-            continue
-        anchor = ratios[int(np.argmax(col_live))]  # first live shell
+        anchor = ratios[int(np.argmax(live[:, m]))]  # first live shell
         ok_col = negligible[:, m] | (ratios <= _FOURIER_SLACK * anchor + 1e-300)
         passes[f"shell_m{m}"] = bool(np.all(ok_col))
 

@@ -123,6 +123,11 @@ def _check_resolution(v: np.ndarray, k: np.ndarray, eps: float, dt: float) -> No
                       SemiphaseWarning)
 
 
+def _strang_factors(v: np.ndarray, k: np.ndarray, eps: float, h: float):
+    """_strang's half-step potential and full-step kinetic factors at step h."""
+    return np.exp(-0.5j * v * h / eps), np.exp(-1j * 0.5 * eps * k ** 2 * h)
+
+
 def _strang(rows: np.ndarray, half_v: np.ndarray, kin: np.ndarray,
             n_steps: int) -> np.ndarray:
     """n_steps Strang steps of rows (not written), the one quantum loop.
@@ -156,8 +161,7 @@ def propagate_rows(rows: np.ndarray, eps: float, grid: PositionGrid,
     v = evaluate(pot, grid)
     n_steps, h = time_steps(cfg.t_final if cfg.dt > 0 else -cfg.t_final, cfg.dt)
 
-    psi = _strang(rows, np.exp(-0.5j * v * h / eps),
-                  np.exp(-1j * 0.5 * eps * grid.k ** 2 * h), n_steps)
+    psi = _strang(rows, *_strang_factors(v, grid.k, eps, h), n_steps)
     if not np.all(np.isfinite(psi.view(np.float64))):
         raise NumericsError("propagation produced non-finite values")
     _check_resolution(v, grid.k, eps, h)

@@ -95,6 +95,9 @@ def coherent_mixture(atoms: AtomicMeasure, eps: float,
         eps=eps)
 
 
+_N_QUAD = 384  # bump quadrature points per axis
+
+
 @dataclass(frozen=True)
 class ConcentratingProfile:
     """Smooth bump profile for the concentrating Wigner family.
@@ -109,7 +112,6 @@ class ConcentratingProfile:
     center: tuple = (0.0, 0.0)
     radius_u: float = 0.8
     radius_v: float = 0.8
-    n_quad: int = 384
     _norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -127,7 +129,7 @@ class ConcentratingProfile:
         object.__setattr__(self, "_norm", 1.0 / raw)
 
     def _quad_lattice(self):
-        n = self.n_quad
+        n = _N_QUAD
         u0, v0 = self.center
         us = u0 + np.linspace(-self.radius_u, self.radius_u, n)
         vs = v0 + np.linspace(-self.radius_v, self.radius_v, n)
@@ -271,7 +273,7 @@ def _realization_gap(profile: ConcentratingProfile, lam: float, eps: float,
         sl = slice(m, m + 64)
         ex = np.exp(-(cx[sl][:, None] - xs[None, :]) ** 2 / eps)
         ek = np.exp(-(cp[sl][:, None] - ks[None, :]) ** 2 / eps)
-        blur = np.einsum("mi,ij,mj->m", ex, wq, ek) * du * dv / (np.pi * eps)
+        blur = np.sum((ex @ wq) * ek, axis=1) * du * dv / (np.pi * eps)
         cross += float(weights[sl] @ blur)
 
     norm_t2 = float(lam ** a_mass * np.sum(wq ** 2) * du * dv)

@@ -553,12 +553,12 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
 def test_walk_members_refuses_a_row_that_lost_its_norm(monkeypatch):
     eps = 1e-2
     grid = build_position_grid(256, -2.0, 2.0)
-    starts = [_Window(grid, eps, np.stack([coherent_state(x0, 0.1, eps, grid).values
-                                           for x0 in np.linspace(-0.5, 0.5, 5)]))]
+    rows = np.stack([coherent_state(x0, 0.1, eps, grid).values
+                     for x0 in np.linspace(-0.5, 0.5, 5)])
     pot = experiments.rough_power_potential(0.5)
-    walk = list(_walk_members(starts, ([0.02, 0.04],), pot, 1e-3))
-    assert [(t, j0, blk.rows.shape) for t, j0, blk in walk] == [
-        (0.02, 0, (5, 256)), (0.04, 0, (5, 256))]
+    walk = [(t, j0, blk.rows.shape)
+            for t, j0, blk in _walk_members([_Window(grid, eps, rows)], [0.02, 0.04], pot, 1e-3)]
+    assert walk == [(0.02, 0, (5, 256)), (0.04, 0, (5, 256))]
     real = experiments.propagate_rows
 
     def scaled(rows, *args):
@@ -568,7 +568,7 @@ def test_walk_members_refuses_a_row_that_lost_its_norm(monkeypatch):
 
     monkeypatch.setattr(experiments, "propagate_rows", scaled)
     with pytest.raises(NumericsError, match="norm"):
-        list(_walk_members(starts, ([0.02],), pot, 1e-3))
+        list(_walk_members([_Window(grid, eps, rows)], [0.02], pot, 1e-3))
 
 
 # ------------------------------------------------------ co-moving windows
@@ -629,13 +629,11 @@ def test_reframe_keeps_the_lab_state():
     eps = 1e-3
     win_grid, _, (a, b), _, _ = _framed_pair(eps)
     x0, p0 = np.array([0.3, -0.21]), np.array([0.4, -0.1])
-    targets = np.stack([np.stack([x0, p0], -1), np.stack([x0 + 0.02, p0 - 0.05], -1)])
-    win = _Window(win_grid, eps, targets=targets,
-                  pot=experiments.rough_power_potential(0.5))
+    centres = np.stack([np.stack([x0, p0], -1), np.stack([x0 + 0.02, p0 - 0.05], -1)])
+    win = _Window(win_grid, eps, trace=(np.array([0.0, 1.0]), centres))
     before = _char_rows(win.rows, ((1.0, 1.0),), eps, win.grid, win.frames)
-    win.checks = 1
     win._guard()
-    win._reframe()
+    win._reframe(1.0)  # the centres at the second stop
     assert win.recentres == 4  # both rows, in x and in k
     after = _char_rows(win.rows, ((1.0, 1.0),), eps, win.grid, win.frames)
     assert np.max(np.abs(after - before)) <= 1e-12
@@ -651,7 +649,7 @@ def test_undersized_window_grows_in_x_and_k():
     phi = np.exp(-(y - 0.01) ** 2 / (2 * eps) + 1j * 0.5 * y / eps)
     phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.dx)
     win = _Window(grid, eps, phi[None])
-    win.targets = np.zeros((1, 1, 2))
+    win.trace = (np.zeros(1), np.zeros((1, 1, 2)))
     win._guard()
     assert win.grid.length > grid.length  # grew in x
     assert win.grid.dx < grid.dx  # grew in k
@@ -671,12 +669,51 @@ def test_windows_as_long_as_the_domain_run_on_it():
     jobs = _mirror_jobs(concentration_lattice(_split_profiles(cfg)["even"], eps, cfg.n_side))
     blocks, masses, _, _ = experiments._split_windows(cfg, eps, _potential(cfg), times, jobs)
     blocks = list(blocks)
-    fixed = [b for b in blocks if b.targets is None]
+    fixed = [b for b in blocks if b.trace is None]
     assert fixed and blocks[-len(fixed):] == fixed and len(fixed) < len(blocks)
     assert {(b.grid.x_min, b.grid.x_max) for b in fixed} == {(-3.0, 3.0)}
     assert all(b.frames is None and not b.cells.any() for b in fixed)
     assert sum(len(b.rows) for b in blocks) == len(jobs) == masses.shape[1]
     assert all(len(b.rows) <= _ROWS for b in blocks)
+
+
+def _split_blocks(eps=1e-3, times=(0.096,)):
+    """The even profile's mirror jobs at eps on their _split_windows blocks."""
+    cfg = defaults_for("ConcentrationSplit", eps_ladder=(eps,), sample_times=times,
+                       n_side=7, dt=2e-3)
+    jobs = _mirror_jobs(concentration_lattice(_split_profiles(cfg)["even"], eps, cfg.n_side))
+    pot = _potential(cfg)
+    blocks, _, _, _ = experiments._split_windows(cfg, eps, pot, times, jobs)
+    return list(blocks), pot, cfg.dt
+
+
+def test_window_clock_runs_on_across_sample_times():
+    # 24 + 24 steps over two sample times check and re-frame as 48 steps
+    # straight to the second: the window's clock carries over between spans
+    times = (0.048, 0.096)
+    split, pot, dt = _split_blocks(times=times)
+    straight, _, _ = _split_blocks(times=times)
+    assert all(b.trace is not None for b in split)
+    list(_walk_members(split, times, pot, dt))
+    list(_walk_members(straight, times[1:], pot, dt))
+    assert sum(b.recentres for b in split) > 0
+    for a, b in zip(split, straight):
+        assert a.t == b.t == 0.096
+        assert np.array_equal(a.cells, b.cells) and a.recentres == b.recentres
+        assert a.grid == b.grid
+        assert np.max(np.abs(a.rows - b.rows)) <= 1e-12
+
+
+def test_advance_moves_either_block_in_place():
+    (win, *_), pot, dt = _split_blocks()
+    grid = build_position_grid(256, -2.0, 2.0)
+    fixed = _Window(grid, 1e-2, coherent_state(0.3, 0.1, 1e-2, grid).values[None])
+    for blk in (fixed, win):
+        start, cells = blk.rows.copy(), blk.cells.copy()
+        assert blk.advance(0.024, pot, dt) is blk
+        assert blk.rows.shape == start.shape and not np.allclose(blk.rows, start)
+    assert not fixed.cells.any() and fixed.frames is None
+    assert win.t == 0.024 and not np.array_equal(win.cells, cells)
 
 
 def test_windows_match_doubled_fixed_grids():

@@ -138,6 +138,13 @@ def test_fourier_gaussian_passes(grid):
     assert rep.ok
 
 
+def test_fourier_constant_passes_with_empty_shells(grid):
+    # a constant has no spectrum off k = 0: every shell is negligible
+    rep = check_fourier_conditions(custom_potential(np.full(grid.n_points, 0.7)), grid, 0.5)
+    assert rep.ok
+    assert rep.fitted_C == 0.0 and rep.integrability_value == 0.0
+
+
 def test_fourier_white_noise_fails(grid):
     rng = np.random.default_rng(11)
     pot = custom_potential(rng.standard_normal(grid.n_points))

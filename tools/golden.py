@@ -9,14 +9,15 @@ Usage (from the repository root):
 no output directory) and writes ``golden/<name>.json`` with its records,
 warnings and verdict. ``check`` re-runs the same configs and prints, per
 experiment, ``bench/records.py::max_rel_dev`` of the records against the
-golden file and whether the warnings and verdict are identical. It exits
+golden file, whether the warnings and verdict are identical, and the
+run's wall seconds (the occasional full-defaults timing). It exits
 1 when a warning list or verdict differs or a deviation exceeds TOL, the
 tolerance for a refactor. A change that moves the numerics on purpose
 re-captures the set and lists what moved.
 
 BLAS and OpenMP are pinned to one thread, as in the benchmark. The seven
-runs take a few minutes, most of it ConcentrationSplit, so this script
-is not part of the test suite.
+runs take about half a minute, twice the test suite, so this script is
+not part of it.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -60,12 +62,14 @@ def check() -> int:
     status = 0
     for name in EXPERIMENTS:
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        start = time.perf_counter()
         result = run_default(name)
+        wall = time.perf_counter() - start
         dev = max_rel_dev(result["records"], golden["records"])
         same = {key: result[key] == golden[key] for key in ("warnings", "passed")}
         ok = dev <= TOL and all(same.values())
         status = status or (0 if ok else 1)
-        print(f"{name}: max_rel_dev {dev:.3g}, warnings "
+        print(f"{name}: max_rel_dev {dev:.3g} in {wall:.1f} s, warnings "
               f"{'identical' if same['warnings'] else 'DIFFER'}, passed "
               f"{'identical' if same['passed'] else 'DIFFERS'}"
               f"{'' if ok else '  <-- FAIL'}", flush=True)
