@@ -25,7 +25,7 @@ from .potentials import (FourierConditionReport, PotentialSpec,
                          evaluate_at, gradient_at, harmonic_potential,
                          mollify, rough_power_potential)
 from .quantum import (DensityEnsemble, PropagatorConfig, WaveFunction,
-                      propagate, propagate_ensemble, propagate_rows)
+                      propagate, propagate_rows)
 from .states import (ConcentratingProfile, RandomFamilySpec,
                      RealizedConcentration, check_epsn_operator_bound,
                      coherent_mixture, coherent_state,

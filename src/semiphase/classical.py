@@ -7,8 +7,7 @@ the closed-form branches.
 
 Transport in the mollified field V~ = e^{eps Lap} V uses the force
 -V~' sampled spectrally on a periodic grid and interpolated by a
-periodic cubic spline solved with one real FFT (_periodic_spline), so
-the module needs no scipy.interpolate.
+periodic cubic spline solved with one real FFT (_periodic_spline).
 
 The rough potential -|x|^{1+theta} admits multiple trajectories out of
 the unstable origin: for each sign there is a closed-form escape
@@ -25,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import ConfigurationError, NumericsError
-from .grids import PositionGrid, build_position_grid, time_steps
+from .grids import PositionGrid, _real_fft, build_position_grid, time_steps
 from .phasespace import AtomicMeasure
 from .potentials import PotentialSpec, gradient_at, mollify
 
@@ -124,7 +122,7 @@ def _periodic_spline(y: np.ndarray, grid: PositionGrid):
     """
     n, h, lo = grid.n_points, grid.dx, grid.x_min
     lam = 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
-    m = sfft.irfft(sfft.rfft(y) * ((6.0 / h ** 2) * (lam - 2.0) / (4.0 + lam)), n)
+    m = np.fft.irfft(np.fft.rfft(y) * ((6.0 / h ** 2) * (lam - 2.0) / (4.0 + lam)), n)
     y1, m1 = np.roll(y, -1), np.roll(m, -1)
     coef = (y, (y1 - y) - h * h * (2.0 * m + m1) / 6.0,
             (0.5 * h * h) * m, h * h * (m1 - m) / 6.0)
@@ -167,7 +165,7 @@ def _force_function(pot: PotentialSpec, eps_mollify: float,
     if field_grid is None:
         field_grid = build_position_grid(8192, -12.0, 12.0)
     vt = mollify(pot, eps_mollify, field_grid)
-    dvt = np.real(sfft.ifft(1j * field_grid.k * sfft.fft(vt)))
+    dvt = np.real(np.fft.ifft(1j * field_grid.k * _real_fft(vt)))
     return _periodic_spline(-dvt, field_grid)
 
 

@@ -33,9 +33,7 @@ def _load_config(experiment: str, args) -> ExperimentConfig:
         if resolve_experiment(str(named)) != experiment:
             raise ConfigurationError(
                 f"config {args.config} is for {named}, not {experiment}")
-        known = set(ExperimentConfig.__dataclass_fields__)
-        unknown = sorted(set(raw) - known)
-        if unknown:
+        if unknown := sorted(set(raw) - set(ExperimentConfig.__dataclass_fields__)):
             raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
         overrides.update(raw)
     if args.eps:
@@ -112,10 +110,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

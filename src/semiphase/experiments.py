@@ -17,20 +17,20 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.special import erfc
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._version import __version__
 from .classical import (TrajectoryBranch, branch_family, branch_ode_residual,
                         characteristic_feet, transport_particles)
 from .errors import ConfigurationError, NumericsError, SemiphaseWarning
-from .grids import PhaseGrid, PositionGrid, build_position_grid, time_steps
+from .grids import PhaseGrid, PositionGrid, _fast_len, build_position_grid, time_steps
 from .gridio import write_csv
 from .metrics import (_as_probability, _char_rows, _strictly_decreasing,
                       char_distance, char_function, fit_rate, l2_distance,
@@ -40,7 +40,7 @@ from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
 from .potentials import (PotentialSpec, check_fourier_conditions, evaluate_at,
                          harmonic_potential, rough_power_potential)
 from .quantum import (PropagatorConfig, WaveFunction, _check_resolution, _strang,
-                      _strang_factors, propagate, propagate_ensemble, propagate_rows)
+                      _strang_factors, propagate, propagate_rows)
 from .states import (ConcentratingProfile, RandomFamilySpec, _coherent_margin,
                      _window_points, check_epsn_operator_bound,
                      coherent_mixture, coherent_state, concentration_lattice,
@@ -340,9 +340,13 @@ _CHECK, _DRIFT, _GUARD, _RING_DT, _SIGMA_CELLS = 8, 4, 1e-6, 0.05, 8
 
 
 def _roll_rows(rows: np.ndarray, shifts) -> np.ndarray:
-    """Row j read from index m + shifts[j] (periodic): exact, values only move."""
+    """Row j read from index m + shifts[j] (periodic): exact, values only move.
+    Each is a window of its row written twice; no shift returns rows itself."""
+    if not np.any(shifts):
+        return rows
     n = rows.shape[-1]
-    return np.take_along_axis(rows, (np.arange(n) + shifts[:, None]) % n, axis=-1)
+    windows = sliding_window_view(np.concatenate([rows, rows], axis=-1), n, axis=-1)
+    return windows[np.arange(len(rows)), np.mod(shifts, n)]
 
 
 class _Window:
@@ -383,7 +387,7 @@ class _Window:
         n, w = self.grid.n_points, -(-self.grid.n_points // 20)
         dens = np.abs(self.rows) ** 2
         edge = float(np.max(dens[:, :w].sum(1) + dens[:, -w:].sum(1))) * self.grid.dx
-        self._spec = sfft.fft(self.rows, axis=-1)
+        self._spec = np.fft.fft(self.rows, axis=-1)
         power = np.abs(self._spec) ** 2
         top = np.abs(self.grid.k) * self.grid.dx > 7.0 * np.pi / 8.0
         tail = float(np.max(power[:, top].sum(1) / power.sum(1)))
@@ -410,7 +414,7 @@ class _Window:
         move = np.rint(target / self.unit).astype(np.intp) - self.cells
         move[np.abs(move) < _DRIFT] = 0
         if move[:, 1].any():
-            self.rows = sfft.ifft(_roll_rows(self._spec, move[:, 1]), axis=-1)
+            self.rows = np.fft.ifft(_roll_rows(self._spec, move[:, 1]), axis=-1)
         self.rows = _roll_rows(self.rows, move[:, 0])
         self.cells += move
         self.recentres += int(np.count_nonzero(move))
@@ -558,15 +562,17 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
         rows = []
         for eps in cfg.eps_ladder:
             grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-            ens = coherent_mixture(datum, eps, grid)
-            quantum = _evolve_at(ens, times,
-                                 _schrodinger(propagate_ensemble, pot, cfg.dt))
+            # the mixture's members as one row block, stepped together
+            block = _Window(grid, eps, np.stack([coherent_state(x, p, eps, grid).values
+                                                 for x, p in zip(datum.xs, datum.ps)]))
+            quantum = _walk_members([block], times, pot, cfg.dt)
             raw = _evolve_at(datum, times, _transport(pot, 0.0, cfg.dt_classical))
             moll = _evolve_at(datum, times, _transport(pot, eps, cfg.dt_classical,
                                                        field_grid=grid))
-            for (t, ens), (_, cloud_raw), (_, cloud_moll) in zip(quantum, raw, moll):
-                # one characteristic function of the ensemble per sample time
-                chi_q = char_function(ens)
+            for (t, _, blk), (_, cloud_raw), (_, cloud_moll) in zip(quantum, raw, moll):
+                # one characteristic function of the mixture per sample time
+                (chi_q,) = _char_rows(blk.rows, datum.masses[None], eps, grid)
+                _as_probability(chi_q)
                 d_raw = char_distance(chi_q, char_function(cloud_raw), heat_time=eps)
                 d_moll = char_distance(chi_q, char_function(cloud_moll), heat_time=eps)
                 rows.append((eps, t, d_raw, d_moll))
@@ -592,11 +598,12 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
 
 def _h2_norm(density: GridDensity) -> float:
     gx, gp = density.grid.x_grid, density.grid.p_grid
-    mult = 1.0 + gx.k[:, None] ** 2 + gp.k[None, :] ** 2
-    spec = sfft.fft2(density.values) * mult
-    return float(np.sqrt(np.sum(np.abs(spec) ** 2)
-                         / (gx.n_points * gp.n_points)
-                         * density.grid.cell_area))
+    mult = 1.0 + gx.k[:, None] ** 2 + gp.k[None, :gp.n_points // 2 + 1] ** 2
+    power = np.abs(np.fft.rfft2(density.values) * mult) ** 2
+    # the real transform's half spectrum: columns other than 0 and the
+    # (even-length) Nyquist stand for a +-p pair
+    total = 2.0 * power.sum() - power[:, 0].sum() - power[:, -1].sum()
+    return float(np.sqrt(total / (gx.n_points * gp.n_points) * density.grid.cell_area))
 
 
 def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
@@ -710,7 +717,7 @@ def _split_windows(cfg: ExperimentConfig, eps: float, pot: PotentialSpec, times,
     need = 2.0 * half_x / dx + 2 * _DRIFT  # n: 2^j or 3 * 2^j
     n = np.maximum(8, np.minimum(2 ** np.ceil(np.log2(need)),
                                  3 * 2 ** np.ceil(np.log2(need / 3)))).astype(int)
-    n_domain = 2 * sfft.next_fast_len(
+    n_domain = 2 * _fast_len(
         int(max(_window_points(1.05 * max_p, eps, length), length / dx.min()) / 2) + 1)
     domain = (2.0 * half_x >= length) | (n >= n_domain)  # one fixed grid for all of these
     keys = list(zip(domain, np.where(domain, 0.0, dx), np.where(domain, n_domain, n)))
@@ -758,7 +765,8 @@ def _mirror_jobs(lattice: AtomicMeasure) -> list:
 def _halfplane_weights(nodes: np.ndarray, eps: float, xsep: float) -> np.ndarray:
     """Weights (mass above +xsep, below -xsep) at lab nodes, (2, *nodes.shape):
     the Husimi x-marginal is |psi|^2 blurred by a variance-2eps Gaussian."""
-    return 0.5 * erfc(np.array([xsep - nodes, nodes + xsep]) / (2.0 * np.sqrt(eps)))
+    z = np.array([xsep - nodes, nodes + xsep]) / (2.0 * np.sqrt(eps))
+    return 0.5 * np.array([math.erfc(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
@@ -802,10 +810,13 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                     chi_self, chi_mirror = _char_rows(blk.rows, (w_self, w_mirror),
                                                       eps, blk.grid, blk.frames)
                     chi_acc[t] += chi_self + np.conj(chi_mirror)
-                    # (above, below) at each member's lab nodes; a mirror swaps them
-                    nodes = blk.grid.nodes + blk.cells[:, :1] * blk.grid.dx
-                    half = np.sum(_halfplane_weights(nodes, eps, xseps[t])
-                                  * np.abs(blk.rows) ** 2, axis=-1) * blk.grid.dx
+                    # (above, below) at each member's lab nodes, tabulated once
+                    # per lab node that the block spans; a mirror swaps them
+                    n, lo = blk.grid.n_points, blk.cells[:, 0].min()
+                    lab = blk.grid.x_min + blk.grid.dx * np.arange(lo, blk.cells[:, 0].max() + n)
+                    weights = _halfplane_weights(lab, eps, xseps[t])[
+                        :, blk.cells[:, :1] - lo + np.arange(n)]
+                    half = np.sum(weights * np.abs(blk.rows) ** 2, axis=-1) * blk.grid.dx
                     right_left[t] += half @ w_self + half[::-1] @ w_mirror
                     wins[j0] = blk
                 if framed := [b for b in wins.values() if b.trace is not None]:

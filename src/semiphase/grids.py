@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import ConfigurationError, ShapeMismatchError
 
@@ -30,9 +29,9 @@ class PositionGrid:
     """Uniform periodic grid on [x_min, x_max) with an even number of nodes.
 
     Any even length >= 8 is accepted; the FFTs are mixed-radix, so a
-    2*3*5*7*11-smooth length (scipy.fft.next_fast_len) costs about the
-    same per point as a power of two. Evenness keeps the Nyquist mode
-    unpaired, which upsampling and the Wigner lattice rely on.
+    2*3*5*7*11-smooth length (_fast_len) costs about the same per point as
+    a power of two. Evenness keeps the Nyquist mode unpaired, which
+    upsampling and the Wigner lattice rely on.
 
     Also used for the momentum axis of a PhaseGrid, in which case the
     "positions" are momenta; the arithmetic is identical.
@@ -59,7 +58,7 @@ class PositionGrid:
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "nodes", self.x_min + dx * np.arange(n))
-        object.__setattr__(self, "k", 2.0 * np.pi * sfft.fftfreq(n, d=dx))
+        object.__setattr__(self, "k", 2.0 * np.pi * np.fft.fftfreq(n, d=dx))
 
     @property
     def length(self) -> float:
@@ -106,6 +105,23 @@ def time_steps(span: float, dt: float) -> tuple[int, float]:
             f"need a finite nonzero dt and a finite span, got {dt}, {span}")
     n = max(1, round(abs(span) / abs(dt)))
     return n, span / n
+
+
+_SMOOTH = np.array([1])  # every 2*3*5*7*11-smooth integer up to 2**31, ascending
+for _p in (2, 3, 5, 7, 11):
+    _SMOOTH = np.concatenate([_SMOOTH * _p ** e for e in range(32) if _p ** e <= 2 ** 31])
+    _SMOOTH = np.sort(_SMOOTH[_SMOOTH <= 2 ** 31])
+
+
+def _fast_len(n: int) -> int:
+    """The least 2*3*5*7*11-smooth integer >= n, for 1 <= n <= 2**31."""
+    return int(_SMOOTH[np.searchsorted(_SMOOTH, n)])
+
+
+def _real_fft(x: np.ndarray) -> np.ndarray:
+    """The DFT of real samples: rfft and its conjugate mirror, exactly Hermitian."""
+    half = np.fft.rfft(x)
+    return np.concatenate([half, np.conj(half[(len(x) - 1) // 2:0:-1])])
 
 
 def quadrature(f, grid: PositionGrid) -> float:

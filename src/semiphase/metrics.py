@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
                      ShapeMismatchError)
@@ -87,7 +86,8 @@ def _char_rows(rows, weights, eps: float, grid, frames=None) -> np.ndarray:
     half = _ORIGIN + 1
     integrand = np.zeros((weights.shape[frames is not None], half, grid.n_points), complex)
     for i, (row, w_row) in enumerate(zip(rows, weights.T)):
-        shifted = sfft.ifft(sfft.fft(row) * phases, axis=1, overwrite_x=True)
+        shifted = np.fft.fft(row) * phases
+        np.fft.ifft(shifted, axis=1, out=shifted)
         pair = np.conj(shifted[:-half - 1:-1])
         pair *= shifted[:half]
         del shifted  # one (33, N) shift at a time beside the two tables

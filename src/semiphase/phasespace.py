@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
@@ -134,14 +133,14 @@ def upsample2(psi: np.ndarray) -> np.ndarray:
     inputs stay real and the refined samples interpolate the originals.
     """
     n = psi.size
-    spec = sfft.fft(psi)
+    spec = np.fft.fft(psi)
     h = n // 2
     fine = np.zeros(2 * n, dtype=np.complex128)
     fine[:h] = spec[:h]
     fine[h] = 0.5 * spec[h]
     fine[2 * n - h] = 0.5 * spec[h]
     fine[2 * n - h + 1:] = spec[h + 1:]
-    return 2.0 * sfft.ifft(fine)
+    return 2.0 * np.fft.ifft(fine)
 
 
 def _support_checks(state: WaveFunction) -> None:
@@ -150,7 +149,7 @@ def _support_checks(state: WaveFunction) -> None:
     edge = grid.dx * float(prob[:3].sum() + prob[-3:].sum())
     if edge > 1e-10:
         warnings.warn(f"boundary wrap: edge probability {edge:.2e}", SemiphaseWarning)
-    spec = np.abs(sfft.fft(state.values)) ** 2
+    spec = np.abs(np.fft.fft(state.values)) ** 2
     total = spec.sum()
     hot = spec[np.abs(grid.k) >= 0.875 * np.abs(grid.k).max()].sum()
     if total > 0 and hot / total > 1e-10:
@@ -200,7 +199,7 @@ def _wigner_values(members, dx: float, eps: float) -> np.ndarray:
             t *= behind[lo:hi]
             corr += t
         corr *= sign
-        # numpy's irfft runs the same pocketfft as scipy's, and takes out=
+        # irfft writes straight into the output rows (out=)
         w = np.fft.irfft(corr, n=2 * n, axis=1, out=out[lo:hi])
         w *= scale
     return out
@@ -228,9 +227,10 @@ def husimi(density: GridDensity, eps: float) -> GridDensity:
     if eps <= 0:
         raise ConfigurationError(f"eps must be > 0, got {eps}")
     gx, gp = density.grid.x_grid, density.grid.p_grid
+    # the real transform's half spectrum: p-wavenumbers 0 .. Nyquist
     mult = (np.exp(-eps * gx.k ** 2)[:, None]
-            * np.exp(-eps * gp.k ** 2)[None, :])
-    smoothed = sfft.ifft2(sfft.fft2(density.values) * mult).real
+            * np.exp(-eps * gp.k[:gp.n_points // 2 + 1] ** 2)[None, :])
+    smoothed = np.fft.irfft2(np.fft.rfft2(density.values) * mult, s=density.values.shape)
     return GridDensity(smoothed, density.grid, tag="husimi")
 
 

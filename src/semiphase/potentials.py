@@ -19,10 +19,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import ConfigurationError, ShapeMismatchError
-from .grids import PositionGrid
+from .grids import PositionGrid, _real_fft
 
 __all__ = [
     "PotentialSpec",
@@ -88,11 +87,12 @@ def evaluate_at(pot: PotentialSpec, x) -> np.ndarray:
         return 0.5 * x ** 2
     if pot.kind == "rough_power":
         th, r, q = pot.theta, CORE_RADIUS, TAIL_COEFF
-        ax = np.abs(x)
-        core = -ax ** (1.0 + th)
-        s = ax - r
-        tail = -r ** (1.0 + th) - (1.0 + th) * r ** th * s + q * s ** 4
-        return np.where(ax <= r, core, tail)
+        ax, out = np.abs(x), np.empty_like(x)
+        core = ax <= r  # each branch on its own points; the tail takes NaN
+        out[core] = -ax[core] ** (1.0 + th)
+        s = ax[~core] - r
+        out[~core] = -r ** (1.0 + th) - (1.0 + th) * r ** th * s + q * s ** 4
+        return out
     raise ConfigurationError("custom potentials have no closed form; use evaluate()")
 
 
@@ -103,11 +103,12 @@ def gradient_at(pot: PotentialSpec, x) -> np.ndarray:
         return x.copy()
     if pot.kind == "rough_power":
         th, r, q = pot.theta, CORE_RADIUS, TAIL_COEFF
-        ax = np.abs(x)
-        sg = np.sign(x)
-        core = -(1.0 + th) * ax ** th * sg
-        tail = (-(1.0 + th) * r ** th + 4.0 * q * (ax - r) ** 3) * sg
-        return np.where(ax <= r, core, tail)
+        ax, sg, out = np.abs(x), np.sign(x), np.empty_like(x)
+        core = ax <= r  # each branch on its own points; the tail takes NaN
+        out[core] = -(1.0 + th) * ax[core] ** th * sg[core]
+        tail = ~core
+        out[tail] = (-(1.0 + th) * r ** th + 4.0 * q * (ax[tail] - r) ** 3) * sg[tail]
+        return out
     raise ConfigurationError("custom potentials have no closed-form gradient")
 
 
@@ -132,7 +133,7 @@ def mollify(pot: PotentialSpec, eps: float, grid: PositionGrid) -> np.ndarray:
     if eps < 0:
         raise ConfigurationError(f"mollification time must be >= 0, got {eps}")
     mult = np.exp(-eps * grid.k ** 2)
-    return np.real(sfft.ifft(mult * sfft.fft(values)))
+    return np.real(np.fft.ifft(mult * _real_fft(values)))
 
 
 def _core_window(grid: PositionGrid) -> np.ndarray:
@@ -215,7 +216,7 @@ def check_fourier_conditions(pot: PotentialSpec, grid: PositionGrid,
     else:
         v = evaluate(pot, grid) * _core_window(grid)
     # continuous-normalization transform: V^hat(S_j) ~ dx * DFT
-    vhat = np.abs(sfft.fft(v)) * grid.dx / np.sqrt(2 * np.pi)
+    vhat = np.abs(_real_fft(v)) * grid.dx / np.sqrt(2 * np.pi)
     absS = np.abs(grid.k)
     dS = 2.0 * np.pi / grid.length
 

@@ -2,19 +2,18 @@
 
 Strang split-step spectral stepping. One loop, _strang, steps (N,) or
 (M, N) arrays along the last axis: propagate_rows gives it fixed-grid
-factors (propagate wraps that for a WaveFunction, propagate_ensemble
-loops propagate over members), and ConcentrationSplit's co-moving
-windows (experiments._Window) per-row factors in each row's frame. The
+factors (propagate wraps that for a WaveFunction; the mixtures step as
+row blocks), and ConcentrationSplit's co-moving windows
+(experiments._Window) per-row factors in each row's frame. The
 kinetic factor 1/2 makes the classical symbol k^2/2 and the transport
 drift k, matching X' = P classically.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import (ConfigurationError, NumericsError, SemiphaseWarning,
                      ShapeMismatchError)
@@ -26,7 +25,6 @@ __all__ = [
     "DensityEnsemble",
     "PropagatorConfig",
     "propagate",
-    "propagate_ensemble",
     "propagate_rows",
 ]
 
@@ -133,13 +131,14 @@ def _strang(rows: np.ndarray, half_v: np.ndarray, kin: np.ndarray,
     """n_steps Strang steps of rows (not written), the one quantum loop.
 
     Factors are (N,) or per row; half-step potentials fuse where steps meet.
+    The FFTs run in place on the loop's one copy.
     """
     full_v = half_v * half_v
     psi = half_v * rows
     for step in range(n_steps):
-        psi = sfft.fft(psi, axis=-1, overwrite_x=True)
+        np.fft.fft(psi, axis=-1, out=psi)
         psi *= kin
-        psi = sfft.ifft(psi, axis=-1, overwrite_x=True)
+        np.fft.ifft(psi, axis=-1, out=psi)
         psi *= full_v if step < n_steps - 1 else half_v
     return psi
 
@@ -175,11 +174,3 @@ def propagate(state: WaveFunction, pot: PotentialSpec,
         return state
     return WaveFunction(propagate_rows(state.values, state.eps, state.grid,
                                        pot, cfg), state.eps, state.grid)
-
-
-def propagate_ensemble(ens: DensityEnsemble, pot: PotentialSpec,
-                       cfg: PropagatorConfig) -> DensityEnsemble:
-    """Propagate each member independently; weights are untouched."""
-    new = tuple((w, propagate(s, pot, cfg)) for w, s in ens.members)
-    return replace(ens, members=new)
-

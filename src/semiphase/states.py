@@ -133,9 +133,7 @@ class ConcentratingProfile:
         u0, v0 = self.center
         us = u0 + np.linspace(-self.radius_u, self.radius_u, n)
         vs = v0 + np.linspace(-self.radius_v, self.radius_v, n)
-        du = us[1] - us[0]
-        dv = vs[1] - vs[0]
-        return us[:, None], vs[None, :], du, dv
+        return us[:, None], vs[None, :], us[1] - us[0], vs[1] - vs[0]
 
     def w(self, u, v) -> np.ndarray:
         """Bump values; C-infinity, zero outside the support ellipse."""
@@ -315,14 +313,12 @@ class RandomFamilySpec:
         m = self.m_samples
         if self.law == "point":
             return np.tile([cx, cp], (m, 1))
-        if self.law in ("gaussian", "hardcore_gaussian"):
-            if self.law == "gaussian":
-                pts = rng.standard_normal((m, 2))
-            else:
-                pts = self._draw_hardcore(rng)
-            return np.stack([cx + self.scale[0] * pts[:, 0],
-                             cp + self.scale[1] * pts[:, 1]], axis=1)
-        pts = rng.uniform(-1.0, 1.0, (m, 2))
+        if self.law == "gaussian":
+            pts = rng.standard_normal((m, 2))
+        elif self.law == "hardcore_gaussian":
+            pts = self._draw_hardcore(rng)
+        else:
+            pts = rng.uniform(-1.0, 1.0, (m, 2))
         return np.stack([cx + self.scale[0] * pts[:, 0],
                          cp + self.scale[1] * pts[:, 1]], axis=1)
 
@@ -333,13 +329,8 @@ class RandomFamilySpec:
         sx, sp = self.scale
         for _ in range(10000 * self.m_samples):
             cand = rng.standard_normal(2)
-            ok = True
-            for q in kept:
-                d2 = (sx * (cand[0] - q[0])) ** 2 + (sp * (cand[1] - q[1])) ** 2
-                if d2 < self.min_separation ** 2:
-                    ok = False
-                    break
-            if ok:
+            if all((sx * (cand[0] - q[0])) ** 2 + (sp * (cand[1] - q[1])) ** 2
+                   >= self.min_separation ** 2 for q in kept):
                 kept.append(cand)
                 if len(kept) == self.m_samples:
                     return np.array(kept)

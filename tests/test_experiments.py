@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from scipy.special import erfc
 
-from semiphase import ConfigurationError, SemiphaseWarning, coherent_state
+from semiphase import (ConfigurationError, DensityEnsemble, SemiphaseWarning,
+                       coherent_state)
 from semiphase.classical import TrajectoryBranch
 from semiphase.cli import main
 from semiphase.experiments import (
@@ -22,15 +24,15 @@ from semiphase.experiments import (
 from semiphase.classical import transport_particles
 from semiphase import experiments
 from semiphase.errors import NumericsError
-from semiphase.experiments import (_ROWS, _Emitter, _Window, _evolve_at,
+from semiphase.experiments import (_ROWS, _Emitter, _Window, _evolve_at, _h2_norm,
                                    _halfplane_weights, _mirror_jobs, _mixture_datum,
                                    _potential, _roll_rows, _sample_walks,
                                    _split_profiles, _transport, _walk_members)
 from semiphase.grids import build_position_grid
 from semiphase.metrics import (NODES, RateFit, _as_probability, _char_rows,
                                char_distance, char_function)
-from semiphase.phasespace import AtomicMeasure
-from semiphase.quantum import PropagatorConfig, propagate_rows
+from semiphase.phasespace import AtomicMeasure, GridDensity, build_wigner_grid
+from semiphase.quantum import PropagatorConfig, propagate, propagate_rows
 from semiphase.states import concentration_lattice
 
 
@@ -550,6 +552,44 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
                           for n_times in n_walks for _ in range(n_times)]
 
 
+@pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
+def test_weak_convergence_block_matches_the_member_ensemble(monkeypatch):
+    # the mixture steps as one (datum_k^2, N) block per rung and reduces
+    # through one _char_rows per sample time: bit for bit char_function of
+    # the members propagated one at a time
+    cfg = defaults_for("WeakConvergence", **_PINNED["WeakConvergence"])
+    blocks, seen = [], []
+    real_rows, real_distance = experiments.propagate_rows, experiments.char_distance
+
+    def counting(rows, *args):
+        blocks.append(rows.shape)
+        return real_rows(rows, *args)
+
+    def recording(chi_mu, chi_nu, heat_time=0.0):
+        seen.append(chi_mu.copy())
+        return real_distance(chi_mu, chi_nu, heat_time)
+
+    monkeypatch.setattr(experiments, "propagate_rows", counting)
+    monkeypatch.setattr(experiments, "char_distance", recording)
+    run_experiment(cfg)
+    times = cfg.sample_times
+    assert blocks == [(cfg.datum_k ** 2, cfg.grid_n)] * (len(cfg.eps_ladder) * len(times))
+    pot, datum = _potential(cfg), _mixture_datum(cfg)
+    grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+    step = lambda state, span: propagate(state, pot, PropagatorConfig(cfg.dt, span))
+    want = []
+    for eps in cfg.eps_ladder:
+        walks = [_evolve_at(coherent_state(x, p, eps, grid), times, step)
+                 for x, p in zip(datum.xs, datum.ps)]
+        for moved in zip(*walks):
+            want.append(char_function(DensityEnsemble(
+                tuple((w, s) for w, (_, s) in zip(datum.masses, moved)), eps)))
+    # the raw and the mollified distance of a sample time share its chi
+    assert len(seen) == 2 * len(want)
+    for raw, moll, chi in zip(seen[::2], seen[1::2], want):
+        assert np.array_equal(raw, chi) and np.array_equal(moll, chi)
+
+
 def test_walk_members_refuses_a_row_that_lost_its_norm(monkeypatch):
     eps = 1e-2
     grid = build_position_grid(256, -2.0, 2.0)
@@ -605,6 +645,29 @@ def test_frame_rolls_are_exact():
     assert np.array_equal(_roll_rows(boosted, -m), spec)
     assert np.array_equal(_roll_rows(moved, -s), rows)
     assert np.array_equal(moved[0], np.roll(rows[0], -5))
+    assert _roll_rows(rows, np.zeros(len(rows), np.intp)) is rows
+
+
+def test_halfplane_weights_are_erfc_at_any_node_shape():
+    eps, xsep = 1e-3, 0.2
+    nodes = np.linspace(-0.5, 0.5, 301)
+    want = 0.5 * erfc(np.array([xsep - nodes, nodes + xsep]) / (2.0 * np.sqrt(eps)))
+    got = _halfplane_weights(nodes, eps, xsep)
+    assert got.shape == (2, 301)
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(_halfplane_weights(nodes.reshape(7, 43), eps, xsep),
+                          got.reshape(2, 7, 43))
+
+
+def test_h2_norm_matches_the_full_spectrum():
+    # the half spectrum of the real transform, its +-p pairs counted twice
+    grid = build_wigner_grid(build_position_grid(128, -4.0, 4.0), 0.1)
+    x, p = grid.x[:, None], grid.p[None, :]
+    rho = GridDensity(np.exp(-(x - 0.3) ** 2 - 2.0 * p ** 2) * (1.0 + 0.1 * x * p), grid)
+    gx, gp = grid.x_grid, grid.p_grid
+    spec = sfft.fft2(rho.values) * (1.0 + gx.k[:, None] ** 2 + gp.k[None, :] ** 2)
+    want = np.sqrt(np.sum(np.abs(spec) ** 2) / rho.values.size * grid.cell_area)
+    assert abs(_h2_norm(rho) - want) <= 1e-12 * want
 
 
 def test_framed_rows_match_the_lab_grid():

@@ -5,7 +5,21 @@ import pytest
 import scipy.fft as sfft
 
 from semiphase import ConfigurationError, ShapeMismatchError, build_position_grid
-from semiphase.grids import PhaseGrid, quadrature, time_steps
+from semiphase.grids import PhaseGrid, _fast_len, _real_fft, quadrature, time_steps
+
+
+def test_fast_len_is_the_next_eleven_smooth_length():
+    # scipy's rule for complex transforms: the least 2*3*5*7*11-smooth n
+    assert all(_fast_len(n) == sfft.next_fast_len(n) for n in range(1, 2 ** 18 + 1))
+    assert _fast_len(2 ** 31) == 2 ** 31
+
+
+@pytest.mark.parametrize("n", [8, 9, 256, 1023, 1024])
+def test_real_fft_is_the_full_transform(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    spec = _real_fft(x)
+    assert np.array_equal(spec, sfft.fft(x))
+    assert np.max(np.abs(spec - np.fft.fft(x + 0j))) <= 1e-12 * np.sqrt(n)
 
 
 def test_grid_basic_geometry():

@@ -243,6 +243,16 @@ def test_husimi_cat_fringe_suppression(grid):
     assert diff < 1e-5 * float(Hcat.values.max())
 
 
+def test_husimi_matches_the_complex_transform(grid):
+    # the real transform pair against the full complex one
+    eps = 0.1
+    W = wigner(coherent_state(-0.3, 0.4, eps, grid))
+    gx, gp = W.grid.x_grid, W.grid.p_grid
+    mult = np.exp(-eps * gx.k ** 2)[:, None] * np.exp(-eps * gp.k ** 2)[None, :]
+    want = sfft.ifft2(sfft.fft2(W.values) * mult).real
+    assert np.max(np.abs(husimi(W, eps).values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_husimi_zero_density(grid):
     pg = build_wigner_grid(grid, 0.05)
     Z = GridDensity(values=np.zeros(pg.shape), grid=pg, tag="wigner")

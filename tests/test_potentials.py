@@ -31,6 +31,33 @@ def test_harmonic_values():
     assert gradient_at(pot, 2.0) == pytest.approx(2.0)
 
 
+def _two_branch(x, th, r=1.0, q=1.0):
+    # both branches over every point, then np.where: (value, gradient)
+    ax, sg, s = np.abs(x), np.sign(x), np.abs(x) - r
+    value = np.where(ax <= r, -ax ** (1.0 + th),
+                     -r ** (1.0 + th) - (1.0 + th) * r ** th * s + q * s ** 4)
+    grad = np.where(ax <= r, -(1.0 + th) * ax ** th * sg,
+                    (-(1.0 + th) * r ** th + 4.0 * q * (ax - r) ** 3) * sg)
+    return value, grad
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("theta", [0.3, 0.5])
+def test_rough_power_branches_match_the_two_branch_formulas(theta):
+    # each branch runs only on its own points, value for value the same
+    pot = rough_power_potential(theta)
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0, 0.25, -0.7, 1.5, -3.0, np.nan],
+                        np.random.default_rng(0).uniform(-3.0, 3.0, 500)])
+    value, grad = _two_branch(x, theta)
+    assert np.array_equal(evaluate_at(pot, x), value, equal_nan=True)
+    assert np.array_equal(gradient_at(pot, x), grad, equal_nan=True)
+    for point in (0.0, 1.0, -1.0, 0.4, 2.0, np.nan):  # 0-d in, 0-d out
+        value, grad = _two_branch(np.asarray(point), theta)
+        assert np.array_equal(evaluate_at(pot, point), value, equal_nan=True)
+        assert np.array_equal(gradient_at(pot, point), grad, equal_nan=True)
+        assert np.ndim(gradient_at(pot, point)) == 0
+
+
 def test_rough_power_core_values():
     pot = rough_power_potential(theta=0.5)
     assert evaluate_at(pot, 0.0) == 0.0

@@ -9,7 +9,6 @@ import scipy.fft as sfft
 from semiphase import quantum
 from semiphase import (
     ConfigurationError,
-    DensityEnsemble,
     NumericsError,
     PropagatorConfig,
     SemiphaseWarning,
@@ -17,7 +16,6 @@ from semiphase import (
     coherent_state,
     build_position_grid,
     propagate,
-    propagate_ensemble,
     propagate_rows,
 )
 from semiphase.potentials import (custom_potential, evaluate, harmonic_potential,
@@ -122,21 +120,23 @@ def test_fused_strang_matches_unfused_loop(grid, dt, t_final):
 
 @pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
 def test_ensemble_propagates_each_member_once(grid, monkeypatch):
+    # a mixture's members step as one row block: one Strang loop over all
+    # of them, each row as if alone
     calls = []
-    real = quantum.propagate
+    real = quantum._strang
 
-    def counting(state, pot, cfg):
-        calls.append(state)
-        return real(state, pot, cfg)
+    def counting(rows, *args):
+        calls.append(rows.shape)
+        return real(rows, *args)
 
-    monkeypatch.setattr(quantum, "propagate", counting)
-    eps = 0.05
-    members = tuple((0.25, coherent_state(x0, 0.0, eps, grid))
-                    for x0 in (-1.0, -0.3, 0.3, 1.0))
-    ens = DensityEnsemble(members=members, eps=eps)
-    propagate_ensemble(ens, harmonic_potential(),
-                       PropagatorConfig(dt=1e-2, t_final=0.05))
-    assert [id(s) for s in calls] == [id(s) for _, s in members]
+    monkeypatch.setattr(quantum, "_strang", counting)
+    eps, pot = 0.05, harmonic_potential()
+    cfg = PropagatorConfig(dt=1e-2, t_final=0.05)
+    states = [coherent_state(x0, 0.0, eps, grid) for x0 in (-1.0, -0.3, 0.3, 1.0)]
+    out = propagate_rows(np.stack([s.values for s in states]), eps, grid, pot, cfg)
+    assert calls == [(4, grid.n_points)]
+    for row, state in zip(out, states):
+        assert np.array_equal(row, propagate(state, pot, cfg).values)
 
 
 def _row_block(grid, eps, centers):
@@ -198,22 +198,16 @@ def test_ensemble_single_member_matches_pure(grid):
     psi = coherent_state(0.2, -0.4, 0.05, grid)
     pot = harmonic_potential()
     cfg = PropagatorConfig(dt=1e-3, t_final=0.3)
-    ens = DensityEnsemble(members=((1.0, psi),), eps=0.05)
-    out_ens = propagate_ensemble(ens, pot, cfg)
-    out_pure = propagate(psi, pot, cfg)
-    [(w, member)] = out_ens.members
-    assert w == 1.0
-    assert np.max(np.abs(member.values - out_pure.values)) < 1e-14
+    (row,) = propagate_rows(psi.values[None], 0.05, grid, pot, cfg)
+    assert np.max(np.abs(row - propagate(psi, pot, cfg).values)) < 1e-14
 
 
 def test_ensemble_trace_preserved(grid):
     eps = 0.05
-    a = coherent_state(-1.0, 0.0, eps, grid)
-    b = coherent_state(1.0, 0.0, eps, grid)
-    ens = DensityEnsemble(members=((0.5, a), (0.5, b)), eps=eps)
-    out = propagate_ensemble(ens, custom_potential(np.zeros(grid.n_points)),
-                             PropagatorConfig(dt=0.01, t_final=1.0))
-    trace = sum(w * m.norm() ** 2 for w, m in out.members)
+    rows = np.stack([coherent_state(x0, 0.0, eps, grid).values for x0 in (-1.0, 1.0)])
+    out = propagate_rows(rows, eps, grid, custom_potential(np.zeros(grid.n_points)),
+                         PropagatorConfig(dt=0.01, t_final=1.0))
+    trace = np.array([0.5, 0.5]) @ np.sum(np.abs(out) ** 2, axis=1) * grid.dx
     assert trace == pytest.approx(1.0, abs=1e-10)
 
 
