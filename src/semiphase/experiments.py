@@ -327,9 +327,9 @@ def _evolve_at(state, times, advance):
         yield t, state
 
 
-def _schrodinger(propagator, pot: PotentialSpec, dt: float):
+def _schrodinger(pot: PotentialSpec, dt: float):
     """advance() for _evolve_at: Strang steps of |dt|, with dt < 0 on negative spans."""
-    return lambda state, span: propagator(state, pot, PropagatorConfig(
+    return lambda state, span: propagate(state, pot, PropagatorConfig(
         dt=dt if span >= 0 else -dt, t_final=abs(span)))
 
 
@@ -506,7 +506,7 @@ def run_harmonic_exact(cfg: ExperimentConfig) -> RunManifest:
         xs, ps = pgrid.x[:, None], pgrid.p[None, :]
         rows = []
         for t, state in _evolve_at(psi, sorted(cfg.sample_times),
-                                   _schrodinger(propagate, pot, cfg.dt)):
+                                   _schrodinger(pot, cfg.dt)):
             w_num = wigner(state)
             # classical rotation of the initial center (X' = P, P' = -X)
             xc = x0 * np.cos(t) + p0 * np.sin(t)
@@ -636,7 +636,7 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
             state = rho = feet = None  # frees the last rung's arrays first: peak RSS
             sup_d = 0.0
             # two zipped walks: one walk over (state, feet) pairs raised peak RSS
-            quantum = _evolve_at(psi, times, _schrodinger(propagate, pot, cfg.dt))
+            quantum = _evolve_at(psi, times, _schrodinger(pot, cfg.dt))
             classical = _evolve_at(
                 (w0.grid.x[:, None], w0.grid.p[None, :]), times,
                 lambda f, span: characteristic_feet(f, pot, eps, cfg.dt_classical,
