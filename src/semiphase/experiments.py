@@ -83,7 +83,8 @@ class ExperimentConfig:
     Not every field is meaningful for every experiment; defaults_for()
     returns a tuned instance per experiment name. delta_growth is the
     reported transport-regularity growth exponent (reporting only, never
-    asserted).
+    asserted). WeakConvergence's grid_n sizes only its mollified field:
+    its members step on co-moving windows.
     """
 
     experiment: str
@@ -248,11 +249,9 @@ class _Emitter:
         warnings.warn(message, SemiphaseWarning, stacklevel=2)
 
     def csv(self, name: str, header, rows):
-        if self.out_dir is None:
-            return
-        path = self.out_dir / name
-        write_csv(path, header, rows)
-        self.outputs.append(name)
+        if self.out_dir is not None:
+            write_csv(self.out_dir / name, header, rows)
+            self.outputs.append(name)
 
     def gate(self, name: str, ok: bool, value, bound: str) -> None:
         """One named acceptance check; ok says whether value meets bound.
@@ -355,8 +354,9 @@ class _Window:
 
     Given rows: a fixed block, zero frames, stepped by propagate_rows.
     Given trace = (stops, centres[stop, j]), the classical centres at the
-    ring's stops: a window on [-L/2, L/2) from their coherent states in
-    the nearest frames, _CHECK Strang steps per check on its own clock t.
+    ring's stops (_windows, for ConcentrationSplit and WeakConvergence):
+    a window on [-L/2, L/2) from their coherent states in the nearest
+    frames, _CHECK Strang steps per check on its own clock t.
     A check doubles the block by exact padding while the edge mass (outer
     5% per side: in x) or the top eighth of |k|'s spectral share (in k)
     passes _GUARD, then rolls each frame _DRIFT cells off the centres
@@ -455,8 +455,10 @@ def _walk_members(blocks, times, pot: PotentialSpec, dt: float):
 
     Each block, standing at t = 0, moves in place through the times by
     _evolve_at; a row whose ||psi||^2 is more than 1e-6 off 1 raises NumericsError.
+    The framed blocks' resolution is checked once, after the walk, at the
+    largest |V(a + y)| and |k + b/eps| stepped (fixed blocks check their own).
     """
-    j0 = 0
+    j0, framed = 0, []
     for block in blocks:
         for t, moved in _evolve_at(block, times,
                                    lambda b, span: b.advance(span, pot, dt)):
@@ -466,6 +468,9 @@ def _walk_members(blocks, times, pot: PotentialSpec, dt: float):
                                     f"||psi||^2 = {n2.tolist()}")
             yield t, j0, moved
         j0 += len(block.rows)
+        framed += [block] if block.trace is not None else []
+    if framed:
+        _check_resolution(*np.array([b.peaks for b in framed]).T, framed[0].eps, framed[0].h)
 
 
 def _transport(pot: PotentialSpec, eps_mollify: float, dt: float,
@@ -550,31 +555,32 @@ def _mixture_datum(cfg: ExperimentConfig) -> AtomicMeasure:
 def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
     """Husimi evolution against classically transported atoms, over eps.
 
-    The datum is a fixed-width coherent mixture away from the rough
-    core; the classical side is its atomic limit pushed through the raw
-    field (plus a matched-mollification column for reporting). Asserts
-    the sup-over-times distance decreases strictly along the ladder.
+    The datum is a fixed-width coherent mixture away from the rough core,
+    its members on co-moving windows (_windows); the classical side is its
+    atomic limit pushed through the raw field (plus a matched-mollification
+    column on the grid_n field grid, for reporting). Asserts the
+    sup-over-times distance decreases strictly along the ladder.
     """
     (times,) = _sample_walks(cfg)
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
         datum = _mixture_datum(cfg)
+        jobs = [(x, p, m, 0.0) for m, x, p in datum.atoms.tolist()]
+        field_grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
         rows = []
         for eps in cfg.eps_ladder:
-            grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-            # the mixture's members as one row block, stepped together
-            block = _Window(grid, eps, np.stack([coherent_state(x, p, eps, grid).values
-                                                 for x, p in zip(datum.xs, datum.ps)]))
-            quantum = _walk_members([block], times, pot, cfg.dt)
+            blocks, masses, _, _ = _windows(cfg, eps, pot, times, jobs)
+            chi_q = dict.fromkeys(times, 0.0)  # the mixture's, summed block by block
+            for t, j0, blk in _walk_members(blocks, times, pot, cfg.dt):
+                chi_q[t] += _char_rows(blk.rows, masses[:1, j0:j0 + len(blk.rows)],
+                                       eps, blk.grid, blk.frames)[0]
             raw = _evolve_at(datum, times, _transport(pot, 0.0, cfg.dt_classical))
             moll = _evolve_at(datum, times, _transport(pot, eps, cfg.dt_classical,
-                                                       field_grid=grid))
-            for (t, _, blk), (_, cloud_raw), (_, cloud_moll) in zip(quantum, raw, moll):
-                # one characteristic function of the mixture per sample time
-                (chi_q,) = _char_rows(blk.rows, datum.masses[None], eps, grid)
-                _as_probability(chi_q)
-                d_raw = char_distance(chi_q, char_function(cloud_raw), heat_time=eps)
-                d_moll = char_distance(chi_q, char_function(cloud_moll), heat_time=eps)
+                                                       field_grid=field_grid))
+            for (t, cloud_raw), (_, cloud_moll) in zip(raw, moll):
+                _as_probability(chi_q[t])
+                d_raw = char_distance(chi_q[t], char_function(cloud_raw), heat_time=eps)
+                d_moll = char_distance(chi_q[t], char_function(cloud_moll), heat_time=eps)
                 rows.append((eps, t, d_raw, d_moll))
         sups_raw, sups_moll = ([float(np.max([r[col] for r in rows if r[0] == eps]))
                                 for eps in cfg.eps_ladder] for col in (2, 3))
@@ -683,9 +689,9 @@ def _split_profiles(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _split_windows(cfg: ExperimentConfig, eps: float, pot: PotentialSpec, times,
-                   jobs: list):
-    """The mirror jobs as _walk_members blocks, their masses, and max |x|, |p|.
+def _windows(cfg: ExperimentConfig, eps: float, pot: PotentialSpec, times, jobs: list):
+    """Jobs (x, p, mass, mirror mass) as _walk_members blocks of co-moving
+    windows, their (mass, mirror mass) rows in block order, and max |x|, |p|.
 
     A ring of 64 points at 4 sigma about each centre, all traced as one
     cloud, gives each window its trace (the centres at the ring's stops)
@@ -774,7 +780,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
 
     For each profile (symmetric and shifted bump) and each eps, the
     realizing coherent lattice, each mirror job on its co-moving window
-    (_split_windows), is compared against the two-atom measure on the
+    (_windows), is compared against the two-atom measure on the
     outgoing branches, with masses c+/c- the bump's half-plane masses.
     Asserts the Husimi-side distance ladder decreases at every sampled
     time and that empirical half-plane masses match c+/c- at the
@@ -797,7 +803,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
             for eps in cfg.eps_ladder:
                 jobs = _mirror_jobs(lattice := concentration_lattice(profile, eps, cfg.n_side))
                 # (self, mirror) masses in the order of the blocks
-                blocks, masses, max_x, max_p = _split_windows(cfg, eps, pot, times, jobs)
+                blocks, masses, max_x, max_p = _windows(cfg, eps, pot, times, jobs)
                 # the raster is only summed: the resolution rule alone sizes it
                 n_grid = 2 * (int(length / profile.resolution(eps)[0]) // 2 + 1)
                 rc = concentrating_wigner_data(profile, eps, PhaseGrid(build_position_grid(
@@ -819,9 +825,6 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                     half = np.sum(weights * np.abs(blk.rows) ** 2, axis=-1) * blk.grid.dx
                     right_left[t] += half @ w_self + half[::-1] @ w_mirror
                     wins[j0] = blk
-                if framed := [b for b in wins.values() if b.trace is not None]:
-                    # once per rung, at the largest |V(a + y)| and |k + b/eps| stepped
-                    _check_resolution(*np.array([b.peaks for b in framed]).T, eps, framed[0].h)
                 rows_n = sorted(b.grid.n_points for b in wins.values() for _ in b.rows)
                 mid = (rows_n[(len(rows_n) - 1) // 2] + rows_n[len(rows_n) // 2]) / 2
                 window = {"window_n": [rows_n[0], mid, rows_n[-1]],
@@ -844,10 +847,8 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                     dist_rows.append((pname, eps, t, d_hus, d_wig))
                     mass_rows.append((pname, eps, t, right, left,
                                       c_plus, c_minus, xseps[t]))
-                    per_eps["times"].append({"t": t, "d_husimi": d_hus,
-                                             "d_wigner": d_wig,
-                                             "right_mass": right,
-                                             "left_mass": left})
+                    per_eps["times"].append({"t": t, "d_husimi": d_hus, "d_wigner": d_wig,
+                                             "right_mass": right, "left_mass": left})
                     if eps == eps_smallest and pname == "even":
                         em.gate(f"even masses at t={t}",
                                 np.maximum(abs(right - 0.5), abs(left - 0.5)) <= 0.05,

@@ -2,11 +2,11 @@
 
 Strang split-step spectral stepping. One loop, _strang, steps (N,) or
 (M, N) arrays along the last axis: propagate_rows gives it fixed-grid
-factors (propagate wraps that for a WaveFunction; the mixtures step as
-row blocks), and ConcentrationSplit's co-moving windows
-(experiments._Window) per-row factors in each row's frame. The
-kinetic factor 1/2 makes the classical symbol k^2/2 and the transport
-drift k, matching X' = P classically.
+factors (propagate wraps that for a WaveFunction; RandomFamily steps
+row blocks), and the co-moving windows of ConcentrationSplit and
+WeakConvergence (experiments._Window) per-row factors in each row's
+frame. The kinetic factor 1/2 makes the classical symbol k^2/2 and the
+transport drift k, matching X' = P classically.
 """
 from __future__ import annotations
 

@@ -518,7 +518,7 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
             yield t, j0, blk
 
     def recording_advance(self, span, pot, dt):
-        advances.append((id(self), span))
+        advances.append((self, span))  # the block itself: an id can be reused
         return real_advance(self, span, pot, dt)
 
     monkeypatch.setattr(experiments, "propagate_rows", counting)
@@ -553,40 +553,95 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
 
 @pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
 def test_weak_convergence_block_matches_the_member_ensemble(monkeypatch):
-    # the mixture steps as one (datum_k^2, N) block per rung and reduces
-    # through one _char_rows per sample time: bit for bit char_function of
-    # the members propagated one at a time
+    # the mixture steps on co-moving windows only, each member once per
+    # sample time, and sums its chi block by block: within 1e-6 of
+    # char_function of the members propagated one at a time on a fixed
+    # grid of twice grid_n
     cfg = defaults_for("WeakConvergence", **_PINNED["WeakConvergence"])
-    blocks, seen = [], []
-    real_rows, real_distance = experiments.propagate_rows, experiments.char_distance
+    walks, blocks, advances, seen = [], [], [], []
+    real_walk, real_advance = experiments._walk_members, _Window.advance
+    real_distance = experiments.char_distance
 
-    def counting(rows, *args):
-        blocks.append(rows.shape)
-        return real_rows(rows, *args)
+    def recording_walk(starts, walk_times, pot, dt):
+        walks.append([])
+        for t, j0, blk in real_walk(starts, walk_times, pot, dt):
+            walks[-1].append((t, j0, len(blk.rows)))
+            blocks.append(blk)
+            yield t, j0, blk
+
+    def recording_advance(self, span, pot, dt):
+        advances.append(span)
+        return real_advance(self, span, pot, dt)
 
     def recording(chi_mu, chi_nu, heat_time=0.0):
         seen.append(chi_mu.copy())
         return real_distance(chi_mu, chi_nu, heat_time)
 
-    monkeypatch.setattr(experiments, "propagate_rows", counting)
+    def refuse(*args):
+        raise AssertionError("fixed-grid propagation")
+
+    monkeypatch.setattr(experiments, "_walk_members", recording_walk)
+    monkeypatch.setattr(_Window, "advance", recording_advance)
     monkeypatch.setattr(experiments, "char_distance", recording)
+    monkeypatch.setattr(experiments, "propagate_rows", refuse)
     run_experiment(cfg)
-    times = cfg.sample_times
-    assert blocks == [(cfg.datum_k ** 2, cfg.grid_n)] * (len(cfg.eps_ladder) * len(times))
+    times, members = cfg.sample_times, cfg.datum_k ** 2
+    assert blocks and all(b.trace is not None for b in blocks)
+    assert len(walks) == len(cfg.eps_ladder)
+    for yields in walks:
+        for t in times:
+            spans = sorted((j0, j0 + m) for s, j0, m in yields if s == t)
+            # the blocks at t tile the members 0 .. M - 1, each member once
+            assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+            assert spans[-1][1] == members
+    # one advance per block and sample time, each block to the last time
+    assert len(advances) == sum(map(len, walks))
+    assert all(b.t == pytest.approx(times[-1]) for b in blocks)
     pot, datum = _potential(cfg), _mixture_datum(cfg)
-    grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+    grid = build_position_grid(2 * cfg.grid_n, cfg.x_min, cfg.x_max)
     step = lambda state, span: propagate(state, pot, PropagatorConfig(cfg.dt, span))
     want = []
     for eps in cfg.eps_ladder:
-        walks = [_evolve_at(coherent_state(x, p, eps, grid), times, step)
-                 for x, p in zip(datum.xs, datum.ps)]
-        for moved in zip(*walks):
+        member_walks = [_evolve_at(coherent_state(x, p, eps, grid), times, step)
+                        for x, p in zip(datum.xs, datum.ps)]
+        for moved in zip(*member_walks):
             want.append(char_function(DensityEnsemble(
                 tuple((w, s) for w, (_, s) in zip(datum.masses, moved)), eps)))
     # the raw and the mollified distance of a sample time share its chi
     assert len(seen) == 2 * len(want)
     for raw, moll, chi in zip(seen[::2], seen[1::2], want):
-        assert np.array_equal(raw, chi) and np.array_equal(moll, chi)
+        assert np.array_equal(raw, moll)
+        assert np.max(np.abs(raw - chi)) <= 1e-6
+
+
+def test_walk_members_checks_framed_resolution_once(monkeypatch):
+    # framed blocks: one check per walk, at the largest peaks of them all;
+    # fixed blocks: propagate_rows checks each call, the walk adds none
+    checks = []
+    real = experiments._check_resolution
+    monkeypatch.setattr(experiments, "_check_resolution",
+                        lambda *args: checks.append(args) or real(*args))
+    cfg = defaults_for("WeakConvergence", sample_times=(0.05, 0.1))
+    pot, (eps, times, dt) = _potential(cfg), (0.05, cfg.sample_times, cfg.dt)
+    jobs = [(x, p, m, 0.0) for m, x, p in _mixture_datum(cfg).atoms.tolist()]
+    framed = list(experiments._windows(cfg, eps, pot, times, jobs)[0])
+    assert len(framed) > 1 and all(b.trace is not None for b in framed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        list(_walk_members(framed, times, pot, dt))
+    ((v, k, eps_checked, h),) = checks
+    assert np.array_equal(np.stack([v, k], axis=1), [b.peaks for b in framed])
+    assert eps_checked == eps and h == framed[0].h == dt
+    with warnings.catch_warnings(record=True) as once:
+        warnings.simplefilter("always")
+        real(*np.max([b.peaks for b in framed], axis=0), eps, h)
+    assert [str(w.message) for w in caught] == [str(w.message) for w in once]
+    assert once  # these windows do warn
+    checks.clear()
+    grid = build_position_grid(256, -2.0, 2.0)
+    fixed = _Window(grid, 1e-2, coherent_state(0.3, 0.1, 1e-2, grid).values[None])
+    list(_walk_members([fixed], [0.02, 0.04], pot, 1e-3))
+    assert checks == []
 
 
 def test_walk_members_refuses_a_row_that_lost_its_norm(monkeypatch):
@@ -730,7 +785,7 @@ def test_windows_as_long_as_the_domain_run_on_it():
     cfg = defaults_for("ConcentrationSplit", eps_ladder=(eps,), sample_times=tuple(times),
                        n_side=7, x_min=-3.0, x_max=3.0)
     jobs = _mirror_jobs(concentration_lattice(_split_profiles(cfg)["even"], eps, cfg.n_side))
-    blocks, masses, _, _ = experiments._split_windows(cfg, eps, _potential(cfg), times, jobs)
+    blocks, masses, _, _ = experiments._windows(cfg, eps, _potential(cfg), times, jobs)
     blocks = list(blocks)
     fixed = [b for b in blocks if b.trace is None]
     assert fixed and blocks[-len(fixed):] == fixed and len(fixed) < len(blocks)
@@ -741,12 +796,12 @@ def test_windows_as_long_as_the_domain_run_on_it():
 
 
 def _split_blocks(eps=1e-3, times=(0.096,)):
-    """The even profile's mirror jobs at eps on their _split_windows blocks."""
+    """The even profile's mirror jobs at eps on their _windows blocks."""
     cfg = defaults_for("ConcentrationSplit", eps_ladder=(eps,), sample_times=times,
                        n_side=7, dt=2e-3)
     jobs = _mirror_jobs(concentration_lattice(_split_profiles(cfg)["even"], eps, cfg.n_side))
     pot = _potential(cfg)
-    blocks, _, _, _ = experiments._split_windows(cfg, eps, pot, times, jobs)
+    blocks, _, _, _ = experiments._windows(cfg, eps, pot, times, jobs)
     return list(blocks), pot, cfg.dt
 
 

@@ -2,18 +2,19 @@
 
 Usage (from the repository root):
 
-    python3 tools/golden.py capture
+    python3 tools/golden.py capture [NAME ...]
     python3 tools/golden.py check
 
-``capture`` runs each experiment's default config (``defaults_for(name)``,
-no output directory) and writes ``golden/<name>.json`` with its records,
-warnings and verdict. ``check`` re-runs the same configs and prints, per
-experiment, ``bench/records.py::max_rel_dev`` of the records against the
-golden file, whether the warnings and verdict are identical, and the
-run's wall seconds (the occasional full-defaults timing). It exits
-1 when a warning list or verdict differs or a deviation exceeds TOL, the
+``capture`` runs each named experiment's default config (all seven when
+none is named; ``defaults_for(name)``, no output directory) and writes
+``golden/<name>.json`` with its records, warnings and verdict. ``check``
+re-runs all seven configs and prints, per experiment,
+``bench/records.py::max_rel_dev`` of the records against the golden
+file, whether the warnings and verdict are identical, and the run's
+wall seconds (the occasional full-defaults timing). It exits 1 when a
+warning list or verdict differs or a deviation exceeds TOL, the
 tolerance for a refactor. A change that moves the numerics on purpose
-re-captures the set and lists what moved.
+re-captures only the experiments it moved and lists what moved.
 
 BLAS and OpenMP are pinned to one thread, as in the benchmark. The seven
 runs take about half a minute, twice the test suite, so this script is
@@ -48,9 +49,9 @@ def run_default(name: str) -> dict:
                                            "warnings", "records")}
 
 
-def capture() -> int:
+def capture(names) -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in EXPERIMENTS:
+    for name in names or EXPERIMENTS:
         result = run_default(name)
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
@@ -79,8 +80,16 @@ def check() -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=("capture", "check"))
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help="experiments to capture (default: all seven)")
     args = parser.parse_args(argv)
-    return capture() if args.command == "capture" else check()
+    if args.command == "check" and args.names:
+        parser.error("check takes no names: it checks all seven")
+    unknown = [n for n in args.names if n not in EXPERIMENTS]
+    if unknown:
+        parser.error(f"unknown experiment(s) {', '.join(unknown)}; "
+                     f"choose from {', '.join(EXPERIMENTS)}")
+    return capture(args.names) if args.command == "capture" else check()
 
 
 if __name__ == "__main__":
