@@ -80,29 +80,20 @@ def _cmd_sweep(args) -> int:
     return worst
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--eps", type=float, nargs="+",
-                   help="override the eps ladder (decreasing values)")
-    p.add_argument("--out", help="output directory for CSV/manifest")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiphase",
         description="Phase-space experiments for semiclassical dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one named experiment")
-    p_run.add_argument("experiment")
-    _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep",
-                             help="run a ladder as independent per-eps runs")
-    p_sweep.add_argument("experiment")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    for name, func, text in (("run", _cmd_run, "run one named experiment"),
+                             ("sweep", _cmd_sweep, "run a ladder as independent per-eps runs")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("experiment")
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--eps", type=float, nargs="+",
+                       help="override the eps ladder (decreasing values)")
+        p.add_argument("--out", help="output directory for CSV/manifest")
+        p.set_defaults(func=func)
     return parser
 
 

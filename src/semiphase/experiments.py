@@ -14,6 +14,7 @@ none of its gates failed. A driver without gates always passes.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -332,7 +333,7 @@ def _schrodinger(pot: PotentialSpec, dt: float):
         dt=dt if span >= 0 else -dt, t_final=abs(span)))
 
 
-# rows per block; windows: steps per check, frame lag in cells, edge/tail
+# rows per fixed block; windows: steps per check, frame lag in cells, edge/tail
 # bound, ring RK4 step, cells per sigma
 _ROWS = 16
 _CHECK, _DRIFT, _GUARD, _RING_DT, _SIGMA_CELLS = 8, 4, 1e-6, 0.05, 8
@@ -349,31 +350,32 @@ def _roll_rows(rows: np.ndarray, shifts) -> np.ndarray:
 
 
 class _Window:
-    """Members on one periodic grid; row j is phi_j of the lab state
+    """Members jobs on one periodic grid; row j is phi_j of the lab state
     e^{i b_j (x - a_j)/eps} phi_j(x - a_j), cells[j] = (a_j, b_j) / (dx, eps*2pi/L).
 
     Given rows: a fixed block, zero frames, stepped by propagate_rows.
     Given trace = (stops, centres[stop, j]), the classical centres at the
     ring's stops (_windows, for ConcentrationSplit and WeakConvergence):
     a window on [-L/2, L/2) from their coherent states in the nearest
-    frames, _CHECK Strang steps per check on its own clock t.
-    A check doubles the block by exact padding while the edge mass (outer
-    5% per side: in x) or the top eighth of |k|'s spectral share (in k)
-    passes _GUARD, then rolls each frame _DRIFT cells off the centres
-    interpolated at the check's time onto them in x and k (exact).
-    Either kind moves in place through advance.
+    frames, _CHECK Strang steps per check (_check) on its own clock t.
+    A check judges each row alone: rows whose edge mass (outer 5% per side:
+    in x) or top eighth of |k|'s spectral share (in k) passes _GUARD leave,
+    by kind, for windows of their own, doubled by exact padding until they
+    pass. Then each frame that lags the centres interpolated at the check's
+    time by _DRIFT cells rolls onto them in x and k (exact). A row thus
+    moves as it would alone, whichever rows share its window.
     """
 
-    def __init__(self, grid: PositionGrid, eps: float, rows=None, trace=None):
-        self.grid, self.eps, self.rows, self.trace = grid, eps, rows, trace
-        self.t, self.recentres, self.edge, self.tail, self.h = 0.0, 0, 0.0, 0.0, 0.0
+    def __init__(self, grid: PositionGrid, eps: float, jobs, rows=None, trace=None):
+        self.grid, self.eps, self.jobs, self.rows, self.trace = grid, eps, jobs, rows, trace
+        self.t, self.edge, self.tail, self.h, self._spec = 0.0, 0.0, 0.0, 0.0, None
         self.peaks, self._tables = np.zeros(2), None  # largest |V| and |k| stepped
         self.cells = np.zeros((len(rows), 2), np.intp) if trace is None else (
             np.rint(trace[1][0] / self.unit).astype(np.intp))
+        self.recentres = np.zeros(len(self.cells), np.intp)  # frame moves per row
         if trace is not None:
             self.rows = np.stack([coherent_state(x - a, p - b, eps, grid).values
                                   for (x, p), a, b in zip(trace[1][0], *self.frames)])
-            self._guard()
 
     @property
     def unit(self) -> np.ndarray:
@@ -383,41 +385,54 @@ class _Window:
     def frames(self):  # (a, b), or None in the zero frame
         return None if self.trace is None else (self.cells * self.unit).T
 
-    def _guard(self) -> None:
+    def _check(self, t: float) -> list:
+        """This window after a check at time t: [self], or the windows its rows regroup into."""
         n, w = self.grid.n_points, -(-self.grid.n_points // 20)
         dens = np.abs(self.rows) ** 2
-        edge = float(np.max(dens[:, :w].sum(1) + dens[:, -w:].sum(1))) * self.grid.dx
+        edge = (dens[:, :w].sum(1) + dens[:, -w:].sum(1)) * self.grid.dx
         self._spec = np.fft.fft(self.rows, axis=-1)
         power = np.abs(self._spec) ** 2
         top = np.abs(self.grid.k) * self.grid.dx > 7.0 * np.pi / 8.0
-        tail = float(np.max(power[:, top].sum(1) / power.sum(1)))
-        if max(edge, tail) <= _GUARD:
-            self.edge, self.tail = max(self.edge, edge), max(self.tail, tail)
-            return
-        if 2 * n > 2 ** 17 or not np.isfinite(edge + tail):
-            raise NumericsError(f"window guard fails at n={n}: edge {edge:.1e}, tail {tail:.1e}")
-        # in x: zero cells on both sides, L doubles; in k: zero modes, dx halves
-        grow_x = edge > _GUARD
-        self.rows = (np.pad(self.rows, ((0, 0), (n // 2, n // 2))) if grow_x
-                     else np.stack([upsample2(r) for r in self.rows]))
-        self.cells[:, int(grow_x)] *= 2
-        self.grid, self._tables = build_position_grid(
-            2 * n, (1 + grow_x) * self.grid.x_min, (1 + grow_x) * self.grid.x_max), None
-        self._guard()
+        tail = power[:, top].sum(1) / power.sum(1)
+        ok = np.maximum(edge, tail) <= _GUARD
+        if not ok.all() and (2 * n > 2 ** 17 or not np.all(np.isfinite(edge + tail))):
+            raise NumericsError(f"window guard fails at n={n}: edge {edge.max():.1e}, "
+                                f"tail {tail.max():.1e}")
+        self.edge = max(self.edge, float(np.max(edge, where=ok, initial=0.0)))
+        self.tail = max(self.tail, float(np.max(tail, where=ok, initial=0.0)))
+        kind, parts = np.where(ok, -1, edge > _GUARD), []  # stays, or grows in k (0), x (1)
+        for g in np.unique(kind).tolist():
+            part, sel = (self, ...) if np.all(kind == g) else (copy.copy(self), kind == g)
+            for name in ("jobs", "rows", "_spec", "cells", "recentres"):
+                setattr(part, name, getattr(self, name)[sel])  # self[...]: this window
+            part.trace = (self.trace[0], self.trace[1][:, sel])
+            if g < 0:
+                part._reframe(t)
+                parts.append(part)
+                continue
+            # in x: zero cells on both sides, L doubles; in k: zero modes, dx halves
+            part.rows = (np.pad(part.rows, ((0, 0), (n // 2, n // 2))) if g
+                         else np.stack([upsample2(r) for r in part.rows]))
+            part.cells[:, g] *= 2
+            part.grid, part._tables = build_position_grid(
+                2 * n, (1 + g) * self.grid.x_min, (1 + g) * self.grid.x_max), None
+            parts += part._check(t)
+        return parts
 
     def _reframe(self, t: float) -> None:
         """Roll each frame that lags the centres at time t by _DRIFT cells onto them."""
         stops, centres = self.trace
-        i = np.clip(np.searchsorted(stops, t), 1, len(stops) - 1)
+        i = min(max(int(np.searchsorted(stops, t)), 1), len(stops) - 1)
         w = (t - stops[i - 1]) / (stops[i] - stops[i - 1])
         target = (1.0 - w) * centres[i - 1] + w * centres[i]
         move = np.rint(target / self.unit).astype(np.intp) - self.cells
         move[np.abs(move) < _DRIFT] = 0
-        if move[:, 1].any():
-            self.rows = np.fft.ifft(_roll_rows(self._spec, move[:, 1]), axis=-1)
-        self.rows = _roll_rows(self.rows, move[:, 0])
+        boost = move[:, 1] != 0  # only these leave x space and come back
+        if boost.any():
+            self.rows[boost] = np.fft.ifft(_roll_rows(self._spec[boost], move[boost, 1]), axis=-1)
+        self.rows, self._spec = _roll_rows(self.rows, move[:, 0]), None
         self.cells += move
-        self.recentres += int(np.count_nonzero(move))
+        self.recentres += np.count_nonzero(move, axis=1)
 
     def _step_factors(self, pot: PotentialSpec, h: float):
         """Per-row V(a + y) and eps*k + b factors, sliced from lab tables over the trace."""
@@ -435,42 +450,46 @@ class _Window:
         return (half_v[self.cells[:, :1] + (np.arange(n) - n // 2 - lo[0])],
                 kin[self.cells[:, 1:] + (q - lo[1])])
 
-    def advance(self, span: float, pot: PotentialSpec, dt: float) -> "_Window":
-        """This block moved on by span, in place, and returned."""
+    def advance(self, span: float, pot: PotentialSpec, dt: float, start: int = 0) -> list:
+        """This block moved on by span (from step start): [self] or its rows' new windows."""
         if self.trace is None:
             cfg = PropagatorConfig(dt=np.copysign(dt, span), t_final=abs(span))
             self.rows = propagate_rows(self.rows, self.eps, self.grid, pot, cfg)
-            return self
+            return [self]
         n, self.h = time_steps(span, dt)
-        for i in range(0, n, _CHECK):
+        for i in range(start, n, _CHECK):
             self.rows = _strang(self.rows, *self._step_factors(pot, self.h), min(_CHECK, n - i))
-            self._guard()
-            self._reframe(self.t + self.h * min(i + _CHECK, n))
+            parts = self._check(self.t + self.h * min(i + _CHECK, n))
+            if parts != [self]:  # this window's rows have all left it
+                self.rows = self._spec = None
+                return [q for p in parts for q in p.advance(span, pot, dt, i + _CHECK)]
         self.t += span
-        return self
+        return [self]
 
 
 def _walk_members(blocks, times, pot: PotentialSpec, dt: float):
-    """Yield (t, j0, block): members j0, j0 + 1, ... as the _Window block at t.
+    """Yield (t, jobs, block): the _Window block holds members jobs at t.
 
-    Each block, standing at t = 0, moves in place through the times by
-    _evolve_at; a row whose ||psi||^2 is more than 1e-6 off 1 raises NumericsError.
-    The framed blocks' resolution is checked once, after the walk, at the
-    largest |V(a + y)| and |k + b/eps| stepped (fixed blocks check their own).
+    Each block, standing at t = 0, moves through the times by _evolve_at,
+    together with the windows its rows regroup into; a row whose ||psi||^2
+    is more than 1e-6 off 1 raises NumericsError. The framed windows'
+    resolution is checked once, after the walk, at the largest |V(a + y)|
+    and |k + b/eps| stepped (fixed blocks check their own).
     """
-    j0, framed = 0, []
+    peaks = []  # (|V|, |k|, h) of each framed window at the last time
     for block in blocks:
-        for t, moved in _evolve_at(block, times,
-                                   lambda b, span: b.advance(span, pot, dt)):
-            n2 = np.sum(np.abs(moved.rows) ** 2, axis=1) * moved.grid.dx
-            if not np.all(np.abs(n2 - 1.0) <= 1e-6):
-                raise NumericsError(f"t={t:g}: a member lost its norm, "
-                                    f"||psi||^2 = {n2.tolist()}")
-            yield t, j0, moved
-        j0 += len(block.rows)
-        framed += [block] if block.trace is not None else []
-    if framed:
-        _check_resolution(*np.array([b.peaks for b in framed]).T, framed[0].eps, framed[0].h)
+        family = [block]
+        for t, family in _evolve_at(family, times, lambda fam, span: [
+                p for b in fam for p in b.advance(span, pot, dt)]):
+            for moved in family:
+                n2 = np.sum(np.abs(moved.rows) ** 2, axis=1) * moved.grid.dx
+                if not np.all(np.abs(n2 - 1.0) <= 1e-6):
+                    raise NumericsError(f"t={t:g}: a member lost its norm, "
+                                        f"||psi||^2 = {n2.tolist()}")
+                yield t, moved.jobs, moved
+        peaks += [(*b.peaks, b.h) for b in family if b.trace is not None]
+    if peaks:  # every window of a walk shares eps and h
+        _check_resolution(*np.array(peaks)[:, :2].T, block.eps, peaks[0][2])
 
 
 def _transport(pot: PotentialSpec, eps_mollify: float, dt: float,
@@ -571,9 +590,9 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
         for eps in cfg.eps_ladder:
             blocks, masses, _, _ = _windows(cfg, eps, pot, times, jobs)
             chi_q = dict.fromkeys(times, 0.0)  # the mixture's, summed block by block
-            for t, j0, blk in _walk_members(blocks, times, pot, cfg.dt):
-                chi_q[t] += _char_rows(blk.rows, masses[:1, j0:j0 + len(blk.rows)],
-                                       eps, blk.grid, blk.frames)[0]
+            for t, jobs_at, blk in _walk_members(blocks, times, pot, cfg.dt):
+                chi_q[t] += _char_rows(blk.rows, masses[:1, jobs_at], eps, blk.grid,
+                                       blk.frames)[0]
             raw = _evolve_at(datum, times, _transport(pot, 0.0, cfg.dt_classical))
             moll = _evolve_at(datum, times, _transport(pot, eps, cfg.dt_classical,
                                                        field_grid=field_grid))
@@ -690,15 +709,15 @@ def _split_profiles(cfg: ExperimentConfig) -> dict:
 
 
 def _windows(cfg: ExperimentConfig, eps: float, pot: PotentialSpec, times, jobs: list):
-    """Jobs (x, p, mass, mirror mass) as _walk_members blocks of co-moving
-    windows, their (mass, mirror mass) rows in block order, and max |x|, |p|.
+    """Jobs (x, p, mass, mirror mass) as _walk_members blocks, one co-moving
+    window per (dx, n) grid, the (mass, mirror mass) rows by job, and max |x|, |p|.
 
     A ring of 64 points at 4 sigma about each centre, all traced as one
-    cloud, gives each window its trace (the centres at the ring's stops)
-    and size: 1.5 times the ring's reach plus one check's move, in x and in
+    cloud, gives each job its trace (its centre at the ring's stops) and
+    size: 1.5 times the ring's reach plus one check's move, in x and in
     p = pi*eps/dx, _DRIFT cells spare and sigma in _SIGMA_CELLS cells. A
     window as long as the domain or its grid (the finest dx, holding
-    coherent_state's momentum window) runs there in a fixed block, last.
+    coherent_state's momentum window) runs there in fixed blocks, last.
     """
     x0, p0 = np.array([job[:2] for job in jobs]).T
     z = 4.0 * np.sqrt(eps / 2.0) * np.r_[0.0, np.exp(2j * np.pi * np.arange(64) / 64)]
@@ -731,18 +750,18 @@ def _windows(cfg: ExperimentConfig, eps: float, pot: PotentialSpec, times, jobs:
 
     def blocks():
         for (on_domain, d, m), group in itertools.groupby(order, keys.__getitem__):
-            group = list(group)
+            group = np.array(list(group))
+            if not on_domain:  # checked at t = 0: rows may regroup already
+                grid = build_position_grid(m, -0.5 * m * d, 0.5 * m * d)
+                yield from _Window(grid, eps, group, trace=(
+                    stops, centres[:, :, group].transpose(0, 2, 1)))._check(0.0)
+                continue
+            grid = build_position_grid(m, cfg.x_min, cfg.x_max)
             for part in (group[lo:lo + _ROWS] for lo in range(0, len(group), _ROWS)):
-                if not on_domain:
-                    grid = build_position_grid(m, -0.5 * m * d, 0.5 * m * d)
-                    yield _Window(grid, eps,
-                                  trace=(stops, centres[:, :, part].transpose(0, 2, 1)))
-                    continue
-                grid = build_position_grid(m, cfg.x_min, cfg.x_max)
-                yield _Window(grid, eps, np.stack([coherent_state(x0[j], p0[j], eps, grid)
-                                                   .values for j in part]))
+                yield _Window(grid, eps, part, np.stack([
+                    coherent_state(x0[j], p0[j], eps, grid).values for j in part]))
 
-    return blocks(), np.array([jobs[j][2:] for j in order]).T, float(max_x), float(max_p)
+    return blocks(), np.array([job[2:] for job in jobs]).T, float(max_x), float(max_p)
 
 
 def _mirror_jobs(lattice: AtomicMeasure) -> list:
@@ -802,7 +821,6 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
             husimi_dists = {t: [] for t in times}
             for eps in cfg.eps_ladder:
                 jobs = _mirror_jobs(lattice := concentration_lattice(profile, eps, cfg.n_side))
-                # (self, mirror) masses in the order of the blocks
                 blocks, masses, max_x, max_p = _windows(cfg, eps, pot, times, jobs)
                 # the raster is only summed: the resolution rule alone sizes it
                 n_grid = 2 * (int(length / profile.resolution(eps)[0]) // 2 + 1)
@@ -810,9 +828,9 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                     n_grid, cfg.x_min, cfg.x_max), build_position_grid(512, -1.0, 1.0)), lattice)
                 chi_acc, right_left = dict.fromkeys(times, 0.0), dict.fromkeys(times, 0.0)
                 xseps = {t: branch.X(t) / 2.0 for t in times}
-                wins = {}  # j0: the block at the last sample time
-                for t, j0, blk in _walk_members(blocks, times, pot, cfg.dt):
-                    w_self, w_mirror = masses[:, j0:j0 + len(blk.rows)]
+                last = []  # (n, recentres, edge, tail) per row at the last time
+                for t, jobs_at, blk in _walk_members(blocks, times, pot, cfg.dt):
+                    w_self, w_mirror = masses[:, jobs_at]
                     chi_self, chi_mirror = _char_rows(blk.rows, (w_self, w_mirror),
                                                       eps, blk.grid, blk.frames)
                     chi_acc[t] += chi_self + np.conj(chi_mirror)
@@ -824,13 +842,12 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                         :, blk.cells[:, :1] - lo + np.arange(n)]
                     half = np.sum(weights * np.abs(blk.rows) ** 2, axis=-1) * blk.grid.dx
                     right_left[t] += half @ w_self + half[::-1] @ w_mirror
-                    wins[j0] = blk
-                rows_n = sorted(b.grid.n_points for b in wins.values() for _ in b.rows)
+                    if t == times[-1]:
+                        last += [(n, r, blk.edge, blk.tail) for r in blk.recentres.tolist()]
+                rows_n, moves, edges, tails = zip(*sorted(last))
                 mid = (rows_n[(len(rows_n) - 1) // 2] + rows_n[len(rows_n) // 2]) / 2
-                window = {"window_n": [rows_n[0], mid, rows_n[-1]],
-                          "recentres": sum(b.recentres for b in wins.values()),
-                          "max_edge_mass": max(b.edge for b in wins.values()),
-                          "max_spectral_tail": max(b.tail for b in wins.values())}
+                window = {"window_n": [rows_n[0], mid, rows_n[-1]], "recentres": sum(moves),
+                          "max_edge_mass": max(edges), "max_spectral_tail": max(tails)}
                 per_eps = {"eps": eps, "n_grid": n_grid, "lam": rc.lam,
                            "l2_gap": rc.l2_gap, "target_mass": rc.target_mass,
                            "max_classical_p": max_p, "max_classical_x": max_x,
@@ -923,10 +940,10 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
             sups = [0.0] * len(ens.members)
             rows = np.stack([s.values for _, s in ens.members])
             for times in walks:  # each walk from t = 0, on blocks of its own
-                blocks = (_Window(grid, eps, rows[i:i + _ROWS])
-                          for i in range(0, len(rows), _ROWS))
-                for t, j0, blk in _walk_members(blocks, times, pot, cfg.dt):
-                    for idx, row in enumerate(blk.rows, j0):
+                blocks = (_Window(grid, eps, np.arange(i, min(i + _ROWS, len(rows))),
+                                  rows[i:i + _ROWS]) for i in range(0, len(rows), _ROWS))
+                for t, jobs_at, blk in _walk_members(blocks, times, pot, cfg.dt):
+                    for idx, row in zip(jobs_at.tolist(), blk.rows):
                         # one atom of the moved family: char_function drops its mass
                         atom = AtomicMeasure(moved[t].atoms[idx:idx + 1])
                         d = weak_distance(WaveFunction(row, eps, grid), atom,

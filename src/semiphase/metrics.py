@@ -73,36 +73,28 @@ def _char_rows(rows, weights, eps: float, grid, frames=None) -> np.ndarray:
 
     rows is an (M, N) block or a sequence of (N,) states on grid at eps,
     weights is (K, M), and the result is (K, 33, 33). Each row is shifted
-    once and added into all K integrands; one kernel matmul covers them.
-    Row j of the shift table gives psi(x - eps*eta_j/2); NODES is
-    symmetric, so row 32 - j is psi(x + eps*eta_j/2). Only eta <= 0 is
-    computed: chi(xi, -eta) = conj(chi(-xi, eta)) fills the rest.
+    once and reduced by its own kernel matmul right after, so memory does
+    not grow with M. Row j of the shift table gives psi(x - eps*eta_j/2);
+    NODES is symmetric, so row 32 - j is psi(x + eps*eta_j/2). Only eta <= 0
+    is computed: chi(xi, -eta) = conj(chi(-xi, eta)) fills the rest.
 
     frames = (a, b) reads row j as phi_j of e^{i b_j (x - a_j)/eps} phi_j(x - a_j),
-    whose integral is e^{-i(xi a_j + b_j eta)} times phi_j's (summed after it).
+    whose integral is e^{-i(xi a_j + b_j eta)} times phi_j's.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    phases = _unit_powers(NODES * (eps / 2.0), grid.k)
+    phases, kernel = _unit_powers(NODES * (eps / 2.0), grid.k), _unit_powers(NODES, grid.nodes)
     half = _ORIGIN + 1
-    integrand = np.zeros((weights.shape[frames is not None], half, grid.n_points), complex)
+    lo = np.zeros((len(weights), NODES.size, half), complex)
     for i, (row, w_row) in enumerate(zip(rows, weights.T)):
         shifted = np.fft.fft(row) * phases
         np.fft.ifft(shifted, axis=1, out=shifted)
         pair = np.conj(shifted[:-half - 1:-1])
         pair *= shifted[:half]
         del shifted  # one (33, N) shift at a time beside the two tables
+        row_lo = (kernel @ pair.T) * grid.dx
         if frames is not None:
-            integrand[i] = pair
-            continue
-        for acc, w in zip(integrand, w_row):
-            acc += w * pair
-    kernel = _unit_powers(NODES, grid.nodes)
-    lo = (kernel @ integrand.reshape(-1, grid.n_points).T) * grid.dx
-    lo = lo.reshape(NODES.size, len(integrand), half).transpose(1, 0, 2)
-    if frames is not None:
-        a, b = (np.asarray(f, dtype=np.float64)[:, None, None] for f in frames)
-        lo *= np.exp(-1j * (a * NODES[:, None] + b * NODES[:half]))
-        lo = (weights @ lo.reshape(len(lo), -1)).reshape(-1, NODES.size, half)
+            row_lo *= np.exp(-1j * (frames[0][i] * NODES[:, None] + frames[1][i] * NODES[:half]))
+        lo += w_row[:, None, None] * row_lo
     return np.concatenate([lo, np.conj(lo[:, ::-1, -2::-1])], axis=2)
 
 

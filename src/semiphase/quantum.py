@@ -1,12 +1,12 @@
 """Scaled quantum propagation  i*eps dpsi/dt = (-(eps^2/2) Lap + V) psi.
 
 Strang split-step spectral stepping. One loop, _strang, steps (N,) or
-(M, N) arrays along the last axis: propagate_rows gives it fixed-grid
-factors (propagate wraps that for a WaveFunction; RandomFamily steps
-row blocks), and the co-moving windows of ConcentrationSplit and
-WeakConvergence (experiments._Window) per-row factors in each row's
-frame. The kinetic factor 1/2 makes the classical symbol k^2/2 and the
-transport drift k, matching X' = P classically.
+(M, N) arrays along the last axis, each row as if alone: propagate_rows
+gives it fixed-grid factors (propagate wraps that for a WaveFunction;
+RandomFamily steps row blocks), and the co-moving windows of
+ConcentrationSplit and WeakConvergence (experiments._Window, one per
+window grid) per-row factors in each row's frame. The kinetic factor 1/2
+makes the classical symbol k^2/2 and the transport drift k, matching X' = P.
 """
 from __future__ import annotations
 

@@ -498,11 +498,13 @@ def _block_sizes(members: int) -> list:
 def test_experiments_step_members_in_row_blocks(monkeypatch, name):
     # RandomFamily: one propagate_rows call per block of _ROWS members and
     # sample time. ConcentrationSplit: every mirror job is stepped exactly
-    # once per sample time, in blocks of one window grid and at most _ROWS
-    # rows. Neither steps a member alone through propagate.
-    blocks, walks, advances = [], [], []
+    # once per sample time, in one window per (dx, n) grid of _windows plus
+    # the windows of rows that outgrew theirs. Neither steps a member alone
+    # through propagate.
+    blocks, walks, advances, born = [], [], [], []
     real = experiments.propagate_rows
     real_walk, real_advance = experiments._walk_members, _Window.advance
+    real_init = _Window.__init__
 
     def counting(rows, eps, grid, pot, cfg):
         blocks.append(rows.shape[0])
@@ -511,38 +513,56 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
     def refuse(*args):
         raise AssertionError("per-member propagate")
 
+    def recording_init(self, grid, eps, jobs, rows=None, trace=None):
+        # _windows builds each window from its grid's jobs: the grid they start on
+        born[-1].update((j, (grid.dx, grid.n_points)) for j in jobs.tolist())
+        real_init(self, grid, eps, jobs, rows, trace)
+
     def recording_walk(starts, walk_times, pot, dt):
         walks.append([])
-        for t, j0, blk in real_walk(starts, walk_times, pot, dt):
-            walks[-1].append((t, j0, blk.rows.shape))
-            yield t, j0, blk
+        born.append({})
+        for t, jobs, blk in real_walk(starts, walk_times, pot, dt):
+            walks[-1].append((t, jobs.tolist(), blk.rows.shape,
+                              (blk.grid.dx, blk.grid.n_points), blk.trace is not None))
+            yield t, jobs, blk
 
-    def recording_advance(self, span, pot, dt):
-        advances.append((self, span))  # the block itself: an id can be reused
-        return real_advance(self, span, pot, dt)
+    def recording_advance(self, span, pot, dt, start=0):
+        if start == 0:  # a window that stands at the span's start
+            advances.append((self, span))  # the block itself: an id can be reused
+        return real_advance(self, span, pot, dt, start)
 
     monkeypatch.setattr(experiments, "propagate_rows", counting)
     monkeypatch.setattr(experiments, "propagate", refuse)
     monkeypatch.setattr(experiments, "_walk_members", recording_walk)
     monkeypatch.setattr(_Window, "advance", recording_advance)
+    monkeypatch.setattr(_Window, "__init__", recording_init)
     cfg = defaults_for(name, **_PINNED[name])
     run_experiment(cfg)
     if name == "ConcentrationSplit":
         members = [len(_mirror_jobs(concentration_lattice(profile, eps, cfg.n_side)))
                    for profile in _split_profiles(cfg).values()
                    for eps in cfg.eps_ladder]
-        assert max(members) > _ROWS  # more than one block per rung
         assert len(walks) == len(members)
-        for yields, m in zip(walks, members):
+        for yields, m, grids in zip(walks, members, born):
+            assert sorted(grids) == list(range(m))
             for t in cfg.sample_times:
-                spans = sorted((j0, j0 + shape[0]) for s, j0, shape in yields if s == t)
-                # the blocks at t tile the jobs 0 .. m - 1, each job once
-                assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
-                assert spans[-1][1] == m
-            assert all(len(shape) == 2 and shape[0] <= _ROWS for *_, shape in yields)
-        # one advance per block and sample time (one time here: one span each)
-        assert len(advances) == sum(map(len, walks))
-        assert len(set(advances)) == len(advances)
+                at = [y for y in yields if y[0] == t]
+                # the blocks at t hold the jobs 0 .. m - 1, each job once
+                assert sorted(j for _, jobs, *_ in at for j in jobs) == list(range(m))
+                framed = [(grid, {grids[j] for j in jobs})
+                          for _, jobs, _, grid, on_window in at if on_window]
+                # a block's rows started on one window grid; those still on
+                # it share one block, and rows that outgrew it have more points
+                assert all(len(start) == 1 for _, start in framed)
+                kept = [grid for grid, start in framed if {grid} == start]
+                assert len(kept) == len(set(kept))
+                assert all({grid} == start or grid[1] > n for grid, start in framed
+                           for _, n in start)
+            assert all(len(shape) == 2 for _, _, shape, *_ in yields)
+        assert max(len(jobs) for yields in walks for _, jobs, *_ in yields) > _ROWS
+        # one advance per window standing at the start of each span (one time here)
+        assert len(advances) == len(set(advances))
+        assert len(advances) <= sum(map(len, walks))
     else:
         members = [cfg.m_samples] * len(cfg.eps_ladder)
         n_walks = [sum(t > 0 for t in cfg.sample_times),
@@ -564,14 +584,14 @@ def test_weak_convergence_block_matches_the_member_ensemble(monkeypatch):
 
     def recording_walk(starts, walk_times, pot, dt):
         walks.append([])
-        for t, j0, blk in real_walk(starts, walk_times, pot, dt):
-            walks[-1].append((t, j0, len(blk.rows)))
+        for t, jobs, blk in real_walk(starts, walk_times, pot, dt):
+            walks[-1].append((t, jobs.tolist()))
             blocks.append(blk)
-            yield t, j0, blk
+            yield t, jobs, blk
 
-    def recording_advance(self, span, pot, dt):
+    def recording_advance(self, span, pot, dt, start=0):
         advances.append(span)
-        return real_advance(self, span, pot, dt)
+        return real_advance(self, span, pot, dt, start)
 
     def recording(chi_mu, chi_nu, heat_time=0.0):
         seen.append(chi_mu.copy())
@@ -590,11 +610,10 @@ def test_weak_convergence_block_matches_the_member_ensemble(monkeypatch):
     assert len(walks) == len(cfg.eps_ladder)
     for yields in walks:
         for t in times:
-            spans = sorted((j0, j0 + m) for s, j0, m in yields if s == t)
-            # the blocks at t tile the members 0 .. M - 1, each member once
-            assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
-            assert spans[-1][1] == members
-    # one advance per block and sample time, each block to the last time
+            # the blocks at t hold the members 0 .. M - 1, each member once
+            assert sorted(j for s, jobs in yields if s == t for j in jobs) == list(range(members))
+    # one advance per block and sample time (no row outgrows its window
+    # here), each block to the last time
     assert len(advances) == sum(map(len, walks))
     assert all(b.t == pytest.approx(times[-1]) for b in blocks)
     pot, datum = _potential(cfg), _mixture_datum(cfg)
@@ -621,14 +640,15 @@ def test_walk_members_checks_framed_resolution_once(monkeypatch):
     real = experiments._check_resolution
     monkeypatch.setattr(experiments, "_check_resolution",
                         lambda *args: checks.append(args) or real(*args))
-    cfg = defaults_for("WeakConvergence", sample_times=(0.05, 0.1))
+    cfg = defaults_for("WeakConvergence", sample_times=(0.25, 0.5))
     pot, (eps, times, dt) = _potential(cfg), (0.05, cfg.sample_times, cfg.dt)
     jobs = [(x, p, m, 0.0) for m, x, p in _mixture_datum(cfg).atoms.tolist()]
-    framed = list(experiments._windows(cfg, eps, pot, times, jobs)[0])
-    assert len(framed) > 1 and all(b.trace is not None for b in framed)
+    starts = list(experiments._windows(cfg, eps, pot, times, jobs)[0])
+    assert len({(b.grid.dx, b.grid.n_points) for b in starts}) > 1  # two grids or more
+    assert all(b.trace is not None for b in starts)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        list(_walk_members(framed, times, pot, dt))
+        framed = [b for t, _, b in _walk_members(starts, times, pot, dt) if t == times[-1]]
     ((v, k, eps_checked, h),) = checks
     assert np.array_equal(np.stack([v, k], axis=1), [b.peaks for b in framed])
     assert eps_checked == eps and h == framed[0].h == dt
@@ -639,7 +659,7 @@ def test_walk_members_checks_framed_resolution_once(monkeypatch):
     assert once  # these windows do warn
     checks.clear()
     grid = build_position_grid(256, -2.0, 2.0)
-    fixed = _Window(grid, 1e-2, coherent_state(0.3, 0.1, 1e-2, grid).values[None])
+    fixed = _Window(grid, 1e-2, np.arange(1), coherent_state(0.3, 0.1, 1e-2, grid).values[None])
     list(_walk_members([fixed], [0.02, 0.04], pot, 1e-3))
     assert checks == []
 
@@ -650,9 +670,10 @@ def test_walk_members_refuses_a_row_that_lost_its_norm(monkeypatch):
     rows = np.stack([coherent_state(x0, 0.1, eps, grid).values
                      for x0 in np.linspace(-0.5, 0.5, 5)])
     pot = experiments.rough_power_potential(0.5)
-    walk = [(t, j0, blk.rows.shape)
-            for t, j0, blk in _walk_members([_Window(grid, eps, rows)], [0.02, 0.04], pot, 1e-3)]
-    assert walk == [(0.02, 0, (5, 256)), (0.04, 0, (5, 256))]
+    block = lambda: [_Window(grid, eps, np.arange(5), rows)]
+    walk = [(t, jobs.tolist(), blk.rows.shape)
+            for t, jobs, blk in _walk_members(block(), [0.02, 0.04], pot, 1e-3)]
+    assert walk == [(0.02, [0, 1, 2, 3, 4], (5, 256)), (0.04, [0, 1, 2, 3, 4], (5, 256))]
     real = experiments.propagate_rows
 
     def scaled(rows, *args):
@@ -662,7 +683,7 @@ def test_walk_members_refuses_a_row_that_lost_its_norm(monkeypatch):
 
     monkeypatch.setattr(experiments, "propagate_rows", scaled)
     with pytest.raises(NumericsError, match="norm"):
-        list(_walk_members([_Window(grid, eps, rows)], [0.02], pot, 1e-3))
+        list(_walk_members(block(), [0.02], pot, 1e-3))
 
 
 # ------------------------------------------------------ co-moving windows
@@ -748,11 +769,10 @@ def test_reframe_keeps_the_lab_state():
     win_grid, _, (a, b), _, _ = _framed_pair(eps)
     x0, p0 = np.array([0.3, -0.21]), np.array([0.4, -0.1])
     centres = np.stack([np.stack([x0, p0], -1), np.stack([x0 + 0.02, p0 - 0.05], -1)])
-    win = _Window(win_grid, eps, trace=(np.array([0.0, 1.0]), centres))
+    win = _Window(win_grid, eps, np.arange(2), trace=(np.array([0.0, 1.0]), centres))
     before = _char_rows(win.rows, ((1.0, 1.0),), eps, win.grid, win.frames)
-    win._guard()
-    win._reframe(1.0)  # the centres at the second stop
-    assert win.recentres == 4  # both rows, in x and in k
+    assert win._check(1.0) == [win]  # re-framed onto the centres at the second stop
+    assert win.recentres.tolist() == [2, 2]  # both rows, in x and in k
     after = _char_rows(win.rows, ((1.0, 1.0),), eps, win.grid, win.frames)
     assert np.max(np.abs(after - before)) <= 1e-12
 
@@ -766,9 +786,9 @@ def test_undersized_window_grows_in_x_and_k():
     y = grid.nodes
     phi = np.exp(-(y - 0.01) ** 2 / (2 * eps) + 1j * 0.5 * y / eps)
     phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.dx)
-    win = _Window(grid, eps, phi[None])
-    win.trace = (np.zeros(1), np.zeros((1, 1, 2)))
-    win._guard()
+    win = _Window(grid, eps, np.arange(1), phi[None])
+    win.trace = (np.array([0.0, 1.0]), np.zeros((2, 1, 2)))
+    assert win._check(0.0) == [win]  # all its rows grew: the window grows in place
     assert win.grid.length > grid.length  # grew in x
     assert win.grid.dx < grid.dx  # grew in k
     assert win.edge <= 1e-6 and win.tail <= 1e-6
@@ -779,8 +799,8 @@ def test_undersized_window_grows_in_x_and_k():
 
 def test_windows_as_long_as_the_domain_run_on_it():
     # a long walk stretches the rings past the domain's length: those jobs
-    # run last, in fixed blocks on [x_min, x_max), and the blocks still
-    # tile the jobs
+    # run last, in fixed blocks of at most _ROWS on [x_min, x_max), the
+    # others in one window per grid, and the blocks still hold each job once
     eps, times = 1e-2, [3.0]
     cfg = defaults_for("ConcentrationSplit", eps_ladder=(eps,), sample_times=tuple(times),
                        n_side=7, x_min=-3.0, x_max=3.0)
@@ -791,8 +811,11 @@ def test_windows_as_long_as_the_domain_run_on_it():
     assert fixed and blocks[-len(fixed):] == fixed and len(fixed) < len(blocks)
     assert {(b.grid.x_min, b.grid.x_max) for b in fixed} == {(-3.0, 3.0)}
     assert all(b.frames is None and not b.cells.any() for b in fixed)
-    assert sum(len(b.rows) for b in blocks) == len(jobs) == masses.shape[1]
-    assert all(len(b.rows) <= _ROWS for b in blocks)
+    assert sorted(np.concatenate([b.jobs for b in blocks])) == list(range(len(jobs)))
+    assert len(jobs) == masses.shape[1]
+    assert all(len(b.rows) <= _ROWS for b in fixed)
+    framed = [(b.grid.dx, b.grid.n_points) for b in blocks if b.trace is not None]
+    assert len(framed) == len(set(framed))
 
 
 def _split_blocks(eps=1e-3, times=(0.096,)):
@@ -812,12 +835,12 @@ def test_window_clock_runs_on_across_sample_times():
     split, pot, dt = _split_blocks(times=times)
     straight, _, _ = _split_blocks(times=times)
     assert all(b.trace is not None for b in split)
-    list(_walk_members(split, times, pot, dt))
-    list(_walk_members(straight, times[1:], pot, dt))
-    assert sum(b.recentres for b in split) > 0
-    for a, b in zip(split, straight):
+    split = [b for t, _, b in _walk_members(split, times, pot, dt) if t == times[-1]]
+    straight = list(b for _, _, b in _walk_members(straight, times[1:], pot, dt))
+    assert sum(b.recentres.sum() for b in split) > 0
+    for a, b in zip(split, straight, strict=True):
         assert a.t == b.t == 0.096
-        assert np.array_equal(a.cells, b.cells) and a.recentres == b.recentres
+        assert np.array_equal(a.cells, b.cells) and np.array_equal(a.recentres, b.recentres)
         assert a.grid == b.grid
         assert np.max(np.abs(a.rows - b.rows)) <= 1e-12
 
@@ -825,13 +848,43 @@ def test_window_clock_runs_on_across_sample_times():
 def test_advance_moves_either_block_in_place():
     (win, *_), pot, dt = _split_blocks()
     grid = build_position_grid(256, -2.0, 2.0)
-    fixed = _Window(grid, 1e-2, coherent_state(0.3, 0.1, 1e-2, grid).values[None])
+    fixed = _Window(grid, 1e-2, np.arange(1), coherent_state(0.3, 0.1, 1e-2, grid).values[None])
     for blk in (fixed, win):
         start, cells = blk.rows.copy(), blk.cells.copy()
-        assert blk.advance(0.024, pot, dt) is blk
+        assert blk.advance(0.024, pot, dt) == [blk]
         assert blk.rows.shape == start.shape and not np.allclose(blk.rows, start)
     assert not fixed.cells.any() and fixed.frames is None
     assert win.t == 0.024 and not np.array_equal(win.cells, cells)
+
+
+def test_a_framed_row_moves_as_it_would_alone(monkeypatch):
+    # one window of 13 jobs and 13 one-row windows reach the same rows, bit
+    # for bit: a tighter guard makes some rows outgrow the window at
+    # different checks, and those regroup while the rest stay on it
+    monkeypatch.setattr(experiments, "_GUARD", 1e-9)
+    eps, times = 1e-2, (0.25, 0.5)
+    cfg = defaults_for("ConcentrationSplit", eps_ladder=(eps,), sample_times=times,
+                       n_side=7, dt=2e-3)
+    jobs = _mirror_jobs(concentration_lattice(_split_profiles(cfg)["even"], eps, cfg.n_side))
+    pot = _potential(cfg)
+    (win,) = experiments._windows(cfg, eps, pot, times, jobs)[0]  # all on one grid at t = 0
+    stops, centres = win.trace
+
+    def walk(blocks):  # job: (t, grid, cells, recentres, row) at the last time
+        return {j: (t, blk.grid, blk.cells[i], blk.recentres[i], blk.rows[i])
+                for t, on, blk in _walk_members(blocks, times, pot, cfg.dt)
+                for i, j in enumerate(on.tolist())}
+
+    together = walk([_Window(win.grid, eps, win.jobs, trace=win.trace)])
+    alone = walk([_Window(win.grid, eps, np.array([j]), trace=(stops, centres[:, i:i + 1]))
+                  for i, j in enumerate(win.jobs)])
+    grown = [j for j, (_, g, *_) in together.items() if g != win.grid]
+    assert 0 < len(grown) < len(jobs) == len(together) == len(alone)
+    for j, (t, g, cells, moves, row) in together.items():
+        t_alone, g_alone, cells_alone, moves_alone, row_alone = alone[j]
+        assert t == t_alone == times[-1] and g == g_alone
+        assert np.array_equal(cells, cells_alone) and moves == moves_alone
+        assert np.array_equal(row, row_alone)
 
 
 def test_windows_match_doubled_fixed_grids():

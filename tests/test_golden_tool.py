@@ -1,8 +1,9 @@
-"""tools/golden.py: capture writes only the experiments it is given."""
+"""tools/golden.py: capture and check act only on the experiments they are given."""
 
 import importlib.util
 import json
 import os
+import resource
 import sys
 from pathlib import Path
 
@@ -39,9 +40,37 @@ def test_capture_without_names_writes_all_seven(golden):
     assert sorted(p.stem for p in golden.GOLDEN_DIR.iterdir()) == sorted(golden.EXPERIMENTS)
 
 
-@pytest.mark.parametrize("argv", [["capture", "Nope"], ["check", "WeakConvergence"]])
-def test_capture_refuses_unknown_names_and_check_takes_none(golden, argv):
+@pytest.mark.parametrize("argv", [["capture", "Nope"], ["check", "WeakConvergence", "Nope"]])
+def test_capture_and_check_refuse_unknown_names(golden, argv):
     with pytest.raises(SystemExit) as exc:
         golden.main(argv)
     assert exc.value.code == 2
     assert not golden.GOLDEN_DIR.exists()
+
+
+def test_check_runs_only_the_named_experiments_with_peak_rss(golden, monkeypatch, capsys):
+    runs = []
+    record = {"passed": True, "warnings": ["w"], "records": {"d": 1.0}}
+    monkeypatch.setattr(golden, "run_default",
+                        lambda name: runs.append(name) or dict(record, experiment=name))
+    monkeypatch.setattr(golden, "peak_rss_mib", lambda: 63.6)
+    assert golden.main(["capture", "BranchAtlas", "HarmonicExact"]) == 0
+    capsys.readouterr()
+    runs.clear()
+    assert golden.main(["check", "HarmonicExact"]) == 0
+    assert runs == ["HarmonicExact"]
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("HarmonicExact: max_rel_dev 0 in ")
+    assert "s, peak RSS 63.6 MiB, warnings identical, passed identical" in line
+    # a moved record fails the check, and says so on its line
+    record["records"] = {"d": 1.5}
+    assert golden.main(["check", "BranchAtlas"]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("<-- FAIL")
+
+
+def test_peak_rss_is_this_process_in_mib(golden):
+    # ru_maxrss is in KiB on Linux, and a peak never falls
+    kib = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    before = kib()
+    got = golden.peak_rss_mib()
+    assert before / 1024.0 <= got <= kib() / 1024.0

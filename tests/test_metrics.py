@@ -206,23 +206,26 @@ def test_char_rows_self_and_mirror_sums(n):
 
 
 def test_char_rows_memory_is_tables_shift_and_integrands():
-    # rows are transformed one at a time: the peak is the two (33, N)
-    # tables, one row's (33, N) shift, K + 1 integrands of (17, N) and the
-    # output, never a shift per row of the block
+    # rows are shifted and reduced one at a time: the peak is the two
+    # (33, N) tables, one row's (33, N) shift, its (17, N) pair and the
+    # output, never a shift or an integrand per row of the block. The bound
+    # does not grow with M, framed (M = 145, a window grid's group) or not
     n, eps, k = 1232, 1e-2, 2
     g = build_position_grid(n, -2.0, 2.0)
-    rows = np.stack([coherent_state(x0, 0.1, eps, g).values
-                     for x0 in np.linspace(-0.8, 0.8, 16)])
-    weights = np.full((k, len(rows)), 1.0 / 16)
-    tracemalloc.start()
-    try:
-        out = _char_rows(rows, weights, eps, g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     table = 33 * n * np.dtype(complex).itemsize
     integrand = 17 * n * np.dtype(complex).itemsize
-    assert peak <= 3 * table + (k + 1) * integrand + out.nbytes, peak / table
+    for m, framed in ((16, False), (145, True)):
+        rows = np.stack([coherent_state(x0, 0.1, eps, g).values
+                         for x0 in np.linspace(-0.8, 0.8, m)])
+        weights = np.full((k, len(rows)), 1.0 / m)
+        frames = (np.linspace(-0.1, 0.1, m), np.linspace(0.2, -0.2, m)) if framed else None
+        tracemalloc.start()
+        try:
+            out = _char_rows(rows, weights, eps, g, frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * table + (k + 1) * integrand + out.nbytes, (m, peak / table)
 
 
 def test_char_is_one_at_origin_for_every_representation(grid):

@@ -3,15 +3,17 @@
 Usage (from the repository root):
 
     python3 tools/golden.py capture [NAME ...]
-    python3 tools/golden.py check
+    python3 tools/golden.py check [NAME ...]
 
 ``capture`` runs each named experiment's default config (all seven when
 none is named; ``defaults_for(name)``, no output directory) and writes
 ``golden/<name>.json`` with its records, warnings and verdict. ``check``
-re-runs all seven configs and prints, per experiment,
-``bench/records.py::max_rel_dev`` of the records against the golden
-file, whether the warnings and verdict are identical, and the run's
-wall seconds (the occasional full-defaults timing). It exits 1 when a
+re-runs the named configs (all seven when none is named) and prints, per
+experiment, ``bench/records.py::max_rel_dev`` of the records against the
+golden file, whether the warnings and verdict are identical, the run's
+wall seconds (the occasional full-defaults timing) and the process's
+peak RSS so far (``ru_maxrss``; one name per process measures that run
+alone). It exits 1 when a
 warning list or verdict differs or a deviation exceeds TOL, the
 tolerance for a refactor. A change that moves the numerics on purpose
 re-captures only the experiments it moved and lists what moved.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -59,9 +62,14 @@ def capture(names) -> int:
     return 0
 
 
-def check() -> int:
+def peak_rss_mib() -> float:
+    """This process's peak resident set so far; Linux reports KiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def check(names) -> int:
     status = 0
-    for name in EXPERIMENTS:
+    for name in names or EXPERIMENTS:
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
         start = time.perf_counter()
         result = run_default(name)
@@ -70,7 +78,8 @@ def check() -> int:
         same = {key: result[key] == golden[key] for key in ("warnings", "passed")}
         ok = dev <= TOL and all(same.values())
         status = status or (0 if ok else 1)
-        print(f"{name}: max_rel_dev {dev:.3g} in {wall:.1f} s, warnings "
+        print(f"{name}: max_rel_dev {dev:.3g} in {wall:.1f} s, peak RSS "
+              f"{peak_rss_mib():.1f} MiB, warnings "
               f"{'identical' if same['warnings'] else 'DIFFER'}, passed "
               f"{'identical' if same['passed'] else 'DIFFERS'}"
               f"{'' if ok else '  <-- FAIL'}", flush=True)
@@ -81,15 +90,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=("capture", "check"))
     parser.add_argument("names", nargs="*", metavar="NAME",
-                        help="experiments to capture (default: all seven)")
+                        help="experiments to capture or check (default: all seven)")
     args = parser.parse_args(argv)
-    if args.command == "check" and args.names:
-        parser.error("check takes no names: it checks all seven")
     unknown = [n for n in args.names if n not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiment(s) {', '.join(unknown)}; "
                      f"choose from {', '.join(EXPERIMENTS)}")
-    return capture(args.names) if args.command == "capture" else check()
+    return (capture if args.command == "capture" else check)(args.names)
 
 
 if __name__ == "__main__":
