@@ -844,6 +844,7 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                     right_left[t] += half @ w_self + half[::-1] @ w_mirror
                     if t == times[-1]:
                         last += [(n, r, blk.edge, blk.tail) for r in blk.recentres.tolist()]
+                del blk, weights  # the last window, freed before the next rung's raster
                 rows_n, moves, edges, tails = zip(*sorted(last))
                 mid = (rows_n[(len(rows_n) - 1) // 2] + rows_n[len(rows_n) // 2]) / 2
                 window = {"window_n": [rows_n[0], mid, rows_n[-1]], "recentres": sum(moves),
