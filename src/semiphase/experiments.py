@@ -409,14 +409,13 @@ class _Window:
             if g < 0:
                 part._reframe(t)
                 parts.append(part)
-                continue
-            # in x: zero cells on both sides, L doubles; in k: zero modes, dx halves
-            part.rows = (np.pad(part.rows, ((0, 0), (n // 2, n // 2))) if g
-                         else np.stack([upsample2(r) for r in part.rows]))
-            part.cells[:, g] *= 2
-            part.grid, part._tables = build_position_grid(
-                2 * n, (1 + g) * self.grid.x_min, (1 + g) * self.grid.x_max), None
-            parts += part._check(t)
+            else:  # in x: zero cells on both sides, L doubles; in k: zero modes, dx halves
+                part.rows = (np.pad(part.rows, ((0, 0), (n // 2, n // 2))) if g
+                             else np.stack([upsample2(r) for r in part.rows]))
+                part.cells[:, g] *= 2
+                part.grid, part._tables = build_position_grid(
+                    2 * n, (1 + g) * self.grid.x_min, (1 + g) * self.grid.x_max), None
+                parts += part._check(t)
         return parts
 
     def _reframe(self, t: float) -> None:

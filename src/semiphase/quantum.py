@@ -20,8 +20,13 @@ from .errors import (ConfigurationError, NumericsError, SemiphaseWarning,
 from .grids import PositionGrid, quadrature, time_steps
 from .potentials import PotentialSpec, evaluate
 
-__all__ = ["WaveFunction", "DensityEnsemble", "PropagatorConfig", "propagate",
-           "propagate_rows"]
+__all__ = [
+    "WaveFunction",
+    "DensityEnsemble",
+    "PropagatorConfig",
+    "propagate",
+    "propagate_rows",
+]
 
 
 @dataclass(frozen=True)
