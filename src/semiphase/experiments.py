@@ -40,8 +40,8 @@ from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
                          l2_norm, restrict_p, sup_norm, upsample2, wigner)
 from .potentials import (PotentialSpec, check_fourier_conditions, evaluate_at,
                          harmonic_potential, rough_power_potential)
-from .quantum import (PropagatorConfig, WaveFunction, _check_resolution, _strang,
-                      _strang_factors, propagate, propagate_rows)
+from .quantum import (PropagatorConfig, WaveFunction, _strang, _strang_factors,
+                      propagate, propagate_rows)
 from .states import (ConcentratingProfile, RandomFamilySpec, _coherent_margin,
                      _window_points, check_epsn_operator_bound,
                      coherent_mixture, coherent_state, concentration_lattice,
@@ -146,7 +146,8 @@ class ExperimentConfig:
             raise ConfigurationError("eps_ladder entries must lie in (0, 1)")
         if not _strictly_decreasing(self.eps_ladder):
             raise ConfigurationError("eps_ladder must be strictly decreasing")
-        for name in ("dt", "dt_classical", "shadow_dt", "p_window", "box_area"):
+        for name in ("dt", "dt_classical", "shadow_dt", "p_window", "box_area",
+                     "datum_sigma"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigurationError(
                     f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -170,6 +171,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"datum_k must be odd and >= 1, got {self.datum_k}")
         if self.n_side < 3 or self.n_side % 2 == 0:
             raise ConfigurationError(f"n_side must be odd and >= 3, got {self.n_side}")
+        if self.seed < 0:  # numpy's generators refuse it mid-run otherwise
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -363,13 +366,14 @@ class _Window:
     by kind, for windows of their own, doubled by exact padding until they
     pass. Then each frame that lags the centres interpolated at the check's
     time by _DRIFT cells rolls onto them in x and k (exact). A row thus
-    moves as it would alone, whichever rows share its window.
+    moves as it would alone, whichever rows share its window. The guard is
+    the window's resolution check; its V and k tables span the whole trace,
+    cells where no row has mass included, so their maxima say nothing.
     """
 
     def __init__(self, grid: PositionGrid, eps: float, jobs, rows=None, trace=None):
         self.grid, self.eps, self.jobs, self.rows, self.trace = grid, eps, jobs, rows, trace
-        self.t, self.edge, self.tail, self.h, self._spec = 0.0, 0.0, 0.0, 0.0, None
-        self.peaks, self._tables = np.zeros(2), None  # largest |V| and |k| stepped
+        self.t, self.edge, self.tail, self._spec, self._tables = 0.0, 0.0, 0.0, None, None
         self.cells = np.zeros((len(rows), 2), np.intp) if trace is None else (
             np.rint(trace[1][0] / self.unit).astype(np.intp))
         self.recentres = np.zeros(len(self.cells), np.intp)  # frame moves per row
@@ -411,7 +415,7 @@ class _Window:
                 parts.append(part)
             else:  # in x: zero cells on both sides, L doubles; in k: zero modes, dx halves
                 part.rows = (np.pad(part.rows, ((0, 0), (n // 2, n // 2))) if g
-                             else np.stack([upsample2(r) for r in part.rows]))
+                             else upsample2(part.rows))
                 part.cells[:, g] *= 2
                 part.grid, part._tables = build_position_grid(
                     2 * n, (1 + g) * self.grid.x_min, (1 + g) * self.grid.x_max), None
@@ -442,7 +446,6 @@ class _Window:
             hi = cells.max(axis=(0, 1)).astype(np.intp) + n // 2 + 2
             v = evaluate_at(pot, self.grid.dx * np.arange(lo[0], hi[0]))
             k = self.unit[1] / self.eps * np.arange(lo[1], hi[1])
-            self.peaks = np.maximum(self.peaks, [np.max(np.abs(v)), np.max(np.abs(k))])
             self._tables = (h, lo, *_strang_factors(v, k, self.eps, h))
         _, lo, half_v, kin = self._tables
         q = np.rint(self.grid.k * self.eps / self.unit[1]).astype(np.intp)
@@ -455,10 +458,10 @@ class _Window:
             cfg = PropagatorConfig(dt=np.copysign(dt, span), t_final=abs(span))
             self.rows = propagate_rows(self.rows, self.eps, self.grid, pot, cfg)
             return [self]
-        n, self.h = time_steps(span, dt)
+        n, h = time_steps(span, dt)
         for i in range(start, n, _CHECK):
-            self.rows = _strang(self.rows, *self._step_factors(pot, self.h), min(_CHECK, n - i))
-            parts = self._check(self.t + self.h * min(i + _CHECK, n))
+            self.rows = _strang(self.rows, *self._step_factors(pot, h), min(_CHECK, n - i))
+            parts = self._check(self.t + h * min(i + _CHECK, n))
             if parts != [self]:  # this window's rows have all left it
                 self.rows = self._spec = None
                 return [q for p in parts for q in p.advance(span, pot, dt, i + _CHECK)]
@@ -471,14 +474,11 @@ def _walk_members(blocks, times, pot: PotentialSpec, dt: float):
 
     Each block, standing at t = 0, moves through the times by _evolve_at,
     together with the windows its rows regroup into; a row whose ||psi||^2
-    is more than 1e-6 off 1 raises NumericsError. The framed windows'
-    resolution is checked once, after the walk, at the largest |V(a + y)|
-    and |k + b/eps| stepped (fixed blocks check their own).
+    is more than 1e-6 off 1 raises NumericsError. The framed windows' guard
+    (_Window._check) and this norm check are the walk's only numerical checks.
     """
-    peaks = []  # (|V|, |k|, h) of each framed window at the last time
     for block in blocks:
-        family = [block]
-        for t, family in _evolve_at(family, times, lambda fam, span: [
+        for t, family in _evolve_at([block], times, lambda fam, span: [
                 p for b in fam for p in b.advance(span, pot, dt)]):
             for moved in family:
                 n2 = np.sum(np.abs(moved.rows) ** 2, axis=1) * moved.grid.dx
@@ -486,9 +486,6 @@ def _walk_members(blocks, times, pot: PotentialSpec, dt: float):
                     raise NumericsError(f"t={t:g}: a member lost its norm, "
                                         f"||psi||^2 = {n2.tolist()}")
                 yield t, moved.jobs, moved
-        peaks += [(*b.peaks, b.h) for b in family if b.trace is not None]
-    if peaks:  # every window of a walk shares eps and h
-        _check_resolution(*np.array(peaks)[:, :2].T, block.eps, peaks[0][2])
 
 
 def _transport(pot: PotentialSpec, eps_mollify: float, dt: float,
@@ -900,13 +897,6 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
 # RandomFamily
 
 
-def _family_spec(cfg: ExperimentConfig) -> RandomFamilySpec:
-    return RandomFamilySpec(law=cfg.law, center=(0.0, 0.0),
-                            scale=tuple(cfg.law_scale),
-                            m_samples=cfg.m_samples, seed=cfg.seed,
-                            min_separation=cfg.min_separation)
-
-
 def run_random_family(cfg: ExperimentConfig) -> RunManifest:
     """Averaged sup-distance between sampled quantum and classical paths.
 
@@ -921,7 +911,9 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
         grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-        family = random_family(_family_spec(cfg))
+        family = random_family(RandomFamilySpec(
+            law=cfg.law, scale=cfg.law_scale, m_samples=cfg.m_samples, seed=cfg.seed,
+            min_separation=cfg.min_separation))
 
         avg_rows, sample_rows = [], []
         averages, ratios = [], []
@@ -980,8 +972,6 @@ def _probe_atoms(cfg: ExperimentConfig, eps: float) -> AtomicMeasure:
         offs = half * (2.0 * np.arange(m_side) + 1.0 - m_side) / m_side
         w = 1.0 / m_side ** 2
         return AtomicMeasure([(w, x0, p0) for x0 in offs for p0 in offs])
-    if cfg.probe_family == "density":
-        return random_family(_family_spec(cfg))
     raise ConfigurationError(f"unknown probe family {cfg.probe_family!r}")
 
 

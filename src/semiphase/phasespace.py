@@ -127,20 +127,20 @@ def build_wigner_grid(x_grid: PositionGrid, eps: float) -> PhaseGrid:
 
 
 def upsample2(psi: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation onto the half-step lattice (2N points).
+    """Trigonometric interpolation onto the half-step lattice (2N points),
+    along the last axis: an (M, N) block gives its rows' (M, 2N) results.
 
     The Nyquist bin is split evenly between +-N/2 frequencies so real
     inputs stay real and the refined samples interpolate the originals.
     """
-    n = psi.size
-    spec = np.fft.fft(psi)
+    n = psi.shape[-1]
+    spec = np.fft.fft(psi, axis=-1)
     h = n // 2
-    fine = np.zeros(2 * n, dtype=np.complex128)
-    fine[:h] = spec[:h]
-    fine[h] = 0.5 * spec[h]
-    fine[2 * n - h] = 0.5 * spec[h]
-    fine[2 * n - h + 1:] = spec[h + 1:]
-    return 2.0 * np.fft.ifft(fine)
+    fine = np.zeros((*psi.shape[:-1], 2 * n), dtype=np.complex128)
+    fine[..., :h] = spec[..., :h]
+    fine[..., h] = fine[..., 2 * n - h] = 0.5 * spec[..., h]
+    fine[..., 2 * n - h + 1:] = spec[..., h + 1:]
+    return 2.0 * np.fft.ifft(fine, axis=-1)
 
 
 def _support_checks(state: WaveFunction) -> None:

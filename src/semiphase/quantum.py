@@ -10,13 +10,11 @@ makes the classical symbol k^2/2 and the transport drift k, matching X' = P.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigurationError, NumericsError, SemiphaseWarning,
-                     ShapeMismatchError)
+from .errors import ConfigurationError, NumericsError, ShapeMismatchError
 from .grids import PositionGrid, quadrature, time_steps
 from .potentials import PotentialSpec, evaluate
 
@@ -109,18 +107,6 @@ class PropagatorConfig:
             raise ConfigurationError(f"t_final must be finite and >= 0, got {self.t_final}")
 
 
-def _check_resolution(v: np.ndarray, k: np.ndarray, eps: float, dt: float) -> None:
-    """Warn when max|v| or the largest wavenumber turns a phase past pi/4 per step."""
-    pot_phase = float(np.max(np.abs(v))) * abs(dt) / eps
-    kin_phase = 0.5 * eps * float(np.max(np.abs(k))) ** 2 * abs(dt)
-    if pot_phase > np.pi / 4:
-        warnings.warn(f"potential phase {pot_phase:.2f} rad/step exceeds pi/4",
-                      SemiphaseWarning)
-    if kin_phase > np.pi / 4:
-        warnings.warn(f"kinetic phase {kin_phase:.2f} rad/step at Nyquist exceeds pi/4",
-                      SemiphaseWarning)
-
-
 def _strang_factors(v: np.ndarray, k: np.ndarray, eps: float, h: float):
     """_strang's half-step potential and full-step kinetic factors at step h."""
     return np.exp(-0.5j * v * h / eps), np.exp(-1j * 0.5 * eps * k ** 2 * h)
@@ -163,7 +149,6 @@ def propagate_rows(rows: np.ndarray, eps: float, grid: PositionGrid,
     psi = _strang(rows, *_strang_factors(v, grid.k, eps, h), n_steps)
     if not np.all(np.isfinite(psi.view(np.float64))):
         raise NumericsError("propagation produced non-finite values")
-    _check_resolution(v, grid.k, eps, h)
     return psi
 
 

@@ -282,8 +282,7 @@ def _realization_gap(profile: ConcentratingProfile, lam: float, eps: float,
 class RandomFamilySpec:
     """Seeded sampling law for phase-space points.
 
-    laws: 'gaussian' (center, scale = per-axis sigmas), 'uniform_box'
-    (center, scale = per-axis half-widths), 'point' (delta at center),
+    laws: 'gaussian' (center, scale = per-axis sigmas) and
     'hardcore_gaussian' (gaussian thinned to pairwise separation >=
     min_separation, a hard-core point process; keeps small fixed-size
     families inside the eps^n operator-bound regime where iid clusters
@@ -298,27 +297,19 @@ class RandomFamilySpec:
     min_separation: float = 0.3
 
     def __post_init__(self):
-        if self.law not in ("gaussian", "uniform_box", "point",
-                            "hardcore_gaussian"):
+        if self.law not in ("gaussian", "hardcore_gaussian"):
             raise ConfigurationError(f"unknown sampling law {self.law!r}")
         if self.m_samples < 1:
             raise ConfigurationError("m_samples must be >= 1")
-        if self.law != "point" and (self.scale[0] <= 0 or self.scale[1] <= 0):
+        if self.scale[0] <= 0 or self.scale[1] <= 0:
             raise ConfigurationError("scale must be positive")
         if self.law == "hardcore_gaussian" and self.min_separation <= 0:
             raise ConfigurationError("min_separation must be positive")
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         cx, cp = self.center
-        m = self.m_samples
-        if self.law == "point":
-            return np.tile([cx, cp], (m, 1))
-        if self.law == "gaussian":
-            pts = rng.standard_normal((m, 2))
-        elif self.law == "hardcore_gaussian":
-            pts = self._draw_hardcore(rng)
-        else:
-            pts = rng.uniform(-1.0, 1.0, (m, 2))
+        pts = (rng.standard_normal((self.m_samples, 2)) if self.law == "gaussian"
+               else self._draw_hardcore(rng))
         return np.stack([cx + self.scale[0] * pts[:, 0],
                          cp + self.scale[1] * pts[:, 1]], axis=1)
 

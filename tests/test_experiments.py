@@ -22,7 +22,7 @@ from semiphase.experiments import (
 )
 from semiphase.classical import transport_particles
 from semiphase import experiments
-from semiphase.errors import NumericsError
+from semiphase.errors import NumericsError, SemiphaseWarning
 from semiphase.experiments import (_ROWS, _Emitter, _Window, _evolve_at, _h2_norm,
                                    _halfplane_weights, _mirror_jobs, _mixture_datum,
                                    _potential, _roll_rows, _sample_walks,
@@ -88,9 +88,13 @@ def test_config_validation():
     assert (cfg.dt, cfg.grid_n, cfg.seed) == (0.001, 256, 3)
     assert cfg.datum_center == (1.5, 0.0)
     assert type(cfg.grid_n) is int and type(cfg.seed) is int
+    # seed=-1 reached numpy's ValueError mid-run; datum_sigma=-0.3 ran on a
+    # mirrored lattice and 0 divided by zero
     for field, bad in [("dt", "fast"), ("dt", True), ("grid_n", 256.5),
                        ("grid_n", False), ("datum_center", ["1.5", None]),
-                       ("eps_ladder", 0.05), ("theta", None)]:
+                       ("eps_ladder", 0.05), ("theta", None), ("seed", -1),
+                       ("datum_sigma", -0.3), ("datum_sigma", 0.0),
+                       ("datum_sigma", float("nan"))]:
         with pytest.raises(ConfigurationError, match=field):
             defaults_for("HarmonicExact", **{field: bad})
 
@@ -121,6 +125,9 @@ def test_run_rejects_bad_grid_and_theta(tmp_path):
     with pytest.raises(ConfigurationError):
         run_experiment(defaults_for("L2MollifiedRate", sample_times=(-0.1,),
                                     out_dir=str(tmp_path / "r")))
+    # "density" is a deleted probe family: no experiment ran it
+    with pytest.raises(ConfigurationError, match="probe family"):
+        run_experiment(defaults_for("ConjectureProbe", probe_family="density"))
 
 
 def test_harmonic_rejects_eps_ladder():
@@ -183,8 +190,8 @@ def test_run_harmonic_small(tmp_path):
 
 
 def test_harmonic_failed_gate_warns(tmp_path):
-    # dt=0.05 misses the 1e-4 bound: the failure is named in the manifest
-    # next to the two pi/4 phase warnings, as in the other gated drivers
+    # dt=0.05 misses the 1e-4 bound: the failure is named in the manifest,
+    # as in the other gated drivers
     man = run_experiment(defaults_for("HarmonicExact", grid_n=256, dt=0.05,
                                       out_dir=str(tmp_path / "f")))
     err = man.records["max_l2_error"]
@@ -348,6 +355,9 @@ def test_cli_bad_grid_exit_2(tmp_path):
     ("ConjectureProbe", "box_area", -1),
     ("ConjectureProbe", "box_area", 0),
     ("ConjectureProbe", "box_area", float("inf")),
+    ("RandomFamily", "seed", -1),
+    ("WeakConvergence", "datum_sigma", -0.3),
+    ("WeakConvergence", "datum_sigma", 0),
 ])
 def test_cli_bad_pair_or_window_exit_2(tmp_path, capsys, experiment, field, bad):
     # these used to end in a traceback, or in a degenerate run
@@ -571,7 +581,6 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
                           for n_times in n_walks for _ in range(n_times)]
 
 
-@pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
 def test_weak_convergence_block_matches_the_member_ensemble(monkeypatch):
     # the mixture steps on co-moving windows only, each member once per
     # sample time, and sums its chi block by block: within 1e-6 of
@@ -631,37 +640,6 @@ def test_weak_convergence_block_matches_the_member_ensemble(monkeypatch):
     for raw, moll, chi in zip(seen[::2], seen[1::2], want):
         assert np.array_equal(raw, moll)
         assert np.max(np.abs(raw - chi)) <= 1e-6
-
-
-def test_walk_members_checks_framed_resolution_once(monkeypatch):
-    # framed blocks: one check per walk, at the largest peaks of them all;
-    # fixed blocks: propagate_rows checks each call, the walk adds none
-    checks = []
-    real = experiments._check_resolution
-    monkeypatch.setattr(experiments, "_check_resolution",
-                        lambda *args: checks.append(args) or real(*args))
-    cfg = defaults_for("WeakConvergence", sample_times=(0.25, 0.5))
-    pot, (eps, times, dt) = _potential(cfg), (0.05, cfg.sample_times, cfg.dt)
-    jobs = [(x, p, m, 0.0) for m, x, p in _mixture_datum(cfg).atoms.tolist()]
-    starts = list(experiments._windows(cfg, eps, pot, times, jobs)[0])
-    assert len({(b.grid.dx, b.grid.n_points) for b in starts}) > 1  # two grids or more
-    assert all(b.trace is not None for b in starts)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        framed = [b for t, _, b in _walk_members(starts, times, pot, dt) if t == times[-1]]
-    ((v, k, eps_checked, h),) = checks
-    assert np.array_equal(np.stack([v, k], axis=1), [b.peaks for b in framed])
-    assert eps_checked == eps and h == framed[0].h == dt
-    with warnings.catch_warnings(record=True) as once:
-        warnings.simplefilter("always")
-        real(*np.max([b.peaks for b in framed], axis=0), eps, h)
-    assert [str(w.message) for w in caught] == [str(w.message) for w in once]
-    assert once  # these windows do warn
-    checks.clear()
-    grid = build_position_grid(256, -2.0, 2.0)
-    fixed = _Window(grid, 1e-2, np.arange(1), coherent_state(0.3, 0.1, 1e-2, grid).values[None])
-    list(_walk_members([fixed], [0.02, 0.04], pot, 1e-3))
-    assert checks == []
 
 
 def test_walk_members_refuses_a_row_that_lost_its_norm(monkeypatch):
@@ -931,7 +909,7 @@ _SMALL = {
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_manifest_warnings_pinned(tmp_path, name):
     # every driver's manifest lists the SemiphaseWarnings raised during its
-    # run; ConcentrationSplit's potential-phase warning is among them
+    # run; RandomFamily's operator-bound warnings are among them
     out = tmp_path / name
     sizes = {**_PINNED, **_SMALL}[name]
     man = run_experiment(defaults_for(name, out_dir=str(out), **sizes))
@@ -939,6 +917,23 @@ def test_manifest_warnings_pinned(tmp_path, name):
         (Path(__file__).parent / "pinned_warnings.json").read_text())[name]
     assert list(man.warnings) == pinned
     assert json.loads((out / "manifest.json").read_text())["warnings"] == pinned
+
+
+def test_library_warning_reaches_the_manifest_once(tmp_path, monkeypatch):
+    # a SemiphaseWarning raised inside a library call, not by _Emitter.warn:
+    # HarmonicExact's wigner runs once per sample time, four times
+    real = experiments.wigner
+    def wigner(state):
+        warnings.warn("library warning", SemiphaseWarning)
+        return real(state)
+    monkeypatch.setattr(experiments, "wigner", wigner)
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        man = run_experiment(_fast_harmonic(tmp_path))
+    assert man.warnings == ("library warning",)
+    data = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert data["warnings"] == ["library warning"]
+    assert escaped == [] and man.passed
 
 
 def test_emitter_records_own_category_and_reshows_others():

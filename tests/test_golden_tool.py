@@ -68,6 +68,27 @@ def test_check_runs_only_the_named_experiments_with_peak_rss(golden, monkeypatch
     assert capsys.readouterr().out.rstrip().endswith("<-- FAIL")
 
 
+def test_check_names_the_warnings_that_changed(golden, monkeypatch, capsys):
+    record = {"passed": True, "warnings": ["kept", "gone"], "records": {}}
+    monkeypatch.setattr(golden, "run_default", lambda name: dict(record, experiment=name))
+    assert golden.main(["capture", "BranchAtlas"]) == 0
+    capsys.readouterr()
+    record["warnings"] = ["new", "kept"]
+    assert golden.main(["check", "BranchAtlas"]) == 1
+    head, *changes = capsys.readouterr().out.splitlines()
+    assert "warnings DIFFER" in head and head.endswith("<-- FAIL")
+    assert changes == ["  - gone", "  + new"]
+    # identical warnings keep the check to its one line
+    record["warnings"] = ["kept", "gone"]
+    assert golden.main(["check", "BranchAtlas"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    # the same messages in another order still differ, and say so
+    record["warnings"] = ["gone", "kept"]
+    assert golden.main(["check", "BranchAtlas"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  (same messages, in another order)"]
+
+
 def test_peak_rss_is_this_process_in_mib(golden):
     # ru_maxrss is in KiB on Linux, and a peak never falls
     kib = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

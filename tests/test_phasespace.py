@@ -299,6 +299,15 @@ def test_upsample2_interpolates(grid):
     assert np.max(np.abs(fine - target.values)) < 1e-9
 
 
+def test_upsample2_block_matches_its_rows(grid):
+    # the windows double their k-growing rows as one (M, N) block
+    rows = np.stack([coherent_state(x0, p0, 0.05, grid).values
+                     for x0, p0 in [(-0.6, 0.2), (0.0, 0.0), (0.4, -0.3)]])
+    fine = upsample2(rows)
+    assert fine.shape == (3, 2 * grid.n_points)
+    assert np.array_equal(fine, np.stack([upsample2(r) for r in rows]))
+
+
 def test_restrict_p_window(grid):
     eps = 0.05
     W = wigner(coherent_state(0.0, 0.0, eps, grid))

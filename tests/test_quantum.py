@@ -11,7 +11,6 @@ from semiphase import (
     ConfigurationError,
     NumericsError,
     PropagatorConfig,
-    SemiphaseWarning,
     ShapeMismatchError,
     coherent_state,
     build_position_grid,
@@ -100,7 +99,6 @@ def _unfused_strang(state, pot, cfg):
     return psi
 
 
-@pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
 @pytest.mark.parametrize("dt, t_final", [
     (1e-3, 0.3),    # forward
     (-1e-3, 0.3),   # backward
@@ -118,7 +116,6 @@ def test_fused_strang_matches_unfused_loop(grid, dt, t_final):
     assert np.array_equal(psi.values, before)
 
 
-@pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
 def test_ensemble_propagates_each_member_once(grid, monkeypatch):
     # a mixture's members step as one row block: one Strang loop over all
     # of them, each row as if alone
@@ -147,7 +144,6 @@ def _row_block(grid, eps, centers):
 _CENTERS = ((-0.6, 0.2), (-0.3, -0.1), (0.0, 0.0), (0.25, 0.3), (0.5, -0.2))
 
 
-@pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
 @pytest.mark.parametrize("dt", [1e-3, -1e-3])
 @pytest.mark.parametrize("n", [168, 210, 1232])
 def test_row_block_matches_one_state_at_a_time(n, dt):
@@ -176,7 +172,6 @@ def test_row_block_edges(grid):
         propagate_rows(rows, eps, grid, pot, cfg)
 
 
-@pytest.mark.filterwarnings("ignore::semiphase.SemiphaseWarning")
 def test_row_block_memory_is_block_plus_factor_rows():
     # the FFTs run in place on the loop's one copy: the peak is that copy,
     # the finite check's mask and a few O(N) potential and kinetic rows
@@ -225,9 +220,3 @@ def test_propagator_config_validation():
             PropagatorConfig(dt=dt, t_final=1.0)
     with pytest.raises(ConfigurationError):
         PropagatorConfig(dt=1e-3, t_final=float("inf"))
-
-
-def test_coarse_step_warns_outside_a_run(grid):
-    psi = coherent_state(0.3, 0.4, 0.05, grid)
-    with pytest.warns(SemiphaseWarning, match="potential phase"):
-        propagate(psi, harmonic_potential(), PropagatorConfig(dt=0.1, t_final=0.2))

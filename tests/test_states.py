@@ -199,15 +199,6 @@ def test_concentrating_data_never_builds_the_raster():
 # ------------------------------------------------------- random families
 
 
-def test_family_point_law(grid):
-    spec = RandomFamilySpec(law="point", center=(1.0, 0.0), m_samples=1)
-    fam = random_family(spec)
-    assert fam.atoms.tolist() == [[1.0, 1.0, 0.0]]
-    (_, psi), = coherent_mixture(fam, 0.05, grid).members
-    ref = coherent_state(1.0, 0.0, 0.05, grid)
-    assert np.max(np.abs(psi.values - ref.values)) < 1e-14
-
-
 def test_family_gaussian_clt_mean():
     spec = RandomFamilySpec(law="gaussian", center=(0.5, -0.2),
                             scale=(0.4, 0.3), m_samples=1000, seed=21)
@@ -233,8 +224,9 @@ def test_family_hardcore_separation():
 
 
 def test_family_law_validation():
-    with pytest.raises(ConfigurationError):
-        RandomFamilySpec(law="cauchy")
+    for law in ("cauchy", "uniform_box", "point"):  # no experiment ran the last two
+        with pytest.raises(ConfigurationError, match="sampling law"):
+            RandomFamilySpec(law=law)
     with pytest.raises(ConfigurationError):
         RandomFamilySpec(m_samples=0)
     with pytest.raises(ConfigurationError):

@@ -13,7 +13,9 @@ experiment, ``bench/records.py::max_rel_dev`` of the records against the
 golden file, whether the warnings and verdict are identical, the run's
 wall seconds (the occasional full-defaults timing) and the process's
 peak RSS so far (``ru_maxrss``; one name per process measures that run
-alone). It exits 1 when a
+alone). When the warnings differ, the lines under that run's line list
+the golden messages the run no longer raises (``-``) and the new ones
+(``+``). It exits 1 when a
 warning list or verdict differs or a deviation exceeds TOL, the
 tolerance for a refactor. A change that moves the numerics on purpose
 re-captures only the experiments it moved and lists what moved.
@@ -67,6 +69,13 @@ def peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def warning_changes(golden: list, now: list) -> list:
+    """Lines naming the removed (-) and the added (+) warning messages."""
+    lines = ([f"  - {w}" for w in golden if w not in now]
+             + [f"  + {w}" for w in now if w not in golden])
+    return lines or ["  (same messages, in another order)"]
+
+
 def check(names) -> int:
     status = 0
     for name in names or EXPERIMENTS:
@@ -83,6 +92,9 @@ def check(names) -> int:
               f"{'identical' if same['warnings'] else 'DIFFER'}, passed "
               f"{'identical' if same['passed'] else 'DIFFERS'}"
               f"{'' if ok else '  <-- FAIL'}", flush=True)
+        if not same["warnings"]:
+            print("\n".join(warning_changes(golden["warnings"], result["warnings"])),
+                  flush=True)
     return status
 
 
