@@ -16,8 +16,7 @@ from .experiments import (EXPERIMENTS, ExperimentConfig, RunManifest,
                           defaults_for, resolve_experiment, run_experiment)
 from .grids import PhaseGrid, PositionGrid, build_position_grid, quadrature
 from .gridio import write_csv
-from .metrics import (RateFit, char_distance, char_function, fit_rate,
-                      l2_distance, weak_distance)
+from .metrics import RateFit, char_distance, char_function, fit_rate, l2_distance
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
                          l2_norm, restrict_p, sup_norm, upsample2, wigner)
 from .potentials import (FourierConditionReport, PotentialSpec,

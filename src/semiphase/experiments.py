@@ -34,15 +34,13 @@ from .errors import ConfigurationError, NumericsError, SemiphaseWarning
 from .grids import PhaseGrid, PositionGrid, _fast_len, build_position_grid, time_steps
 from .gridio import write_csv
 from .metrics import (_as_probability, _char_rows, _strictly_decreasing,
-                      char_distance, char_function, fit_rate, l2_distance,
-                      weak_distance)
+                      char_distance, char_function, fit_rate, l2_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
                          l2_norm, restrict_p, sup_norm, upsample2, wigner)
 from .potentials import (PotentialSpec, check_fourier_conditions, evaluate_at,
                          harmonic_potential, rough_power_potential)
-from .quantum import (PropagatorConfig, WaveFunction, _strang, _strang_factors,
-                      propagate, propagate_rows)
-from .states import (ConcentratingProfile, RandomFamilySpec, _coherent_margin,
+from .quantum import PropagatorConfig, _strang, _strang_factors, propagate, propagate_rows
+from .states import (_LAWS, ConcentratingProfile, RandomFamilySpec, _coherent_margin,
                      _window_points, check_epsn_operator_bound,
                      coherent_mixture, coherent_state, concentration_lattice,
                      concentrating_wigner_data, random_family)
@@ -84,8 +82,8 @@ class ExperimentConfig:
     Not every field is meaningful for every experiment; defaults_for()
     returns a tuned instance per experiment name. delta_growth is the
     reported transport-regularity growth exponent (reporting only, never
-    asserted). WeakConvergence's grid_n sizes only its mollified field:
-    its members step on co-moving windows.
+    asserted). WeakConvergence's and RandomFamily's grid_n sizes only
+    their mollified field: their members step on co-moving windows.
     """
 
     experiment: str
@@ -173,6 +171,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"n_side must be odd and >= 3, got {self.n_side}")
         if self.seed < 0:  # numpy's generators refuse it mid-run otherwise
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        # named choices are refused here, before a run makes its output directory
+        for name, known in (("potential", ("harmonic", "rough_power")), ("law", _LAWS),
+                            ("probe_family", ("pure", "box"))):
+            if getattr(self, name) not in known:
+                raise ConfigurationError(f"unknown {name} {getattr(self, name)!r}; "
+                                         f"choose from {', '.join(known)}")
 
 
 @dataclass(frozen=True)
@@ -212,9 +216,7 @@ def _config_hash(cfg: ExperimentConfig) -> str:
 def _potential(cfg: ExperimentConfig) -> PotentialSpec:
     if cfg.potential == "harmonic":
         return harmonic_potential()
-    if cfg.potential == "rough_power":
-        return rough_power_potential(cfg.theta)
-    raise ConfigurationError(f"unknown potential {cfg.potential!r}")
+    return rough_power_potential(cfg.theta)
 
 
 class _Emitter:
@@ -356,9 +358,10 @@ class _Window:
     """Members jobs on one periodic grid; row j is phi_j of the lab state
     e^{i b_j (x - a_j)/eps} phi_j(x - a_j), cells[j] = (a_j, b_j) / (dx, eps*2pi/L).
 
-    Given rows: a fixed block, zero frames, stepped by propagate_rows.
-    Given trace = (stops, centres[stop, j]), the classical centres at the
-    ring's stops (_windows, for ConcentrationSplit and WeakConvergence):
+    Given rows (only _windows' domain-grid fallback): a fixed block, zero
+    frames, stepped by propagate_rows. Given trace = (stops, centres[stop, j]),
+    the classical centres at the ring's stops (_windows, for
+    ConcentrationSplit, WeakConvergence and RandomFamily):
     a window on [-L/2, L/2) from their coherent states in the nearest
     frames, _CHECK Strang steps per check (_check) on its own clock t.
     A check judges each row alone: rows whose edge mass (outer 5% per side:
@@ -901,16 +904,20 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
     """Averaged sup-distance between sampled quantum and classical paths.
 
     A seeded family of phase points (same points at every eps) is mapped
-    to coherent states; each sample's Husimi evolution is compared to
-    the Dirac path of its own classical trajectory under the matched
-    mollified field, over a symmetric time window. Asserts the sample
-    average of sup-over-time distances decreases along the ladder; the
-    operator-bound ratio is reported, with a warning stamp when > 1.
+    to coherent states on co-moving windows (_windows); each sample's
+    Husimi evolution is compared to the Dirac path of its own
+    classical trajectory under the matched mollified field (on the grid_n
+    field grid), over a symmetric time window. A backward walk from
+    (x, p) is the complex conjugate of a forward walk from (x, -p), so
+    both walks step forward, the backward one against the moved atoms
+    (X, -P). Asserts the sample average of sup-over-time distances
+    decreases along the ladder; the closed-form operator-bound ratio is
+    reported, with a warning stamp when > 1.
     """
     walks = _sample_walks(cfg, (1, -1))
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
-        grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+        field_grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
         family = random_family(RandomFamilySpec(
             law=cfg.law, scale=cfg.law_scale, m_samples=cfg.m_samples, seed=cfg.seed,
             min_separation=cfg.min_separation))
@@ -918,31 +925,31 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
         avg_rows, sample_rows = [], []
         averages, ratios = [], []
         for eps in cfg.eps_ladder:
-            ens = coherent_mixture(family, eps, grid)
-            ratio = check_epsn_operator_bound(ens)
+            ratio = check_epsn_operator_bound(family, eps)
             ratios.append(ratio)
             if ratio > 1.0:
                 em.warn(f"eps={eps:g}: operator-bound ratio {ratio:.3f} > 1; "
                         "outside the slow-concentration assumption regime")
-            # classical endpoints for all samples, one walk each way
-            transport = _transport(pot, eps, cfg.dt_classical, field_grid=grid)
-            moved = {t: cloud for times in walks
-                     for t, cloud in _evolve_at(family, times, transport)}
-
-            sups = [0.0] * len(ens.members)
-            rows = np.stack([s.values for _, s in ens.members])
-            for times in walks:  # each walk from t = 0, on blocks of its own
-                blocks = (_Window(grid, eps, np.arange(i, min(i + _ROWS, len(rows))),
-                                  rows[i:i + _ROWS]) for i in range(0, len(rows), _ROWS))
-                for t, jobs_at, blk in _walk_members(blocks, times, pot, cfg.dt):
-                    for idx, row in zip(jobs_at.tolist(), blk.rows):
-                        # one atom of the moved family: char_function drops its mass
-                        atom = AtomicMeasure(moved[t].atoms[idx:idx + 1])
-                        d = weak_distance(WaveFunction(row, eps, grid), atom,
+            transport = _transport(pot, eps, cfg.dt_classical, field_grid=field_grid)
+            sups = np.zeros(len(family))
+            for s, times in zip((1, -1), walks):
+                if not times:
+                    continue
+                moved = dict(_evolve_at(family, times, transport))
+                spans = [abs(t) for t in times]
+                jobs = [(x, s * p, 1.0, 0.0) for x, p in zip(family.xs, family.ps)]
+                blocks, _, _, _ = _windows(cfg, eps, pot, spans, jobs)
+                for t, jobs_at, blk in _walk_members(blocks, spans, pot, cfg.dt):
+                    chis = _char_rows(blk.rows, np.eye(len(jobs_at)), eps, blk.grid,
+                                      blk.frames)
+                    for j, chi in zip(jobs_at.tolist(), chis):
+                        # sample j's moved atom, mirrored in p on the backward walk
+                        atom = AtomicMeasure(moved[s * t].atoms[j:j + 1] * (1, 1, s))
+                        d = char_distance(_as_probability(chi), char_function(atom),
                                           heat_time=eps)
-                        sups[idx] = float(np.maximum(sups[idx], d))
+                        sups[j] = np.maximum(sups[j], d)
             sample_rows.extend((eps, idx, family.xs[idx], family.ps[idx], sup_d)
-                               for idx, sup_d in enumerate(sups))
+                               for idx, sup_d in enumerate(sups.tolist()))
             avg = float(np.mean(sups))
             averages.append(avg)
             avg_rows.append((eps, avg, ratio))
@@ -966,13 +973,11 @@ def _probe_atoms(cfg: ExperimentConfig, eps: float) -> AtomicMeasure:
     if cfg.probe_family == "pure":
         x0, p0 = cfg.datum_center
         return AtomicMeasure(((1.0, x0, p0),))
-    if cfg.probe_family == "box":
-        half = np.sqrt(cfg.box_area) / 2.0
-        m_side = max(2, round(np.sqrt(cfg.box_area / (2.0 * np.pi * eps))))
-        offs = half * (2.0 * np.arange(m_side) + 1.0 - m_side) / m_side
-        w = 1.0 / m_side ** 2
-        return AtomicMeasure([(w, x0, p0) for x0 in offs for p0 in offs])
-    raise ConfigurationError(f"unknown probe family {cfg.probe_family!r}")
+    half = np.sqrt(cfg.box_area) / 2.0  # the box family
+    m_side = max(2, round(np.sqrt(cfg.box_area / (2.0 * np.pi * eps))))
+    offs = half * (2.0 * np.arange(m_side) + 1.0 - m_side) / m_side
+    w = 1.0 / m_side ** 2
+    return AtomicMeasure([(w, x0, p0) for x0 in offs for p0 in offs])
 
 
 def run_conjecture_probe(cfg: ExperimentConfig) -> RunManifest:

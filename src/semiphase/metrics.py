@@ -30,14 +30,13 @@ import numpy as np
 from .errors import (ConfigurationError, NumericsError, RepresentationError,
                      ShapeMismatchError)
 from .phasespace import AtomicMeasure, GridDensity
-from .quantum import DensityEnsemble, WaveFunction
+from .quantum import WaveFunction
 
 __all__ = [
     "NODES",
     "RateFit",
     "char_function",
     "char_distance",
-    "weak_distance",
     "l2_distance",
     "fit_rate",
 ]
@@ -110,10 +109,10 @@ def _as_probability(chi: np.ndarray) -> np.ndarray:
 def char_function(obj) -> np.ndarray:
     """Characteristic function of obj, as a probability, on NODES x NODES.
 
-    Accepts atomic measures, grid densities, wavefunctions (Wigner
-    measure, via the ambiguity integral) and density ensembles, the two
-    quantum kinds as _char_rows with one weight row. The result is
-    divided by its mass (_as_probability), so it is 1 at the origin.
+    Accepts atomic measures, grid densities and wavefunctions (Wigner
+    measure, via the ambiguity integral: _char_rows with one weight row).
+    The result is divided by its mass (_as_probability), so it is 1 at
+    the origin.
     """
     if isinstance(obj, AtomicMeasure):
         ex, ep = _unit_powers(NODES, obj.xs), _unit_powers(NODES, obj.ps)
@@ -123,9 +122,6 @@ def char_function(obj) -> np.ndarray:
         chi = (ex @ obj.values @ ep.T) * obj.grid.cell_area
     elif isinstance(obj, WaveFunction):
         (chi,) = _char_rows(obj.values[None], ((1.0,),), obj.eps, obj.grid)
-    elif isinstance(obj, DensityEnsemble):
-        (chi,) = _char_rows([s.values for _, s in obj.members],
-                            [[w for w, _ in obj.members]], obj.eps, obj.grid)
     else:
         raise RepresentationError(f"no characteristic function for {type(obj)!r}")
     return _as_probability(chi)
@@ -134,8 +130,9 @@ def char_function(obj) -> np.ndarray:
 def char_distance(chi_mu, chi_nu, heat_time: float = 0.0) -> float:
     """Weighted sum |chi_mu - chi_nu| w dxi deta over the lattice.
 
-    The one formula behind every weak distance. heat_time > 0 compares
-    the e^{t Laplacian}-smoothed measures, whose characteristic functions
+    The one formula behind every weak distance; between two char_function
+    results it is at most 2 sum(w) dxi deta. heat_time > 0 compares the
+    e^{t Laplacian}-smoothed measures, whose characteristic functions
     carry the multiplier exp(-t(xi^2+eta^2)); heat_time = eps is the
     Husimi picture.
     """
@@ -143,16 +140,6 @@ def char_distance(chi_mu, chi_nu, heat_time: float = 0.0) -> float:
     if heat_time > 0.0:
         gap = gap * np.exp(-heat_time * _R2)
     return float(np.sum(gap * _WEIGHT) * _DNODE ** 2)
-
-
-def weak_distance(mu, nu, heat_time: float = 0.0) -> float:
-    """char_distance between the characteristic functions of mu and nu.
-
-    char_function normalizes both to mass 1, so the distance is bounded
-    by 2 sum(w) dxi deta and is zero iff the characteristic functions
-    agree on the lattice; heat_time smooths both as in char_distance.
-    """
-    return char_distance(char_function(mu), char_function(nu), heat_time)
 
 
 def l2_distance(a: GridDensity, b: GridDensity) -> float:

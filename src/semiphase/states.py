@@ -13,8 +13,9 @@ the lattice is mirror-symmetric by construction so even profiles give
 exactly balanced left/right weights.
 
 Every point-set datum (the lattice, a random family) is an
-AtomicMeasure, and coherent_mixture is the one place its atoms become
-weighted coherent states.
+AtomicMeasure. The experiments' co-moving windows make one coherent
+state per atom; coherent_mixture makes weighted coherent states on one
+grid, and check_epsn_operator_bound needs none.
 """
 from __future__ import annotations
 
@@ -278,6 +279,9 @@ def _realization_gap(profile: ConcentratingProfile, lam: float, eps: float,
     return float(np.sqrt(max(norm_ens2 - 2.0 * cross + norm_t2, 0.0)))
 
 
+_LAWS = ("gaussian", "hardcore_gaussian")
+
+
 @dataclass(frozen=True)
 class RandomFamilySpec:
     """Seeded sampling law for phase-space points.
@@ -297,7 +301,7 @@ class RandomFamilySpec:
     min_separation: float = 0.3
 
     def __post_init__(self):
-        if self.law not in ("gaussian", "hardcore_gaussian"):
+        if self.law not in _LAWS:
             raise ConfigurationError(f"unknown sampling law {self.law!r}")
         if self.m_samples < 1:
             raise ConfigurationError("m_samples must be >= 1")
@@ -337,20 +341,19 @@ def random_family(spec: RandomFamilySpec) -> AtomicMeasure:
     return AtomicMeasure(np.column_stack([np.full(m, 1.0 / m), points]))
 
 
-def check_epsn_operator_bound(ens: DensityEnsemble) -> float:
-    """Top eigenvalue of sum_i w_i |psi_i><psi_i| divided by eps^n (n = 1).
+def check_epsn_operator_bound(atoms: AtomicMeasure, eps: float) -> float:
+    """Top eigenvalue of sum_i w_i |psi_i><psi_i| divided by eps^n (n = 1),
+    psi_i the coherent state at atom i and w_i its mass.
 
-    The ensemble satisfies the operator bound <= eps^n Id exactly when
-    the returned ratio is <= 1. The rank-M operator is reduced exactly to
-    the M x M matrix D^{1/2} G D^{1/2} (G the Gram matrix of the states,
-    D the weights), whose spectrum it shares; a dense hermitian
-    eigensolve is robust to the near-degenerate top clusters that spread
-    families produce.
+    The mixture satisfies the operator bound <= eps^n Id exactly when the
+    returned ratio is <= 1. The rank-M operator is reduced exactly to the
+    M x M matrix D^{1/2} G D^{1/2} (D the masses), whose spectrum it
+    shares. G is the coherent states' Gram matrix in closed form, no grid:
+    <psi_i|psi_j> = exp(-((x_i-x_j)^2 + (p_i-p_j)^2)/(4 eps) + i (p_j-p_i)(x_i+x_j)/(2 eps)).
+    A dense hermitian eigensolve is robust to the near-degenerate top
+    clusters that spread families produce.
     """
-    states = np.stack([s.values for _, s in ens.members])
-    weights = np.array([w for w, _ in ens.members])
-    gram = (np.conj(states) @ states.T) * ens.grid.dx
-    root_w = np.sqrt(weights)
-    reduced = root_w[:, None] * gram * root_w[None, :]
-    top = float(np.linalg.eigvalsh(reduced)[-1])
-    return top / ens.eps
+    x, p, root_w = atoms.xs, atoms.ps, np.sqrt(atoms.masses)
+    dx, dp = x[None, :] - x[:, None], p[None, :] - p[:, None]
+    gram = np.exp(-(dx ** 2 + dp ** 2) / (4.0 * eps) + 0.5j * dp * (x[:, None] + x) / eps)
+    return float(np.linalg.eigvalsh(root_w[:, None] * gram * root_w)[-1]) / eps

@@ -10,7 +10,7 @@ import pytest
 import scipy.fft as sfft
 from scipy.special import erfc
 
-from semiphase import ConfigurationError, DensityEnsemble, coherent_state
+from semiphase import ConfigurationError, coherent_state
 from semiphase.classical import TrajectoryBranch
 from semiphase.cli import main
 from semiphase.experiments import (
@@ -32,7 +32,7 @@ from semiphase.metrics import (NODES, RateFit, _as_probability, _char_rows,
                                char_distance, char_function)
 from semiphase.phasespace import AtomicMeasure, GridDensity, build_wigner_grid
 from semiphase.quantum import PropagatorConfig, propagate, propagate_rows
-from semiphase.states import concentration_lattice
+from semiphase.states import RandomFamilySpec, concentration_lattice, random_family
 
 
 # -------------------------------------------------------------- registry
@@ -126,7 +126,7 @@ def test_run_rejects_bad_grid_and_theta(tmp_path):
         run_experiment(defaults_for("L2MollifiedRate", sample_times=(-0.1,),
                                     out_dir=str(tmp_path / "r")))
     # "density" is a deleted probe family: no experiment ran it
-    with pytest.raises(ConfigurationError, match="probe family"):
+    with pytest.raises(ConfigurationError, match="probe_family"):
         run_experiment(defaults_for("ConjectureProbe", probe_family="density"))
 
 
@@ -242,16 +242,18 @@ def test_random_family_harmonic_closed_form():
     # on the harmonic potential a coherent state stays coherent and its
     # centre follows the classical rotation, so every sample's Husimi
     # distance to its atom is the same lattice sum of
-    # (1 - e^{-eps r^2/4}) e^{-eps r^2} e^{-r^2/2} dxi deta
+    # (1 - e^{-eps r^2/4}) e^{-eps r^2} e^{-r^2/2} dxi deta; with or
+    # without a backward walk
     ladder = (0.2, 0.1, 0.05)
-    man = run_experiment(defaults_for("RandomFamily", m_samples=4,
-                                      eps_ladder=ladder,
-                                      sample_times=(-0.1, 0.1), grid_n=1024))
     r2 = NODES[:, None] ** 2 + NODES[None, :] ** 2
-    for eps, avg in zip(ladder, man.records["averages"]):
-        exact = np.sum((1.0 - np.exp(-eps * r2 / 4.0)) * np.exp(-eps * r2)
-                       * np.exp(-r2 / 2.0)) * 0.25
-        assert avg == pytest.approx(exact, rel=1e-11), eps
+    for times in ((-0.1, 0.1), (0.1,)):
+        man = run_experiment(defaults_for("RandomFamily", m_samples=4,
+                                          eps_ladder=ladder,
+                                          sample_times=times, grid_n=1024))
+        for eps, avg in zip(ladder, man.records["averages"]):
+            exact = np.sum((1.0 - np.exp(-eps * r2 / 4.0)) * np.exp(-eps * r2)
+                           * np.exp(-r2 / 2.0)) * 0.25
+            assert avg == pytest.approx(exact, rel=1e-11), (times, eps)
 
 
 @pytest.mark.parametrize("eps_mollify", [0.0, 0.1])
@@ -358,9 +360,13 @@ def test_cli_bad_grid_exit_2(tmp_path):
     ("RandomFamily", "seed", -1),
     ("WeakConvergence", "datum_sigma", -0.3),
     ("WeakConvergence", "datum_sigma", 0),
+    ("RandomFamily", "law", "cauchy"),
+    ("ConjectureProbe", "probe_family", "density"),
+    ("WeakConvergence", "potential", "quartic"),
 ])
 def test_cli_bad_pair_or_window_exit_2(tmp_path, capsys, experiment, field, bad):
-    # these used to end in a traceback, or in a degenerate run
+    # these used to end in a traceback, in a degenerate run, or (an
+    # unknown name) in an empty output directory
     cfg = _write_cfg(tmp_path, {"experiment": experiment, field: bad})
     assert main(["run", experiment, "--config", cfg,
                  "--out", str(tmp_path / "x")]) == 2
@@ -500,17 +506,14 @@ def test_driver_records_pinned(tmp_path, name):
             assert got[key] == want, key
 
 
-def _block_sizes(members: int) -> list:
-    return [min(_ROWS, members - j) for j in range(0, members, _ROWS)]
-
-
 @pytest.mark.parametrize("name", ["ConcentrationSplit", "RandomFamily"])
 def test_experiments_step_members_in_row_blocks(monkeypatch, name):
-    # RandomFamily: one propagate_rows call per block of _ROWS members and
-    # sample time. ConcentrationSplit: every mirror job is stepped exactly
-    # once per sample time, in one window per (dx, n) grid of _windows plus
-    # the windows of rows that outgrew theirs. Neither steps a member alone
-    # through propagate.
+    # ConcentrationSplit: every mirror job is stepped exactly once per
+    # sample time, in one window per (dx, n) grid of _windows plus the
+    # windows of rows that outgrew theirs. RandomFamily: each walk, forward
+    # and backward, yields every sample once per sample time, on windows
+    # only (no propagate_rows, no coherent_mixture). Neither steps a member
+    # alone through propagate.
     blocks, walks, advances, born = [], [], [], []
     real = experiments.propagate_rows
     real_walk, real_advance = experiments._walk_members, _Window.advance
@@ -543,6 +546,7 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
 
     monkeypatch.setattr(experiments, "propagate_rows", counting)
     monkeypatch.setattr(experiments, "propagate", refuse)
+    monkeypatch.setattr(experiments, "coherent_mixture", refuse)
     monkeypatch.setattr(experiments, "_walk_members", recording_walk)
     monkeypatch.setattr(_Window, "advance", recording_advance)
     monkeypatch.setattr(_Window, "__init__", recording_init)
@@ -574,11 +578,60 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
         assert len(advances) == len(set(advances))
         assert len(advances) <= sum(map(len, walks))
     else:
-        members = [cfg.m_samples] * len(cfg.eps_ladder)
-        n_walks = [sum(t > 0 for t in cfg.sample_times),
-                   sum(t < 0 for t in cfg.sample_times)]
-        assert blocks == [size for m in members for size in _block_sizes(m)
-                          for n_times in n_walks for _ in range(n_times)]
+        assert blocks == []  # no row ran on the domain grid
+        # the backward walk steps forward too, on the sample times' |t|
+        walk_times = [[abs(t) for t in ts] for ts in _sample_walks(cfg, (1, -1))]
+        assert len(walks) == len(cfg.eps_ladder) * len(walk_times)
+        for yields, times in zip(walks, itertools.cycle(walk_times)):
+            assert all(on_window for *_, on_window in yields)
+            for t in times:
+                at = [j for s, jobs, *_ in yields if s == t for j in jobs]
+                assert sorted(at) == list(range(cfg.m_samples))
+
+
+def test_random_family_walks_match_members_alone(monkeypatch):
+    # the backward walk runs forward from (x, -p) against the mirrored
+    # atom (X, -P): every sample's forward and backward distance is within
+    # 1e-6 of its member propagated alone, with signed dt, on a fixed grid
+    # of twice grid_n, against the atom (X, P)
+    cfg = defaults_for("RandomFamily", **_PINNED["RandomFamily"])
+    walks, seen = [], []
+    real_walk, real_distance = experiments._walk_members, experiments.char_distance
+
+    def recording_walk(starts, walk_times, pot, dt):
+        walks.append([])
+        for t, jobs, blk in real_walk(starts, walk_times, pot, dt):
+            walks[-1].append((t, jobs.tolist()))
+            yield t, jobs, blk
+
+    def recording(chi_mu, chi_nu, heat_time=0.0):
+        seen.append(real_distance(chi_mu, chi_nu, heat_time))
+        return seen[-1]
+
+    monkeypatch.setattr(experiments, "_walk_members", recording_walk)
+    monkeypatch.setattr(experiments, "char_distance", recording)
+    run_experiment(cfg)
+    assert len(seen) == len(cfg.eps_ladder) * cfg.m_samples * len(cfg.sample_times)
+    pot, signed = _potential(cfg), _sample_walks(cfg, (1, -1))
+    family = random_family(RandomFamilySpec(
+        law=cfg.law, scale=cfg.law_scale, m_samples=cfg.m_samples, seed=cfg.seed,
+        min_separation=cfg.min_separation))
+    field_grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+    grid = build_position_grid(2 * cfg.grid_n, cfg.x_min, cfg.x_max)
+    got = iter(seen)
+    for (eps, times), yields in zip(itertools.product(cfg.eps_ladder, signed), walks):
+        moved = dict(_evolve_at(family, times, _transport(pot, eps, cfg.dt_classical,
+                                                          field_grid=field_grid)))
+        alone = [dict(_evolve_at(coherent_state(x, p, eps, grid), times,
+                                 experiments._schrodinger(pot, cfg.dt)))
+                 for x, p in zip(family.xs, family.ps)]
+        for t, jobs in yields:
+            t = np.copysign(t, times[0])
+            for j in jobs:
+                atom = AtomicMeasure(moved[t].atoms[j:j + 1])
+                want = char_distance(char_function(alone[j][t]), char_function(atom),
+                                     heat_time=eps)
+                assert abs(next(got) - want) <= 1e-6, (eps, t, j)
 
 
 def test_weak_convergence_block_matches_the_member_ensemble(monkeypatch):
@@ -633,8 +686,8 @@ def test_weak_convergence_block_matches_the_member_ensemble(monkeypatch):
         member_walks = [_evolve_at(coherent_state(x, p, eps, grid), times, step)
                         for x, p in zip(datum.xs, datum.ps)]
         for moved in zip(*member_walks):
-            want.append(char_function(DensityEnsemble(
-                tuple((w, s) for w, (_, s) in zip(datum.masses, moved)), eps)))
+            (chi,) = _char_rows([s.values for _, s in moved], [datum.masses], eps, grid)
+            want.append(_as_probability(chi))
     # the raw and the mollified distance of a sample time share its chi
     assert len(seen) == 2 * len(want)
     for raw, moll, chi in zip(seen[::2], seen[1::2], want):
@@ -1014,7 +1067,7 @@ _FAILING = {
     "ConcentrationSplit": ("ConcentrationSplit", {},
                            {"char_distance": _rising,
                             "_halfplane_weights": _zero_weights}, 4),
-    "RandomFamily": ("RandomFamily", {}, {"weak_distance": _rising}, 1),
+    "RandomFamily": ("RandomFamily", {}, {"char_distance": _rising}, 1),
     "BranchAtlas": ("BranchAtlas", {"shadow_dt": 0.1},
                     {"branch_ode_residual": lambda: lambda br, t: (1.0, 1.0)}, 2),
     # a NaN that is not the first value of a maximum must reach its gate
@@ -1028,7 +1081,7 @@ _FAILING = {
     "ConcentrationSplit-nan-left": ("ConcentrationSplit", {},
                                     {"_halfplane_weights": _nan_left_weights}, 2),
     "RandomFamily-nan": ("RandomFamily", {},
-                         {"weak_distance": _nan_on_call("weak_distance", 2)}, 1),
+                         {"char_distance": _nan_on_call("char_distance", 2)}, 1),
     "BranchAtlas-nan": ("BranchAtlas", {},
                         {"branch_ode_residual": _nan_on_call(
                             "branch_ode_residual", 2, (np.nan, np.nan))}, 1),

@@ -17,11 +17,10 @@ from semiphase import (
     coherent_state,
 )
 from semiphase.errors import NumericsError
-from semiphase.metrics import (NODES, _char_rows, _unit_powers,
+from semiphase.metrics import (NODES, _as_probability, _char_rows, _unit_powers,
                                char_distance, char_function, fit_rate,
-                               l2_distance, weak_distance)
+                               l2_distance)
 from semiphase.phasespace import l2_norm, wigner
-from semiphase.quantum import DensityEnsemble
 
 
 @pytest.fixture(scope="module")
@@ -101,15 +100,14 @@ def test_char_mirror_conjugate(grid):
 
 
 def test_char_ensemble_streams_members(grid):
-    # one summed integrand and one kernel matmul equal the weighted sum
-    # of member characteristic functions
+    # one weight row over a block of members, as a probability, equals the
+    # weighted sum of member characteristic functions
     eps = 0.05
     weights = (0.1, 0.2, 0.3, 0.4)
     members = tuple((w, coherent_state(x0, p0, eps, grid)) for w, (x0, p0)
                     in zip(weights, ((-0.5, 0.0), (0.5, 0.2), (1.2, -0.4),
                                      (-1.0, 0.6))))
-    ens = DensityEnsemble(members=members, eps=eps)
-    chi = char_function(ens)
+    chi = _as_probability(_char_members(members))
     expect = sum(w * char_function(m) for w, m in members)
     assert np.max(np.abs(chi - expect)) < 1e-13
 
@@ -232,13 +230,9 @@ def test_char_is_one_at_origin_for_every_representation(grid):
     origin = NODES.size // 2
     assert NODES[origin] == 0.0
     psi = coherent_state(0.6, 0.4, 0.05, grid)
-    ens = DensityEnsemble(members=((0.25, psi),
-                                   (0.75, coherent_state(-0.3, 0.1, 0.05, grid))),
-                          eps=0.05)
     scaled = GridDensity(values=3.0 * wigner(psi).values, grid=wigner(psi).grid,
                          tag="wigner")
-    for obj in (AtomicMeasure(((2.0, 0.7, -0.3), (1.5, -0.2, 0.4))), scaled,
-                psi, ens):
+    for obj in (AtomicMeasure(((2.0, 0.7, -0.3), (1.5, -0.2, 0.4))), scaled, psi):
         assert abs(char_function(obj)[origin, origin] - 1.0) <= 1e-15, type(obj)
 
 
@@ -250,30 +244,35 @@ def test_char_ignores_atom_mass_scale():
     assert np.max(np.abs(a - b)) < 1e-15
 
 
-# -------------------------------------------------------- weak_distance
+# ------------------------------------ char_distance of two char_functions
+
+
+def _distance(mu, nu, heat_time=0.0):
+    """The weak distance of two measures: both as probabilities."""
+    return char_distance(char_function(mu), char_function(nu), heat_time)
 
 
 def test_weak_distance_identity(grid):
     W = wigner(coherent_state(0.2, 0.1, 0.05, grid))
-    assert weak_distance(W, W) < 1e-12
+    assert _distance(W, W) < 1e-12
     mu = AtomicMeasure(((0.5, 0.0, 0.0), (0.5, 1.0, 0.0)))
-    assert weak_distance(mu, mu) < 1e-12
+    assert _distance(mu, mu) < 1e-12
 
 
 def test_weak_distance_symmetry(grid):
     a = wigner(coherent_state(-0.4, 0.0, 0.05, grid))
     b = AtomicMeasure(((1.0, 0.3, 0.2),))
-    assert weak_distance(a, b) == pytest.approx(weak_distance(b, a), rel=1e-12)
+    assert _distance(a, b) == pytest.approx(_distance(b, a), rel=1e-12)
 
 
 def test_weak_distance_atom_separation_monotone():
     origin = AtomicMeasure(((1.0, 0.0, 0.0),))
-    ds = [weak_distance(origin, AtomicMeasure(((1.0, a, 0.0),)))
+    ds = [_distance(origin, AtomicMeasure(((1.0, a, 0.0),)))
           for a in (0.2, 0.5, 1.0, 2.0)]
     assert all(x < y for x, y in zip(ds, ds[1:]))
     # bounded by 2 * weight mass; plateaus near (4/pi) * weight mass for
     # separations incommensurate with the node spacing
-    far = weak_distance(origin, AtomicMeasure(((1.0, 20.3, 0.0),)))
+    far = _distance(origin, AtomicMeasure(((1.0, 20.3, 0.0),)))
     assert far <= 2.0 * np.sum(WEIGHT) * DNODE**2 + 1e-9
     assert 6.0 < far < 9.0
 
@@ -281,14 +280,14 @@ def test_weak_distance_atom_separation_monotone():
 def test_weak_distance_mass_normalization(grid):
     W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
     scaled = GridDensity(values=5.0 * W.values, grid=W.grid, tag=W.tag)
-    assert weak_distance(W, scaled) < 1e-12
+    assert _distance(W, scaled) < 1e-12
 
 
 def test_weak_distance_zero_mass_raises(grid):
     W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
     zero = GridDensity(values=np.zeros_like(W.values), grid=W.grid, tag=W.tag)
     with pytest.raises(NumericsError):
-        weak_distance(W, zero)
+        _distance(W, zero)
     with pytest.raises(NumericsError):
         char_function(zero)
 
@@ -301,7 +300,7 @@ def test_weak_distance_translation_continuity():
     ds = []
     for h in (0.8, 0.4, 0.2, 0.1, 0.05):
         moved = AtomicMeasure(tuple((1.0 / 60, x + h, p) for x, p in pts))
-        ds.append(weak_distance(base, moved))
+        ds.append(_distance(base, moved))
     assert all(x > y for x, y in zip(ds, ds[1:]))
     assert ds[-1] < 0.35
 
@@ -314,7 +313,7 @@ def test_weak_distance_sampling_converges(grid):
     for n in (100, 1000, 10000):
         pts = rng.normal(0.0, np.sqrt(0.1), (n, 2))  # matches Wigner variance eps/2
         atoms = AtomicMeasure(tuple((1.0 / n, x, p) for x, p in pts))
-        ds.append(weak_distance(W, atoms))
+        ds.append(_distance(W, atoms))
     assert ds[2] < ds[1] < ds[0]
     assert ds[2] < 0.1
 
@@ -326,7 +325,7 @@ def test_weak_distance_heat_both_sides_baseline(grid):
     eps = 0.1
     psi = coherent_state(0.3, -0.2, eps, grid)
     atom = AtomicMeasure(((1.0, 0.3, -0.2),))
-    d = weak_distance(wigner(psi), atom, heat_time=eps)
+    d = _distance(wigner(psi), atom, heat_time=eps)
     s = 0.5  # 1 / (2 sigma^2), sigma = 1
     exact = np.pi * (1.0 / (s + eps) - 1.0 / (s + 1.25 * eps))
     assert d == pytest.approx(exact, rel=0.05)
@@ -340,9 +339,9 @@ def test_weak_distance_heat_both_sides_baseline(grid):
 def test_weak_distance_triangle_inequality(pa, pb, pc):
     mk = lambda pts: AtomicMeasure(tuple((1.0 / len(pts), x, p) for x, p in pts))
     a, b, c = mk(pa), mk(pb), mk(pc)
-    dab = weak_distance(a, b)
-    dbc = weak_distance(b, c)
-    dac = weak_distance(a, c)
+    dab = _distance(a, b)
+    dbc = _distance(b, c)
+    dac = _distance(a, c)
     assert dac <= dab + dbc + 1e-9
 
 

@@ -87,15 +87,14 @@ def test_coherent_state_boundary_rejects(grid):
 
 def test_coherent_husimi_sharpens_along_ladder(grid):
     # weak distance to the target atom decreases as eps shrinks
-    from semiphase import AtomicMeasure
-    from semiphase.metrics import weak_distance
+    from semiphase.metrics import char_distance, char_function
     from semiphase.phasespace import husimi
 
-    atom = AtomicMeasure(((1.0, 0.6, -0.4),))
+    atom = char_function(AtomicMeasure(((1.0, 0.6, -0.4),)))
     ds = []
     for eps in (0.2, 0.1, 0.05):
         H = husimi(wigner(coherent_state(0.6, -0.4, eps, grid)), eps)
-        ds.append(weak_distance(H, atom))
+        ds.append(char_distance(char_function(H), atom))
     assert ds[2] < ds[1] < ds[0]
 
 
@@ -236,10 +235,26 @@ def test_family_law_validation():
 # ------------------------------------------------- eps^n operator bound
 
 
+def _grid_gram_ratio(atoms, eps, grid):
+    # reference: the same reduction from the Gram matrix of the coherent
+    # states sampled on grid
+    states = np.stack([coherent_state(x, p, eps, grid).values
+                       for x, p in zip(atoms.xs, atoms.ps)])
+    gram = (np.conj(states) @ states.T) * grid.dx
+    root_w = np.sqrt(atoms.masses)
+    return float(np.linalg.eigvalsh(root_w[:, None] * gram * root_w[None, :])[-1]) / eps
+
+
+def _bound(atoms, eps, grid):
+    """The closed-form ratio, checked against the grid Gram's to 1e-12."""
+    ratio = check_epsn_operator_bound(atoms, eps)
+    assert ratio == pytest.approx(_grid_gram_ratio(atoms, eps, grid), rel=1e-12)
+    return ratio
+
+
 def test_epsn_bound_pure_state(grid):
     eps = 0.05
-    ens = coherent_mixture(AtomicMeasure(((1.0, 0.0, 0.0),)), eps, grid)
-    ratio = check_epsn_operator_bound(ens)
+    ratio = _bound(AtomicMeasure(((1.0, 0.0, 0.0),)), eps, grid)
     assert ratio == pytest.approx(1.0 / eps, rel=1e-10)
 
 
@@ -247,7 +262,7 @@ def test_epsn_bound_orthogonal_pair(grid):
     # widely separated states: top eigenvalue = max weight
     eps = 0.02
     pair = AtomicMeasure(((0.7, -3.0, 0.0), (0.3, 3.0, 0.0)))
-    ratio = check_epsn_operator_bound(coherent_mixture(pair, eps, grid))
+    ratio = _bound(pair, eps, grid)
     assert ratio == pytest.approx(0.7 / eps, rel=1e-8)
 
 
@@ -259,7 +274,7 @@ def test_epsn_bound_box_resolution_of_identity(grid):
     m = 12
     offs = side * (2.0 * np.arange(m) + 1.0 - m) / (2.0 * m)
     box = AtomicMeasure([(1.0 / m**2, x, p) for x in offs for p in offs])
-    ratio = check_epsn_operator_bound(coherent_mixture(box, eps, grid))
+    ratio = _bound(box, eps, grid)
     assert ratio == pytest.approx(2.0 * np.pi / area, rel=0.35)
     assert ratio <= 1.0
 
@@ -272,9 +287,24 @@ def test_epsn_bound_monotone_under_spreading(grid):
     ratios = []
     for n in (1, 3, 5):
         fam = AtomicMeasure([(1.0 / n, x, p) for x, p in centers[:n]])
-        ratios.append(check_epsn_operator_bound(coherent_mixture(fam, eps, grid)))
+        ratios.append(_bound(fam, eps, grid))
     assert ratios[1] <= ratios[0] + 1e-12
     assert ratios[2] <= ratios[1] + 1e-12
+
+
+def test_epsn_bound_matches_grid_gram_on_the_default_family():
+    # RandomFamily's default family at every default rung, against the
+    # Gram matrix on its former grid_n grid
+    from semiphase.experiments import defaults_for
+
+    cfg = defaults_for("RandomFamily")
+    family = random_family(RandomFamilySpec(
+        law=cfg.law, scale=cfg.law_scale, m_samples=cfg.m_samples, seed=cfg.seed,
+        min_separation=cfg.min_separation))
+    grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+    assert len(cfg.eps_ladder) == 4
+    for eps in cfg.eps_ladder:
+        _bound(family, eps, grid)
 
 
 def test_epsn_bound_weight_validation(grid):
