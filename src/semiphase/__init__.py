@@ -27,7 +27,7 @@ from .quantum import (DensityEnsemble, PropagatorConfig, WaveFunction,
                       propagate, propagate_rows)
 from .states import (ConcentratingProfile, RandomFamilySpec,
                      RealizedConcentration, check_epsn_operator_bound,
-                     coherent_mixture, coherent_state,
+                     coherent_mixture, coherent_rows, coherent_state,
                      concentrating_wigner_data, concentration_lattice,
                      random_family, scaling_exponents)
 

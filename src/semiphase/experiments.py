@@ -31,7 +31,7 @@ from ._version import __version__
 from .classical import (TrajectoryBranch, branch_family, branch_ode_residual,
                         characteristic_feet, transport_particles)
 from .errors import ConfigurationError, NumericsError, SemiphaseWarning
-from .grids import PhaseGrid, PositionGrid, _fast_len, build_position_grid, time_steps
+from .grids import PhaseGrid, PositionGrid, _fast_len, build_position_grid, quadrature, time_steps
 from .gridio import write_csv
 from .metrics import (_as_probability, _char_rows, _strictly_decreasing,
                       char_distance, char_function, fit_rate, l2_distance)
@@ -41,8 +41,8 @@ from .potentials import (PotentialSpec, check_fourier_conditions, evaluate_at,
                          harmonic_potential, rough_power_potential)
 from .quantum import PropagatorConfig, _strang, _strang_factors, propagate, propagate_rows
 from .states import (_LAWS, ConcentratingProfile, RandomFamilySpec, _coherent_margin,
-                     _window_points, check_epsn_operator_bound,
-                     coherent_mixture, coherent_state, concentration_lattice,
+                     _window_points, check_epsn_operator_bound, coherent_mixture,
+                     coherent_rows, coherent_state, concentration_lattice,
                      concentrating_wigner_data, random_family)
 
 __all__ = [
@@ -226,6 +226,7 @@ class _Emitter:
     block, by the driver or by library code, reaches the manifest once,
     in first-seen order. Warnings of other categories are shown again on
     exit, and the warning filters are restored even when the run raises.
+    out_dir is made at the first write: a run refused before it leaves none.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -235,8 +236,6 @@ class _Emitter:
         self.outputs: list = []
         self.passed = True  # until a gate fails
         self.out_dir = Path(cfg.out_dir) if cfg.out_dir else None
-        if self.out_dir is not None:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
         self._catcher = warnings.catch_warnings(record=True)
 
     def __enter__(self) -> "_Emitter":
@@ -256,6 +255,7 @@ class _Emitter:
 
     def csv(self, name: str, header, rows):
         if self.out_dir is not None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
             write_csv(self.out_dir / name, header, rows)
             self.outputs.append(name)
 
@@ -299,6 +299,7 @@ class _Emitter:
             passed=self.passed,
         )
         if self.out_dir is not None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
             (self.out_dir / "manifest.json").write_text(manifest.to_json() + "\n")
         return manifest
 
@@ -381,8 +382,7 @@ class _Window:
             np.rint(trace[1][0] / self.unit).astype(np.intp))
         self.recentres = np.zeros(len(self.cells), np.intp)  # frame moves per row
         if trace is not None:
-            self.rows = np.stack([coherent_state(x - a, p - b, eps, grid).values
-                                  for (x, p), a, b in zip(trace[1][0], *self.frames)])
+            self.rows = coherent_rows(*(trace[1][0] - self.cells * self.unit).T, eps, grid)
 
     @property
     def unit(self) -> np.ndarray:
@@ -484,7 +484,7 @@ def _walk_members(blocks, times, pot: PotentialSpec, dt: float):
         for t, family in _evolve_at([block], times, lambda fam, span: [
                 p for b in fam for p in b.advance(span, pot, dt)]):
             for moved in family:
-                n2 = np.sum(np.abs(moved.rows) ** 2, axis=1) * moved.grid.dx
+                n2 = quadrature(np.abs(moved.rows) ** 2, moved.grid)
                 if not np.all(np.abs(n2 - 1.0) <= 1e-6):
                     raise NumericsError(f"t={t:g}: a member lost its norm, "
                                         f"||psi||^2 = {n2.tolist()}")
@@ -590,8 +590,8 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
             blocks, masses, _, _ = _windows(cfg, eps, pot, times, jobs)
             chi_q = dict.fromkeys(times, 0.0)  # the mixture's, summed block by block
             for t, jobs_at, blk in _walk_members(blocks, times, pot, cfg.dt):
-                chi_q[t] += _char_rows(blk.rows, masses[:1, jobs_at], eps, blk.grid,
-                                       blk.frames)[0]
+                chi_q[t] += np.tensordot(masses[0, jobs_at], _char_rows(
+                    blk.rows, eps, blk.grid, blk.frames), 1)
             raw = _evolve_at(datum, times, _transport(pot, 0.0, cfg.dt_classical))
             moll = _evolve_at(datum, times, _transport(pot, eps, cfg.dt_classical,
                                                        field_grid=field_grid))
@@ -716,7 +716,7 @@ def _windows(cfg: ExperimentConfig, eps: float, pot: PotentialSpec, times, jobs:
     size: 1.5 times the ring's reach plus one check's move, in x and in
     p = pi*eps/dx, _DRIFT cells spare and sigma in _SIGMA_CELLS cells. A
     window as long as the domain or its grid (the finest dx, holding
-    coherent_state's momentum window) runs there in fixed blocks, last.
+    coherent_rows' momentum window) runs there in fixed blocks, last.
     """
     x0, p0 = np.array([job[:2] for job in jobs]).T
     z = 4.0 * np.sqrt(eps / 2.0) * np.r_[0.0, np.exp(2j * np.pi * np.arange(64) / 64)]
@@ -757,8 +757,7 @@ def _windows(cfg: ExperimentConfig, eps: float, pot: PotentialSpec, times, jobs:
                 continue
             grid = build_position_grid(m, cfg.x_min, cfg.x_max)
             for part in (group[lo:lo + _ROWS] for lo in range(0, len(group), _ROWS)):
-                yield _Window(grid, eps, part, np.stack([
-                    coherent_state(x0[j], p0[j], eps, grid).values for j in part]))
+                yield _Window(grid, eps, part, coherent_rows(x0[part], p0[part], eps, grid))
 
     return blocks(), np.array([job[2:] for job in jobs]).T, float(max_x), float(max_p)
 
@@ -830,8 +829,8 @@ def run_concentration_split(cfg: ExperimentConfig) -> RunManifest:
                 last = []  # (n, recentres, edge, tail) per row at the last time
                 for t, jobs_at, blk in _walk_members(blocks, times, pot, cfg.dt):
                     w_self, w_mirror = masses[:, jobs_at]
-                    chi_self, chi_mirror = _char_rows(blk.rows, (w_self, w_mirror),
-                                                      eps, blk.grid, blk.frames)
+                    chi_self, chi_mirror = np.tensordot((w_self, w_mirror), _char_rows(
+                        blk.rows, eps, blk.grid, blk.frames), 1)
                     chi_acc[t] += chi_self + np.conj(chi_mirror)
                     # (above, below) at each member's lab nodes, tabulated once
                     # per lab node that the block spans; a mirror swaps them
@@ -940,8 +939,7 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
                 jobs = [(x, s * p, 1.0, 0.0) for x, p in zip(family.xs, family.ps)]
                 blocks, _, _, _ = _windows(cfg, eps, pot, spans, jobs)
                 for t, jobs_at, blk in _walk_members(blocks, spans, pot, cfg.dt):
-                    chis = _char_rows(blk.rows, np.eye(len(jobs_at)), eps, blk.grid,
-                                      blk.frames)
+                    chis = _char_rows(blk.rows, eps, blk.grid, blk.frames)
                     for j, chi in zip(jobs_at.tolist(), chis):
                         # sample j's moved atom, mirrored in p on the backward walk
                         atom = AtomicMeasure(moved[s * t].atoms[j:j + 1] * (1, 1, s))
@@ -994,7 +992,7 @@ def run_conjecture_probe(cfg: ExperimentConfig) -> RunManifest:
             ens = coherent_mixture(_probe_atoms(cfg, eps), eps, grid)
             sup = sup_norm(husimi(wigner(ens), eps))
             sups.append(sup)
-            rows.append((eps, len(ens.members), sup, sup * eps,
+            rows.append((eps, len(ens.weights), sup, sup * eps,
                          sup * 2.0 * np.pi * eps, 1.0 / eps))
         em.csv("conjecture_probe.csv",
                ["eps", "n_members", "husimi_sup", "sup_times_eps",

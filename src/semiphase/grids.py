@@ -124,11 +124,11 @@ def _real_fft(x: np.ndarray) -> np.ndarray:
     return np.concatenate([half, np.conj(half[(len(x) - 1) // 2:0:-1])])
 
 
-def quadrature(f, grid: PositionGrid) -> float:
-    """Periodic rectangle rule, dx * sum(f). Exact for band-limited f."""
+def quadrature(f, grid: PositionGrid):
+    """Periodic rectangle rule dx * sum(f) over the last axis. Exact for band-limited f."""
     f = np.asarray(f)
     if f.shape[-1] != grid.n_points:
         raise ShapeMismatchError(
             f"quadrature: array length {f.shape[-1]} != grid size {grid.n_points}")
-    return float(grid.dx * np.sum(f, axis=-1))
+    return grid.dx * np.sum(f, axis=-1)
 

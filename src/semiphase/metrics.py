@@ -14,12 +14,13 @@ gridding via the ambiguity integral
     mu^hat(xi, eta) = int conj(psi(x + eps eta/2)) psi(x - eps eta/2) e^{-i xi x} dx,
 
 the characteristic function of the Wigner measure, which _char_rows
-sums over blocks of states with K weight rows at once. char_function
-divides every representation by its own mass, the value at the lattice
-origin, so it returns the characteristic function of a probability
-measure. Heat-kernel smoothing (the Husimi picture) is a pure
-multiplier in this dual representation; char_distance applies it to
-the gap, so smoothed comparisons cost nothing extra.
+takes of each row of a block of states (a mixture sums them by its
+weights). char_function divides every representation by its own mass,
+the value at the lattice origin, so it returns the characteristic
+function of a probability measure. Heat-kernel smoothing (the Husimi
+picture) is a pure multiplier in this dual representation;
+char_distance applies it to the gap, so smoothed comparisons cost
+nothing extra.
 """
 from __future__ import annotations
 
@@ -67,34 +68,33 @@ def _unit_powers(t, x) -> np.ndarray:
     return out
 
 
-def _char_rows(rows, weights, eps: float, grid, frames=None) -> np.ndarray:
-    """K unnormalized sums sum_i weights[k, i] * (ambiguity integral of row i).
+def _char_rows(rows, eps: float, grid, frames=None) -> np.ndarray:
+    """The unnormalized ambiguity integral of each row, one (33, 33) chi per row.
 
-    rows is an (M, N) block or a sequence of (N,) states on grid at eps,
-    weights is (K, M), and the result is (K, 33, 33). Each row is shifted
-    once and reduced by its own kernel matmul right after, so memory does
-    not grow with M. Row j of the shift table gives psi(x - eps*eta_j/2);
+    rows is an (M, N) block of states on grid at eps, and the result is
+    (M, 33, 33); a mixture reduces it by its weights. Each row is shifted
+    once and reduced by its own kernel matmul right after, so only the
+    output grows with M. Row j of the shift table gives psi(x - eps*eta_j/2);
     NODES is symmetric, so row 32 - j is psi(x + eps*eta_j/2). Only eta <= 0
     is computed: chi(xi, -eta) = conj(chi(-xi, eta)) fills the rest.
 
     frames = (a, b) reads row j as phi_j of e^{i b_j (x - a_j)/eps} phi_j(x - a_j),
     whose integral is e^{-i(xi a_j + b_j eta)} times phi_j's.
     """
-    weights = np.asarray(weights, dtype=np.float64)
     phases, kernel = _unit_powers(NODES * (eps / 2.0), grid.k), _unit_powers(NODES, grid.nodes)
     half = _ORIGIN + 1
-    lo = np.zeros((len(weights), NODES.size, half), complex)
-    for i, (row, w_row) in enumerate(zip(rows, weights.T)):
+    chis = np.empty((len(rows), NODES.size, NODES.size), complex)
+    for i, row in enumerate(rows):
         shifted = np.fft.fft(row) * phases
         np.fft.ifft(shifted, axis=1, out=shifted)
         pair = np.conj(shifted[:-half - 1:-1])
         pair *= shifted[:half]
         del shifted  # one (33, N) shift at a time beside the two tables
-        row_lo = (kernel @ pair.T) * grid.dx
+        lo = (kernel @ pair.T) * grid.dx
         if frames is not None:
-            row_lo *= np.exp(-1j * (frames[0][i] * NODES[:, None] + frames[1][i] * NODES[:half]))
-        lo += w_row[:, None, None] * row_lo
-    return np.concatenate([lo, np.conj(lo[:, ::-1, -2::-1])], axis=2)
+            lo *= np.exp(-1j * (frames[0][i] * NODES[:, None] + frames[1][i] * NODES[:half]))
+        chis[i, :, :half], chis[i, :, half:] = lo, np.conj(lo[::-1, -2::-1])
+    return chis
 
 
 def _as_probability(chi: np.ndarray) -> np.ndarray:
@@ -110,7 +110,7 @@ def char_function(obj) -> np.ndarray:
     """Characteristic function of obj, as a probability, on NODES x NODES.
 
     Accepts atomic measures, grid densities and wavefunctions (Wigner
-    measure, via the ambiguity integral: _char_rows with one weight row).
+    measure, via the ambiguity integral: _char_rows of its one row).
     The result is divided by its mass (_as_probability), so it is 1 at
     the origin.
     """
@@ -121,7 +121,7 @@ def char_function(obj) -> np.ndarray:
         ex, ep = _unit_powers(NODES, obj.grid.x), _unit_powers(NODES, obj.grid.p)
         chi = (ex @ obj.values @ ep.T) * obj.grid.cell_area
     elif isinstance(obj, WaveFunction):
-        (chi,) = _char_rows(obj.values[None], ((1.0,),), obj.eps, obj.grid)
+        chi = _char_rows(obj.values[None], obj.eps, obj.grid)[0]
     else:
         raise RepresentationError(f"no characteristic function for {type(obj)!r}")
     return _as_probability(chi)

@@ -8,7 +8,7 @@ which keeps the x-marginal identity   dp * sum_p W(x, p) = |psi(x)|^2
 exact to rounding. The correlation is Hermitian in m, so only its half
 m = 0 .. N is built and a real inverse FFT returns W: realness holds
 by construction. A mixture sum_j w_j |psi_j><psi_j| sums its weighted
-member correlations before that one FFT, so states and ensembles share
+row correlations before that one FFT, so states and ensembles share
 one transform. The momentum axis is the eps-scaled dual grid:
 
     p_l = l * dp,  dp = 2*pi*eps / (2*L),  l in [-N, N).
@@ -143,19 +143,19 @@ def upsample2(psi: np.ndarray) -> np.ndarray:
     return 2.0 * np.fft.ifft(fine, axis=-1)
 
 
-def _support_checks(state: WaveFunction) -> None:
-    grid = state.grid
-    prob = state.density()
-    edge = grid.dx * float(prob[:3].sum() + prob[-3:].sum())
-    if edge > 1e-10:
-        warnings.warn(f"boundary wrap: edge probability {edge:.2e}", SemiphaseWarning)
-    spec = np.abs(np.fft.fft(state.values)) ** 2
-    total = spec.sum()
-    hot = spec[np.abs(grid.k) >= 0.875 * np.abs(grid.k).max()].sum()
-    if total > 0 and hot / total > 1e-10:
+def _support_checks(rows: np.ndarray, grid: PositionGrid) -> None:
+    """Warns once per row of rows (M, N) with edge probability past 1e-10;
+    refuses the block if a row's spectral mass near Nyquist passes 1e-10."""
+    prob = np.abs(rows) ** 2
+    for edge in (grid.dx * (prob[:, :3].sum(1) + prob[:, -3:].sum(1))).tolist():
+        if edge > 1e-10:
+            warnings.warn(f"boundary wrap: edge probability {edge:.2e}", SemiphaseWarning)
+    spec = np.abs(np.fft.fft(rows, axis=-1)) ** 2
+    hot = spec[:, np.abs(grid.k) >= 0.875 * np.abs(grid.k).max()].sum(1) / spec.sum(1)
+    if np.any(hot > 1e-10):
         raise ConfigurationError(
             "momentum window fails to contain the state (spectral mass "
-            f"{hot / total:.2e} near Nyquist); refine the grid or increase eps")
+            f"{hot.max():.2e} near Nyquist); refine the grid or increase eps")
 
 
 # x-rows per block of the Wigner kernel: one (64, N+1) correlation block
@@ -163,40 +163,37 @@ def _support_checks(state: WaveFunction) -> None:
 _WIGNER_ROWS = 64
 
 
-def _wigner_values(members, dx: float, eps: float) -> np.ndarray:
+def _wigner_values(rows: np.ndarray, weights, dx: float, eps: float) -> np.ndarray:
     """sum_j w_j W_j on the (N, 2N) phase grid, in blocks of _WIGNER_ROWS x-rows.
 
-    members are (w_j, samples) pairs; each member's zero-padded half-step
-    samples carry sqrt(w_j). Row i correlates pad[n+2i+m] with
-    pad[n+2i-m] for m = 0 .. N, read as strided windows: rows n+2i, and
-    rows 2i reversed. A block sums the members' correlations in one
-    reused (64, N+1) buffer and takes one irfft straight into its rows of
-    the output. The sign row (-1)^m centres the p-axis in place of an
-    fftshift, and zeroes the unpaired Nyquist offset.
+    rows (M, N) are the states' samples and weights their w_j; each row's
+    zero-padded half-step samples carry sqrt(w_j). Row i correlates
+    pad[n+2i+m] with pad[n+2i-m] for m = 0 .. N, read as strided windows:
+    rows n+2i, and rows 2i reversed. A block sums the rows' correlations
+    in one reused (64, N+1) buffer and takes one irfft straight into its
+    rows of the output. The sign row (-1)^m centres the p-axis in place of
+    an fftshift, and zeroes the unpaired Nyquist offset.
     """
-    n = members[0][1].size
-    views = []
-    for weight, psi in members:
-        pad = np.zeros(4 * n, dtype=np.complex128)
-        pad[n:3 * n] = upsample2(psi)
-        pad *= np.sqrt(weight)  # exact for the weight 1 of a pure state
-        win = sliding_window_view(pad, n + 1)
-        # corr(i, -m) = conj(corr(i, m)): offsets m = 0 .. N carry it all
-        views.append((win[n:3 * n:2], win[0:2 * n:2, ::-1]))
+    m, n = rows.shape
+    pad = np.zeros((m, 4 * n), dtype=np.complex128)
+    pad[:, n:3 * n] = upsample2(rows)
+    pad *= np.sqrt(weights)[:, None]  # exact for the weight 1 of a pure state
+    win = sliding_window_view(pad, n + 1, axis=-1)
+    # corr(i, -m) = conj(corr(i, m)): offsets m = 0 .. N carry it all
+    ahead, behind = win[:, n:3 * n:2], win[:, 0:2 * n:2, ::-1]
     sign = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
     sign[n] = 0.0  # the Nyquist offset +-N has no pair; drop it
     scale = dx * 2 * n / (2.0 * np.pi * eps)
     out = np.empty((n, 2 * n))
     buf = np.empty((min(n, _WIGNER_ROWS), n + 1), dtype=np.complex128)
-    term = np.empty_like(buf) if len(views) > 1 else None
-    (first_ahead, first_behind), *rest = views
+    term = np.empty_like(buf) if m > 1 else None
     for lo in range(0, n, _WIGNER_ROWS):
         hi = min(lo + _WIGNER_ROWS, n)
-        corr = np.conj(first_ahead[lo:hi], out=buf[:hi - lo])
-        corr *= first_behind[lo:hi]
-        for ahead, behind in rest:
-            t = np.conj(ahead[lo:hi], out=term[:hi - lo])
-            t *= behind[lo:hi]
+        corr = np.conj(ahead[0, lo:hi], out=buf[:hi - lo])
+        corr *= behind[0, lo:hi]
+        for j in range(1, m):
+            t = np.conj(ahead[j, lo:hi], out=term[:hi - lo])
+            t *= behind[j, lo:hi]
             corr += t
         corr *= sign
         # irfft writes straight into the output rows (out=)
@@ -208,15 +205,13 @@ def _wigner_values(members, dx: float, eps: float) -> np.ndarray:
 def wigner(state: WaveFunction | DensityEnsemble) -> GridDensity:
     """Wigner transform of a WaveFunction or a DensityEnsemble.
 
-    A state is the one-member, weight-1 ensemble. Any ensemble costs one
-    (N, 2N) output plus its padded members and at most two row blocks.
+    A state is the one-row, weight-1 ensemble. Any ensemble costs one
+    (N, 2N) output plus its padded rows and at most two row blocks.
     """
-    members = (state.members if isinstance(state, DensityEnsemble)
-               else ((1.0, state),))
-    for _, member in members:
-        _support_checks(member)
-    values = _wigner_values([(w, m.values) for w, m in members],
-                            state.grid.dx, state.eps)
+    rows, weights = ((state.values, state.weights) if isinstance(state, DensityEnsemble)
+                     else (state.values[None], (1.0,)))
+    _support_checks(rows, state.grid)
+    values = _wigner_values(rows, weights, state.grid.dx, state.eps)
     return GridDensity(values, build_wigner_grid(state.grid, state.eps), tag="wigner")
 
 

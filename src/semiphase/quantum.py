@@ -27,6 +27,22 @@ __all__ = [
 ]
 
 
+def _unit_rows(values, shape: tuple, eps: float, grid: PositionGrid) -> np.ndarray:
+    """values as complex states of the given shape on grid at eps: refuses a
+    wrong shape, eps <= 0, a non-finite value and ||psi||^2 more than 1e-6 off 1."""
+    v = np.asarray(values, dtype=np.complex128)
+    if v.shape != shape:
+        raise ShapeMismatchError(f"state shape {v.shape} != {shape} on grid {grid.n_points}")
+    if eps <= 0:
+        raise ConfigurationError(f"eps must be > 0, got {eps}")
+    if not np.all(np.isfinite(v)):
+        raise NumericsError("non-finite wavefunction values")
+    off = float(np.max(np.abs(quadrature(np.abs(v) ** 2, grid) - 1.0)))
+    if off > 1e-6:
+        raise ConfigurationError(f"state not normalized: ||psi||^2 off 1 by {off:.3e}")
+    return v
+
+
 @dataclass(frozen=True)
 class WaveFunction:
     """Normalized complex state on a PositionGrid at a fixed eps."""
@@ -36,61 +52,33 @@ class WaveFunction:
     grid: PositionGrid
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.grid.n_points,):
-            raise ShapeMismatchError(
-                f"state length {v.shape} != grid {self.grid.n_points}")
-        if self.eps <= 0:
-            raise ConfigurationError(f"eps must be > 0, got {self.eps}")
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise NumericsError("non-finite wavefunction values")
-        n2 = quadrature(np.abs(v) ** 2, self.grid)
-        if abs(n2 - 1.0) > 1e-6:
-            raise ConfigurationError(
-                f"state not normalized: ||psi||^2 = {n2:.3e} (use WaveFunction.normalized)")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def normalized(cls, values, eps: float, grid: PositionGrid) -> "WaveFunction":
-        v = np.asarray(values, dtype=np.complex128)
-        n2 = quadrature(np.abs(v) ** 2, grid)
-        if n2 <= 0 or not np.isfinite(n2):
-            raise NumericsError("cannot normalize a zero or non-finite state")
-        return cls(v / np.sqrt(n2), eps, grid)
-
-    def norm(self) -> float:
-        return float(np.sqrt(quadrature(np.abs(self.values) ** 2, self.grid)))
-
-    def density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
+        object.__setattr__(self, "values", _unit_rows(
+            self.values, (self.grid.n_points,), self.eps, self.grid))
 
 
 @dataclass(frozen=True)
 class DensityEnsemble:
-    """Finite mixture sum_i w_i |psi_i><psi_i| with Tr = sum w_i = 1."""
+    """Mixture sum_j w_j |psi_j><psi_j| with Tr = sum w_j = 1: the rows of values
+    (M, N) are the normalized psi_j on grid at eps, weights (M,) the w_j > 0."""
 
-    members: tuple  # of (weight, WaveFunction)
+    values: np.ndarray = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
     eps: float
+    grid: PositionGrid
 
     def __post_init__(self):
-        members = tuple((float(w), s) for w, s in self.members)
-        if not members:
-            raise ConfigurationError("empty ensemble")
-        wsum = sum(w for w, _ in members)
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.ndim != 1 or not w.size:
+            raise ConfigurationError(f"need a non-empty weight vector, got shape {w.shape}")
+        wsum = sum(w.tolist())
         # rounding bound of a left-to-right sum of M terms near 1
-        if abs(wsum - 1.0) > max(1e-12, (len(members) - 1) * 2.0 ** -53):
+        if abs(wsum - 1.0) > max(1e-12, (w.size - 1) * 2.0 ** -53):
             raise ConfigurationError(f"weights sum to {wsum!r}, expected 1")
-        if not all(w > 0 for w, _ in members):
+        if not np.all(w > 0):
             raise ConfigurationError("weights must be in (0, 1]")
-        g0 = members[0][1].grid
-        for _, s in members:
-            if s.grid != g0 or s.eps != self.eps:
-                raise ConfigurationError("ensemble members must share grid and eps")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def grid(self) -> PositionGrid:
-        return self.members[0][1].grid
+        object.__setattr__(self, "values", _unit_rows(
+            self.values, (w.size, self.grid.n_points), self.eps, self.grid))
+        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)

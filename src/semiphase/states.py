@@ -13,9 +13,10 @@ the lattice is mirror-symmetric by construction so even profiles give
 exactly balanced left/right weights.
 
 Every point-set datum (the lattice, a random family) is an
-AtomicMeasure. The experiments' co-moving windows make one coherent
-state per atom; coherent_mixture makes weighted coherent states on one
-grid, and check_epsn_operator_bound needs none.
+AtomicMeasure. coherent_rows makes the coherent states of many centres as
+one (M, N) row block: the experiments' co-moving windows take one per
+window grid, and coherent_mixture pairs one with the atoms' masses as a
+DensityEnsemble. check_epsn_operator_bound needs no grid.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
-from .grids import PhaseGrid, PositionGrid
+from .grids import PhaseGrid, PositionGrid, quadrature
 from .phasespace import AtomicMeasure
 from .quantum import DensityEnsemble, WaveFunction
 
@@ -33,6 +34,7 @@ __all__ = [
     "RealizedConcentration",
     "RandomFamilySpec",
     "scaling_exponents",
+    "coherent_rows",
     "coherent_state",
     "coherent_mixture",
     "concentration_lattice",
@@ -60,40 +62,43 @@ def _window_points(p_max: float, eps: float, length: float) -> float:
     return (p_max + _coherent_margin(eps)) * length / (np.pi * eps)
 
 
-def coherent_state(x0: float, p0: float, eps: float,
-                   grid: PositionGrid) -> WaveFunction:
-    """Gaussian packet (pi eps)^{-1/4} exp(-(x-x0)^2/(2 eps) + i p0 x / eps).
+def coherent_rows(x0, p0, eps: float, grid: PositionGrid) -> np.ndarray:
+    """Gaussian packets (pi eps)^{-1/4} exp(-(x-x0)^2/(2 eps) + i p0 x / eps),
+    one per centre, each normalized by dx * sum |psi|^2: shape x0.shape + (N,).
 
-    Position and momentum centers must sit at least 6 sigma
-    (sigma = sqrt(eps/2)) inside the respective windows; the momentum
-    window of the grid is +- pi*eps/dx (_window_points).
+    Every position and momentum centre must sit at least 6 sigma
+    (sigma = sqrt(eps/2)) inside the respective windows, so a NaN centre is
+    refused; the momentum window of the grid is +- pi*eps/dx (_window_points).
     """
     if eps <= 0:
         raise ConfigurationError(f"eps must be > 0, got {eps}")
+    x0, p0 = np.asarray(x0, dtype=np.float64), np.asarray(p0, dtype=np.float64)
     margin = _coherent_margin(eps)
-    if x0 - margin < grid.x_min or x0 + margin > grid.x_max:
+    if np.any(bad := ~((x0 - margin >= grid.x_min) & (x0 + margin <= grid.x_max))):
         raise ConfigurationError(
-            f"center x0={x0} within {margin:.3g} of the grid boundary")
-    need = _window_points(abs(p0), eps, grid.length)
-    if grid.n_points < need:
-        raise ConfigurationError(f"momentum center p0={p0} needs {need:.0f} grid "
-                                 f"points, have {grid.n_points}; refine the grid")
-    x = grid.nodes
+            f"center x0={x0[bad].flat[0]} within {margin:.3g} of the grid boundary")
+    need = _window_points(np.abs(p0), eps, grid.length)
+    if np.any(bad := ~(need <= grid.n_points)):
+        raise ConfigurationError(f"momentum center p0={p0[bad].flat[0]} needs "
+                                 f"{need[bad].flat[0]:.0f} grid points, have {grid.n_points}")
+    x, x0, p0 = grid.nodes, x0[..., None], p0[..., None]
     psi = (np.pi * eps) ** -0.25 * np.exp(
         -(x - x0) ** 2 / (2.0 * eps) + 1j * p0 * x / eps)
-    return WaveFunction.normalized(psi, eps, grid)
+    return psi / np.sqrt(quadrature(np.abs(psi) ** 2, grid))[..., None]
 
 
-def coherent_mixture(atoms: AtomicMeasure, eps: float,
-                     grid: PositionGrid) -> DensityEnsemble:
+def coherent_state(x0: float, p0: float, eps: float, grid: PositionGrid) -> WaveFunction:
+    """The coherent_rows packet at (x0, p0) as a WaveFunction."""
+    return WaveFunction(coherent_rows(x0, p0, eps, grid), eps, grid)
+
+
+def coherent_mixture(atoms: AtomicMeasure, eps: float, grid: PositionGrid) -> DensityEnsemble:
     """Coherent states at the atoms, weighted by their masses, in atom order.
 
     The masses must sum to 1 (DensityEnsemble checks it).
     """
-    return DensityEnsemble(
-        members=tuple((m, coherent_state(x, p, eps, grid))
-                      for m, x, p in atoms.atoms.tolist()),
-        eps=eps)
+    return DensityEnsemble(coherent_rows(atoms.xs, atoms.ps, eps, grid),
+                           atoms.masses, eps, grid)
 
 
 _N_QUAD = 384  # bump quadrature points per axis

@@ -16,8 +16,10 @@ def grid256():
     return build_position_grid(256, -8.0, 8.0)
 
 
-def _raw(values, eps, grid):
-    return WaveFunction.normalized(np.asarray(values, dtype=complex), eps, grid)
+def unit_state(values, eps, grid):
+    """values divided by their norm sqrt(dx * sum |psi|^2), as a WaveFunction."""
+    values = np.asarray(values, dtype=complex)
+    return WaveFunction(values / np.sqrt(grid.dx * np.sum(np.abs(values) ** 2)), eps, grid)
 
 
 def build_corpus(grid):
@@ -41,26 +43,26 @@ def build_corpus(grid):
         w2 = eps / 2.0 if width2 is None else width2
         return np.exp(-((x - x0) ** 2) / (4.0 * w2) + 1j * p0 * x / eps)
 
-    states.append(("cat_sym_e05", _raw(packet(-1.0, 0.0, 0.05) + packet(1.0, 0.0, 0.05), 0.05, grid)))
-    states.append(("cat_mom_e10", _raw(packet(-0.8, 0.5, 0.1) + packet(0.8, -0.5, 0.1), 0.1, grid)))
-    states.append(("cat_asym_e05", _raw(0.8 * packet(-1.0, 0.0, 0.05) + 0.6 * packet(1.2, 0.3, 0.05), 0.05, grid)))
-    states.append(("comb3_e10", _raw(packet(-1.6, 0.0, 0.1) + packet(0.0, 0.0, 0.1) + packet(1.6, 0.0, 0.1), 0.1, grid)))
+    states.append(("cat_sym_e05", unit_state(packet(-1.0, 0.0, 0.05) + packet(1.0, 0.0, 0.05), 0.05, grid)))
+    states.append(("cat_mom_e10", unit_state(packet(-0.8, 0.5, 0.1) + packet(0.8, -0.5, 0.1), 0.1, grid)))
+    states.append(("cat_asym_e05", unit_state(0.8 * packet(-1.0, 0.0, 0.05) + 0.6 * packet(1.2, 0.3, 0.05), 0.05, grid)))
+    states.append(("comb3_e10", unit_state(packet(-1.6, 0.0, 0.1) + packet(0.0, 0.0, 0.1) + packet(1.6, 0.0, 0.1), 0.1, grid)))
 
-    states.append(("mod_cos_e05", _raw(np.exp(-x**2 / 2.0) * np.cos(10.0 * x), 0.05, grid)))
-    states.append(("mod_sin_e10", _raw(np.exp(-x**2 / 2.0) * np.sin(5.0 * x), 0.1, grid)))
-    states.append(("chirp_e05", _raw(np.exp(-x**2 / 2.0 + 1j * 0.3 * x**2 / (2.0 * 0.05)), 0.05, grid)))
+    states.append(("mod_cos_e05", unit_state(np.exp(-x**2 / 2.0) * np.cos(10.0 * x), 0.05, grid)))
+    states.append(("mod_sin_e10", unit_state(np.exp(-x**2 / 2.0) * np.sin(5.0 * x), 0.1, grid)))
+    states.append(("chirp_e05", unit_state(np.exp(-x**2 / 2.0 + 1j * 0.3 * x**2 / (2.0 * 0.05)), 0.05, grid)))
 
-    states.append(("squeezed_wide_e05", _raw(packet(0.0, 0.0, 0.05, width2=0.1), 0.05, grid)))
-    states.append(("squeezed_narrow_e05", _raw(packet(0.3, 0.0, 0.05, width2=0.05 / 8.0), 0.05, grid)))
+    states.append(("squeezed_wide_e05", unit_state(packet(0.0, 0.0, 0.05, width2=0.1), 0.05, grid)))
+    states.append(("squeezed_narrow_e05", unit_state(packet(0.3, 0.0, 0.05, width2=0.05 / 8.0), 0.05, grid)))
 
-    states.append(("hermite1_e05", _raw(x * np.exp(-x**2 / (2 * 0.05)), 0.05, grid)))
-    states.append(("hermite2_e10", _raw((2 * x**2 / 0.1 - 1.0) * np.exp(-x**2 / (2 * 0.1)), 0.1, grid)))
+    states.append(("hermite1_e05", unit_state(x * np.exp(-x**2 / (2 * 0.05)), 0.05, grid)))
+    states.append(("hermite2_e10", unit_state((2 * x**2 / 0.1 - 1.0) * np.exp(-x**2 / (2 * 0.1)), 0.1, grid)))
 
     # envelope keeps the random field boundary-compatible for phase-space maps
     rng = np.random.default_rng(7)
     spec = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
     spec *= np.exp(-(grid.k / 20.0) ** 2)
-    states.append(("random_band_e10", _raw(np.fft.ifft(spec) * np.exp(-x**2 / 4.0), 0.1, grid)))
+    states.append(("random_band_e10", unit_state(np.fft.ifft(spec) * np.exp(-x**2 / 4.0), 0.1, grid)))
 
     assert len(states) == 20
     return states

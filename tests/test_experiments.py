@@ -381,6 +381,29 @@ def test_cli_half_domain_refusal_exit_2(tmp_path, capsys):
     assert main(["run", "ConcentrationSplit", "--config", cfg,
                  "--out", str(tmp_path / "x")]) == 2
     assert "exceeds the half-domain" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("experiment, overrides", [
+    ("HarmonicExact", {"grid_n": 7}),
+    ("HarmonicExact", {"grid_n": 123}),
+    ("ConjectureProbe", {"grid_n": 6}),
+    ("WeakConvergence", {"theta": 1.5}),
+    ("ConcentrationSplit", {"theta": 1.0}),
+    ("HarmonicExact", {"x_min": 8, "x_max": -8}),
+    ("RandomFamily", {"m_samples": 0}),
+    ("RandomFamily", {"min_separation": -1}),
+    ("RandomFamily", {"law_scale": [0, 1]}),
+    ("ConcentrationSplit", {"even_radius": 1.5}),
+    ("ConcentrationSplit", {"profile_center": [0.9, 0]}),
+])
+def test_cli_refused_run_makes_no_out_dir(tmp_path, experiment, overrides):
+    # refused inside the run, before its first write: the output directory
+    # is made at that write, so none is left behind
+    cfg = _write_cfg(tmp_path, {"experiment": experiment, **overrides})
+    assert main(["run", experiment, "--config", cfg,
+                 "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_nan_step_exit_2(tmp_path):
@@ -686,7 +709,8 @@ def test_weak_convergence_block_matches_the_member_ensemble(monkeypatch):
         member_walks = [_evolve_at(coherent_state(x, p, eps, grid), times, step)
                         for x, p in zip(datum.xs, datum.ps)]
         for moved in zip(*member_walks):
-            (chi,) = _char_rows([s.values for _, s in moved], [datum.masses], eps, grid)
+            chi = np.tensordot(datum.masses, _char_rows(
+                np.stack([s.values for _, s in moved]), eps, grid), 1)
             want.append(_as_probability(chi))
     # the raw and the mollified distance of a sample time share its chi
     assert len(seen) == 2 * len(want)
@@ -782,9 +806,9 @@ def test_framed_rows_match_the_lab_grid():
     # at the nodes a + y, reproduce the same states on a lab grid
     eps = 1e-3
     win, rows, frames, lab, lab_rows = _framed_pair(eps)
-    weights = ((0.3, 0.7), (0.5, 0.0))
-    got = _char_rows(rows, weights, eps, win, frames)
-    want = _char_rows(lab_rows, weights, eps, lab)
+    got = _char_rows(rows, eps, win, frames)
+    want = _char_rows(lab_rows, eps, lab)
+    assert got.shape == (2, 33, 33)
     assert np.max(np.abs(got - want)) <= 1e-12
     for xsep in (0.05, 0.25):
         w_win = _halfplane_weights(frames[0][:, None] + win.nodes, eps, xsep)
@@ -801,10 +825,10 @@ def test_reframe_keeps_the_lab_state():
     x0, p0 = np.array([0.3, -0.21]), np.array([0.4, -0.1])
     centres = np.stack([np.stack([x0, p0], -1), np.stack([x0 + 0.02, p0 - 0.05], -1)])
     win = _Window(win_grid, eps, np.arange(2), trace=(np.array([0.0, 1.0]), centres))
-    before = _char_rows(win.rows, ((1.0, 1.0),), eps, win.grid, win.frames)
+    before = _char_rows(win.rows, eps, win.grid, win.frames)
     assert win._check(1.0) == [win]  # re-framed onto the centres at the second stop
     assert win.recentres.tolist() == [2, 2]  # both rows, in x and in k
-    after = _char_rows(win.rows, ((1.0, 1.0),), eps, win.grid, win.frames)
+    after = _char_rows(win.rows, eps, win.grid, win.frames)
     assert np.max(np.abs(after - before)) <= 1e-12
 
 
@@ -937,7 +961,7 @@ def test_windows_match_doubled_fixed_grids():
                 np.stack([coherent_state(x, p, eps, grid).values for x, p, _, _ in jobs]),
                 eps, grid, pot, PropagatorConfig(dt=cfg.dt, t_final=t))
             w = np.array([job[2:] for job in jobs]).T
-            chi_self, chi_mirror = _char_rows(rows, w, eps, grid)
+            chi_self, chi_mirror = np.tensordot(w, _char_rows(rows, eps, grid), 1)
             chi = _as_probability(chi_self + np.conj(chi_mirror))
             half = (_halfplane_weights(grid.nodes, eps, branch.X(t) / 2.0)
                     @ (np.abs(rows) ** 2).T * grid.dx)
@@ -1008,7 +1032,8 @@ def test_failed_run_restores_warning_state(tmp_path):
     with pytest.raises(ConfigurationError, match="shell analysis"):
         run_experiment(defaults_for("L2MollifiedRate", grid_n=512,
                                     out_dir=str(tmp_path / "r")))
-    assert (tmp_path / "r").is_dir()  # the emitter was entered
+    # the refusal came from inside the emitter, before its first write
+    assert not (tmp_path / "r").exists()
     assert warnings.filters == filters
     assert warnings.showwarning is show
 

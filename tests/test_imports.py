@@ -3,7 +3,6 @@ name it exports exists, and some module references it; the names that the
 benchmark's tracer reads from outside the package stay put."""
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import os
@@ -11,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semiphase
@@ -102,8 +102,8 @@ def test_package_line_budget():
 
 
 # bench/tracer.py counts work from these bound argument names (the first
-# comes first), and reads these classes and the ensemble's members: a
-# rename breaks every traced benchmark run, and nothing else would notice
+# comes first), and reads these classes: a rename breaks every traced
+# benchmark run, and nothing else would notice
 _TRACED_ARGS = {
     "quantum.propagate": ("state", "cfg"),
     "metrics.char_function": ("obj",),
@@ -126,5 +126,9 @@ def test_traced_representations():
     for name in ("AtomicMeasure", "DensityEnsemble", "GridDensity",
                  "WaveFunction"):
         assert inspect.isclass(getattr(semiphase, name)), name
-    fields = {f.name for f in dataclasses.fields(semiphase.DensityEnsemble)}
-    assert "members" in fields
+    # its ensemble branch reads the former DensityEnsemble.members; it counts
+    # char_function of an ensemble, which the package refuses
+    ens = semiphase.DensityEnsemble(np.full((1, 8), 0.25), (1.0,), 0.1,
+                                    semiphase.build_position_grid(8, -8.0, 8.0))
+    with pytest.raises(semiphase.RepresentationError):
+        semiphase.char_function(ens)

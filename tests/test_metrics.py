@@ -100,7 +100,7 @@ def test_char_mirror_conjugate(grid):
 
 
 def test_char_ensemble_streams_members(grid):
-    # one weight row over a block of members, as a probability, equals the
+    # the block's chis reduced by the weights, as a probability, equal the
     # weighted sum of member characteristic functions
     eps = 0.05
     weights = (0.1, 0.2, 0.3, 0.4)
@@ -134,9 +134,9 @@ def _rel_dev(a, b):
 
 def _char_members(members):
     # the one weighted sum of _char_rows over (weight, WaveFunction) pairs
-    (chi,) = _char_rows([s.values for _, s in members], [[w for w, _ in members]],
-                        members[0][1].eps, members[0][1].grid)
-    return chi
+    chis = _char_rows(np.stack([s.values for _, s in members]),
+                      members[0][1].eps, members[0][1].grid)
+    return np.tensordot([w for w, _ in members], chis, 1)
 
 
 def test_one_shift_table_matches_two_tables(corpus):
@@ -185,8 +185,9 @@ def test_half_rows_match_full_rows_ensemble(grid):
 
 @pytest.mark.parametrize("n", [1232, 1680])
 def test_char_rows_self_and_mirror_sums(n):
-    # K = 2 over one block, zero mirror weights included, against
-    # sum_j w_s chi_j + w_m conj(chi_j) from the two-table reference
+    # one chi per row, each the two-table reference's; reduced by two weight
+    # rows, zero mirror weights included, as ConcentrationSplit does, they
+    # give sum_j w_s chi_j + w_m conj(chi_j)
     eps = 1e-3
     g = build_position_grid(n, -2.0, 2.0)
     states = [coherent_state(x0, p0, eps, g) for x0, p0
@@ -194,9 +195,13 @@ def test_char_rows_self_and_mirror_sums(n):
     w_self = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
     w_mirror = np.array([0.1, 0.0, 0.2, 0.0, 0.15])
     rows = np.stack([s.values for s in states])
-    chi_self, chi_mirror = _char_rows(rows, (w_self, w_mirror), eps, g)
-    got = chi_self + np.conj(chi_mirror)
+    per_row = _char_rows(rows, eps, g)
     chis = [_two_table_char_members(((1.0, s),)) for s in states]
+    assert per_row.shape == (5, 33, 33)
+    for got, want in zip(per_row, chis):
+        assert _rel_dev(got, want) <= 1e-13
+    chi_self, chi_mirror = np.tensordot(np.stack([w_self, w_mirror]), per_row, 1)
+    got = chi_self + np.conj(chi_mirror)
     expect = sum(ws * c + wm * np.conj(c) for ws, wm, c in zip(w_self, w_mirror, chis))
     assert _rel_dev(got, expect) <= 1e-13
     # the sums are not normalized
@@ -206,24 +211,25 @@ def test_char_rows_self_and_mirror_sums(n):
 def test_char_rows_memory_is_tables_shift_and_integrands():
     # rows are shifted and reduced one at a time: the peak is the two
     # (33, N) tables, one row's (33, N) shift, its (17, N) pair and the
-    # output, never a shift or an integrand per row of the block. The bound
-    # does not grow with M, framed (M = 145, a window grid's group) or not
-    n, eps, k = 1232, 1e-2, 2
+    # (M, 33, 33) output, never a shift or an integrand per row of the
+    # block. Beside the output the bound does not grow with M, framed
+    # (M = 145, a window grid's group) or not
+    n, eps = 1232, 1e-2
     g = build_position_grid(n, -2.0, 2.0)
     table = 33 * n * np.dtype(complex).itemsize
     integrand = 17 * n * np.dtype(complex).itemsize
     for m, framed in ((16, False), (145, True)):
         rows = np.stack([coherent_state(x0, 0.1, eps, g).values
                          for x0 in np.linspace(-0.8, 0.8, m)])
-        weights = np.full((k, len(rows)), 1.0 / m)
         frames = (np.linspace(-0.1, 0.1, m), np.linspace(0.2, -0.2, m)) if framed else None
         tracemalloc.start()
         try:
-            out = _char_rows(rows, weights, eps, g, frames)
+            out = _char_rows(rows, eps, g, frames)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * table + (k + 1) * integrand + out.nbytes, (m, peak / table)
+        assert out.shape == (m, 33, 33)
+        assert peak <= 3 * table + 3 * integrand + out.nbytes, (m, peak / table)
 
 
 def test_char_is_one_at_origin_for_every_representation(grid):

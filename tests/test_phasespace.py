@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from conftest import unit_state
 
 from semiphase import (
     ConfigurationError,
     DensityEnsemble,
     GridDensity,
+    SemiphaseWarning,
     WaveFunction,
     build_position_grid,
     coherent_state,
@@ -72,12 +74,11 @@ def test_hermitian_half_wigner_matches_full_correlation(n, kind):
     if kind == "coherent":
         psi = coherent_state(0.0, 0.0, eps, g)
     elif kind == "cat":
-        psi = WaveFunction.normalized(coherent_state(-1.0, 0.3, eps, g).values
-                                      + coherent_state(1.0, -0.3, eps, g).values,
-                                      eps, g)
+        psi = unit_state(coherent_state(-1.0, 0.3, eps, g).values
+                         + coherent_state(1.0, -0.3, eps, g).values, eps, g)
     else:
         psi = coherent_state(3.1, 0.9, eps, g)
-    got = _wigner_values([(1.0, psi.values)], g.dx, eps)
+    got = _wigner_values(psi.values[None], (1.0,), g.dx, eps)
     ref = _full_correlation_wigner(psi.values, g.dx, eps)
     if kind == "cat":
         assert ref.min() < -0.1 * ref.max()  # negative fringes
@@ -117,7 +118,7 @@ def test_wigner_cat_interference(grid):
     eps, a = 0.05, 1.0
     plus = coherent_state(-a, 0.0, eps, grid)
     minus = coherent_state(a, 0.0, eps, grid)
-    cat = WaveFunction.normalized(plus.values + minus.values, eps, grid)
+    cat = unit_state(plus.values + minus.values, eps, grid)
     W = wigner(cat)
     mid = np.argmin(np.abs(W.grid.x))
     fringe = W.values[mid, :]
@@ -134,7 +135,7 @@ def test_wigner_mass_and_marginal_corpus(corpus):
         W = wigner(psi)
         assert W.total_mass == pytest.approx(1.0, abs=1e-8), label
         xm = W.values.sum(axis=1) * W.grid.p_grid.dx
-        err = float(np.sum(np.abs(xm - psi.density())) * psi.grid.dx)
+        err = float(np.sum(np.abs(xm - np.abs(psi.values) ** 2)) * psi.grid.dx)
         assert err < 1e-8, label
 
 
@@ -157,17 +158,22 @@ def test_wigner_l2_norm_coherent(grid):
 def test_one_member_ensemble_is_the_state(n):
     g = build_position_grid(n, -8.0, 8.0)
     psi = coherent_state(0.4, -0.3, 0.1, g)
-    ens = DensityEnsemble(members=((1.0, psi),), eps=0.1)
+    ens = DensityEnsemble(psi.values[None], (1.0,), 0.1, g)
     assert np.array_equal(wigner(ens).values, wigner(psi).values)
 
 
 def _four_members(g, eps):
-    cat = WaveFunction.normalized(coherent_state(-1.0, 0.3, eps, g).values
-                                  + coherent_state(1.0, -0.3, eps, g).values,
-                                  eps, g)
+    cat = unit_state(coherent_state(-1.0, 0.3, eps, g).values
+                     + coherent_state(1.0, -0.3, eps, g).values, eps, g)
     return ((0.1, coherent_state(0.0, 0.0, eps, g)), (0.2, cat),
             (0.3, coherent_state(3.1, 0.9, eps, g)),
             (0.4, coherent_state(-2.0, -1.2, eps, g)))
+
+
+def _ensemble(members, eps, g):
+    # (weight, WaveFunction) pairs as one row block and its weights
+    return DensityEnsemble(np.stack([m.values for _, m in members]),
+                           [w for w, _ in members], eps, g)
 
 
 # 1000: a partial last row block
@@ -176,7 +182,7 @@ def test_wigner_of_ensemble_is_convex(n):
     g = build_position_grid(n, -8.0, 8.0)
     eps = 0.1
     members = _four_members(g, eps)
-    W = wigner(DensityEnsemble(members=members, eps=eps))
+    W = wigner(_ensemble(members, eps, g))
     expect = sum(w * wigner(m).values for w, m in members)
     assert expect.min() < 0  # the cat's fringes survive the mixture
     assert np.max(np.abs(W.values - expect)) <= 1e-14 * np.max(np.abs(expect))
@@ -186,17 +192,35 @@ def test_wigner_of_ensemble_is_convex(n):
 def test_ensemble_wigner_memory_is_output_members_and_blocks():
     # the members share one output: no (N, 2N) transform per member
     g = build_position_grid(1024, -8.0, 8.0)
-    ens = DensityEnsemble(members=_four_members(g, 0.1), eps=0.1)
+    ens = _ensemble(_four_members(g, 0.1), 0.1, g)
     tracemalloc.start()
     try:
         W = wigner(ens)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    pads = len(ens.members) * 4 * 1024 * 16  # zero-padded half-step samples
+    pads = len(ens.weights) * 4 * 1024 * 16  # zero-padded half-step samples
     block = 64 * 1025 * 16  # one (64, N+1) complex correlation block
     # the block sum and one member's term, plus a block of slack
     assert peak <= W.values.nbytes + pads + 3 * block, peak
+
+
+def test_support_checks_warn_per_row_and_refuse_a_hot_row(grid):
+    # each row with edge probability past 1e-10 warns once; a row with
+    # spectral mass near Nyquist refuses the whole block
+    x, eps = grid.nodes, 0.1
+    # smooth across the periodic seam at x = +-8, where both sit
+    near_edge = [unit_state(np.exp(-a * (x - 8.0) ** 2) + np.exp(-a * (x + 8.0) ** 2),
+                            eps, grid).values for a in (1.0, 2.0)]
+    inside = coherent_state(0.0, 0.0, eps, grid).values
+    ens = DensityEnsemble(np.stack([near_edge[0], inside, near_edge[1]]),
+                          (0.25, 0.5, 0.25), eps, grid)
+    with pytest.warns(SemiphaseWarning, match="boundary wrap") as caught:
+        wigner(ens)
+    assert len(caught) == 2
+    hot = unit_state(np.exp(-x ** 2 + 0.95j * np.pi * x / grid.dx), eps, grid).values
+    with pytest.raises(ConfigurationError, match="near Nyquist"):
+        wigner(DensityEnsemble(np.stack([inside, hot]), (0.5, 0.5), eps, grid))
 
 
 # ----------------------------------------------------------------- husimi
@@ -229,7 +253,7 @@ def test_husimi_cat_fringe_suppression(grid):
     eps, a = 0.05, 1.0
     plus = coherent_state(-a, 0.0, eps, grid)
     minus = coherent_state(a, 0.0, eps, grid)
-    cat = WaveFunction.normalized(plus.values + minus.values, eps, grid)
+    cat = unit_state(plus.values + minus.values, eps, grid)
     W = wigner(cat)
     mid = np.argmin(np.abs(W.grid.x))
     # strong fringes before smoothing, O(1/(pi eps)) in magnitude
@@ -237,7 +261,7 @@ def test_husimi_cat_fringe_suppression(grid):
     # heat at time eps damps the eta = 2a/eps fringe by exp(-4a^2/eps);
     # the cat husimi then agrees with the incoherent mixture's husimi
     Hcat = husimi(W, eps)
-    mix = DensityEnsemble(members=((0.5, plus), (0.5, minus)), eps=eps)
+    mix = _ensemble(((0.5, plus), (0.5, minus)), eps, grid)
     Hmix = husimi(wigner(mix), eps)
     diff = float(np.max(np.abs(Hcat.values - Hmix.values)))
     assert diff < 1e-5 * float(Hcat.values.max())

@@ -11,9 +11,11 @@ from semiphase import (
     ConcentratingProfile,
     ConfigurationError,
     DensityEnsemble,
+    NumericsError,
     RandomFamilySpec,
     ShapeMismatchError,
     build_position_grid,
+    coherent_rows,
     coherent_state,
 )
 from semiphase.grids import PhaseGrid
@@ -60,7 +62,7 @@ def test_scaling_exponents_mass_identity_rational():
 def test_coherent_state_normalized(grid):
     for eps in (0.02, 0.05, 0.2):
         psi = coherent_state(0.5, -0.3, eps, grid)
-        assert abs(psi.norm() - 1.0) < 1e-10
+        assert abs(grid.dx * np.sum(np.abs(psi.values) ** 2) - 1.0) < 1e-10
 
 
 def test_coherent_state_even_real_at_origin(grid):
@@ -83,6 +85,29 @@ def test_coherent_state_boundary_rejects(grid):
     p_edge = 0.05 * np.pi / grid.dx
     with pytest.raises(ConfigurationError):
         coherent_state(0.0, p_edge * 0.999, 0.05, grid)
+
+
+def test_coherent_rows_are_the_states_bit_for_bit(grid):
+    eps = 0.05
+    x0 = np.array([[-1.0, 0.5, 2.25], [0.0, -3.1, 6.0]])
+    p0 = np.array([[0.3, -0.7, 0.0], [1.5, 0.2, -2.0]])
+    rows = coherent_rows(x0, p0, eps, grid)
+    assert rows.shape == (2, 3, grid.n_points)
+    for i, j in np.ndindex(x0.shape):
+        want = coherent_state(x0[i, j], p0[i, j], eps, grid).values
+        assert np.array_equal(rows[i, j], want)
+    assert np.array_equal(coherent_rows(0.5, -0.7, eps, grid),
+                          coherent_state(0.5, -0.7, eps, grid).values)
+
+
+@pytest.mark.parametrize("last", [(7.9, 0.0), (np.nan, 0.0), (0.0, np.nan),
+                                  (0.0, 0.999 * 0.05 * np.pi / (16.0 / 512))])
+def test_coherent_rows_check_every_centre(grid, last):
+    # the position and momentum checks read every centre: a block whose last
+    # centre is too near an edge of either window, or NaN, is refused
+    x0, p0 = np.array([0.0, 1.0, last[0]]), np.array([0.0, -0.5, last[1]])
+    with pytest.raises(ConfigurationError, match="center"):
+        coherent_rows(x0, p0, 0.05, grid)
 
 
 def test_coherent_husimi_sharpens_along_ladder(grid):
@@ -311,29 +336,45 @@ def test_epsn_bound_weight_validation(grid):
     # the ensemble the bound reads refuses weights that are not a
     # probability vector
     eps = 0.05
-    psi = coherent_state(0.0, 0.0, eps, grid)
-    with pytest.raises(ConfigurationError):
-        DensityEnsemble(members=((0.0, psi),), eps=eps)
-    with pytest.raises(ConfigurationError):
-        DensityEnsemble(members=((0.5, psi),), eps=eps)
-    with pytest.raises(ConfigurationError):
-        DensityEnsemble(members=((np.nan, psi),), eps=eps)
+    rows = coherent_state(0.0, 0.0, eps, grid).values[None]
+    for weights in ((0.0,), (0.5,), (np.nan,), ()):
+        with pytest.raises(ConfigurationError):
+            DensityEnsemble(rows[:len(weights)], weights, eps, grid)
 
 
-def test_ensemble_weight_sum_tolerance_scales_with_members(grid):
+def test_ensemble_weight_sum_tolerance_scales_with_members():
     # equal weights 1/M summed left to right miss 1 by 1.9e-12 at
-    # M = 100,000, inside the (M - 1) * 2**-53 rounding bound
-    eps = 0.05
-    psi = coherent_state(0.0, 0.0, eps, grid)
+    # M = 100,000, inside the (M - 1) * 2**-53 rounding bound; the constant
+    # rows of an 8-point grid keep the block at 12.8 MB
+    grid = build_position_grid(8, -8.0, 8.0)
     m = 100_000
-    ens = DensityEnsemble(members=tuple((1.0 / m, psi) for _ in range(m)),
-                          eps=eps)
-    assert len(ens.members) == m
+    rows = np.full((m, 8), 0.25, dtype=complex)  # 16 * 0.25^2 = 1
+    ens = DensityEnsemble(rows, np.full(m, 1.0 / m), 0.05, grid)
+    assert ens.values.shape == (m, 8) and ens.weights.shape == (m,)
     for m in (3, 100_000):
         weights = [1.0 / m] * m
         weights[0] += 1e-9
         with pytest.raises(ConfigurationError, match="weights sum"):
-            DensityEnsemble(members=tuple((w, psi) for w in weights), eps=eps)
+            DensityEnsemble(rows[:m], weights, 0.05, grid)
+
+
+def test_ensemble_refuses_bad_rows(grid):
+    eps = 0.05
+    rows = coherent_rows(np.array([-1.0, 0.0, 1.0]), np.zeros(3), eps, grid)
+    weights = np.full(3, 1.0 / 3.0)
+    for bad in (rows[:, :-1], rows[:2], rows[0], rows[None]):
+        with pytest.raises(ShapeMismatchError):
+            DensityEnsemble(bad, weights, eps, grid)
+    with pytest.raises(ConfigurationError):
+        DensityEnsemble(rows, weights, 0.0, grid)
+    for value, error in ((np.nan, NumericsError), (np.inf, NumericsError),
+                         (10.0, ConfigurationError)):
+        bad = rows.copy()
+        bad[2, 100] = value
+        with pytest.raises(error):
+            DensityEnsemble(bad, weights, eps, grid)
+    ens = DensityEnsemble(rows, weights, eps, grid)
+    assert ens.grid == grid and ens.values.dtype == complex
 
 
 # --------------------------------------------- atoms and coherent mixtures
@@ -373,7 +414,8 @@ def test_coherent_mixture_members_follow_atoms(grid):
     eps = 0.05
     atoms = AtomicMeasure(((0.5, 1.0, -0.5), (0.2, -2.0, 0.0), (0.3, 0.0, 1.0)))
     ens = coherent_mixture(atoms, eps, grid)
-    assert ens.eps == eps
-    assert [w for w, _ in ens.members] == atoms.masses.tolist()
-    for (_, state), (_, x, p) in zip(ens.members, atoms.atoms):
-        assert np.array_equal(state.values, coherent_state(x, p, eps, grid).values)
+    assert ens.eps == eps and ens.grid == grid
+    assert ens.weights.tolist() == atoms.masses.tolist()
+    assert ens.values.shape == (3, grid.n_points)
+    for row, (_, x, p) in zip(ens.values, atoms.atoms):
+        assert np.array_equal(row, coherent_state(x, p, eps, grid).values)
