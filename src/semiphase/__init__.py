@@ -18,7 +18,7 @@ from .grids import PhaseGrid, PositionGrid, build_position_grid, quadrature
 from .gridio import write_csv
 from .metrics import RateFit, char_distance, char_function, fit_rate, l2_distance
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
-                         l2_norm, restrict_p, sup_norm, upsample2, wigner)
+                         l2_norm, sup_norm, upsample2, wigner)
 from .potentials import (FourierConditionReport, PotentialSpec,
                          check_fourier_conditions, custom_potential, evaluate,
                          evaluate_at, gradient_at, harmonic_potential,

@@ -36,7 +36,7 @@ from .gridio import write_csv
 from .metrics import (_as_probability, _char_rows, _strictly_decreasing,
                       char_distance, char_function, fit_rate, l2_distance)
 from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
-                         l2_norm, restrict_p, sup_norm, upsample2, wigner)
+                         l2_norm, sup_norm, upsample2, wigner)
 from .potentials import (PotentialSpec, check_fourier_conditions, evaluate_at,
                          harmonic_potential, rough_power_potential)
 from .quantum import PropagatorConfig, _strang, _strang_factors, propagate, propagate_rows
@@ -500,7 +500,12 @@ def _transport(pot: PotentialSpec, eps_mollify: float, dt: float,
 
 def _coherent_wigner(x, p, x0: float, p0: float, eps: float):
     """Wigner function of the coherent state at (x0, p0), at the points (x, p)."""
-    return (np.pi * eps) ** -1 * np.exp(-((x - x0) ** 2 + (p - p0) ** 2) / eps)
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(p)))
+    np.square(np.subtract(x, x0, out=out), out=out)
+    tmp = np.subtract(p, p0)
+    out += np.square(tmp, out=tmp)
+    out /= -eps
+    return np.multiply(np.exp(out, out=out), (np.pi * eps) ** -1, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +535,11 @@ def run_harmonic_exact(cfg: ExperimentConfig) -> RunManifest:
         rows = []
         for t, state in _evolve_at(psi, sorted(cfg.sample_times),
                                    _schrodinger(pot, cfg.dt)):
-            w_num = wigner(state)
             # classical rotation of the initial center (X' = P, P' = -X)
             xc = x0 * np.cos(t) + p0 * np.sin(t)
             pc = p0 * np.cos(t) - x0 * np.sin(t)
-            w_exact = GridDensity(_coherent_wigner(xs, ps, xc, pc, eps), pgrid,
-                                  tag="wigner")
-            rows.append((t, l2_distance(w_num, w_exact)))
+            w_exact = GridDensity(_coherent_wigner(xs, ps, xc, pc, eps), pgrid, tag="wigner")
+            rows.append((t, l2_distance(wigner(state), w_exact)))
         em.csv("harmonic_exact.csv", ["t", "l2_error"], rows)
         max_err = float(np.max([err for _, err in rows]))
         em.records.update(eps=eps, max_l2_error=max_err, tolerance=1e-4)
@@ -585,6 +588,8 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
         datum = _mixture_datum(cfg)
         jobs = [(x, p, m, 0.0) for m, x, p in datum.atoms.tolist()]
         field_grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+        chi_raw = [char_function(c) for _, c in _evolve_at(  # raw: no eps, one walk
+            datum, times, _transport(pot, 0.0, cfg.dt_classical))]
         rows = []
         for eps in cfg.eps_ladder:
             blocks, masses, _, _ = _windows(cfg, eps, pot, times, jobs)
@@ -592,12 +597,11 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
             for t, jobs_at, blk in _walk_members(blocks, times, pot, cfg.dt):
                 chi_q[t] += np.tensordot(masses[0, jobs_at], _char_rows(
                     blk.rows, eps, blk.grid, blk.frames), 1)
-            raw = _evolve_at(datum, times, _transport(pot, 0.0, cfg.dt_classical))
             moll = _evolve_at(datum, times, _transport(pot, eps, cfg.dt_classical,
                                                        field_grid=field_grid))
-            for (t, cloud_raw), (_, cloud_moll) in zip(raw, moll):
+            for chi_r, (t, cloud_moll) in zip(chi_raw, moll):
                 _as_probability(chi_q[t])
-                d_raw = char_distance(chi_q[t], char_function(cloud_raw), heat_time=eps)
+                d_raw = char_distance(chi_q[t], chi_r, heat_time=eps)
                 d_moll = char_distance(chi_q[t], char_function(cloud_moll), heat_time=eps)
                 rows.append((eps, t, d_raw, d_moll))
         sups_raw, sups_moll = ([float(np.max([r[col] for r in rows if r[0] == eps]))
@@ -622,8 +626,11 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
 
 def _h2_norm(density: GridDensity) -> float:
     gx, gp = density.grid.x_grid, density.grid.p_grid
-    mult = 1.0 + gx.k[:, None] ** 2 + gp.k[None, :gp.n_points // 2 + 1] ** 2
-    power = np.abs(np.fft.rfft2(density.values) * mult) ** 2
+    spec = np.fft.rfft(density.values, axis=1)
+    spec = np.fft.fft(spec, axis=0, out=spec)  # rfft2, its second pass in place
+    spec *= 1.0 + gx.k[:, None] ** 2 + gp.k[None, :gp.n_points // 2 + 1] ** 2
+    power = np.abs(spec)
+    power *= power
     # the real transform's half spectrum: columns other than 0 and the
     # (even-length) Nyquist stand for a +-p pair
     total = 2.0 * power.sum() - power[:, 0].sum() - power[:, -1].sum()
@@ -638,7 +645,8 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
     mollification) by pullback, as W0 at the backward characteristic
     feet, compare on a fixed momentum window, normalize by ||W0||.
     Asserts fitted log-log slope > 0 with r^2 > 0.9; the transport H^2
-    growth is recorded, not enforced.
+    growth is recorded, not enforced. Windows are built before any step;
+    one sample's are alive: feet, rho, Wigner window and one gap buffer.
     """
     (times,) = _sample_walks(cfg)
     with _Emitter(cfg) as em:
@@ -650,27 +658,26 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
                 "potential fails the Fourier decay conditions; refusing the rate "
                 "experiment:\n" + report.to_json())
         em.records["fourier_conditions"] = json.loads(report.to_json())
+        pgrids = [build_wigner_grid(grid, eps, cfg.p_window) for eps in cfg.eps_ladder]
 
         x0, p0 = cfg.datum_center
         rows, sup_dists = [], []
-        for eps in cfg.eps_ladder:
+        for eps, pgrid in zip(cfg.eps_ladder, pgrids):
             psi = coherent_state(x0, p0, eps, grid)
-            w0 = restrict_p(wigner(psi), cfg.p_window)
-            norm0 = l2_norm(w0)
-            state = rho = feet = None  # frees the last rung's arrays first: peak RSS
+            norm0 = l2_norm(wigner(psi, cfg.p_window))
             sup_d = 0.0
             # two zipped walks: one walk over (state, feet) pairs raised peak RSS
             quantum = _evolve_at(psi, times, _schrodinger(pot, cfg.dt))
             classical = _evolve_at(
-                (w0.grid.x[:, None], w0.grid.p[None, :]), times,
+                (pgrid.x[:, None], pgrid.p[None, :]), times,
                 lambda f, span: characteristic_feet(f, pot, eps, cfg.dt_classical,
                                                     -span, field_grid=grid))
             for (t, state), (_, feet) in zip(quantum, classical):
-                rho = GridDensity(_coherent_wigner(*feet, x0, p0, eps), w0.grid,
+                rho = GridDensity(_coherent_wigner(*feet, x0, p0, eps), pgrid,
                                   tag="wigner")
-                w_t = restrict_p(wigner(state), cfg.p_window)
-                d = l2_distance(w_t, rho) / norm0
+                d = l2_distance(wigner(state, cfg.p_window), rho) / norm0
                 h2 = _h2_norm(rho)
+                del rho  # before the next feet step
                 rows.append((eps, t, d, h2, h2 / (eps ** -cfg.delta_growth * norm0)))
                 sup_d = float(np.maximum(sup_d, d))
             sup_dists.append(sup_d)

@@ -147,7 +147,8 @@ def l2_distance(a: GridDensity, b: GridDensity) -> float:
         raise RepresentationError("l2_distance needs two grid densities")
     if a.grid != b.grid:
         raise ShapeMismatchError("l2_distance: phase grids differ")
-    return float(np.sqrt(a.grid.cell_area * np.sum((a.values - b.values) ** 2)))
+    gap = a.values - b.values  # squared in place: one buffer
+    return float(np.sqrt(a.grid.cell_area * np.sum(np.square(gap, out=gap))))
 
 
 @dataclass(frozen=True)

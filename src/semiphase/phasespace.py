@@ -13,6 +13,9 @@ one transform. The momentum axis is the eps-scaled dual grid:
 
     p_l = l * dp,  dp = 2*pi*eps / (2*L),  l in [-N, N).
 
+wigner(state, p_max) keeps only the window l in [-h, h) of that axis
+(build_wigner_grid), taken from each row block's FFT: no (N, 2N) array.
+
 Two density representations coexist: grid functions (possibly signed,
 for Wigner) and atomic measures (the weak-* limit objects). Atomic
 measures are the one phase-space point-set type: initial data, their
@@ -41,7 +44,6 @@ __all__ = [
     "husimi",
     "sup_norm",
     "l2_norm",
-    "restrict_p",
     "upsample2",
 ]
 
@@ -116,13 +118,26 @@ class AtomicMeasure:
         return len(self.atoms)
 
 
-def build_wigner_grid(x_grid: PositionGrid, eps: float) -> PhaseGrid:
-    """Phase grid whose p-axis is the eps-scaled dual of the doubled x-grid."""
+def build_wigner_grid(x_grid: PositionGrid, eps: float,
+                      p_max: float | None = None) -> PhaseGrid:
+    """Phase grid whose p-axis is the eps-scaled dual of the doubled x-grid.
+
+    With p_max (finite, > 0), only its symmetric window of h = 2^k <= N
+    cells per side, the largest with h*dp <= p_max but at least 4: a
+    half-width in (p_max/2, p_max], for fixed-window comparisons across eps.
+    """
     if eps <= 0:
         raise ConfigurationError(f"eps must be > 0, got {eps}")
     n = x_grid.n_points
     dp = 2.0 * np.pi * eps / (2.0 * x_grid.length)
     p_grid = build_position_grid(2 * n, -n * dp, n * dp)
+    if p_max is not None:
+        if not 0 < p_max < np.inf:
+            raise ConfigurationError(f"p_max must be finite and > 0, got {p_max}")
+        half = int(2 ** np.floor(np.log2(max(p_max / p_grid.dx, 4.0))))
+        if half > n:
+            raise ConfigurationError(f"p-window {p_max} exceeds the grid extent {p_grid.x_max}")
+        p_grid = build_position_grid(2 * half, -half * p_grid.dx, half * p_grid.dx)
     return PhaseGrid(x_grid=x_grid, p_grid=p_grid)
 
 
@@ -163,16 +178,19 @@ def _support_checks(rows: np.ndarray, grid: PositionGrid) -> None:
 _WIGNER_ROWS = 64
 
 
-def _wigner_values(rows: np.ndarray, weights, dx: float, eps: float) -> np.ndarray:
-    """sum_j w_j W_j on the (N, 2N) phase grid, in blocks of _WIGNER_ROWS x-rows.
+def _wigner_values(rows: np.ndarray, weights, dx: float, eps: float,
+                   cols: slice) -> np.ndarray:
+    """sum_j w_j W_j on the momentum columns cols of the (N, 2N) phase grid,
+    in blocks of _WIGNER_ROWS x-rows; the full transform is cols [0, 2N).
 
     rows (M, N) are the states' samples and weights their w_j; each row's
     zero-padded half-step samples carry sqrt(w_j). Row i correlates
     pad[n+2i+m] with pad[n+2i-m] for m = 0 .. N, read as strided windows:
     rows n+2i, and rows 2i reversed. A block sums the rows' correlations
-    in one reused (64, N+1) buffer and takes one irfft straight into its
-    rows of the output. The sign row (-1)^m centres the p-axis in place of
-    an fftshift, and zeroes the unpaired Nyquist offset.
+    in one reused (64, N+1) buffer and takes one irfft into a reused
+    (64, 2N) buffer, whose columns cols, scaled, are its rows of the
+    output. The sign row (-1)^m centres the p-axis in place of an
+    fftshift, and zeroes the unpaired Nyquist offset.
     """
     m, n = rows.shape
     pad = np.zeros((m, 4 * n), dtype=np.complex128)
@@ -184,7 +202,8 @@ def _wigner_values(rows: np.ndarray, weights, dx: float, eps: float) -> np.ndarr
     sign = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
     sign[n] = 0.0  # the Nyquist offset +-N has no pair; drop it
     scale = dx * 2 * n / (2.0 * np.pi * eps)
-    out = np.empty((n, 2 * n))
+    out = np.empty((n, cols.stop - cols.start))
+    full = np.empty((min(n, _WIGNER_ROWS), 2 * n))
     buf = np.empty((min(n, _WIGNER_ROWS), n + 1), dtype=np.complex128)
     term = np.empty_like(buf) if m > 1 else None
     for lo in range(0, n, _WIGNER_ROWS):
@@ -196,29 +215,30 @@ def _wigner_values(rows: np.ndarray, weights, dx: float, eps: float) -> np.ndarr
             t *= behind[j, lo:hi]
             corr += t
         corr *= sign
-        # irfft writes straight into the output rows (out=)
-        w = np.fft.irfft(corr, n=2 * n, axis=1, out=out[lo:hi])
-        w *= scale
+        w = np.fft.irfft(corr, n=2 * n, axis=1, out=full[:hi - lo])
+        np.multiply(w[:, cols], scale, out=out[lo:hi])
     return out
 
 
-def wigner(state: WaveFunction | DensityEnsemble) -> GridDensity:
-    """Wigner transform of a WaveFunction or a DensityEnsemble.
+def wigner(state: WaveFunction | DensityEnsemble, p_max: float | None = None) -> GridDensity:
+    """Wigner transform of a WaveFunction or a DensityEnsemble, on the
+    full p-axis or on build_wigner_grid's window of p_max.
 
     A state is the one-row, weight-1 ensemble. Any ensemble costs one
-    (N, 2N) output plus its padded rows and at most two row blocks.
+    (N, 2h) output plus its padded rows and at most three row blocks.
     """
+    pgrid = build_wigner_grid(state.grid, state.eps, p_max)
     rows, weights = ((state.values, state.weights) if isinstance(state, DensityEnsemble)
                      else (state.values[None], (1.0,)))
     _support_checks(rows, state.grid)
-    values = _wigner_values(rows, weights, state.grid.dx, state.eps)
-    return GridDensity(values, build_wigner_grid(state.grid, state.eps), tag="wigner")
+    n, half = state.grid.n_points, pgrid.p_grid.n_points // 2
+    return GridDensity(_wigner_values(rows, weights, state.grid.dx, state.eps,
+                                      slice(n - half, n + half)), pgrid, tag="wigner")
 
 
 def husimi(density: GridDensity, eps: float) -> GridDensity:
     """Heat semigroup at time eps on phase space (variance 2*eps per axis)."""
-    if not isinstance(density, GridDensity):
-        raise RepresentationError("husimi needs a grid density")
+    density = _require_grid(density, "husimi")
     if eps <= 0:
         raise ConfigurationError(f"eps must be > 0, got {eps}")
     gx, gp = density.grid.x_grid, density.grid.p_grid
@@ -244,31 +264,3 @@ def sup_norm(density: GridDensity) -> float:
 def l2_norm(density: GridDensity) -> float:
     density = _require_grid(density, "l2_norm")
     return float(np.sqrt(density.grid.cell_area * np.sum(density.values ** 2)))
-
-
-def restrict_p(density: GridDensity, p_max: float) -> GridDensity:
-    """Symmetric momentum window of 2^k cells per side (for L2 comparisons).
-
-    2^k is the largest power of two <= p_max/dp (at least 4), so the
-    half-width lies in (p_max/2, p_max]: p_max = 4 keeps |p| <= 2.51 on
-    the L2MollifiedRate grids. The full Wigner p-axis scales with eps,
-    so fixed-window comparisons across an eps ladder need a common
-    restriction. p_max must be finite and > 0.
-    """
-    density = _require_grid(density, "restrict_p")
-    if not 0 < p_max < np.inf:
-        raise ConfigurationError(f"p_max must be finite and > 0, got {p_max}")
-    pg = density.grid.p_grid
-    dp = pg.dx
-    half = int(2 ** np.floor(np.log2(max(p_max / dp, 4.0))))
-    n = pg.n_points
-    izero = int(np.argmin(np.abs(pg.nodes)))
-    lo, hi = izero - half, izero + half
-    if lo < 0 or hi > n:
-        raise ConfigurationError(
-            f"p-window {p_max} exceeds the grid extent {pg.x_max}")
-    sub = build_position_grid(2 * half, -half * dp, half * dp)
-    # a copy: a slice would keep the whole transform alive
-    return GridDensity(density.values[:, lo:hi].copy(),
-                       PhaseGrid(density.grid.x_grid, sub),
-                       tag=density.tag)

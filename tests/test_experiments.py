@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -374,6 +375,20 @@ def test_cli_bad_pair_or_window_exit_2(tmp_path, capsys, experiment, field, bad)
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_window_wider_than_a_rung_exit_2(tmp_path, capsys, monkeypatch):
+    # eps = 0.005 gives a full p-axis of |p| <= 1.005 < p_window = 4: refused
+    # before the first rung starts, not after four rungs of work
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung started")
+    monkeypatch.setattr(experiments, "coherent_state", no_rung)
+    cfg = _write_cfg(tmp_path, {"experiment": "L2MollifiedRate",
+                                "eps_ladder": [0.2, 0.1, 0.05, 0.025, 0.005]})
+    assert main(["run", "L2MollifiedRate", "--config", cfg,
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "p-window 4.0 exceeds the grid extent 1.005" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_half_domain_refusal_exit_2(tmp_path, capsys):
     # the classical pre-flight refuses an excursion past the half-domain
     cfg = _write_cfg(tmp_path, {"experiment": "ConcentrationSplit",
@@ -657,6 +672,22 @@ def test_random_family_walks_match_members_alone(monkeypatch):
                 assert abs(next(got) - want) <= 1e-6, (eps, t, j)
 
 
+def test_weak_convergence_walks_its_raw_cloud_once(monkeypatch):
+    # the raw field has no eps: one walk of the raw cloud serves every
+    # rung, and the mollified cloud walks once per rung
+    cfg = defaults_for("WeakConvergence", **_PINNED["WeakConvergence"])
+    walked, real = [], experiments.transport_particles
+
+    def recording(cloud, pot, eps_mollify, dt, t_final, field_grid=None):
+        walked.append(eps_mollify)
+        return real(cloud, pot, eps_mollify, dt, t_final, field_grid=field_grid)
+
+    monkeypatch.setattr(experiments, "transport_particles", recording)
+    run_experiment(cfg)
+    n_t = len(cfg.sample_times)
+    assert walked == [0.0] * n_t + [eps for eps in cfg.eps_ladder for _ in range(n_t)]
+
+
 def test_weak_convergence_block_matches_the_member_ensemble(monkeypatch):
     # the mixture steps on co-moving windows only, each member once per
     # sample time, and sums its chi block by block: within 1e-6 of
@@ -799,6 +830,25 @@ def test_h2_norm_matches_the_full_spectrum():
     spec = sfft.fft2(rho.values) * (1.0 + gx.k[:, None] ** 2 + gp.k[None, :] ** 2)
     want = np.sqrt(np.sum(np.abs(spec) ** 2) / rho.values.size * grid.cell_area)
     assert abs(_h2_norm(rho) - want) <= 1e-12 * want
+
+
+def test_l2_rate_memory_is_feet_plus_three_windows():
+    # one sample's arrays at a time: the feet, the transport rho, the
+    # Wigner window and one gap buffer; no (N, 2N) transform. 512 KiB
+    # holds the run's grid-sized arrays and the modules it imports
+    # (about 220 kB measured)
+    cfg = defaults_for("L2MollifiedRate", eps_ladder=(0.1, 0.05),
+                       sample_times=(0.01, 0.02))
+    window = build_wigner_grid(build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max),
+                               0.05, cfg.p_window)
+    assert window.shape == (1024, 512)
+    tracemalloc.start()
+    try:
+        assert run_experiment(cfg).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 1024 * 512 * 8 + 512 * 1024, peak
 
 
 def test_framed_rows_match_the_lab_grid():

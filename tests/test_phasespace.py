@@ -21,7 +21,6 @@ from semiphase.phasespace import (
     build_wigner_grid,
     husimi,
     l2_norm,
-    restrict_p,
     sup_norm,
     upsample2,
     wigner,
@@ -78,7 +77,7 @@ def test_hermitian_half_wigner_matches_full_correlation(n, kind):
                          + coherent_state(1.0, -0.3, eps, g).values, eps, g)
     else:
         psi = coherent_state(3.1, 0.9, eps, g)
-    got = _wigner_values(psi.values[None], (1.0,), g.dx, eps)
+    got = _wigner_values(psi.values[None], (1.0,), g.dx, eps, slice(0, 2 * n))
     ref = _full_correlation_wigner(psi.values, g.dx, eps)
     if kind == "cat":
         assert ref.min() < -0.1 * ref.max()  # negative fringes
@@ -98,6 +97,26 @@ def test_wigner_memory_is_output_plus_one_block():
         tracemalloc.stop()
     ratio = peak / W.values.nbytes
     assert ratio <= 1.25, ratio
+
+
+def test_window_wigner_memory_is_window_plus_one_block():
+    # no (N, 2N) array: the window output, one (64, 2N) irfft buffer, one
+    # (64, N+1) correlation block and the zero-padded half-step samples,
+    # plus 256 KiB for numpy's ufunc buffers and pocketfft's scratch
+    # (up to 180 kB measured per call)
+    n = 1024
+    g = build_position_grid(n, -8.0, 8.0)
+    psi = coherent_state(0.5, 0.2, 0.05, g)
+    tracemalloc.start()
+    try:
+        W = wigner(psi, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W.values.shape[1] <= n // 4  # a window much narrower than 2N
+    bound = (W.values.nbytes + 64 * 2 * n * 8 + 64 * (n + 1) * 16 + 4 * n * 16
+             + 256 * 1024)
+    assert peak <= bound, (peak, bound)
 
 
 def test_wigner_position_reflection(grid):
@@ -201,8 +220,9 @@ def test_ensemble_wigner_memory_is_output_members_and_blocks():
         tracemalloc.stop()
     pads = len(ens.weights) * 4 * 1024 * 16  # zero-padded half-step samples
     block = 64 * 1025 * 16  # one (64, N+1) complex correlation block
+    irfft = 64 * 2048 * 8  # the block's (64, 2N) transform, before its columns are kept
     # the block sum and one member's term, plus a block of slack
-    assert peak <= W.values.nbytes + pads + 3 * block, peak
+    assert peak <= W.values.nbytes + pads + 3 * block + irfft, peak
 
 
 def test_support_checks_warn_per_row_and_refuse_a_hot_row(grid):
@@ -332,29 +352,45 @@ def test_upsample2_block_matches_its_rows(grid):
     assert np.array_equal(fine, np.stack([upsample2(r) for r in rows]))
 
 
+# -------------------------------- p window: wigner(state, p_max), build_wigner_grid
+
+
 def test_restrict_p_window(grid):
-    eps = 0.05
-    W = wigner(coherent_state(0.0, 0.0, eps, grid))
-    R = restrict_p(W, 2.0)
-    assert R.grid.p_grid.x_max <= W.grid.p_grid.x_max
+    eps, p_max = 0.05, 2.0
+    W = wigner(coherent_state(0.0, 0.0, eps, grid), p_max)
+    assert W.grid == build_wigner_grid(grid, eps, p_max)
+    half = W.grid.p_grid.n_points // 2
+    assert half & (half - 1) == 0 and p_max / 2 < W.grid.p_grid.x_max <= p_max
     # all mass of this state lives well inside the window
-    assert R.total_mass == pytest.approx(1.0, abs=1e-8)
-    assert R.grid.p_grid.n_points & (R.grid.p_grid.n_points - 1) == 0
+    assert W.total_mass == pytest.approx(1.0, abs=1e-8)
 
 
 def test_restrict_p_owns_its_window(grid):
-    # the window is a copy: a view would keep the whole complex transform alive
-    W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
-    R = restrict_p(W, 2.0)
-    assert R.values.base is None
-    lo = (W.grid.p_grid.n_points - R.grid.p_grid.n_points) // 2
-    assert np.array_equal(R.values,
-                          W.values[:, lo:lo + R.grid.p_grid.n_points])
+    # the window is the full transform's centre columns, bit for bit, for
+    # a state and a mixture, in an array of its own; 6 is the whole axis
+    eps = 0.05
+    for state in (coherent_state(0.0, 0.0, eps, grid),
+                  _ensemble(_four_members(grid, eps), eps, grid)):
+        full = wigner(state)
+        for p_max, half in ((0.5, 32), (2.0, 128), (6.0, grid.n_points)):
+            W = wigner(state, p_max)
+            assert W.values.shape == (grid.n_points, 2 * half)
+            assert W.values.base is None
+            lo = grid.n_points - half
+            assert np.array_equal(W.values, full.values[:, lo:lo + 2 * half])
+            assert np.allclose(W.grid.p, full.grid.p[lo:lo + 2 * half], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p_max", [-1.0, 0.0, np.inf, np.nan])
 def test_restrict_p_refuses_bad_window(grid, p_max):
     # a non-positive window used to be floored to 4 cells per side
-    W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
     with pytest.raises(ConfigurationError, match="p_max"):
-        restrict_p(W, p_max)
+        build_wigner_grid(grid, 0.05, p_max)
+    with pytest.raises(ConfigurationError, match="p_max"):
+        wigner(coherent_state(0.0, 0.0, 0.05, grid), p_max)
+
+
+def test_restrict_p_refuses_a_window_wider_than_the_transform(grid):
+    # eps = 0.05 on 512 points over 16: the full axis reaches |p| = 5.03
+    with pytest.raises(ConfigurationError, match="exceeds the grid extent"):
+        build_wigner_grid(grid, 0.05, 20.0)
