@@ -23,12 +23,10 @@ from .potentials import (FourierConditionReport, PotentialSpec,
                          check_fourier_conditions, custom_potential, evaluate,
                          evaluate_at, gradient_at, harmonic_potential,
                          mollify, rough_power_potential)
-from .quantum import (DensityEnsemble, PropagatorConfig, WaveFunction,
-                      propagate, propagate_rows)
-from .states import (ConcentratingProfile, RandomFamilySpec,
-                     RealizedConcentration, check_epsn_operator_bound,
-                     coherent_mixture, coherent_rows, coherent_state,
-                     concentrating_wigner_data, concentration_lattice,
-                     random_family, scaling_exponents)
+from .quantum import DensityEnsemble, WaveFunction, propagate_rows
+from .states import (ConcentratingProfile, RealizedConcentration,
+                     check_epsn_operator_bound, coherent_mixture, coherent_rows,
+                     coherent_state, concentrating_wigner_data,
+                     concentration_lattice, random_family, scaling_exponents)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

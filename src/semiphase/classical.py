@@ -190,8 +190,6 @@ def characteristic_feet(feet, pot: PotentialSpec, eps_mollify: float, dt: float,
     one block's stages, and each point sees the same arithmetic as in a
     whole-array step.
     """
-    if not dt > 0:
-        raise ConfigurationError("dt must be > 0")
     n_steps, h = time_steps(t_final, dt)
     x, p = (np.asarray(a, dtype=np.float64) for a in feet)
     if t_final == 0:

@@ -39,8 +39,8 @@ from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
                          l2_norm, sup_norm, upsample2, wigner)
 from .potentials import (PotentialSpec, check_fourier_conditions, evaluate_at,
                          harmonic_potential, rough_power_potential)
-from .quantum import PropagatorConfig, _strang, _strang_factors, propagate, propagate_rows
-from .states import (_LAWS, ConcentratingProfile, RandomFamilySpec, _coherent_margin,
+from .quantum import WaveFunction, _strang, _strang_factors, propagate_rows
+from .states import (_LAWS, ConcentratingProfile, _coherent_margin,
                      _window_points, check_epsn_operator_bound, coherent_mixture,
                      coherent_rows, coherent_state, concentration_lattice,
                      concentrating_wigner_data, random_family)
@@ -334,9 +334,9 @@ def _evolve_at(state, times, advance):
 
 
 def _schrodinger(pot: PotentialSpec, dt: float):
-    """advance() for _evolve_at: Strang steps of |dt|, with dt < 0 on negative spans."""
-    return lambda state, span: propagate(state, pot, PropagatorConfig(
-        dt=dt if span >= 0 else -dt, t_final=abs(span)))
+    """advance() for _evolve_at: a WaveFunction moved by the signed span in steps of dt."""
+    return lambda psi, span: WaveFunction(
+        propagate_rows(psi.values, psi.eps, psi.grid, pot, span, dt), psi.eps, psi.grid)
 
 
 # rows per fixed block; windows: steps per check, frame lag in cells, edge/tail
@@ -360,9 +360,9 @@ class _Window:
     e^{i b_j (x - a_j)/eps} phi_j(x - a_j), cells[j] = (a_j, b_j) / (dx, eps*2pi/L).
 
     Given rows (only _windows' domain-grid fallback): a fixed block, zero
-    frames, stepped by propagate_rows. Given trace = (stops, centres[stop, j]),
-    the classical centres at the ring's stops (_windows, for
-    ConcentrationSplit, WeakConvergence and RandomFamily):
+    frames, moved by propagate_rows over each signed span. Given
+    trace = (stops, centres[stop, j]), the classical centres at the ring's
+    stops (_windows, for ConcentrationSplit, WeakConvergence and RandomFamily):
     a window on [-L/2, L/2) from their coherent states in the nearest
     frames, _CHECK Strang steps per check (_check) on its own clock t.
     A check judges each row alone: rows whose edge mass (outer 5% per side:
@@ -458,8 +458,7 @@ class _Window:
     def advance(self, span: float, pot: PotentialSpec, dt: float, start: int = 0) -> list:
         """This block moved on by span (from step start): [self] or its rows' new windows."""
         if self.trace is None:
-            cfg = PropagatorConfig(dt=np.copysign(dt, span), t_final=abs(span))
-            self.rows = propagate_rows(self.rows, self.eps, self.grid, pot, cfg)
+            self.rows = propagate_rows(self.rows, self.eps, self.grid, pot, span, dt)
             return [self]
         n, h = time_steps(span, dt)
         for i in range(start, n, _CHECK):
@@ -924,9 +923,8 @@ def run_random_family(cfg: ExperimentConfig) -> RunManifest:
     with _Emitter(cfg) as em:
         pot = _potential(cfg)
         field_grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-        family = random_family(RandomFamilySpec(
-            law=cfg.law, scale=cfg.law_scale, m_samples=cfg.m_samples, seed=cfg.seed,
-            min_separation=cfg.min_separation))
+        family = random_family(cfg.law, cfg.law_scale, cfg.m_samples, cfg.seed,
+                               cfg.min_separation)
 
         avg_rows, sample_rows = [], []
         averages, ratios = [], []

@@ -98,12 +98,13 @@ def build_position_grid(n_points: int, x_min: float, x_max: float) -> PositionGr
 
 
 def time_steps(span: float, dt: float) -> tuple[int, float]:
-    """The step rule of every time stepper: n = max(1, round(|span|/|dt|))
-    steps of signed size span/n; dt must be finite and nonzero, span finite."""
-    if not (0 < abs(dt) < np.inf and abs(span) < np.inf):
+    """The step rule of every time stepper: n = max(1, round(|span|/dt))
+    steps of signed size span/n. The step dt is a finite size > 0, and the
+    sign of the finite span is the direction of time."""
+    if not (0 < dt < np.inf and abs(span) < np.inf):
         raise ConfigurationError(
-            f"need a finite nonzero dt and a finite span, got {dt}, {span}")
-    n = max(1, round(abs(span) / abs(dt)))
+            f"need a finite step dt > 0 and a finite span, got {dt}, {span}")
+    n = max(1, round(abs(span) / dt))
     return n, span / n
 
 

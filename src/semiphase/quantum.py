@@ -2,10 +2,10 @@
 
 Strang split-step spectral stepping. One loop, _strang, steps (N,) or
 (M, N) arrays along the last axis, each row as if alone: propagate_rows
-gives it fixed-grid factors (propagate wraps that for a WaveFunction; the
-windows' domain-grid fallback steps row blocks), and the co-moving windows
-of ConcentrationSplit, WeakConvergence and RandomFamily (experiments._Window,
-one per window grid) per-row factors in each row's frame. The kinetic factor 1/2
+gives it fixed-grid factors (for one state, or a row block on the windows'
+domain-grid fallback), and the co-moving windows of ConcentrationSplit,
+WeakConvergence and RandomFamily (experiments._Window, one per window grid)
+per-row factors in each row's frame. The kinetic factor 1/2
 makes the classical symbol k^2/2 and the transport drift k, matching X' = P.
 """
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .potentials import PotentialSpec, evaluate
 __all__ = [
     "WaveFunction",
     "DensityEnsemble",
-    "PropagatorConfig",
-    "propagate",
     "propagate_rows",
 ]
 
@@ -81,20 +79,6 @@ class DensityEnsemble:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
-class PropagatorConfig:
-    """Strang stepping parameters. dt < 0 runs the dynamics backward."""
-
-    dt: float
-    t_final: float
-
-    def __post_init__(self):
-        if not 0 < abs(self.dt) < np.inf:
-            raise ConfigurationError(f"dt must be finite and nonzero, got {self.dt}")
-        if not 0 <= self.t_final < np.inf:
-            raise ConfigurationError(f"t_final must be finite and >= 0, got {self.t_final}")
-
-
 def _strang_factors(v: np.ndarray, k: np.ndarray, eps: float, h: float):
     """_strang's half-step potential and full-step kinetic factors at step h."""
     return np.exp(-0.5j * v * h / eps), np.exp(-1j * 0.5 * eps * k ** 2 * h)
@@ -118,32 +102,22 @@ def _strang(rows: np.ndarray, half_v: np.ndarray, kin: np.ndarray,
 
 
 def propagate_rows(rows: np.ndarray, eps: float, grid: PositionGrid,
-                   pot: PotentialSpec, cfg: PropagatorConfig) -> np.ndarray:
-    """Strang splitting e^{-iV dt/2eps} e^{i eps dt Lap/2} e^{-iV dt/2eps}.
+                   pot: PotentialSpec, span: float, dt: float) -> np.ndarray:
+    """Strang splitting e^{-iV h/2eps} e^{i eps h Lap/2} e^{-iV h/2eps}.
 
-    rows, one state (N,) or a block (M, N) on grid at eps, is stepped by
-    _strang, each row bit for bit as if alone (pinned at the experiments'
-    grid sizes), in round(t_final/|dt|) >= 1 steps that land on t_final.
-    rows is never written, and a zero span returns rows itself.
+    rows, one state (N,) or a block (M, N) on grid at eps, is moved by the
+    signed span in the time_steps(span, dt) steps h of _strang, each row
+    bit for bit as if alone (pinned at the experiments' grid sizes); a
+    negative span runs the dynamics backward. rows is never written, and a
+    zero span returns rows itself.
     """
     if rows.shape[-1] != grid.n_points:
         raise ShapeMismatchError(
             f"rows of length {rows.shape[-1]} != grid {grid.n_points}")
-    if cfg.t_final == 0.0:
+    n_steps, h = time_steps(span, dt)
+    if span == 0.0:
         return rows
-    v = evaluate(pot, grid)
-    n_steps, h = time_steps(cfg.t_final if cfg.dt > 0 else -cfg.t_final, cfg.dt)
-
-    psi = _strang(rows, *_strang_factors(v, grid.k, eps, h), n_steps)
+    psi = _strang(rows, *_strang_factors(evaluate(pot, grid), grid.k, eps, h), n_steps)
     if not np.all(np.isfinite(psi.view(np.float64))):
         raise NumericsError("propagation produced non-finite values")
     return psi
-
-
-def propagate(state: WaveFunction, pot: PotentialSpec,
-              cfg: PropagatorConfig) -> WaveFunction:
-    """One state through propagate_rows; a zero span returns state itself."""
-    if cfg.t_final == 0.0:
-        return state
-    return WaveFunction(propagate_rows(state.values, state.eps, state.grid,
-                                       pot, cfg), state.eps, state.grid)

@@ -12,11 +12,11 @@ datum is realized as a deterministic coherent-state lattice mixture;
 the lattice is mirror-symmetric by construction so even profiles give
 exactly balanced left/right weights.
 
-Every point-set datum (the lattice, a random family) is an
-AtomicMeasure. coherent_rows makes the coherent states of many centres as
-one (M, N) row block: the experiments' co-moving windows take one per
-window grid, and coherent_mixture pairs one with the atoms' masses as a
-DensityEnsemble. check_epsn_operator_bound needs no grid.
+Every point-set datum (the lattice, random_family's seeded draw about
+the origin) is an AtomicMeasure. coherent_rows makes the coherent states
+of many centres as one (M, N) row block: the experiments' co-moving
+windows take one per window grid, and coherent_mixture pairs one with the
+atoms' masses as a DensityEnsemble. check_epsn_operator_bound needs no grid.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from .quantum import DensityEnsemble, WaveFunction
 __all__ = [
     "ConcentratingProfile",
     "RealizedConcentration",
-    "RandomFamilySpec",
     "scaling_exponents",
     "coherent_rows",
     "coherent_state",
@@ -287,63 +286,52 @@ def _realization_gap(profile: ConcentratingProfile, lam: float, eps: float,
 _LAWS = ("gaussian", "hardcore_gaussian")
 
 
-@dataclass(frozen=True)
-class RandomFamilySpec:
-    """Seeded sampling law for phase-space points.
+def random_family(law: str, scale, m_samples: int, seed: int,
+                  min_separation: float) -> AtomicMeasure:
+    """m_samples seeded phase points about 0 as equal-mass atoms, in draw order.
 
-    laws: 'gaussian' (center, scale = per-axis sigmas) and
-    'hardcore_gaussian' (gaussian thinned to pairwise separation >=
-    min_separation, a hard-core point process; keeps small fixed-size
-    families inside the eps^n operator-bound regime where iid clusters
-    would break it).
+    laws: 'gaussian' (per-axis sigmas scale) and 'hardcore_gaussian' (that
+    gaussian thinned to pairwise separation >= min_separation, a hard-core
+    point process; keeps small fixed-size families inside the eps^n
+    operator-bound regime where iid clusters would break it). Candidates
+    are drawn in the unscaled frame and scaled afterwards, and separation is
+    measured in physical units. Refuses an unknown law, m_samples < 1, and
+    a scale (or, for the hard core, min_separation) outside (0, inf),
+    before any draw.
     """
-
-    law: str = "gaussian"
-    center: tuple = (0.0, 0.0)
-    scale: tuple = (1.0, 1.0)
-    m_samples: int = 64
-    seed: int = 0
-    min_separation: float = 0.3
-
-    def __post_init__(self):
-        if self.law not in _LAWS:
-            raise ConfigurationError(f"unknown sampling law {self.law!r}")
-        if self.m_samples < 1:
-            raise ConfigurationError("m_samples must be >= 1")
-        if self.scale[0] <= 0 or self.scale[1] <= 0:
-            raise ConfigurationError("scale must be positive")
-        if self.law == "hardcore_gaussian" and self.min_separation <= 0:
-            raise ConfigurationError("min_separation must be positive")
-
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        cx, cp = self.center
-        pts = (rng.standard_normal((self.m_samples, 2)) if self.law == "gaussian"
-               else self._draw_hardcore(rng))
-        return np.stack([cx + self.scale[0] * pts[:, 0],
-                         cp + self.scale[1] * pts[:, 1]], axis=1)
-
-    def _draw_hardcore(self, rng: np.random.Generator) -> np.ndarray:
-        # sequential rejection in the scaled frame; separation is
-        # enforced in physical units
-        kept: list = []
-        sx, sp = self.scale
-        for _ in range(10000 * self.m_samples):
-            cand = rng.standard_normal(2)
-            if all((sx * (cand[0] - q[0])) ** 2 + (sp * (cand[1] - q[1])) ** 2
-                   >= self.min_separation ** 2 for q in kept):
-                kept.append(cand)
-                if len(kept) == self.m_samples:
-                    return np.array(kept)
+    if law not in _LAWS:
+        raise ConfigurationError(f"unknown sampling law {law!r}")
+    if m_samples < 1:
+        raise ConfigurationError(f"m_samples must be >= 1, got {m_samples}")
+    sx, sp = scale
+    if not (0 < sx < np.inf and 0 < sp < np.inf):
+        raise ConfigurationError(f"scale must be finite and > 0, got {scale}")
+    hard = law == "hardcore_gaussian"
+    if hard and not 0 < min_separation < np.inf:
         raise ConfigurationError(
-            f"could not place {self.m_samples} points with separation "
-            f"{self.min_separation}; shrink min_separation or the family")
+            f"min_separation must be finite and > 0, got {min_separation}")
+    rng = np.random.default_rng(seed)
+    pts = (_draw_hardcore(rng, m_samples, sx, sp, min_separation) if hard
+           else rng.standard_normal((m_samples, 2)))
+    return AtomicMeasure(np.column_stack([np.full(m_samples, 1.0 / m_samples),
+                                          sx * pts[:, 0], sp * pts[:, 1]]))
 
 
-def random_family(spec: RandomFamilySpec) -> AtomicMeasure:
-    """The spec's seeded points as equal-mass atoms, in draw order."""
-    points = spec.draw(np.random.default_rng(spec.seed))
-    m = len(points)
-    return AtomicMeasure(np.column_stack([np.full(m, 1.0 / m), points]))
+def _draw_hardcore(rng: np.random.Generator, m_samples: int, sx: float, sp: float,
+                   min_separation: float) -> np.ndarray:
+    # sequential rejection in the unscaled frame; separation is
+    # enforced in physical units
+    kept: list = []
+    for _ in range(10000 * m_samples):
+        cand = rng.standard_normal(2)
+        if all((sx * (cand[0] - q[0])) ** 2 + (sp * (cand[1] - q[1])) ** 2
+               >= min_separation ** 2 for q in kept):
+            kept.append(cand)
+            if len(kept) == m_samples:
+                return np.array(kept)
+    raise ConfigurationError(
+        f"could not place {m_samples} points with separation "
+        f"{min_separation}; shrink min_separation or the family")
 
 
 def check_epsn_operator_bound(atoms: AtomicMeasure, eps: float) -> float:

@@ -32,8 +32,8 @@ from semiphase.grids import build_position_grid
 from semiphase.metrics import (NODES, RateFit, _as_probability, _char_rows,
                                char_distance, char_function)
 from semiphase.phasespace import AtomicMeasure, GridDensity, build_wigner_grid
-from semiphase.quantum import PropagatorConfig, propagate, propagate_rows
-from semiphase.states import RandomFamilySpec, concentration_lattice, random_family
+from semiphase.quantum import WaveFunction, propagate_rows
+from semiphase.states import concentration_lattice, random_family
 
 
 # -------------------------------------------------------------- registry
@@ -411,6 +411,9 @@ def test_cli_half_domain_refusal_exit_2(tmp_path, capsys):
     ("RandomFamily", {"law_scale": [0, 1]}),
     ("ConcentrationSplit", {"even_radius": 1.5}),
     ("ConcentrationSplit", {"profile_center": [0.9, 0]}),
+    ("RandomFamily", {"law_scale": [float("nan"), 1]}),
+    ("RandomFamily", {"min_separation": float("nan")}),
+    ("RandomFamily", {"min_separation": float("inf")}),
 ])
 def test_cli_refused_run_makes_no_out_dir(tmp_path, experiment, overrides):
     # refused inside the run, before its first write: the output directory
@@ -551,18 +554,19 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
     # windows of rows that outgrew theirs. RandomFamily: each walk, forward
     # and backward, yields every sample once per sample time, on windows
     # only (no propagate_rows, no coherent_mixture). Neither steps a member
-    # alone through propagate.
+    # alone: every propagate_rows call is a row block.
     blocks, walks, advances, born = [], [], [], []
     real = experiments.propagate_rows
     real_walk, real_advance = experiments._walk_members, _Window.advance
     real_init = _Window.__init__
 
-    def counting(rows, eps, grid, pot, cfg):
+    def counting(rows, eps, grid, pot, span, dt):
+        assert rows.ndim == 2, "per-member propagate"
         blocks.append(rows.shape[0])
-        return real(rows, eps, grid, pot, cfg)
+        return real(rows, eps, grid, pot, span, dt)
 
     def refuse(*args):
-        raise AssertionError("per-member propagate")
+        raise AssertionError("coherent_mixture")
 
     def recording_init(self, grid, eps, jobs, rows=None, trace=None):
         # _windows builds each window from its grid's jobs: the grid they start on
@@ -583,7 +587,6 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
         return real_advance(self, span, pot, dt, start)
 
     monkeypatch.setattr(experiments, "propagate_rows", counting)
-    monkeypatch.setattr(experiments, "propagate", refuse)
     monkeypatch.setattr(experiments, "coherent_mixture", refuse)
     monkeypatch.setattr(experiments, "_walk_members", recording_walk)
     monkeypatch.setattr(_Window, "advance", recording_advance)
@@ -651,9 +654,8 @@ def test_random_family_walks_match_members_alone(monkeypatch):
     run_experiment(cfg)
     assert len(seen) == len(cfg.eps_ladder) * cfg.m_samples * len(cfg.sample_times)
     pot, signed = _potential(cfg), _sample_walks(cfg, (1, -1))
-    family = random_family(RandomFamilySpec(
-        law=cfg.law, scale=cfg.law_scale, m_samples=cfg.m_samples, seed=cfg.seed,
-        min_separation=cfg.min_separation))
+    family = random_family(cfg.law, cfg.law_scale, cfg.m_samples, cfg.seed,
+                           cfg.min_separation)
     field_grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
     grid = build_position_grid(2 * cfg.grid_n, cfg.x_min, cfg.x_max)
     got = iter(seen)
@@ -734,7 +736,8 @@ def test_weak_convergence_block_matches_the_member_ensemble(monkeypatch):
     assert all(b.t == pytest.approx(times[-1]) for b in blocks)
     pot, datum = _potential(cfg), _mixture_datum(cfg)
     grid = build_position_grid(2 * cfg.grid_n, cfg.x_min, cfg.x_max)
-    step = lambda state, span: propagate(state, pot, PropagatorConfig(cfg.dt, span))
+    step = lambda psi, span: WaveFunction(  # the real propagate_rows, not the refusal
+        propagate_rows(psi.values, psi.eps, psi.grid, pot, span, cfg.dt), psi.eps, psi.grid)
     want = []
     for eps in cfg.eps_ladder:
         member_walks = [_evolve_at(coherent_state(x, p, eps, grid), times, step)
@@ -1009,7 +1012,7 @@ def test_windows_match_doubled_fixed_grids():
             grid = build_position_grid(2 * _PINNED_N[pname, eps], cfg.x_min, cfg.x_max)
             rows = propagate_rows(
                 np.stack([coherent_state(x, p, eps, grid).values for x, p, _, _ in jobs]),
-                eps, grid, pot, PropagatorConfig(dt=cfg.dt, t_final=t))
+                eps, grid, pot, t, cfg.dt)
             w = np.array([job[2:] for job in jobs]).T
             chi_self, chi_mirror = np.tensordot(w, _char_rows(rows, eps, grid), 1)
             chi = _as_probability(chi_self + np.conj(chi_mirror))

@@ -12,12 +12,12 @@ from semiphase import (
     ConfigurationError,
     DensityEnsemble,
     NumericsError,
-    RandomFamilySpec,
     ShapeMismatchError,
     build_position_grid,
     coherent_rows,
     coherent_state,
 )
+from semiphase import states
 from semiphase.grids import PhaseGrid
 from semiphase.phasespace import build_wigner_grid, wigner
 from semiphase.states import (
@@ -224,37 +224,46 @@ def test_concentrating_data_never_builds_the_raster():
 
 
 def test_family_gaussian_clt_mean():
-    spec = RandomFamilySpec(law="gaussian", center=(0.5, -0.2),
-                            scale=(0.4, 0.3), m_samples=1000, seed=21)
-    fam = random_family(spec)
+    # the family is drawn about the origin
+    fam = random_family("gaussian", (0.4, 0.3), 1000, 21, 0.3)
     assert np.all(fam.masses == 1.0 / 1000)
-    assert abs(fam.xs.mean() - 0.5) < 5 * 0.4 / np.sqrt(1000)
-    assert abs(fam.ps.mean() + 0.2) < 5 * 0.3 / np.sqrt(1000)
+    assert abs(fam.xs.mean()) < 5 * 0.4 / np.sqrt(1000)
+    assert abs(fam.ps.mean()) < 5 * 0.3 / np.sqrt(1000)
 
 
 def test_family_deterministic_under_seed():
-    spec = RandomFamilySpec(law="hardcore_gaussian", m_samples=16, seed=3,
-                            scale=(1.2, 1.2), min_separation=0.3)
-    assert np.array_equal(random_family(spec).atoms, random_family(spec).atoms)
+    args = ("hardcore_gaussian", (1.2, 1.2), 16, 3, 0.3)
+    assert np.array_equal(random_family(*args).atoms, random_family(*args).atoms)
 
 
 def test_family_hardcore_separation():
-    spec = RandomFamilySpec(law="hardcore_gaussian", m_samples=24, seed=5,
-                            scale=(1.5, 1.5), min_separation=0.4)
-    pts = random_family(spec).atoms[:, 1:]
+    pts = random_family("hardcore_gaussian", (1.5, 1.5), 24, 5, 0.4).atoms[:, 1:]
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     d2[np.diag_indices(len(pts))] = np.inf
     assert np.sqrt(d2.min()) >= 0.4 - 1e-12
 
 
-def test_family_law_validation():
+def test_family_law_validation(monkeypatch):
     for law in ("cauchy", "uniform_box", "point"):  # no experiment ran the last two
         with pytest.raises(ConfigurationError, match="sampling law"):
-            RandomFamilySpec(law=law)
-    with pytest.raises(ConfigurationError):
-        RandomFamilySpec(m_samples=0)
-    with pytest.raises(ConfigurationError):
-        RandomFamilySpec(law="gaussian", scale=(0.0, 1.0))
+            random_family(law, (1.0, 1.0), 64, 0, 0.3)
+    with pytest.raises(ConfigurationError, match="m_samples"):
+        random_family("gaussian", (1.0, 1.0), 0, 0, 0.3)
+
+    def no_draw(*args):
+        raise AssertionError("a hard-core draw started")
+
+    # a non-finite or non-positive law is refused by name before any draw
+    monkeypatch.setattr(states, "_draw_hardcore", no_draw)
+    inf, nan = float("inf"), float("nan")
+    for field, scale, sep in [("scale", (0.0, 1.0), 0.3), ("scale", (nan, 1.0), 0.3),
+                              ("scale", (1.0, inf), 0.3), ("min_separation", (1.0, 1.0), 0.0),
+                              ("min_separation", (1.0, 1.0), nan),
+                              ("min_separation", (1.0, 1.0), inf)]:
+        with pytest.raises(ConfigurationError, match=field):
+            random_family("hardcore_gaussian", scale, 64, 0, sep)
+    with pytest.raises(ConfigurationError, match="scale"):
+        random_family("gaussian", (nan, 1.0), 64, 0, 0.3)
 
 
 # ------------------------------------------------- eps^n operator bound
@@ -323,9 +332,8 @@ def test_epsn_bound_matches_grid_gram_on_the_default_family():
     from semiphase.experiments import defaults_for
 
     cfg = defaults_for("RandomFamily")
-    family = random_family(RandomFamilySpec(
-        law=cfg.law, scale=cfg.law_scale, m_samples=cfg.m_samples, seed=cfg.seed,
-        min_separation=cfg.min_separation))
+    family = random_family(cfg.law, cfg.law_scale, cfg.m_samples, cfg.seed,
+                           cfg.min_separation)
     grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
     assert len(cfg.eps_ladder) == 4
     for eps in cfg.eps_ladder:
