@@ -35,14 +35,14 @@ from .grids import PhaseGrid, PositionGrid, _fast_len, build_position_grid, quad
 from .gridio import write_csv
 from .metrics import (_as_probability, _char_rows, _strictly_decreasing,
                       char_distance, char_function, fit_rate, l2_distance)
-from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, husimi,
-                         l2_norm, sup_norm, upsample2, wigner)
+from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, l2_norm,
+                         upsample2, wigner)
 from .potentials import (PotentialSpec, check_fourier_conditions, evaluate_at,
                          harmonic_potential, rough_power_potential)
 from .quantum import WaveFunction, _strang, _strang_factors, propagate_rows
-from .states import (_LAWS, ConcentratingProfile, _coherent_margin,
-                     _window_points, check_epsn_operator_bound, coherent_mixture,
-                     coherent_rows, coherent_state, concentration_lattice,
+from .states import (_LAWS, ConcentratingProfile, _check_centres, _coherent_margin,
+                     _window_points, check_epsn_operator_bound, coherent_rows,
+                     coherent_state, concentration_lattice,
                      concentrating_wigner_data, random_family)
 
 __all__ = [
@@ -537,7 +537,7 @@ def run_harmonic_exact(cfg: ExperimentConfig) -> RunManifest:
             # classical rotation of the initial center (X' = P, P' = -X)
             xc = x0 * np.cos(t) + p0 * np.sin(t)
             pc = p0 * np.cos(t) - x0 * np.sin(t)
-            w_exact = GridDensity(_coherent_wigner(xs, ps, xc, pc, eps), pgrid, tag="wigner")
+            w_exact = GridDensity(_coherent_wigner(xs, ps, xc, pc, eps), pgrid)
             rows.append((t, l2_distance(wigner(state), w_exact)))
         em.csv("harmonic_exact.csv", ["t", "l2_error"], rows)
         max_err = float(np.max([err for _, err in rows]))
@@ -672,8 +672,7 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
                 lambda f, span: characteristic_feet(f, pot, eps, cfg.dt_classical,
                                                     -span, field_grid=grid))
             for (t, state), (_, feet) in zip(quantum, classical):
-                rho = GridDensity(_coherent_wigner(*feet, x0, p0, eps), pgrid,
-                                  tag="wigner")
+                rho = GridDensity(_coherent_wigner(*feet, x0, p0, eps), pgrid)
                 d = l2_distance(wigner(state, cfg.p_window), rho) / norm0
                 h2 = _h2_norm(rho)
                 del rho  # before the next feet step
@@ -984,26 +983,43 @@ def _probe_atoms(cfg: ExperimentConfig, eps: float) -> AtomicMeasure:
 
 
 def run_conjecture_probe(cfg: ExperimentConfig) -> RunManifest:
-    """Husimi sup-norm growth of eps-dependent families; no pass/fail.
+    """Husimi sup-norm growth of eps-dependent families, gated by the
+    operator bound.
 
-    Emits sup, sup*eps and sup*2*pi*eps per ladder point next to the
-    1/eps bound line. Pure coherent families grow like 1/eps; box
-    mixtures with about area/(2 pi eps) members stay bounded.
+    At each eps the Husimi function (the Wigner function at heat time eps)
+    of the coherent mixture at the family's atoms is the Gaussian sum
+    sum_j w_j exp(-|z - z_j|^2 / (5 eps)) / (5 pi eps). It is separable, so
+    its values on the nodes of build_wigner_grid(grid, eps) are one
+    (N, M) x (M, 2N) product of Gaussian tables; no state is built. Emits
+    sup, sup*eps, sup*2*pi*eps and ||rho||_op per ladder point next to the
+    1/eps bound line. Pure coherent families grow like 1/eps; box mixtures
+    with about area/(2 pi eps) members stay bounded. The one gate is
+    2 pi eps sup <= ||rho||_op on every rung: <z|rho|z> <= ||rho||_op by the
+    coherent-state resolution of the identity (Figalli, Ligabo and Paul 2012).
     """
     with _Emitter(cfg) as em:
         grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-        rows, sups = [], []
+        rows, sups, ratios = [], [], []
         for eps in cfg.eps_ladder:
-            ens = coherent_mixture(_probe_atoms(cfg, eps), eps, grid)
-            sup = sup_norm(husimi(wigner(ens), eps))
+            atoms = _probe_atoms(cfg, eps)
+            _check_centres(atoms.xs, atoms.ps, eps, grid)
+            pg = build_wigner_grid(grid, eps)
+            gx = np.exp(-(pg.x[:, None] - atoms.xs) ** 2 / (5.0 * eps))
+            gp = atoms.masses[:, None] * np.exp(-(atoms.ps[:, None] - pg.p) ** 2 / (5.0 * eps))
+            sup = float((gx @ gp).max()) / (5.0 * np.pi * eps)
+            ratio = check_epsn_operator_bound(atoms, eps)
             sups.append(sup)
-            rows.append((eps, len(ens.weights), sup, sup * eps,
-                         sup * 2.0 * np.pi * eps, 1.0 / eps))
+            ratios.append(ratio)
+            rows.append((eps, len(atoms), sup, sup * eps, sup * 2.0 * np.pi * eps,
+                         1.0 / eps, ratio * eps))
         em.csv("conjecture_probe.csv",
                ["eps", "n_members", "husimi_sup", "sup_times_eps",
-                "sup_times_2pi_eps", "bound_inv_eps"], rows)
+                "sup_times_2pi_eps", "bound_inv_eps", "operator_norm"], rows)
         em.records.update(family=cfg.probe_family, sups=sups,
-                          sup_times_eps=[s * e for s, e in zip(sups, cfg.eps_ladder)])
+                          sup_times_eps=[s * e for s, e in zip(sups, cfg.eps_ladder)],
+                          operator_bound_ratios=ratios)
+        em.gate("2 pi Husimi sup", all(2.0 * np.pi * s <= r for s, r in zip(sups, ratios)),
+                [2.0 * np.pi * s for s in sups], f"<= ||rho||_op / eps = {ratios} per rung")
         return em.finish()
 
 

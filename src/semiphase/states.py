@@ -15,8 +15,7 @@ exactly balanced left/right weights.
 Every point-set datum (the lattice, random_family's seeded draw about
 the origin) is an AtomicMeasure. coherent_rows makes the coherent states
 of many centres as one (M, N) row block: the experiments' co-moving
-windows take one per window grid, and coherent_mixture pairs one with the
-atoms' masses as a DensityEnsemble. check_epsn_operator_bound needs no grid.
+windows take one per window grid. check_epsn_operator_bound needs no grid.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericsError
 from .grids import PhaseGrid, PositionGrid, quadrature
 from .phasespace import AtomicMeasure
-from .quantum import DensityEnsemble, WaveFunction
+from .quantum import WaveFunction
 
 __all__ = [
     "ConcentratingProfile",
@@ -35,7 +34,6 @@ __all__ = [
     "scaling_exponents",
     "coherent_rows",
     "coherent_state",
-    "coherent_mixture",
     "concentration_lattice",
     "concentrating_wigner_data",
     "random_family",
@@ -61,17 +59,13 @@ def _window_points(p_max: float, eps: float, length: float) -> float:
     return (p_max + _coherent_margin(eps)) * length / (np.pi * eps)
 
 
-def coherent_rows(x0, p0, eps: float, grid: PositionGrid) -> np.ndarray:
-    """Gaussian packets (pi eps)^{-1/4} exp(-(x-x0)^2/(2 eps) + i p0 x / eps),
-    one per centre, each normalized by dx * sum |psi|^2: shape x0.shape + (N,).
-
-    Every position and momentum centre must sit at least 6 sigma
-    (sigma = sqrt(eps/2)) inside the respective windows, so a NaN centre is
-    refused; the momentum window of the grid is +- pi*eps/dx (_window_points).
-    """
+def _check_centres(x0: np.ndarray, p0: np.ndarray, eps: float,
+                   grid: PositionGrid) -> None:
+    """Refuses eps <= 0 and any centre that does not sit at least 6 sigma
+    (sigma = sqrt(eps/2)) inside grid's position window and its momentum
+    window +- pi*eps/dx (_window_points), so a NaN centre is refused too."""
     if eps <= 0:
         raise ConfigurationError(f"eps must be > 0, got {eps}")
-    x0, p0 = np.asarray(x0, dtype=np.float64), np.asarray(p0, dtype=np.float64)
     margin = _coherent_margin(eps)
     if np.any(bad := ~((x0 - margin >= grid.x_min) & (x0 + margin <= grid.x_max))):
         raise ConfigurationError(
@@ -80,6 +74,16 @@ def coherent_rows(x0, p0, eps: float, grid: PositionGrid) -> np.ndarray:
     if np.any(bad := ~(need <= grid.n_points)):
         raise ConfigurationError(f"momentum center p0={p0[bad].flat[0]} needs "
                                  f"{need[bad].flat[0]:.0f} grid points, have {grid.n_points}")
+
+
+def coherent_rows(x0, p0, eps: float, grid: PositionGrid) -> np.ndarray:
+    """Gaussian packets (pi eps)^{-1/4} exp(-(x-x0)^2/(2 eps) + i p0 x / eps),
+    one per centre, each normalized by dx * sum |psi|^2: shape x0.shape + (N,).
+
+    Every centre must pass _check_centres.
+    """
+    x0, p0 = np.asarray(x0, dtype=np.float64), np.asarray(p0, dtype=np.float64)
+    _check_centres(x0, p0, eps, grid)
     x, x0, p0 = grid.nodes, x0[..., None], p0[..., None]
     psi = (np.pi * eps) ** -0.25 * np.exp(
         -(x - x0) ** 2 / (2.0 * eps) + 1j * p0 * x / eps)
@@ -89,15 +93,6 @@ def coherent_rows(x0, p0, eps: float, grid: PositionGrid) -> np.ndarray:
 def coherent_state(x0: float, p0: float, eps: float, grid: PositionGrid) -> WaveFunction:
     """The coherent_rows packet at (x0, p0) as a WaveFunction."""
     return WaveFunction(coherent_rows(x0, p0, eps, grid), eps, grid)
-
-
-def coherent_mixture(atoms: AtomicMeasure, eps: float, grid: PositionGrid) -> DensityEnsemble:
-    """Coherent states at the atoms, weighted by their masses, in atom order.
-
-    The masses must sum to 1 (DensityEnsemble checks it).
-    """
-    return DensityEnsemble(coherent_rows(atoms.xs, atoms.ps, eps, grid),
-                           atoms.masses, eps, grid)
 
 
 _N_QUAD = 384  # bump quadrature points per axis

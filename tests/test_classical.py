@@ -288,7 +288,7 @@ def _pullback(datum, pg, pot, eps_mollify, dt, t, field_grid=None):
     # rho_t = rho_0 o Phi_{-t} on the nodes of pg
     feet = characteristic_feet((pg.x[:, None], pg.p[None, :]), pot, eps_mollify,
                                dt, -t, field_grid=field_grid)
-    return GridDensity(values=datum(*feet), grid=pg, tag="density")
+    return GridDensity(values=datum(*feet), grid=pg)
 
 
 def test_liouville_free_transport_commensurate():
@@ -312,8 +312,7 @@ def test_liouville_mass_positivity_linf():
     gp = build_position_grid(512, -4.0, 4.0)
     pg = PhaseGrid(gx, gp)
     blob = _blob(0.8, 0.0, 0.2)
-    rho0 = GridDensity(values=blob(pg.x[:, None], pg.p[None, :]), grid=pg,
-                       tag="density")
+    rho0 = GridDensity(values=blob(pg.x[:, None], pg.p[None, :]), grid=pg)
     out = _pullback(blob, pg, harmonic_potential(), 1e-3, 0.05, 1.0, field_grid=gx)
     assert abs(out.total_mass - rho0.total_mass) < 1e-6 * rho0.total_mass
     assert out.values.min() >= -1e-9

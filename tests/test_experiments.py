@@ -31,7 +31,7 @@ from semiphase.experiments import (_ROWS, _Emitter, _Window, _evolve_at, _h2_nor
 from semiphase.grids import build_position_grid
 from semiphase.metrics import (NODES, RateFit, _as_probability, _char_rows,
                                char_distance, char_function)
-from semiphase.phasespace import AtomicMeasure, GridDensity, build_wigner_grid
+from semiphase.phasespace import AtomicMeasure, GridDensity, build_wigner_grid, wigner
 from semiphase.quantum import WaveFunction, propagate_rows
 from semiphase.states import concentration_lattice, random_family
 
@@ -228,15 +228,38 @@ def test_run_probe_box_family():
     # about box_area/(2 pi eps) coherent members spread over the box: the
     # Husimi sup stays near the uniform density 1/box_area at every eps,
     # so sup * eps falls with eps instead of staying at the pure 1/(5 pi)
-    # (N=256 cannot hold the box's momenta at eps=0.05)
+    # (N=256 holds the box's momenta at eps=0.05 with the 6-sigma margin:
+    # the closed form samples no state, so no Nyquist check applies)
     ladder = (0.2, 0.1, 0.05)
     man = run_experiment(defaults_for("ConjectureProbe", probe_family="box",
-                                      grid_n=512, eps_ladder=ladder))
+                                      grid_n=256, eps_ladder=ladder))
+    assert man.passed
     box_area = defaults_for("ConjectureProbe").box_area
     for sup in man.records["sups"]:
         assert sup == pytest.approx(1.0 / box_area, rel=0.02)
     sup_eps = man.records["sup_times_eps"]
     assert all(b < a for a, b in zip(sup_eps, sup_eps[1:]))
+
+
+def _grid_husimi_sup(atoms, eps, grid):
+    # the grid construction the closed form replaced: sum_j w_j W_j on the
+    # full phase grid, smoothed by the heat semigroup at time eps through the
+    # multiplier exp(-eps k^2) on both axes
+    W = sum(w * wigner(coherent_state(x, p, eps, grid)).values for w, x, p in atoms.atoms)
+    pg = build_wigner_grid(grid, eps)
+    mult = np.exp(-eps * pg.x_grid.k ** 2)[:, None] * np.exp(-eps * pg.p_grid.k ** 2)[None, :]
+    return float(np.abs(np.fft.ifft2(np.fft.fft2(W) * mult).real).max())
+
+
+@pytest.mark.parametrize("family", ["pure", "box"])
+def test_probe_closed_form_matches_the_grid_husimi(family):
+    cfg = defaults_for("ConjectureProbe", probe_family=family, grid_n=512,
+                       eps_ladder=(0.2, 0.1))
+    man = run_experiment(cfg)
+    grid = build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
+    for eps, sup in zip(cfg.eps_ladder, man.records["sups"]):
+        want = _grid_husimi_sup(experiments._probe_atoms(cfg, eps), eps, grid)
+        assert abs(sup - want) <= 1e-12 * want, (eps, sup, want)
 
 
 def test_random_family_harmonic_closed_form():
@@ -414,6 +437,8 @@ def test_cli_half_domain_refusal_exit_2(tmp_path, capsys):
     ("RandomFamily", {"law_scale": [float("nan"), 1]}),
     ("RandomFamily", {"min_separation": float("nan")}),
     ("RandomFamily", {"min_separation": float("inf")}),
+    ("ConjectureProbe", {"grid_n": 256, "datum_center": [0, 6]}),
+    ("ConjectureProbe", {"grid_n": 256, "datum_center": [7.9, 0]}),
 ])
 def test_cli_refused_run_makes_no_out_dir(tmp_path, experiment, overrides):
     # refused inside the run, before its first write: the output directory
@@ -553,8 +578,8 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
     # sample time, in one window per (dx, n) grid of _windows plus the
     # windows of rows that outgrew theirs. RandomFamily: each walk, forward
     # and backward, yields every sample once per sample time, on windows
-    # only (no propagate_rows, no coherent_mixture). Neither steps a member
-    # alone: every propagate_rows call is a row block.
+    # only (no propagate_rows). Neither steps a member alone: every
+    # propagate_rows call is a row block.
     blocks, walks, advances, born = [], [], [], []
     real = experiments.propagate_rows
     real_walk, real_advance = experiments._walk_members, _Window.advance
@@ -564,9 +589,6 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
         assert rows.ndim == 2, "per-member propagate"
         blocks.append(rows.shape[0])
         return real(rows, eps, grid, pot, span, dt)
-
-    def refuse(*args):
-        raise AssertionError("coherent_mixture")
 
     def recording_init(self, grid, eps, jobs, rows=None, trace=None):
         # _windows builds each window from its grid's jobs: the grid they start on
@@ -587,7 +609,6 @@ def test_experiments_step_members_in_row_blocks(monkeypatch, name):
         return real_advance(self, span, pot, dt, start)
 
     monkeypatch.setattr(experiments, "propagate_rows", counting)
-    monkeypatch.setattr(experiments, "coherent_mixture", refuse)
     monkeypatch.setattr(experiments, "_walk_members", recording_walk)
     monkeypatch.setattr(_Window, "advance", recording_advance)
     monkeypatch.setattr(_Window, "__init__", recording_init)
@@ -1160,6 +1181,9 @@ _FAILING = {
                                     {"_halfplane_weights": _nan_left_weights}, 2),
     "RandomFamily-nan": ("RandomFamily", {},
                          {"char_distance": _nan_on_call("char_distance", 2)}, 1),
+    "ConjectureProbe-nan": ("ConjectureProbe", {},
+                            {"check_epsn_operator_bound": _nan_on_call(
+                                "check_epsn_operator_bound", 2)}, 1),
     "BranchAtlas-nan": ("BranchAtlas", {},
                         {"branch_ode_residual": _nan_on_call(
                             "branch_ode_residual", 2, (np.nan, np.nan))}, 1),

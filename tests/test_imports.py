@@ -55,6 +55,7 @@ def test_all_names_exist(path):
 # exports that no semiphase module references, kept on purpose
 _UNREACHED_OK = {
     "potentials.custom_potential",  # the test oracles' route to sampled fields
+    "quantum.DensityEnsemble",  # read by bench/tracer.py; deleted with ROADMAP item 1a
 }
 
 
@@ -94,11 +95,11 @@ def test_import_leaves_heavy_scipy_unloaded():
 
 
 def test_package_line_budget():
-    # src/semiphase stays under 3,000 lines: a change that adds lines
+    # src/semiphase stays under 2,900 lines: a change that adds lines
     # deletes as many elsewhere
     total = sum(len(p.read_text().splitlines())
                 for p in Path(semiphase.__file__).parent.glob("*.py"))
-    assert total < 3000, total
+    assert total < 2900, total
 
 
 # bench/tracer.py counts work from these bound argument names (the first

@@ -236,8 +236,7 @@ def test_char_is_one_at_origin_for_every_representation(grid):
     origin = NODES.size // 2
     assert NODES[origin] == 0.0
     psi = coherent_state(0.6, 0.4, 0.05, grid)
-    scaled = GridDensity(values=3.0 * wigner(psi).values, grid=wigner(psi).grid,
-                         tag="wigner")
+    scaled = GridDensity(values=3.0 * wigner(psi).values, grid=wigner(psi).grid)
     for obj in (AtomicMeasure(((2.0, 0.7, -0.3), (1.5, -0.2, 0.4))), scaled, psi):
         assert abs(char_function(obj)[origin, origin] - 1.0) <= 1e-15, type(obj)
 
@@ -285,13 +284,13 @@ def test_weak_distance_atom_separation_monotone():
 
 def test_weak_distance_mass_normalization(grid):
     W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
-    scaled = GridDensity(values=5.0 * W.values, grid=W.grid, tag=W.tag)
+    scaled = GridDensity(values=5.0 * W.values, grid=W.grid)
     assert _distance(W, scaled) < 1e-12
 
 
 def test_weak_distance_zero_mass_raises(grid):
     W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
-    zero = GridDensity(values=np.zeros_like(W.values), grid=W.grid, tag=W.tag)
+    zero = GridDensity(values=np.zeros_like(W.values), grid=W.grid)
     with pytest.raises(NumericsError):
         _distance(W, zero)
     with pytest.raises(NumericsError):
@@ -357,7 +356,7 @@ def test_weak_distance_triangle_inequality(pa, pb, pc):
 def test_l2_distance_basics(grid):
     W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
     assert l2_distance(W, W) == 0.0
-    zero = GridDensity(values=np.zeros_like(W.values), grid=W.grid, tag=W.tag)
+    zero = GridDensity(values=np.zeros_like(W.values), grid=W.grid)
     assert l2_distance(W, zero) == pytest.approx(l2_norm(W), rel=1e-12)
 
 
@@ -383,7 +382,7 @@ def test_l2_triangle_random_triples(grid):
     rng = np.random.default_rng(4)
     pg = wigner(coherent_state(0.0, 0.0, 0.1, grid)).grid
     for _ in range(5):
-        a, b, c = (GridDensity(values=rng.standard_normal(pg.shape), grid=pg, tag="w")
+        a, b, c = (GridDensity(values=rng.standard_normal(pg.shape), grid=pg)
                    for _ in range(3))
         assert l2_distance(a, c) <= l2_distance(a, b) + l2_distance(b, c) + 1e-12
 

@@ -1,4 +1,4 @@
-"""Wigner/Husimi transforms: closed-form Gaussians, symmetries, bounds."""
+"""Wigner transform: closed-form Gaussians, symmetries, bounds."""
 
 import tracemalloc
 
@@ -9,8 +9,6 @@ from conftest import unit_state
 
 from semiphase import (
     ConfigurationError,
-    DensityEnsemble,
-    GridDensity,
     SemiphaseWarning,
     WaveFunction,
     build_position_grid,
@@ -19,9 +17,7 @@ from semiphase import (
 from semiphase.phasespace import (
     _wigner_values,
     build_wigner_grid,
-    husimi,
     l2_norm,
-    sup_norm,
     upsample2,
     wigner,
 )
@@ -77,7 +73,7 @@ def test_hermitian_half_wigner_matches_full_correlation(n, kind):
                          + coherent_state(1.0, -0.3, eps, g).values, eps, g)
     else:
         psi = coherent_state(3.1, 0.9, eps, g)
-    got = _wigner_values(psi.values[None], (1.0,), g.dx, eps, slice(0, 2 * n))
+    got = _wigner_values(psi.values, g.dx, eps, slice(0, 2 * n))
     ref = _full_correlation_wigner(psi.values, g.dx, eps)
     if kind == "cat":
         assert ref.min() < -0.1 * ref.max()  # negative fringes
@@ -173,140 +169,21 @@ def test_wigner_l2_norm_coherent(grid):
         assert l2_norm(W) ** 2 == pytest.approx(1.0 / (2 * np.pi * eps), rel=1e-8)
 
 
-@pytest.mark.parametrize("n", [256, 1000, 1024])
-def test_one_member_ensemble_is_the_state(n):
-    g = build_position_grid(n, -8.0, 8.0)
-    psi = coherent_state(0.4, -0.3, 0.1, g)
-    ens = DensityEnsemble(psi.values[None], (1.0,), 0.1, g)
-    assert np.array_equal(wigner(ens).values, wigner(psi).values)
-
-
-def _four_members(g, eps):
-    cat = unit_state(coherent_state(-1.0, 0.3, eps, g).values
-                     + coherent_state(1.0, -0.3, eps, g).values, eps, g)
-    return ((0.1, coherent_state(0.0, 0.0, eps, g)), (0.2, cat),
-            (0.3, coherent_state(3.1, 0.9, eps, g)),
-            (0.4, coherent_state(-2.0, -1.2, eps, g)))
-
-
-def _ensemble(members, eps, g):
-    # (weight, WaveFunction) pairs as one row block and its weights
-    return DensityEnsemble(np.stack([m.values for _, m in members]),
-                           [w for w, _ in members], eps, g)
-
-
-# 1000: a partial last row block
-@pytest.mark.parametrize("n", [1000, 1024])
-def test_wigner_of_ensemble_is_convex(n):
-    g = build_position_grid(n, -8.0, 8.0)
-    eps = 0.1
-    members = _four_members(g, eps)
-    W = wigner(_ensemble(members, eps, g))
-    expect = sum(w * wigner(m).values for w, m in members)
-    assert expect.min() < 0  # the cat's fringes survive the mixture
-    assert np.max(np.abs(W.values - expect)) <= 1e-14 * np.max(np.abs(expect))
-    assert W.total_mass == pytest.approx(1.0, abs=1e-8)
-
-
-def test_ensemble_wigner_memory_is_output_members_and_blocks():
-    # the members share one output: no (N, 2N) transform per member
-    g = build_position_grid(1024, -8.0, 8.0)
-    ens = _ensemble(_four_members(g, 0.1), 0.1, g)
-    tracemalloc.start()
-    try:
-        W = wigner(ens)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    pads = len(ens.weights) * 4 * 1024 * 16  # zero-padded half-step samples
-    block = 64 * 1025 * 16  # one (64, N+1) complex correlation block
-    irfft = 64 * 2048 * 8  # the block's (64, 2N) transform, before its columns are kept
-    # the block sum and one member's term, plus a block of slack
-    assert peak <= W.values.nbytes + pads + 3 * block + irfft, peak
-
-
 def test_support_checks_warn_per_row_and_refuse_a_hot_row(grid):
-    # each row with edge probability past 1e-10 warns once; a row with
-    # spectral mass near Nyquist refuses the whole block
+    # each state with edge probability past 1e-10 warns once, a state well
+    # inside not at all; a state with spectral mass near Nyquist is refused
     x, eps = grid.nodes, 0.1
     # smooth across the periodic seam at x = +-8, where both sit
     near_edge = [unit_state(np.exp(-a * (x - 8.0) ** 2) + np.exp(-a * (x + 8.0) ** 2),
-                            eps, grid).values for a in (1.0, 2.0)]
-    inside = coherent_state(0.0, 0.0, eps, grid).values
-    ens = DensityEnsemble(np.stack([near_edge[0], inside, near_edge[1]]),
-                          (0.25, 0.5, 0.25), eps, grid)
+                            eps, grid) for a in (1.0, 2.0)]
+    inside = coherent_state(0.0, 0.0, eps, grid)
     with pytest.warns(SemiphaseWarning, match="boundary wrap") as caught:
-        wigner(ens)
+        for state in (near_edge[0], inside, near_edge[1]):
+            wigner(state)
     assert len(caught) == 2
-    hot = unit_state(np.exp(-x ** 2 + 0.95j * np.pi * x / grid.dx), eps, grid).values
+    hot = unit_state(np.exp(-x ** 2 + 0.95j * np.pi * x / grid.dx), eps, grid)
     with pytest.raises(ConfigurationError, match="near Nyquist"):
-        wigner(DensityEnsemble(np.stack([inside, hot]), (0.5, 0.5), eps, grid))
-
-
-# ----------------------------------------------------------------- husimi
-
-
-def test_husimi_coherent_sup(grid):
-    # smoothing at time eps: variance eps/2 + 2 eps per axis, sup = 1/(5 pi eps)
-    for eps in (0.05, 0.1, 0.2):
-        W = wigner(coherent_state(0.5, 0.0, eps, grid))
-        H = husimi(W, eps)
-        assert sup_norm(H) * eps == pytest.approx(1.0 / (5.0 * np.pi), rel=1e-4)
-
-
-def test_husimi_coherent_closed_form(grid):
-    eps = 0.1
-    W = wigner(coherent_state(-0.3, 0.4, eps, grid))
-    H = husimi(W, eps)
-    expect = _gauss2(W.grid, -0.3, 0.4, 2.5 * eps)
-    assert np.max(np.abs(H.values - expect)) < 1e-8 / eps
-
-
-def test_husimi_positivity_and_bound_corpus(corpus):
-    for label, psi in corpus:
-        H = husimi(wigner(psi), psi.eps)
-        assert H.values.min() >= -1e-9, label
-        assert sup_norm(H) < 1.0 / psi.eps, label  # strict
-
-
-def test_husimi_cat_fringe_suppression(grid):
-    eps, a = 0.05, 1.0
-    plus = coherent_state(-a, 0.0, eps, grid)
-    minus = coherent_state(a, 0.0, eps, grid)
-    cat = unit_state(plus.values + minus.values, eps, grid)
-    W = wigner(cat)
-    mid = np.argmin(np.abs(W.grid.x))
-    # strong fringes before smoothing, O(1/(pi eps)) in magnitude
-    assert sup_norm(W) > 1.0 and W.values[mid, :].min() < -1.0
-    # heat at time eps damps the eta = 2a/eps fringe by exp(-4a^2/eps);
-    # the cat husimi then agrees with the incoherent mixture's husimi
-    Hcat = husimi(W, eps)
-    mix = _ensemble(((0.5, plus), (0.5, minus)), eps, grid)
-    Hmix = husimi(wigner(mix), eps)
-    diff = float(np.max(np.abs(Hcat.values - Hmix.values)))
-    assert diff < 1e-5 * float(Hcat.values.max())
-
-
-def test_husimi_matches_the_complex_transform(grid):
-    # the real transform pair against the full complex one
-    eps = 0.1
-    W = wigner(coherent_state(-0.3, 0.4, eps, grid))
-    gx, gp = W.grid.x_grid, W.grid.p_grid
-    mult = np.exp(-eps * gx.k ** 2)[:, None] * np.exp(-eps * gp.k ** 2)[None, :]
-    want = sfft.ifft2(sfft.fft2(W.values) * mult).real
-    assert np.max(np.abs(husimi(W, eps).values - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_husimi_zero_density(grid):
-    pg = build_wigner_grid(grid, 0.05)
-    Z = GridDensity(values=np.zeros(pg.shape), grid=pg, tag="wigner")
-    assert np.max(np.abs(husimi(Z, 0.05).values)) == 0.0
-
-
-def test_husimi_mass_preserved(corpus):
-    for label, psi in corpus[:6]:
-        W = wigner(psi)
-        assert husimi(W, psi.eps).total_mass == pytest.approx(W.total_mass, abs=1e-8), label
+        wigner(hot)
 
 
 # ------------------------------------------------------------ grid duality
@@ -366,23 +243,22 @@ def test_restrict_p_window(grid):
 
 
 def test_restrict_p_owns_its_window(grid):
-    # the window is the full transform's centre columns, bit for bit, for
-    # a state and a mixture, in an array of its own; 6 is the whole axis
+    # the window is the full transform's centre columns, bit for bit, in an
+    # array of its own; 6 is the whole axis
     eps = 0.05
-    for state in (coherent_state(0.0, 0.0, eps, grid),
-                  _ensemble(_four_members(grid, eps), eps, grid)):
-        full = wigner(state)
-        for p_max, half in ((0.5, 32), (2.0, 128), (6.0, grid.n_points)):
-            W = wigner(state, p_max)
-            assert W.values.shape == (grid.n_points, 2 * half)
-            assert W.values.base is None
-            lo = grid.n_points - half
-            assert np.array_equal(W.values, full.values[:, lo:lo + 2 * half])
-            assert np.allclose(W.grid.p, full.grid.p[lo:lo + 2 * half], rtol=0, atol=1e-12)
+    state = coherent_state(0.0, 0.0, eps, grid)
+    full = wigner(state)
+    for p_max, half in ((0.5, 32), (2.0, 128), (6.0, grid.n_points)):
+        W = wigner(state, p_max)
+        assert W.values.shape == (grid.n_points, 2 * half)
+        assert W.values.base is None
+        lo = grid.n_points - half
+        assert np.array_equal(W.values, full.values[:, lo:lo + 2 * half])
+        assert np.allclose(W.grid.p, full.grid.p[lo:lo + 2 * half], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p_max", [-1.0, 0.0, np.inf, np.nan])
-def test_restrict_p_refuses_bad_window(grid, p_max):
+def test_wigner_window_refuses_bad_p_max(grid, p_max):
     # a non-positive window used to be floored to 4 cells per side
     with pytest.raises(ConfigurationError, match="p_max"):
         build_wigner_grid(grid, 0.05, p_max)
@@ -390,7 +266,7 @@ def test_restrict_p_refuses_bad_window(grid, p_max):
         wigner(coherent_state(0.0, 0.0, 0.05, grid), p_max)
 
 
-def test_restrict_p_refuses_a_window_wider_than_the_transform(grid):
+def test_wigner_window_refuses_a_window_wider_than_the_transform(grid):
     # eps = 0.05 on 512 points over 16: the full axis reaches |p| = 5.03
     with pytest.raises(ConfigurationError, match="exceeds the grid extent"):
         build_wigner_grid(grid, 0.05, 20.0)

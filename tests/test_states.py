@@ -22,7 +22,6 @@ from semiphase.grids import PhaseGrid
 from semiphase.phasespace import build_wigner_grid, wigner
 from semiphase.states import (
     check_epsn_operator_bound,
-    coherent_mixture,
     concentrating_wigner_data,
     concentration_lattice,
     random_family,
@@ -108,19 +107,6 @@ def test_coherent_rows_check_every_centre(grid, last):
     x0, p0 = np.array([0.0, 1.0, last[0]]), np.array([0.0, -0.5, last[1]])
     with pytest.raises(ConfigurationError, match="center"):
         coherent_rows(x0, p0, 0.05, grid)
-
-
-def test_coherent_husimi_sharpens_along_ladder(grid):
-    # weak distance to the target atom decreases as eps shrinks
-    from semiphase.metrics import char_distance, char_function
-    from semiphase.phasespace import husimi
-
-    atom = char_function(AtomicMeasure(((1.0, 0.6, -0.4),)))
-    ds = []
-    for eps in (0.2, 0.1, 0.05):
-        H = husimi(wigner(coherent_state(0.6, -0.4, eps, grid)), eps)
-        ds.append(char_distance(char_function(H), atom))
-    assert ds[2] < ds[1] < ds[0]
 
 
 # -------------------------------------------------- concentrating profile
@@ -416,14 +402,3 @@ def test_atomic_measure_accepts_triples_and_arrays():
 def test_atomic_measure_rejects_bad_atoms(atoms, error):
     with pytest.raises(error):
         AtomicMeasure(atoms)
-
-
-def test_coherent_mixture_members_follow_atoms(grid):
-    eps = 0.05
-    atoms = AtomicMeasure(((0.5, 1.0, -0.5), (0.2, -2.0, 0.0), (0.3, 0.0, 1.0)))
-    ens = coherent_mixture(atoms, eps, grid)
-    assert ens.eps == eps and ens.grid == grid
-    assert ens.weights.tolist() == atoms.masses.tolist()
-    assert ens.values.shape == (3, grid.n_points)
-    for row, (_, x, p) in zip(ens.values, atoms.atoms):
-        assert np.array_equal(row, coherent_state(x, p, eps, grid).values)
