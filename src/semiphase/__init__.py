@@ -17,8 +17,7 @@ from .experiments import (EXPERIMENTS, ExperimentConfig, RunManifest,
 from .grids import PhaseGrid, PositionGrid, build_position_grid, quadrature
 from .gridio import write_csv
 from .metrics import RateFit, char_distance, char_function, fit_rate, l2_distance
-from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, l2_norm,
-                         upsample2, wigner)
+from .phasespace import AtomicMeasure, GridDensity, build_wigner_grid, upsample2, wigner
 from .potentials import (FourierConditionReport, PotentialSpec,
                          check_fourier_conditions, custom_potential, evaluate,
                          evaluate_at, gradient_at, harmonic_potential,

@@ -174,6 +174,21 @@ def _force_function(pot: PotentialSpec, eps_mollify: float,
 _FEET_BLOCK = 16384
 
 
+def _rk4(x: np.ndarray, p: np.ndarray, force, n_steps: int, h: float) -> None:
+    """n_steps RK4 steps of size h along x' = p, p' = force(x), in place; raises if not finite."""
+    xb, pb = x, p
+    for _ in range(n_steps):
+        k1p = force(xb)
+        k2x, k2p = pb + 0.5 * h * k1p, force(xb + 0.5 * h * pb)
+        k3x, k3p = pb + 0.5 * h * k2p, force(xb + 0.5 * h * k2x)
+        k4x, k4p = pb + h * k3p, force(xb + h * k3x)
+        xb = xb + (h / 6.0) * (pb + 2 * k2x + 2 * k3x + k4x)
+        pb = pb + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+    if not (np.all(np.isfinite(xb)) and np.all(np.isfinite(pb))):
+        raise NumericsError("characteristic feet are not finite")
+    x[...], p[...] = xb, pb
+
+
 def characteristic_feet(feet, pot: PotentialSpec, eps_mollify: float, dt: float,
                         t_final: float, field_grid: PositionGrid | None = None):
     """Move the points feet = (x, p) by t_final along x' = p, p' = -V~'(x).
@@ -184,11 +199,10 @@ def characteristic_feet(feet, pot: PotentialSpec, eps_mollify: float, dt: float,
     on those nodes, without interpolation. t_final may be negative (the
     sign of the steps); dt is a positive step magnitude.
 
-    The pair is broadcast once into C-ordered copies, which are the
-    outputs. Every step runs on one block of _FEET_BLOCK points at a
-    time before the next block starts, so memory is the outputs plus
-    one block's stages, and each point sees the same arithmetic as in a
-    whole-array step.
+    The pair is broadcast once into C-ordered copies, the outputs, which
+    _rk4 steps in place one block of _FEET_BLOCK points at a time: memory
+    is the outputs plus one block's stages, and each point sees the same
+    arithmetic as in a whole-array step.
     """
     n_steps, h = time_steps(t_final, dt)
     x, p = (np.asarray(a, dtype=np.float64) for a in feet)
@@ -200,17 +214,7 @@ def characteristic_feet(feet, pot: PotentialSpec, eps_mollify: float, dt: float,
     x, p = (np.array(a, order="C") for a in np.broadcast_arrays(x, p))
     flat_x, flat_p = x.reshape(-1), p.reshape(-1)
     for lo in range(0, flat_x.size, _FEET_BLOCK):
-        xb, pb = flat_x[lo:lo + _FEET_BLOCK], flat_p[lo:lo + _FEET_BLOCK]
-        for _ in range(n_steps):
-            k1p = force(xb)
-            k2x, k2p = pb + 0.5 * h * k1p, force(xb + 0.5 * h * pb)
-            k3x, k3p = pb + 0.5 * h * k2p, force(xb + 0.5 * h * k2x)
-            k4x, k4p = pb + h * k3p, force(xb + h * k3x)
-            xb = xb + (h / 6.0) * (pb + 2 * k2x + 2 * k3x + k4x)
-            pb = pb + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        if not (np.all(np.isfinite(xb)) and np.all(np.isfinite(pb))):
-            raise NumericsError("characteristic feet are not finite")
-        flat_x[lo:lo + _FEET_BLOCK], flat_p[lo:lo + _FEET_BLOCK] = xb, pb
+        _rk4(flat_x[lo:lo + _FEET_BLOCK], flat_p[lo:lo + _FEET_BLOCK], force, n_steps, h)
     return x, p
 
 

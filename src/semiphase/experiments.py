@@ -28,14 +28,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._version import __version__
-from .classical import (TrajectoryBranch, branch_family, branch_ode_residual,
-                        characteristic_feet, transport_particles)
+from .classical import (_FEET_BLOCK, TrajectoryBranch, _force_function, _rk4, branch_family,
+                        branch_ode_residual, characteristic_feet, transport_particles)
 from .errors import ConfigurationError, NumericsError, SemiphaseWarning
 from .grids import PhaseGrid, PositionGrid, _fast_len, build_position_grid, quadrature, time_steps
 from .gridio import write_csv
 from .metrics import (_as_probability, _char_rows, _strictly_decreasing,
                       char_distance, char_function, fit_rate, l2_distance)
-from .phasespace import (AtomicMeasure, GridDensity, build_wigner_grid, l2_norm,
+from .phasespace import (AtomicMeasure, GridDensity, _wigner_rows, build_wigner_grid,
                          upsample2, wigner)
 from .potentials import (PotentialSpec, check_fourier_conditions, evaluate_at,
                          harmonic_potential, rough_power_potential)
@@ -623,17 +623,43 @@ def run_weak_convergence(cfg: ExperimentConfig) -> RunManifest:
 # L2MollifiedRate
 
 
-def _h2_norm(density: GridDensity) -> float:
-    gx, gp = density.grid.x_grid, density.grid.p_grid
-    spec = np.fft.rfft(density.values, axis=1)
-    spec = np.fft.fft(spec, axis=0, out=spec)  # rfft2, its second pass in place
-    spec *= 1.0 + gx.k[:, None] ** 2 + gp.k[None, :gp.n_points // 2 + 1] ** 2
-    power = np.abs(spec)
+def _h2_norm(spec: np.ndarray, grid: PhaseGrid) -> float:
+    """H^2 norm on grid from spec, a density's (N, h+1) rfft along p; spec is
+    overwritten. Columns other than 0 and the (even) Nyquist stand for a +-p pair."""
+    gx, gp = grid.x_grid, grid.p_grid
+    spec = np.fft.fft(spec, axis=0, out=spec)
+    for lo in range(0, gx.n_points, 64):  # 64 rows at a time: no (N, h+1) weights
+        spec[lo:lo + 64] *= 1.0 + gx.k[lo:lo + 64, None] ** 2 + gp.k[:spec.shape[1]] ** 2
+    power = spec.view(np.float64)  # |s|^2 = re^2 + im^2, squared in place
     power *= power
-    # the real transform's half spectrum: columns other than 0 and the
-    # (even-length) Nyquist stand for a +-p pair
-    total = 2.0 * power.sum() - power[:, 0].sum() - power[:, -1].sum()
-    return float(np.sqrt(total / (gx.n_points * gp.n_points) * density.grid.cell_area))
+    total = 2.0 * power.sum() - power[:, :2].sum() - power[:, -2:].sum()
+    return float(np.sqrt(total / (gx.n_points * gp.n_points) * grid.cell_area))
+
+
+def _l2_rung(cfg, pot, grid, eps: float, pgrid: PhaseGrid, times) -> list:
+    """One rung's rows (eps, t, d, h2, h2 ratio). Only the feet pair and rho's p-axis
+    rfft persist; per sample, blocks of whole x-rows step their feet in place and
+    add sum (W - rho)^2 to the gap, W the state's matching _wigner_rows block."""
+    psi = coherent_state(*cfg.datum_center, eps, grid)
+    block_rows = max(1, _FEET_BLOCK // pgrid.p_grid.n_points)
+    norm0 = float(np.sqrt(pgrid.cell_area * sum(
+        np.sum(np.square(w, out=w)) for _, w in _wigner_rows(psi, pgrid, block_rows))))
+    force = _force_function(pot, eps, grid)
+    feet = np.meshgrid(pgrid.x, pgrid.p, indexing="ij")  # C-ordered: row blocks are views
+    spec = np.empty((grid.n_points, pgrid.p_grid.n_points // 2 + 1), np.complex128)
+    out, t_prev = [], 0.0
+    for t, state in _evolve_at(psi, times, _schrodinger(pot, cfg.dt)):
+        (n_steps, h), gap, t_prev = time_steps(t_prev - t, cfg.dt_classical), 0.0, t
+        for lo, w in _wigner_rows(state, pgrid, block_rows):
+            x, p = (f[lo:lo + len(w)] for f in feet)
+            _rk4(x, p, force, n_steps, h)
+            rho = _coherent_wigner(x, p, *cfg.datum_center, eps)
+            np.fft.rfft(rho, axis=1, out=spec[lo:lo + len(w)])
+            gap += np.sum(np.square(np.subtract(w, rho, out=rho), out=rho))
+        del w, rho  # before the next sample's generator allocates its buffers
+        d, h2 = float(np.sqrt(pgrid.cell_area * gap)) / norm0, _h2_norm(spec, pgrid)
+        out.append((eps, t, d, h2, h2 / (eps ** -cfg.delta_growth * norm0)))
+    return out
 
 
 def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
@@ -645,7 +671,8 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
     feet, compare on a fixed momentum window, normalize by ||W0||.
     Asserts fitted log-log slope > 0 with r^2 > 0.9; the transport H^2
     growth is recorded, not enforced. Windows are built before any step;
-    one sample's are alive: feet, rho, Wigner window and one gap buffer.
+    one rung's arrays are alive (_l2_rung): the feet pair, one half
+    spectrum of rho and one row block's scratch.
     """
     (times,) = _sample_walks(cfg)
     with _Emitter(cfg) as em:
@@ -658,27 +685,10 @@ def run_l2_mollified_rate(cfg: ExperimentConfig) -> RunManifest:
                 "experiment:\n" + report.to_json())
         em.records["fourier_conditions"] = json.loads(report.to_json())
         pgrids = [build_wigner_grid(grid, eps, cfg.p_window) for eps in cfg.eps_ladder]
-
-        x0, p0 = cfg.datum_center
-        rows, sup_dists = [], []
-        for eps, pgrid in zip(cfg.eps_ladder, pgrids):
-            psi = coherent_state(x0, p0, eps, grid)
-            norm0 = l2_norm(wigner(psi, cfg.p_window))
-            sup_d = 0.0
-            # two zipped walks: one walk over (state, feet) pairs raised peak RSS
-            quantum = _evolve_at(psi, times, _schrodinger(pot, cfg.dt))
-            classical = _evolve_at(
-                (pgrid.x[:, None], pgrid.p[None, :]), times,
-                lambda f, span: characteristic_feet(f, pot, eps, cfg.dt_classical,
-                                                    -span, field_grid=grid))
-            for (t, state), (_, feet) in zip(quantum, classical):
-                rho = GridDensity(_coherent_wigner(*feet, x0, p0, eps), pgrid)
-                d = l2_distance(wigner(state, cfg.p_window), rho) / norm0
-                h2 = _h2_norm(rho)
-                del rho  # before the next feet step
-                rows.append((eps, t, d, h2, h2 / (eps ** -cfg.delta_growth * norm0)))
-                sup_d = float(np.maximum(sup_d, d))
-            sup_dists.append(sup_d)
+        rows = [row for eps, pgrid in zip(cfg.eps_ladder, pgrids)
+                for row in _l2_rung(cfg, pot, grid, eps, pgrid, times)]
+        sup_dists = [float(np.max([r[2] for r in rows if r[0] == eps]))
+                     for eps in cfg.eps_ladder]
         em.csv("l2_rate_times.csv",
                ["eps", "t", "normalized_l2", "h2_transport", "h2_growth_ratio"],
                rows)

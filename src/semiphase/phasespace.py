@@ -12,7 +12,8 @@ by construction. The momentum axis is the eps-scaled dual grid:
     p_l = l * dp,  dp = 2*pi*eps / (2*L),  l in [-N, N).
 
 wigner(state, p_max) keeps only the window l in [-h, h) of that axis
-(build_wigner_grid), taken from each x-row block's FFT: no (N, 2N) array.
+(build_wigner_grid), taken from each x-row block's FFT (_wigner_rows,
+which a caller may also reduce block by block): no (N, 2N) array.
 
 Two density representations coexist: grid functions (possibly signed,
 for Wigner) and atomic measures (the weak-* limit objects). Atomic
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (ConfigurationError, RepresentationError, SemiphaseWarning,
-                     ShapeMismatchError)
+from .errors import ConfigurationError, SemiphaseWarning, ShapeMismatchError
 from .grids import PhaseGrid, PositionGrid, build_position_grid
 from .quantum import WaveFunction
 
@@ -39,7 +39,6 @@ __all__ = [
     "AtomicMeasure",
     "build_wigner_grid",
     "wigner",
-    "l2_norm",
     "upsample2",
 ]
 
@@ -164,61 +163,49 @@ def _support_checks(psi: np.ndarray, grid: PositionGrid) -> None:
             f"{hot:.2e} near Nyquist); refine the grid or increase eps")
 
 
-# x-rows per block of the Wigner kernel: one (64, N+1) correlation block
-# and its irfft stay in cache
+# wigner's x-rows per block: one (64, N+1) correlation block and its irfft
+# stay in cache. L2MollifiedRate asks _wigner_rows for its own block size
 _WIGNER_ROWS = 64
 
 
-def _wigner_values(psi: np.ndarray, dx: float, eps: float, cols: slice) -> np.ndarray:
-    """W of the samples psi (N,) on the momentum columns cols of the (N, 2N)
-    phase grid, in blocks of _WIGNER_ROWS x-rows; the full transform is
-    cols [0, 2N).
+def _wigner_rows(state: WaveFunction, pgrid: PhaseGrid, rows: int = _WIGNER_ROWS):
+    """Yield (lo, W[lo:lo + rows]), W the Wigner transform of state on pgrid, by x-rows.
 
     Row i correlates pad[n+2i+m] with pad[n+2i-m] for m = 0 .. N, pad the
     zero-padded half-step samples, read as strided windows: rows n+2i, and
-    rows 2i reversed. A block's correlations fill one reused (64, N+1)
-    buffer and take one irfft into a reused (64, 2N) buffer, whose columns
-    cols, scaled, are its rows of the output. The sign row (-1)^m centres
-    the p-axis in place of an fftshift, and zeroes the unpaired Nyquist
-    offset.
+    rows 2i reversed. A block's correlations fill one reused (rows, N+1)
+    buffer and take one irfft into a reused (rows, 2N) buffer; its window
+    columns, scaled in place, are the block yielded, scratch for the
+    caller until the next. The sign row (-1)^m centres the p-axis in place
+    of an fftshift, and zeroes the unpaired Nyquist offset.
     """
-    n = psi.size
+    _support_checks(state.values, state.grid)
+    n, half = state.grid.n_points, pgrid.p_grid.n_points // 2
     pad = np.zeros(4 * n, dtype=np.complex128)
-    pad[n:3 * n] = upsample2(psi)
+    pad[n:3 * n] = upsample2(state.values)
     win = sliding_window_view(pad, n + 1)
     # corr(i, -m) = conj(corr(i, m)): offsets m = 0 .. N carry it all
     ahead, behind = win[n:3 * n:2], win[0:2 * n:2, ::-1]
     sign = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
     sign[n] = 0.0  # the Nyquist offset +-N has no pair; drop it
-    scale = dx * 2 * n / (2.0 * np.pi * eps)
-    out = np.empty((n, cols.stop - cols.start))
-    full = np.empty((min(n, _WIGNER_ROWS), 2 * n))
-    buf = np.empty((min(n, _WIGNER_ROWS), n + 1), dtype=np.complex128)
-    for lo in range(0, n, _WIGNER_ROWS):
-        hi = min(lo + _WIGNER_ROWS, n)
-        corr = np.conj(ahead[lo:hi], out=buf[:hi - lo])
-        corr *= behind[lo:hi]
+    scale = state.grid.dx * 2 * n / (2.0 * np.pi * state.eps)
+    full = np.empty((min(n, rows), 2 * n))
+    buf = np.empty((min(n, rows), n + 1), dtype=np.complex128)
+    for lo in range(0, n, rows):
+        corr = np.conj(ahead[lo:lo + rows], out=buf[:min(rows, n - lo)])
+        corr *= behind[lo:lo + rows]
         corr *= sign
-        w = np.fft.irfft(corr, n=2 * n, axis=1, out=full[:hi - lo])
-        np.multiply(w[:, cols], scale, out=out[lo:hi])
-    return out
+        block = np.fft.irfft(corr, n=2 * n, axis=1, out=full[:len(corr)])[:, n - half:n + half]
+        block *= scale
+        yield lo, block
 
 
 def wigner(state: WaveFunction, p_max: float | None = None) -> GridDensity:
     """Wigner transform of a WaveFunction, on the full p-axis or on
-    build_wigner_grid's window of p_max.
-
-    It costs one (N, 2h) output plus the padded samples and at most three
-    row blocks.
-    """
+    build_wigner_grid's window of p_max: one (N, 2h) output, filled from
+    _wigner_rows, plus the padded samples and at most three row blocks."""
     pgrid = build_wigner_grid(state.grid, state.eps, p_max)
-    _support_checks(state.values, state.grid)
-    n, half = state.grid.n_points, pgrid.p_grid.n_points // 2
-    return GridDensity(_wigner_values(state.values, state.grid.dx, state.eps,
-                                      slice(n - half, n + half)), pgrid)
-
-
-def l2_norm(density: GridDensity) -> float:
-    if not isinstance(density, GridDensity):
-        raise RepresentationError("l2_norm is undefined for atomic measures (no density)")
-    return float(np.sqrt(density.grid.cell_area * np.sum(density.values ** 2)))
+    values = np.empty(pgrid.shape)
+    for lo, block in _wigner_rows(state, pgrid):
+        values[lo:lo + len(block)] = block
+    return GridDensity(values, pgrid)

@@ -17,6 +17,7 @@ from semiphase import (
 from semiphase.classical import (
     _FEET_BLOCK,
     _force_function,
+    _rk4,
     branch_constants,
     branch_family,
     branch_ode_residual,
@@ -417,6 +418,26 @@ def test_feet_blocks_match_whole_array_steps(pot, eps_mollify):
         assert np.array_equal(g, w)
     # the feet moved: block writes reach the outputs
     assert not np.array_equal(got[0], np.broadcast_to(x, got[0].shape))
+
+
+def test_rk4_on_a_row_slice_matches_characteristic_feet():
+    # L2MollifiedRate steps rows 40..72 of a C-ordered feet pair in place:
+    # the slice gets what characteristic_feet gives those points, and the
+    # rows outside it stay
+    gx = build_position_grid(256, -8.0, 8.0)
+    pot = rough_power_potential(theta=0.5)
+    x, p = (np.array(a) for a in np.meshgrid(gx.nodes, np.linspace(-2.0, 2.0, 64),
+                                              indexing="ij"))
+    assert x.flags.c_contiguous and p.flags.c_contiguous
+    before = x.copy(), p.copy()
+    n_steps, h = time_steps(-0.2, 0.05)
+    _rk4(x[40:72], p[40:72], _force_function(pot, 0.05, gx), n_steps, h)
+    want = characteristic_feet((before[0][40:72], before[1][40:72]), pot, 0.05, 0.05,
+                               -0.2, field_grid=gx)
+    for got, w, old in zip((x, p), want, before):
+        assert np.array_equal(got[40:72], w)
+        assert not np.array_equal(got[40:72], old[40:72])
+        assert np.array_equal(np.delete(got, np.s_[40:72], 0), np.delete(old, np.s_[40:72], 0))
 
 
 def test_feet_memory_is_outputs_plus_one_block():

@@ -853,26 +853,52 @@ def test_h2_norm_matches_the_full_spectrum():
     gx, gp = grid.x_grid, grid.p_grid
     spec = sfft.fft2(rho.values) * (1.0 + gx.k[:, None] ** 2 + gp.k[None, :] ** 2)
     want = np.sqrt(np.sum(np.abs(spec) ** 2) / rho.values.size * grid.cell_area)
-    assert abs(_h2_norm(rho) - want) <= 1e-12 * want
+    assert abs(_h2_norm(np.fft.rfft(rho.values, axis=1), grid) - want) <= 1e-12 * want
 
 
-def test_l2_rate_memory_is_feet_plus_three_windows():
-    # one sample's arrays at a time: the feet, the transport rho, the
-    # Wigner window and one gap buffer; no (N, 2N) transform. 512 KiB
-    # holds the run's grid-sized arrays and the modules it imports
-    # (about 220 kB measured)
+def test_l2_rate_memory_is_feet_spectrum_and_one_block():
+    # each rung holds the feet pair and one (N, h+1) half spectrum of rho;
+    # a sample streams x-row blocks of 16,384 points through them: the
+    # block's (32, 2N) irfft and (32, N+1) correlation buffers, and RK4
+    # stages, spline temporaries and rho, 16 block-sized arrays at most.
+    # 256 KiB holds the run's grid-sized arrays and the modules it imports
+    # (about 125 kB measured). No Wigner, rho or gap array is built whole:
+    # about 3.7 windows measured
     cfg = defaults_for("L2MollifiedRate", eps_ladder=(0.1, 0.05),
                        sample_times=(0.01, 0.02))
-    window = build_wigner_grid(build_position_grid(cfg.grid_n, cfg.x_min, cfg.x_max),
+    n = cfg.grid_n
+    window = build_wigner_grid(build_position_grid(n, cfg.x_min, cfg.x_max),
                                0.05, cfg.p_window)
     assert window.shape == (1024, 512)
+    rows = 16384 // 512
+    bound = (2 * n * 512 * 8 + n * 257 * 16 + rows * (2 * n * 8 + (n + 1) * 16)
+             + 16 * 16384 * 8 + 256 * 1024)
     tracemalloc.start()
     try:
         assert run_experiment(cfg).passed
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 1024 * 512 * 8 + 512 * 1024, peak
+    assert peak <= bound, (peak, bound)
+
+
+def test_l2_rate_blocks_step_c_ordered_feet_in_place(monkeypatch):
+    # the feet are one C-ordered pair, so each row block is a contiguous
+    # view and _rk4's writes land in it; an F-ordered copy of the x
+    # column would give strided blocks
+    seen = []
+
+    def spy(x, p, force, n_steps, h):
+        seen.append((x.flags.c_contiguous and p.flags.c_contiguous,
+                     x.base is not None and p.base is not None))
+        return real(x, p, force, n_steps, h)
+
+    real = experiments._rk4
+    monkeypatch.setattr(experiments, "_rk4", spy)
+    cfg = defaults_for("L2MollifiedRate", eps_ladder=(0.2,), sample_times=(0.01,))
+    run_experiment(cfg)
+    assert len(seen) == 1024 // (16384 // 128)
+    assert all(c and view for c, view in seen), seen
 
 
 def test_framed_rows_match_the_lab_grid():
@@ -1137,6 +1163,20 @@ def _nan_on_call(name, k, nan=np.nan):
     return factory
 
 
+def _rho_on_call(k, value):
+    """experiments._coherent_wigner, filled with value on its k-th call only
+    (every call from the first when k is 0): the gap's one input that no
+    other gate reads."""
+    def factory():
+        real, calls = experiments._coherent_wigner, itertools.count(1)
+
+        def rho(*args):
+            out = real(*args)
+            return np.full_like(out, value) if next(calls) == k or k == 0 else out
+        return rho
+    return factory
+
+
 def _nan_left_weights():
     # a NaN weight below -x_sep. Each member's mass below enters both sums
     # (0 * NaN is NaN), so the right and left masses are both NaN: no
@@ -1161,7 +1201,7 @@ _FAILING = {
         1),
     "L2MollifiedRate-finite": (
         "L2MollifiedRate", {"eps_ladder": [0.2], "sample_times": [0.01]},
-        {"l2_distance": lambda: lambda a, b: np.inf}, 1),
+        {"_coherent_wigner": _rho_on_call(0, np.inf)}, 1),
     # both profiles' husimi ladders and both mass gates at the one time
     "ConcentrationSplit": ("ConcentrationSplit", {},
                            {"char_distance": _rising,
@@ -1174,9 +1214,12 @@ _FAILING = {
                           {"l2_distance": _nan_on_call("l2_distance", 2)}, 1),
     "WeakConvergence-nan": ("WeakConvergence", {},
                             {"char_distance": _nan_on_call("char_distance", 3)}, 1),
+    # p_window 0.4 is an (N, 16) window, one row block per sample time, so
+    # the NaN rho of the second call reaches only the second time's distance
     "L2MollifiedRate-nan": (
-        "L2MollifiedRate", {"eps_ladder": [0.2], "sample_times": [0.01, 0.02]},
-        {"l2_distance": _nan_on_call("l2_distance", 2)}, 1),
+        "L2MollifiedRate", {"eps_ladder": [0.2], "sample_times": [0.01, 0.02],
+                            "p_window": 0.4},
+        {"_coherent_wigner": _rho_on_call(2, np.nan)}, 1),
     "ConcentrationSplit-nan-left": ("ConcentrationSplit", {},
                                     {"_halfplane_weights": _nan_left_weights}, 2),
     "RandomFamily-nan": ("RandomFamily", {},

@@ -89,6 +89,25 @@ def test_check_names_the_warnings_that_changed(golden, monkeypatch, capsys):
         "  (same messages, in another order)"]
 
 
+def test_check_names_the_record_leaves_that_changed(golden, monkeypatch, capsys):
+    record = {"passed": True, "warnings": [],
+              "records": {"sups": [1.0, 2.0, 4.0], "fit": {"slope": 0.5}}}
+    monkeypatch.setattr(golden, "run_default", lambda name: dict(record, experiment=name))
+    assert golden.main(["capture", "L2MollifiedRate"]) == 0
+    capsys.readouterr()
+    # one leaf lost, one gained, and a shared leaf moved by 1e-3
+    record["records"] = {"sups": [1.0, 2.002], "fit": {"slope": 0.5, "r2": 0.9}}
+    assert golden.main(["check", "L2MollifiedRate"]) == 1
+    head, *changes = capsys.readouterr().out.splitlines()
+    assert "max_rel_dev 1 in " in head and head.endswith("<-- FAIL")
+    assert changes == ["  - leaf /sups[2]", "  + leaf /fit/r2",
+                       "  max_rel_dev 0.001 over the 3 shared leaves"]
+    # the same leaves keep the check to its one line, even when one moved
+    record["records"] = {"sups": [1.0, 2.002, 4.0], "fit": {"slope": 0.5}}
+    assert golden.main(["check", "L2MollifiedRate"]) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
 def test_peak_rss_is_this_process_in_mib(golden):
     # ru_maxrss is in KiB on Linux, and a peak never falls
     kib = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

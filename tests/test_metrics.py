@@ -20,7 +20,7 @@ from semiphase.errors import NumericsError
 from semiphase.metrics import (NODES, _as_probability, _char_rows, _unit_powers,
                                char_distance, char_function, fit_rate,
                                l2_distance)
-from semiphase.phasespace import l2_norm, wigner
+from semiphase.phasespace import wigner
 
 
 @pytest.fixture(scope="module")
@@ -353,18 +353,22 @@ def test_weak_distance_triangle_inequality(pa, pb, pc):
 # ---------------------------------------------------------- l2_distance
 
 
+def _l2_norm(density):
+    return np.sqrt(density.grid.cell_area * np.sum(density.values ** 2))
+
+
 def test_l2_distance_basics(grid):
     W = wigner(coherent_state(0.0, 0.0, 0.05, grid))
     assert l2_distance(W, W) == 0.0
     zero = GridDensity(values=np.zeros_like(W.values), grid=W.grid)
-    assert l2_distance(W, zero) == pytest.approx(l2_norm(W), rel=1e-12)
+    assert l2_distance(W, zero) == pytest.approx(_l2_norm(W), rel=1e-12)
 
 
 def test_l2_distance_disjoint_pythagoras(grid):
     eps = 0.02
     a = wigner(coherent_state(-3.0, 0.0, eps, grid))
     b = wigner(coherent_state(3.0, 0.0, eps, grid))
-    expect = np.sqrt(l2_norm(a) ** 2 + l2_norm(b) ** 2)
+    expect = np.sqrt(_l2_norm(a) ** 2 + _l2_norm(b) ** 2)
     assert l2_distance(a, b) == pytest.approx(expect, rel=1e-6)
 
 

@@ -14,13 +14,7 @@ from semiphase import (
     build_position_grid,
     coherent_state,
 )
-from semiphase.phasespace import (
-    _wigner_values,
-    build_wigner_grid,
-    l2_norm,
-    upsample2,
-    wigner,
-)
+from semiphase.phasespace import _wigner_rows, build_wigner_grid, upsample2, wigner
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +67,27 @@ def test_hermitian_half_wigner_matches_full_correlation(n, kind):
                          + coherent_state(1.0, -0.3, eps, g).values, eps, g)
     else:
         psi = coherent_state(3.1, 0.9, eps, g)
-    got = _wigner_values(psi.values, g.dx, eps, slice(0, 2 * n))
+    got = wigner(psi).values
     ref = _full_correlation_wigner(psi.values, g.dx, eps)
     if kind == "cat":
         assert ref.min() < -0.1 * ref.max()  # negative fringes
     assert got.dtype == np.float64
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p_max", [None, 2.0])
+def test_wigner_row_blocks_stack_to_the_transform(p_max):
+    # 7 rows per block: 1000 rows end on a partial block; each yielded
+    # block is scratch, so it is copied before the next one is drawn
+    g = build_position_grid(1000, -8.0, 8.0)
+    psi = coherent_state(0.4, -0.3, 0.05, g)
+    want = wigner(psi, p_max)
+    starts, blocks = [], []
+    for lo, block in _wigner_rows(psi, want.grid, 7):
+        starts.append(lo)
+        blocks.append(block.copy())
+    assert starts == list(range(0, 1000, 7)) and len(blocks[-1]) == 1000 % 7
+    assert np.array_equal(np.concatenate(blocks), want.values)
 
 
 def test_wigner_memory_is_output_plus_one_block():
@@ -166,7 +175,8 @@ def test_wigner_momentum_marginal_gaussian(grid):
 def test_wigner_l2_norm_coherent(grid):
     for eps in (0.05, 0.1):
         W = wigner(coherent_state(0.3, 0.2, eps, grid))
-        assert l2_norm(W) ** 2 == pytest.approx(1.0 / (2 * np.pi * eps), rel=1e-8)
+        norm2 = W.grid.cell_area * np.sum(W.values ** 2)
+        assert norm2 == pytest.approx(1.0 / (2 * np.pi * eps), rel=1e-8)
 
 
 def test_support_checks_warn_per_row_and_refuse_a_hot_row(grid):

@@ -15,7 +15,10 @@ wall seconds (the occasional full-defaults timing) and the process's
 peak RSS so far (``ru_maxrss``; one name per process measures that run
 alone). When the warnings differ, the lines under that run's line list
 the golden messages the run no longer raises (``-``) and the new ones
-(``+``). It exits 1 when a
+(``+``). When the records gain or lose leaves (``max_rel_dev`` then
+reads 1), the lines under it name the leaf paths missing from the run
+(``- leaf``) and the new ones (``+ leaf``), and the largest deviation
+over the leaves both hold. It exits 1 when a
 warning list or verdict differs or a deviation exceeds TOL, the
 tolerance for a refactor. A change that moves the numerics on purpose
 re-captures only the experiments it moved and lists what moved.
@@ -42,7 +45,7 @@ GOLDEN_DIR = ROOT / "golden"
 TOL = 1e-10
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from records import max_rel_dev  # noqa: E402
+from records import flatten, max_rel_dev  # noqa: E402
 from semiphase.experiments import (EXPERIMENTS, defaults_for,  # noqa: E402
                                    run_experiment)
 
@@ -76,6 +79,17 @@ def warning_changes(golden: list, now: list) -> list:
     return lines or ["  (same messages, in another order)"]
 
 
+def leaf_changes(golden: dict, now: dict) -> list:
+    """Lines naming the record leaves the run lost (-) and gained (+), and
+    the largest deviation over the leaves that both hold."""
+    ref, got = flatten(golden), flatten(now)
+    shared = [k for k in ref if k in got]
+    dev = max_rel_dev({k: got[k] for k in shared}, {k: ref[k] for k in shared})
+    return ([f"  - leaf {k}" for k in ref if k not in got]
+            + [f"  + leaf {k}" for k in got if k not in ref]
+            + [f"  max_rel_dev {dev:.3g} over the {len(shared)} shared leaves"])
+
+
 def check(names) -> int:
     status = 0
     for name in names or EXPERIMENTS:
@@ -94,6 +108,9 @@ def check(names) -> int:
               f"{'' if ok else '  <-- FAIL'}", flush=True)
         if not same["warnings"]:
             print("\n".join(warning_changes(golden["warnings"], result["warnings"])),
+                  flush=True)
+        if flatten(result["records"]).keys() != flatten(golden["records"]).keys():
+            print("\n".join(leaf_changes(golden["records"], result["records"])),
                   flush=True)
     return status
 
